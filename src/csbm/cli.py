@@ -29,6 +29,7 @@ from .harness import (
     run_trial,
     scaling_csv,
     scaling_experiment,
+    scaling_row,
     sweep,
     trial_row,
     trials_csv,
@@ -224,22 +225,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         )
     print(f"fitted Rstar exponent: {fit.fitted_singletons} (theory {fit.theory_singletons})")
     if args.out:
-        row = {
-            "a": base.a,
-            "b": base.b,
-            "s": base.s,
-            "K": base.K,
-            "k": base.k,
-            "trials": args.trials,
-            "points_used": fit.points_used,
-            "fitted_F12": fit.fitted_unmatched,
-            "theory_F12": fit.theory_unmatched,
-            "fitted_F12capF13": fit.fitted_intersection,
-            "theory_F12capF13": fit.theory_intersection,
-            "fitted_Rstar": fit.fitted_singletons,
-            "theory_Rstar": fit.theory_singletons,
-        }
-        Path(args.out).write_text(format_csv(SCALING_COLUMNS, [row]))
+        Path(args.out).write_text(format_csv(SCALING_COLUMNS, [scaling_row(base, fit)]))
         print(f"wrote scaling row to {args.out}")
     return 0
 

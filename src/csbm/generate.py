@@ -23,12 +23,11 @@ edges into children according to the conditional pattern law.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _pullback_union
 from .seeds import (
     ROLE_LABELS,
     ROLE_PAIR_CLASSES,
@@ -194,12 +193,7 @@ class CorrelatedInstance:
 
     def child_edges_in_parent_labels(self, j: int) -> np.ndarray:
         """Canonical edge array of child ``j`` pulled back to anchor labels."""
-        if j == 0:
-            return self.children[0].edges
-        mapped = self.inverse_pi(j)[self.children[j].edges]
-        mapped.sort(axis=1)
-        order = np.lexsort((mapped[:, 1], mapped[:, 0]))
-        return mapped[order]
+        return _pullback_union([self.children[j]], [self.pi_star[j]]).edges
 
 
 def _bernoulli_index_sample(rng: np.random.Generator, count: int, prob: float) -> np.ndarray:

@@ -1,21 +1,25 @@
 """Undirected simple graphs and the small graph algebra used everywhere else.
 
 Vertices are 0-based integers below a fixed count ``n``.  A :class:`Graph`
-is immutable once built; adjacency sets are materialised lazily because bulk
+is immutable once built.  Its one canonical form is the sorted array of
+distinct packed keys ``lo * n + hi`` (``lo < hi``), from which the ``(m, 2)``
+edge array is decoded; the CSR adjacency is built lazily because bulk
 distribution tests create tens of thousands of throwaway graphs whose
 neighbourhoods are never queried.
 
 The algebra operations (:func:`intersection_graph`, :func:`union_graph`,
 :func:`difference_graph`) each take partial vertex matchings and return new
 graphs whose ``vertices`` attribute records the domain they were built on.
+The recovery pipeline calls the same private cores (``_pullback_union`` and
+``_surviving``) on dense matching arrays.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 __all__ = [
     "Graph",
@@ -30,30 +34,46 @@ __all__ = [
     "read_edge_list",
 ]
 
+# Largest n with n * n < 2**63, so every packed key fits in an int64.
+_MAX_N = 3_037_000_499
 
-def _canonical_edges(n: int, edges) -> np.ndarray:
-    """Validate and canonicalise an edge collection to a sorted (m, 2) array.
 
-    Endpoints are swapped so the smaller one comes first, duplicates are
-    dropped, and rows are lexicographically sorted.  Self-loops and
-    out-of-range endpoints are hard errors.
+def _pack(n: int, pairs: np.ndarray) -> np.ndarray:
+    """Keys ``lo * n + hi`` of an (m, 2) array of pairs in either orientation."""
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    return lo * np.int64(n) + hi
+
+
+def _packed_unique(n: int, pairs: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys of ``pairs``; repeats drop by comparing neighbours."""
+    keys = np.sort(_pack(n, pairs))
+    if keys.size > 1:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return keys
+
+
+def _map_edges(edges: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Images of ``edges`` under the dense map ``f`` (-1 means unmatched).
+
+    Returns the mask of rows whose endpoints are both matched, and the image
+    pairs of exactly those rows.
     """
-    if edges is None:
-        return np.empty((0, 2), dtype=np.int64)
-    if isinstance(edges, np.ndarray):
-        arr = edges.astype(np.int64, copy=False)
-    else:
-        arr = np.array(list(edges), dtype=np.int64)
-    if arr.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    arr = arr.reshape(-1, 2)
-    if arr.min() < 0 or arr.max() >= n:
-        raise ValueError("edge endpoint out of range [0, n)")
-    if (arr[:, 0] == arr[:, 1]).any():
-        raise ValueError("self-loops are not allowed")
-    lo = np.minimum(arr[:, 0], arr[:, 1])
-    hi = np.maximum(arr[:, 0], arr[:, 1])
-    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+    img = f[edges]
+    ok = (img >= 0).all(axis=1)
+    return ok, img[ok]
+
+
+def _adjacency_csr(n: int, edges: np.ndarray) -> csr_matrix:
+    """Symmetric 0/1 adjacency of an edge array as a float64 CSR matrix."""
+    if len(edges) == 0:
+        return csr_matrix((n, n))
+    u = edges[:, 0]
+    v = edges[:, 1]
+    rows = np.concatenate([u, v])
+    cols = np.concatenate([v, u])
+    data = np.ones(len(rows), dtype=np.float64)
+    return csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
 class Graph:
@@ -61,16 +81,32 @@ class Graph:
 
     ``vertices`` optionally restricts the vertex set (used by the algebra
     operations to record the matching domain a graph was built on); when
-    omitted the graph lives on all of ``0..n-1``.
+    omitted the graph lives on all of ``0..n-1``.  Self-loops and endpoints
+    outside ``[0, n)`` are errors; duplicate and reversed pairs collapse.
     """
 
-    __slots__ = ("n", "_edges", "_vertices", "_adj", "_packed")
+    __slots__ = ("n", "_keys", "_edges", "_vertices", "_csr")
 
     def __init__(self, n: int, edges=None, vertices: Iterable[int] | None = None):
         if n < 0:
             raise ValueError("n must be non-negative")
+        if n > _MAX_N:
+            raise ValueError(f"n={n} exceeds {_MAX_N}; packed edge keys would overflow int64")
         self.n = int(n)
-        self._edges = _canonical_edges(self.n, edges)
+        if edges is None:
+            arr = np.empty((0, 2), dtype=np.int64)
+        elif isinstance(edges, np.ndarray):
+            arr = edges.astype(np.int64, copy=False).reshape(-1, 2)
+        else:
+            arr = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        if arr.size:
+            if arr.min() < 0 or arr.max() >= self.n:
+                raise ValueError("edge endpoint out of range [0, n)")
+            if (arr[:, 0] == arr[:, 1]).any():
+                raise ValueError("self-loops are not allowed")
+        self._keys = _packed_unique(self.n, arr)
+        self._keys.setflags(write=False)
+        self._edges = np.stack(np.divmod(self._keys, np.int64(self.n)), axis=1)
         self._edges.setflags(write=False)
         if vertices is None:
             self._vertices = None
@@ -78,13 +114,12 @@ class Graph:
             vs = frozenset(int(v) for v in vertices)
             if vs and (min(vs) < 0 or max(vs) >= self.n):
                 raise ValueError("vertex out of range [0, n)")
-            if self._edges.size:
-                ends = np.unique(self._edges)
-                if not all(int(v) in vs for v in ends):
-                    raise ValueError("edge endpoint outside the declared vertex set")
+            mask = np.zeros(self.n, dtype=bool)
+            mask[list(vs)] = True
+            if not mask[self._edges].all():
+                raise ValueError("edge endpoint outside the declared vertex set")
             self._vertices = vs
-        self._adj = None
-        self._packed = None
+        self._csr = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -109,21 +144,24 @@ class Graph:
 
     # -- adjacency ---------------------------------------------------------
 
-    def _adjacency(self) -> list[set[int]]:
-        if self._adj is None:
-            adj: list[set[int]] = [set() for _ in range(self.n)]
-            for u, v in self._edges:
-                adj[u].add(int(v))
-                adj[v].add(int(u))
-            self._adj = adj
-        return self._adj
+    def _adjacency(self) -> csr_matrix:
+        """Lazily built symmetric CSR adjacency (treat as read-only)."""
+        if self._csr is None:
+            self._csr = _adjacency_csr(self.n, self._edges)
+        return self._csr
+
+    def _row(self, v: int) -> np.ndarray:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range [0, {self.n})")
+        csr = self._adjacency()
+        return csr.indices[csr.indptr[v] : csr.indptr[v + 1]]
 
     def neighbors(self, v: int) -> set[int]:
-        """Neighbour set of ``v`` (treat as read-only)."""
-        return self._adjacency()[v]
+        """Neighbour set of ``v``."""
+        return set(self._row(v).tolist())
 
     def degree(self, v: int) -> int:
-        return len(self._adjacency()[v])
+        return len(self._row(v))
 
     def degrees(self) -> np.ndarray:
         """Degree of every vertex as an int64 array."""
@@ -134,33 +172,29 @@ class Graph:
         return deg
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return v in self._adjacency()[u]
+        row = self._row(u)
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range [0, {self.n})")
+        return bool((row == v).any())
 
     def packed_keys(self) -> np.ndarray:
-        """Sorted int64 keys ``lo * n + hi``; supports bulk membership tests."""
-        if self._packed is None:
-            keys = self._edges[:, 0] * np.int64(self.n) + self._edges[:, 1]
-            self._packed = np.sort(keys)
-            self._packed.setflags(write=False)
-        return self._packed
+        """Sorted distinct int64 keys ``lo * n + hi``, read-only."""
+        return self._keys
 
     def contains_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Vectorised membership for an (m, 2) array of candidate pairs.
 
         Pairs need not be ordered; rows with equal endpoints test False.
+        Endpoints outside ``[0, n)`` are an error.
         """
         if pairs.size == 0:
             return np.zeros(0, dtype=bool)
-        lo = np.minimum(pairs[:, 0], pairs[:, 1]).astype(np.int64)
-        hi = np.maximum(pairs[:, 0], pairs[:, 1]).astype(np.int64)
-        keys = lo * np.int64(self.n) + hi
-        packed = self.packed_keys()
-        pos = np.searchsorted(packed, keys)
-        found = pos < packed.shape[0]
-        found[found] = packed[pos[found]] == keys[found]
-        found &= lo != hi
+        if pairs.min() < 0 or pairs.max() >= self.n:
+            raise ValueError("pair endpoint out of range [0, n)")
+        keys = _pack(self.n, pairs)
+        pos = np.searchsorted(self._keys, keys)
+        found = pos < self._keys.shape[0]
+        found[found] = self._keys[pos[found]] == keys[found]
         return found
 
     # -- dunder ------------------------------------------------------------
@@ -174,8 +208,7 @@ class Graph:
         return (
             self.n == other.n
             and self.vertices == other.vertices
-            and self._edges.shape == other._edges.shape
-            and bool((self._edges == other._edges).all())
+            and np.array_equal(self._keys, other._keys)
         )
 
     def __hash__(self):  # pragma: no cover - graphs are not hashable
@@ -258,29 +291,27 @@ class PartialMatching:
 def k_core(g: Graph, k: int) -> frozenset[int]:
     """Vertex set of the maximal induced subgraph with minimum degree >= k.
 
-    Peels iteratively, always removing the lowest-degree vertex and breaking
-    ties by vertex index, so the removal order (not just the result) is
-    deterministic.  Returns the empty set when nothing survives.
+    Peels every vertex of degree below ``k``, cascading the degree loss to
+    its neighbours through the CSR adjacency.  The core is unique, so the
+    peeling order does not matter.  Returns the empty set when nothing
+    survives.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    n = g.n
+    csr = g._adjacency()
+    indptr, indices = csr.indptr, csr.indices
     deg = g.degrees()
-    removed = np.zeros(n, dtype=bool)
-    heap: list[tuple[int, int]] = [(int(deg[v]), v) for v in range(n)]
-    heapq.heapify(heap)
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != deg[v]:
-            continue
-        if d >= k:
-            break
-        removed[v] = True
-        for u in g.neighbors(v):
-            if not removed[u]:
-                deg[u] -= 1
-                heapq.heappush(heap, (int(deg[u]), u))
-    return frozenset(int(v) for v in np.flatnonzero(~removed & (deg >= k)))
+    removed = deg < k
+    stack = np.flatnonzero(removed).tolist()
+    deg = deg.tolist()
+    while stack:
+        v = stack.pop()
+        for u in indices[indptr[v] : indptr[v + 1]].tolist():
+            deg[u] -= 1
+            if deg[u] < k and not removed[u]:
+                removed[u] = True
+                stack.append(u)
+    return frozenset(np.flatnonzero(~removed).tolist())
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -289,8 +320,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     mask = np.zeros(g.n, dtype=bool)
     mask[list(keep)] = True
     e = g.edges
-    sel = mask[e[:, 0]] & mask[e[:, 1]] if e.size else np.zeros(0, dtype=bool)
-    return Graph(g.n, e[sel], vertices=keep)
+    return Graph(g.n, e[mask[e].all(axis=1)], vertices=keep)
 
 
 # -- matched-graph algebra ---------------------------------------------------
@@ -301,15 +331,46 @@ def _matched_intersection_edges(g: Graph, h: Graph, to_h: np.ndarray) -> np.ndar
 
     ``to_h`` is a dense lookup (g-label -> h-label, -1 for unmatched).
     """
-    e = g.edges
-    if e.size == 0:
-        return e
-    mapped = (to_h[e[:, 0]] >= 0) & (to_h[e[:, 1]] >= 0)
-    e = e[mapped]
-    if e.size == 0:
-        return e
-    imgs = np.stack([to_h[e[:, 0]], to_h[e[:, 1]]], axis=1)
-    return e[h.contains_edges(imgs)]
+    ok, img = _map_edges(g.edges, to_h)
+    return g.edges[ok][h.contains_edges(img)]
+
+
+def _pullback_union(
+    graphs: Sequence[Graph],
+    maps: Sequence[np.ndarray],
+    member: np.ndarray | None = None,
+    vertices: Iterable[int] | None = None,
+) -> Graph:
+    """Union of ``graphs`` pulled back into one labelling, inside ``member``.
+
+    ``maps[i]`` is a dense map from that labelling into ``graphs[i]``'s
+    labels, -1 meaning unmatched; it must be injective on its matched
+    entries.  An edge contributes when both endpoints have a preimage in
+    the boolean ``member`` mask (all vertices when None).
+    """
+    n = graphs[0].n
+    src = np.arange(n) if member is None else np.flatnonzero(member)
+    blocks = []
+    for g, f in zip(graphs, maps):
+        back = np.full(n, -1, dtype=np.int64)
+        matched = src[f[src] >= 0]
+        back[f[matched]] = matched
+        blocks.append(_map_edges(g.edges, back)[1])
+    return Graph(n, np.concatenate(blocks), vertices=vertices)
+
+
+def _surviving(edges: np.ndarray, subtract) -> np.ndarray:
+    """Mask of ``edges`` whose image is an edge of no subtracted graph.
+
+    ``subtract`` yields ``(h, to_h)`` pairs with ``to_h`` a dense map into
+    ``h``'s labels (-1 unmatched).  An edge with an unmatched endpoint is
+    never removed by that graph.
+    """
+    alive = np.ones(len(edges), dtype=bool)
+    for h, to_h in subtract:
+        ok, img = _map_edges(edges, to_h)
+        alive[np.flatnonzero(ok)[h.contains_edges(img)]] = False
+    return alive
 
 
 def intersection_graph(g: Graph, h: Graph, mu: PartialMatching) -> Graph:
@@ -339,8 +400,7 @@ def union_graph(
         raise ValueError("union of no graphs")
     if len(matchings) != len(graphs) - 1:
         raise ValueError("need exactly one matching per non-anchor graph")
-    anchor = graphs[0]
-    n = anchor.n
+    n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError("all graphs must share the same vertex count")
     if domain is not None:
@@ -351,28 +411,8 @@ def union_graph(
         dom = frozenset.intersection(*(mu.domain for mu in matchings))
     mask = np.zeros(n, dtype=bool)
     mask[list(dom)] = True
-
-    parts = []
-    e0 = anchor.edges
-    if e0.size:
-        parts.append(e0[mask[e0[:, 0]] & mask[e0[:, 1]]])
-    for g, mu in zip(graphs[1:], matchings):
-        back = np.full(n, -1, dtype=np.int64)
-        for u, v in mu._map.items():
-            if mask[u]:
-                back[v] = u
-        e = g.edges
-        if e.size == 0:
-            continue
-        a = back[e[:, 0]]
-        b = back[e[:, 1]]
-        ok = (a >= 0) & (b >= 0)
-        if ok.any():
-            lo = np.minimum(a[ok], b[ok])
-            hi = np.maximum(a[ok], b[ok])
-            parts.append(np.stack([lo, hi], axis=1))
-    edges = np.vstack(parts) if parts else None
-    return Graph(n, edges, vertices=dom)
+    maps = [np.arange(n)] + [mu.as_array(n) for mu in matchings]
+    return _pullback_union(graphs, maps, mask, vertices=dom)
 
 
 def difference_graph(
@@ -392,22 +432,8 @@ def difference_graph(
         raise ValueError("restrict_to must be non-empty")
     mask = np.zeros(g.n, dtype=bool)
     mask[list(dom)] = True
-    e = g.edges
-    if e.size == 0:
-        return Graph(g.n, None, vertices=dom)
-    keep = mask[e[:, 0]] & mask[e[:, 1]]
-    e = e[keep]
-    alive = np.ones(e.shape[0], dtype=bool)
-    for h, mu in subtract:
-        if not alive.any():
-            break
-        to_h = mu.as_array(g.n)
-        cand = alive & (to_h[e[:, 0]] >= 0) & (to_h[e[:, 1]] >= 0)
-        if not cand.any():
-            continue
-        idx = np.flatnonzero(cand)
-        imgs = np.stack([to_h[e[idx, 0]], to_h[e[idx, 1]]], axis=1)
-        alive[idx[h.contains_edges(imgs)]] = False
+    e = g.edges[mask[g.edges].all(axis=1)]
+    alive = _surviving(e, ((h, mu.as_array(g.n)) for h, mu in subtract))
     return Graph(g.n, e[alive], vertices=dom)
 
 

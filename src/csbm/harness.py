@@ -47,6 +47,7 @@ __all__ = [
     "sweep",
     "ScalingResult",
     "scaling_experiment",
+    "scaling_row",
     "region_grid_export",
     "AGGREGATE_COLUMNS",
     "TRIAL_COLUMNS",
@@ -378,23 +379,7 @@ def sweep(cfg: SweepConfig) -> SweepResult:
                 n=cfg.n_values[0], a=a, b=b, s=s, K=K, k=cfg.k, eps=cfg.eps
             )
             fit = scaling_experiment(base, cfg.n_values, cfg.trials, cfg.master_seed)
-            result.scaling_rows.append(
-                {
-                    "a": a,
-                    "b": b,
-                    "s": s,
-                    "K": K,
-                    "k": cfg.k,
-                    "trials": cfg.trials,
-                    "points_used": fit.points_used,
-                    "fitted_F12": fit.fitted_unmatched,
-                    "theory_F12": fit.theory_unmatched,
-                    "fitted_F12capF13": fit.fitted_intersection,
-                    "theory_F12capF13": fit.theory_intersection,
-                    "fitted_Rstar": fit.fitted_singletons,
-                    "theory_Rstar": fit.theory_singletons,
-                }
-            )
+            result.scaling_rows.append(scaling_row(base, fit))
     return result
 
 
@@ -506,6 +491,25 @@ def scaling_experiment(
         theory_singletons=1.0 - s * (1.0 - (1.0 - s) ** (K - 1)) * tc,
         points_used=used_f,
     )
+
+
+def scaling_row(base: Params, fit: ScalingResult) -> dict:
+    """One SCALING_COLUMNS row for a fit made at the parameters of ``base``."""
+    return {
+        "a": base.a,
+        "b": base.b,
+        "s": base.s,
+        "K": base.K,
+        "k": base.k,
+        "trials": fit.trials,
+        "points_used": fit.points_used,
+        "fitted_F12": fit.fitted_unmatched,
+        "theory_F12": fit.theory_unmatched,
+        "fitted_F12capF13": fit.fitted_intersection,
+        "theory_F12capF13": fit.theory_intersection,
+        "fitted_Rstar": fit.fitted_singletons,
+        "theory_Rstar": fit.theory_singletons,
+    }
 
 
 def _grid_values(step: float, upper: float) -> list[float]:

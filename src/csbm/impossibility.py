@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generate import CorrelatedInstance
-from .graphs import Graph
+from .graphs import Graph, _pullback_union
 
 __all__ = [
     "SingletonReport",
@@ -49,13 +49,7 @@ class SingletonReport:
 
 def _anchored_children_union(inst: CorrelatedInstance) -> Graph:
     """Union of children 2..K pulled back to anchor labels."""
-    blocks = [
-        inst.child_edges_in_parent_labels(j)
-        for j in range(1, inst.K)
-        if inst.children[j].edge_count
-    ]
-    edges = np.concatenate(blocks) if blocks else None
-    return Graph(inst.n, edges)
+    return _pullback_union(inst.children[1:], inst.pi_star[1:])
 
 
 def singleton_sets(inst: CorrelatedInstance) -> SingletonReport:

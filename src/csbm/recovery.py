@@ -25,10 +25,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .generate import CorrelatedInstance
-from .graphs import Graph
+from .graphs import Graph, _adjacency_csr, _pullback_union, _surviving
 from .matching import (
     MatchingFamily,
     VertexClass,
@@ -91,17 +90,6 @@ class LabelEstimate:
             degraded=self.degraded,
             good_disagreements=self.good_disagreements,
         )
-
-
-def _adjacency_csr(n: int, edges: np.ndarray) -> csr_matrix:
-    if len(edges) == 0:
-        return csr_matrix((n, n))
-    u = edges[:, 0]
-    v = edges[:, 1]
-    rows = np.concatenate([u, v])
-    cols = np.concatenate([v, u])
-    data = np.ones(len(rows), dtype=np.float64)
-    return csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
 def _graph_seed(g: Graph) -> int:
@@ -198,49 +186,21 @@ def _majority_labels(votes: np.ndarray, incoming: np.ndarray, assortative: bool)
 
 
 def _union_votes(
-    n: int,
-    children: list[Graph],
+    inst: CorrelatedInstance,
     in_member: np.ndarray,
-    composed_maps: list[tuple[int, np.ndarray]],
+    maps: list[np.ndarray],
     init_values: np.ndarray,
 ) -> np.ndarray:
     """Neighbourhood vote sums on a union graph restricted to a matched set.
 
-    The union runs over the anchor child plus every ``(j, anchor_to_j)``
-    entry of ``composed_maps``; edges of child ``j`` are pulled back through
-    the composed map and kept when both endpoints land in the member set.
-    Duplicate edges across children collapse before voting, so each union
-    edge contributes exactly once.
+    Every child ``j`` is pulled back to anchor labels through ``maps[j]``
+    (anchor -> child j; identity for the anchor), and an edge is kept when
+    both endpoints land in the member set.  Edges shared by several children
+    count once.
     """
-    packed: list[np.ndarray] = []
-    anchor_edges = children[0].edges
-    if anchor_edges.size:
-        keep = in_member[anchor_edges[:, 0]] & in_member[anchor_edges[:, 1]]
-        kept = anchor_edges[keep]
-        packed.append(kept[:, 0].astype(np.int64) * n + kept[:, 1])
-    member_idx = np.flatnonzero(in_member)
-    for j, composed in composed_maps:
-        edges_j = children[j].edges
-        if not edges_j.size or not member_idx.size:
-            continue
-        back = np.full(n, -1, dtype=np.int64)
-        src = member_idx[composed[member_idx] >= 0]
-        back[composed[src]] = src
-        u = back[edges_j[:, 0]]
-        v = back[edges_j[:, 1]]
-        ok = (u >= 0) & (v >= 0)
-        if not ok.any():
-            continue
-        lo = np.minimum(u[ok], v[ok])
-        hi = np.maximum(u[ok], v[ok])
-        packed.append(lo * n + hi)
-    if not packed:
-        return np.zeros(n, dtype=np.float64)
-    keys = np.unique(np.concatenate(packed))
-    u = keys // n
-    v = keys % n
-    return np.bincount(u, weights=init_values[v], minlength=n) + np.bincount(
-        v, weights=init_values[u], minlength=n
+    e = _pullback_union(inst.children, maps, in_member).edges
+    return np.bincount(e[:, 0], weights=init_values[e[:, 1]], minlength=inst.n) + np.bincount(
+        e[:, 1], weights=init_values[e[:, 0]], minlength=inst.n
     )
 
 
@@ -271,7 +231,7 @@ def label_good_vertices(
     assortative = inst.params.a >= inst.params.b
     init_values = init.labels.astype(np.float64)
     if inst.K == 1:
-        votes = _union_votes(n, inst.children, np.ones(n, dtype=bool), [], init_values)
+        votes = _union_votes(inst, np.ones(n, dtype=bool), [np.arange(n)], init_values)
         est.labels = _majority_labels(votes, init.labels, assortative)
         est.provenance[:] = PROVENANCE_GOOD
         return est
@@ -286,11 +246,11 @@ def label_good_vertices(
         in_member = np.ones(n, dtype=bool)
         for pair in mg.edge_list():
             in_member &= fam.anchor_masks[pair]
-        composed_maps = []
-        for j in range(1, inst.K):
-            path = shortest_metagraph_path(mg, 0, j)
-            composed_maps.append((j, _compose_array_along_path(fam, path)))
-        votes = _union_votes(n, inst.children, in_member, composed_maps, init_values)
+        maps = [
+            _compose_array_along_path(fam, shortest_metagraph_path(mg, 0, j))
+            for j in range(inst.K)
+        ]
+        votes = _union_votes(inst, in_member, maps, init_values)
         est.labels[group] = _majority_labels(
             votes[group], init.labels[group], assortative
         )
@@ -331,9 +291,7 @@ def _label_good_three(
     ]
     case_assignments: list[np.ndarray] = []
     for in_member, to_two, to_three in cases:
-        votes = _union_votes(
-            n, inst.children, in_member, [(1, to_two), (2, to_three)], init_values
-        )
+        votes = _union_votes(inst, in_member, [np.arange(n), to_two, to_three], init_values)
         idx = np.flatnonzero(in_member)
         labels = _majority_labels(votes[idx], init.labels[idx], assortative)
         est.labels[idx] = labels
@@ -371,36 +329,26 @@ def label_bad_vertices(
     if not classes.bad:
         return est
     n = inst.n
-    assortative = inst.params.a >= inst.params.b
+    bad = np.zeros(n, dtype=bool)
+    bad[list(classes.bad)] = True
     in_member = np.ones(n, dtype=bool)
     for j in range(1, inst.K):
         in_member &= fam.member_mask(0, j)
-    maps = [fam.map_array(0, j) if j else None for j in range(inst.K)]
-    current_labels = current.labels
-    anchor = inst.children[0]
-    for v in sorted(classes.bad):
-        phi = [j for j in range(1, inst.K) if fam.member_mask(0, j)[v]]
-        total = 0
-        for u in anchor.neighbors(v):
-            if not in_member[u]:
-                continue
-            survives = True
-            for j in phi:
-                x = maps[j][v]
-                y = maps[j][u]
-                if x >= 0 and y >= 0 and inst.children[j].has_edge(int(x), int(y)):
-                    survives = False
-                    break
-            if survives:
-                total += int(current_labels[u])
-        if total > 0:
-            label = 1 if assortative else -1
-        elif total < 0:
-            label = -1 if assortative else 1
-        else:
-            label = int(current_labels[v])
-        est.labels[v] = label
-        est.provenance[v] = PROVENANCE_BAD
+    # Orient each anchor edge from its bad end to its fully matched end.  A
+    # fully matched vertex is good, so no edge qualifies both ways round.
+    e = inst.children[0].edges
+    arcs = np.concatenate(
+        [e[bad[e[:, 0]] & in_member[e[:, 1]]], e[bad[e[:, 1]] & in_member[e[:, 0]], ::-1]]
+    )
+    # Child j is subtracted exactly when v is matched to it, which is when
+    # the arc's image under the anchor -> j map is defined at both ends.
+    subtract = [(inst.children[j], fam.map_array(0, j)) for j in range(1, inst.K)]
+    arcs = arcs[_surviving(arcs, subtract)]
+    votes = np.bincount(arcs[:, 0], weights=current.labels[arcs[:, 1]], minlength=n)
+    idx = np.flatnonzero(bad)
+    assortative = inst.params.a >= inst.params.b
+    est.labels[idx] = _majority_labels(votes[idx], current.labels[idx], assortative)
+    est.provenance[idx] = PROVENANCE_BAD
     return est
 
 

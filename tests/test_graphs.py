@@ -1,8 +1,11 @@
 """Graph container, k-core peeling, and the edge-algebra operations."""
 
+import networkx as nx
 import numpy as np
 import pytest
 from conftest import erdos_renyi, kcore_oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csbm.graphs import (
     Graph,
@@ -33,6 +36,61 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 1)], vertices=[0, 2])
+
+
+@settings(max_examples=200, deadline=None)
+@example((5, []))
+@given(
+    st.integers(2, 40).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda p: p[0] != p[1]
+                ),
+                max_size=60,
+            ),
+        )
+    )
+)
+def test_edges_match_numpy_canonical_form(case):
+    n, pairs = case
+    # Feed every pair twice, once reversed, so duplicates always occur.
+    raw = np.array(pairs + [(v, u) for u, v in pairs], dtype=np.int64).reshape(-1, 2)
+    expected = np.unique(np.sort(raw, axis=1), axis=0).reshape(-1, 2)
+    g = Graph(n, raw)
+    assert g.edges.dtype == np.int64 and g.edges.flags.c_contiguous
+    assert g.edges.tobytes() == expected.tobytes()
+    assert g.packed_keys().tolist() == [u * n + v for u, v in expected.tolist()]
+
+
+def test_vertex_queries_reject_out_of_range():
+    g = Graph(3, [(1, 2)])
+    # The key 0 * 3 + 5 equals the key of (1, 2).
+    with pytest.raises(ValueError):
+        g.contains_edges(np.array([[0, 5]]))
+    with pytest.raises(ValueError):
+        g.contains_edges(np.array([[-1, 2]]))
+    h = Graph(3, [(2, 0)])
+    # A negative index would wrap round to vertex 2.
+    with pytest.raises(ValueError):
+        h.has_edge(-1, 0)
+    with pytest.raises(ValueError):
+        h.has_edge(0, 3)
+    for query in (h.neighbors, h.degree):
+        with pytest.raises(ValueError):
+            query(3)
+        with pytest.raises(ValueError):
+            query(-1)
+
+
+def test_graph_rejects_vertex_count_beyond_packed_keys():
+    largest = 3_037_000_499
+    assert largest * largest < 2**63 <= (largest + 1) ** 2
+    g = Graph(largest, [(largest - 2, largest - 1)])
+    assert g.edge_set() == {(largest - 2, largest - 1)}
+    with pytest.raises(ValueError):
+        Graph(largest + 1)
 
 
 def test_degrees_and_adjacency():
@@ -125,6 +183,20 @@ def test_kcore_matches_oracle_on_random_graphs():
         g = erdos_renyi(n, float(rng.uniform(0.1, 0.8)), rng)
         for k in (1, 2, 3):
             assert k_core(g, k) == kcore_oracle(g, k)
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_kcore_matches_networkx(k):
+    rng = np.random.default_rng(1000 + k)
+    # Mean degrees of about 4, 8 and 12: cores from empty to nearly everything.
+    for half_degree in (2, 4, 6):
+        n = int(rng.integers(1800, 2200))
+        pairs = rng.integers(0, n, size=(half_degree * n, 2))
+        g = Graph(n, pairs[pairs[:, 0] != pairs[:, 1]])
+        ref = nx.Graph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(g.edges.tolist())
+        assert k_core(g, k) == frozenset(nx.k_core(ref, k).nodes)
 
 
 def test_kcore_respects_vertex_restriction():

@@ -1,5 +1,6 @@
 """Trial driver, grid sweeps, exponent fits, and CSV export."""
 
+import hashlib
 import warnings
 
 import pytest
@@ -62,6 +63,34 @@ def test_trial_with_nothing_retained():
     assert result.degraded is True
     assert result.recovery_success is False
     assert result.unmatched_sizes[(0, 1)] == 120
+
+
+def test_sweep_csv_bytes_are_pinned():
+    """Sweep CSV bytes may not drift between versions of the package.
+
+    The digest was recorded before the edge-key and CSR rewrite of
+    ``csbm.graphs``; criterion 10 only compares two runs of the same code.
+    The grid covers both regimes, K = 1..4 and bad vertices at s = 0.15.
+    """
+    cfg = SweepConfig(
+        n_values=(500,),
+        a_values=(9.0,),
+        b_values=(1.0,),
+        s_values=(0.15, 0.4),
+        K_values=(1, 2, 3, 4),
+        k=1,
+        trials=3,
+        master_seed=0,
+        experiments=("recover", "match", "witness"),
+        per_trial=True,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = sweep(cfg)
+    text = cells_csv(result) + trials_csv(result)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "bae1efd701870b877734831e95e7e9ca19fb2df8ac76013569fb7362c8fe8010"
+    )
 
 
 def test_full_retention_cell_succeeds():

@@ -291,6 +291,64 @@ def test_bad_step_votes_only_on_fully_matched_core():
     assert bad_set == frozenset({0, 5})
 
 
+def reference_bad_step(inst, fam, current, classes):
+    """The per-vertex bad step the vectorised one replaced, kept verbatim."""
+    est = current.copy()
+    if not classes.bad:
+        return est
+    n = inst.n
+    assortative = inst.params.a >= inst.params.b
+    in_member = np.ones(n, dtype=bool)
+    for j in range(1, inst.K):
+        in_member &= fam.member_mask(0, j)
+    maps = [fam.map_array(0, j) if j else None for j in range(inst.K)]
+    current_labels = current.labels
+    anchor = inst.children[0]
+    for v in sorted(classes.bad):
+        phi = [j for j in range(1, inst.K) if fam.member_mask(0, j)[v]]
+        total = 0
+        for u in anchor.neighbors(v):
+            if not in_member[u]:
+                continue
+            survives = True
+            for j in phi:
+                x = maps[j][v]
+                y = maps[j][u]
+                if x >= 0 and y >= 0 and inst.children[j].has_edge(int(x), int(y)):
+                    survives = False
+                    break
+            if survives:
+                total += int(current_labels[u])
+        if total > 0:
+            label = 1 if assortative else -1
+        elif total < 0:
+            label = -1 if assortative else 1
+        else:
+            label = int(current_labels[v])
+        est.labels[v] = label
+        est.provenance[v] = PROVENANCE_BAD
+    return est
+
+
+@pytest.mark.parametrize("n", [300, 2000])
+@pytest.mark.parametrize("s", [0.15, 0.25])
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_bad_step_matches_per_vertex_reference(n, s, K):
+    bad_total = 0
+    for seed in range(3):
+        inst = sample_instance(Params(n=n, a=9.0, b=1.0, s=s, K=K, k=1), seed)
+        fam = all_pairwise_matchings(inst, 1)
+        classes = classify_good_bad(fam)
+        labels = np.random.default_rng(seed).choice(np.array([-1, 1], dtype=np.int8), n)
+        current = estimate(labels)
+        out = label_bad_vertices(inst, fam, current, classes=classes)
+        ref = reference_bad_step(inst, fam, current, classes)
+        assert out.labels.tolist() == ref.labels.tolist()
+        assert out.provenance.tolist() == ref.provenance.tolist()
+        bad_total += len(classes.bad)
+    assert bad_total > 0
+
+
 # -- full pipeline ------------------------------------------------------------
 
 
