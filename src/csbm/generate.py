@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, _pullback_union
+from .graphs import Graph, _image_keys, _pullback_union
 from .seeds import (
     ROLE_LABELS,
     ROLE_PAIR_CLASSES,
@@ -278,10 +278,13 @@ def _child_graphs(
     patterns: np.ndarray,
     perms: list[np.ndarray],
 ) -> list[Graph]:
+    # Each pi is a permutation, so distinct parent keys map to distinct keys.
+    n = parent.n
     children = []
     for j, pi in enumerate(perms):
         kept = parent.edges[patterns[:, j].astype(bool)]
-        children.append(Graph(parent.n, pi[kept] if j else kept))
+        keys = _image_keys(n, kept[:, 0], kept[:, 1], pi)[1]
+        children.append(Graph._from_keys(n, np.sort(keys)))
     return children
 
 
@@ -426,7 +429,7 @@ def split_union_graph(h: Graph, s: float, K: int, seed: int) -> list[Graph]:
     u = rng.random(h.edge_count)
     codes = np.searchsorted(cum, u, side="right") + 1
     return [
-        Graph(h.n, h.edges[(codes >> j) & 1 == 1]) for j in range(num)
+        Graph._from_keys(h.n, h.packed_keys()[(codes >> j) & 1 == 1]) for j in range(num)
     ]
 
 

@@ -45,23 +45,47 @@ def _pack(n: int, pairs: np.ndarray) -> np.ndarray:
     return lo * np.int64(n) + hi
 
 
-def _packed_unique(n: int, pairs: np.ndarray) -> np.ndarray:
-    """Sorted distinct keys of ``pairs``; repeats drop by comparing neighbours."""
-    keys = np.sort(_pack(n, pairs))
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct ``keys``; repeats drop by comparing neighbours."""
+    keys = np.sort(keys)
     if keys.size > 1:
         keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     return keys
 
 
-def _map_edges(edges: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Images of ``edges`` under the dense map ``f`` (-1 means unmatched).
+def _image_keys(
+    n: int, u: np.ndarray, v: np.ndarray, f: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Packed keys of the pairs ``(f[u], f[v])`` under the dense map ``f``.
 
-    Returns the mask of rows whose endpoints are both matched, and the image
-    pairs of exactly those rows.
+    ``f`` holds -1 for unmatched vertices.  Returns the mask of pairs whose
+    endpoints are both matched, and the image keys of exactly those pairs.
     """
-    img = f[edges]
-    ok = (img >= 0).all(axis=1)
-    return ok, img[ok]
+    fu = f[u]
+    fv = f[v]
+    ok = (fu >= 0) & (fv >= 0)
+    if not ok.all():
+        fu = fu[ok]
+        fv = fv[ok]
+    return ok, np.minimum(fu, fv) * np.int64(n) + np.maximum(fu, fv)
+
+
+def _member(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Mask of ``queries`` present in the sorted key array ``keys``.
+
+    The binary searches run in sorted query order, so consecutive probes
+    walk ``keys`` forwards instead of jumping across it at random; on key
+    arrays larger than the cache that is several times faster.
+    """
+    found = np.zeros(queries.shape[0], dtype=bool)
+    if keys.size == 0:
+        return found
+    order = np.argsort(queries)
+    q = queries[order]
+    pos = np.searchsorted(keys, q)
+    np.minimum(pos, keys.shape[0] - 1, out=pos)
+    found[order] = keys[pos] == q
+    return found
 
 
 def _adjacency_csr(n: int, edges: np.ndarray) -> csr_matrix:
@@ -92,7 +116,7 @@ class Graph:
             raise ValueError("n must be non-negative")
         if n > _MAX_N:
             raise ValueError(f"n={n} exceeds {_MAX_N}; packed edge keys would overflow int64")
-        self.n = int(n)
+        n = int(n)
         if edges is None:
             arr = np.empty((0, 2), dtype=np.int64)
         elif isinstance(edges, np.ndarray):
@@ -100,25 +124,36 @@ class Graph:
         else:
             arr = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
         if arr.size:
-            if arr.min() < 0 or arr.max() >= self.n:
+            if arr.min() < 0 or arr.max() >= n:
                 raise ValueError("edge endpoint out of range [0, n)")
             if (arr[:, 0] == arr[:, 1]).any():
                 raise ValueError("self-loops are not allowed")
-        self._keys = _packed_unique(self.n, arr)
-        self._keys.setflags(write=False)
-        self._edges = np.stack(np.divmod(self._keys, np.int64(self.n)), axis=1)
-        self._edges.setflags(write=False)
-        if vertices is None:
-            self._vertices = None
-        else:
-            vs = frozenset(int(v) for v in vertices)
-            if vs and (min(vs) < 0 or max(vs) >= self.n):
-                raise ValueError("vertex out of range [0, n)")
-            mask = np.zeros(self.n, dtype=bool)
-            mask[list(vs)] = True
-            if not mask[self._edges].all():
+        vs = None
+        if vertices is not None:
+            vs, mask = _vertex_mask(n, vertices)
+            if not mask[arr].all():
                 raise ValueError("edge endpoint outside the declared vertex set")
-            self._vertices = vs
+        self._set_keys(n, _sorted_unique(_pack(n, arr)), vs)
+
+    @classmethod
+    def _from_keys(
+        cls, n: int, keys: np.ndarray, vertices: frozenset[int] | None = None
+    ) -> "Graph":
+        """Graph on already-checked keys: sorted, distinct, in range, no loops.
+
+        ``vertices``, when given, must contain every endpoint.
+        """
+        g = cls.__new__(cls)
+        g._set_keys(n, keys, vertices)
+        return g
+
+    def _set_keys(self, n: int, keys: np.ndarray, vertices: frozenset[int] | None) -> None:
+        self.n = n
+        self._keys = keys
+        self._keys.setflags(write=False)
+        self._edges = np.stack(np.divmod(keys, np.int64(n)), axis=1)
+        self._edges.setflags(write=False)
+        self._vertices = vertices
         self._csr = None
 
     # -- basic accessors ---------------------------------------------------
@@ -191,11 +226,7 @@ class Graph:
             return np.zeros(0, dtype=bool)
         if pairs.min() < 0 or pairs.max() >= self.n:
             raise ValueError("pair endpoint out of range [0, n)")
-        keys = _pack(self.n, pairs)
-        pos = np.searchsorted(self._keys, keys)
-        found = pos < self._keys.shape[0]
-        found[found] = self._keys[pos[found]] == keys[found]
-        return found
+        return _member(self._keys, _pack(self.n, pairs))
 
     # -- dunder ------------------------------------------------------------
 
@@ -219,70 +250,119 @@ class PartialMatching:
     """Injective partial map between two vertex sets.
 
     Keys live in the source graph's labelling, values in the target's.  The
-    mapping is validated to be injective with non-negative endpoints.
+    map is stored as a dense int64 array indexed by source vertex, -1
+    meaning unmatched, and trimmed after the last matched vertex so equal
+    maps have equal arrays.  Construction checks that the map is injective
+    with non-negative endpoints and that no vertex is matched twice.
     """
 
-    __slots__ = ("_map",)
+    __slots__ = ("_arr",)
 
     def __init__(self, mapping: Mapping[int, int] | Iterable[tuple[int, int]]):
-        m = {int(u): int(v) for u, v in dict(mapping).items()}
-        if any(u < 0 for u in m) or any(v < 0 for v in m.values()):
-            raise ValueError("matched vertices must be non-negative")
-        if len(set(m.values())) != len(m):
-            raise ValueError("matching must be injective")
-        self._map = m
+        pairs = list(mapping.items() if isinstance(mapping, Mapping) else mapping)
+        src = np.array([int(u) for u, _ in pairs], dtype=np.int64)
+        dst = np.array([int(v) for _, v in pairs], dtype=np.int64)
+        self._store(_checked_map(src, dst))
+
+    @classmethod
+    def _from_array(cls, arr: np.ndarray) -> "PartialMatching":
+        """Wrap a dense map already known to be injective (-1 unmatched)."""
+        mu = cls.__new__(cls)
+        mu._store(arr)
+        return mu
+
+    def _store(self, arr: np.ndarray) -> None:
+        matched = np.flatnonzero(arr >= 0)
+        self._arr = arr[: matched[-1] + 1 if matched.size else 0]
+        self._arr.setflags(write=False)
 
     @classmethod
     def identity(cls, vertices: Iterable[int]) -> "PartialMatching":
-        return cls({int(v): int(v) for v in vertices})
+        vs = np.unique(np.fromiter(vertices, dtype=np.int64))
+        return cls._from_array(_checked_map(vs, vs))
 
     @classmethod
-    def from_permutation(cls, pi: Sequence[int], domain: Iterable[int] | None = None) -> "PartialMatching":
+    def from_permutation(
+        cls, pi: Sequence[int], domain: Iterable[int] | None = None
+    ) -> "PartialMatching":
         """Matching ``v -> pi[v]``, optionally restricted to ``domain``."""
+        pi = np.asarray(pi, dtype=np.int64).reshape(-1)
         if domain is None:
-            return cls({v: int(pi[v]) for v in range(len(pi))})
-        return cls({int(v): int(pi[int(v)]) for v in domain})
+            src = np.arange(pi.shape[0], dtype=np.int64)
+        else:
+            src = np.unique(np.fromiter(domain, dtype=np.int64))
+            if src.size and (src[0] < 0 or src[-1] >= pi.shape[0]):
+                raise ValueError("domain vertex outside the permutation")
+        return cls._from_array(_checked_map(src, pi[src]))
 
     def __len__(self) -> int:
-        return len(self._map)
+        return int(np.count_nonzero(self._arr >= 0))
 
     def __contains__(self, v: int) -> bool:
-        return int(v) in self._map
+        v = int(v)
+        return 0 <= v < self._arr.shape[0] and self._arr[v] >= 0
 
     def __getitem__(self, v: int) -> int:
-        return self._map[int(v)]
+        if v not in self:
+            raise KeyError(v)
+        return int(self._arr[int(v)])
 
     def get(self, v: int, default=None):
-        return self._map.get(int(v), default)
+        return int(self._arr[int(v)]) if v in self else default
 
     def items(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._map.items()))
+        """Matched pairs ``(u, mu[u])`` in increasing ``u``."""
+        dom = np.flatnonzero(self._arr >= 0)
+        return zip(dom.tolist(), self._arr[dom].tolist())
 
     @property
     def domain(self) -> frozenset[int]:
-        return frozenset(self._map)
+        return frozenset(np.flatnonzero(self._arr >= 0).tolist())
 
     @property
     def image(self) -> frozenset[int]:
-        return frozenset(self._map.values())
+        return frozenset(self._arr[self._arr >= 0].tolist())
 
     def inverse(self) -> "PartialMatching":
-        return PartialMatching({v: u for u, v in self._map.items()})
+        dom = np.flatnonzero(self._arr >= 0)
+        img = self._arr[dom]
+        inv = np.full(int(img.max()) + 1 if img.size else 0, -1, dtype=np.int64)
+        inv[img] = dom
+        return PartialMatching._from_array(inv)
 
     def as_array(self, n: int) -> np.ndarray:
         """Dense int64 lookup of length ``n``; unmatched entries are -1."""
+        size = self._arr.shape[0]
+        if size > n:
+            raise ValueError(f"matched vertex {size - 1} is outside [0, {n})")
         arr = np.full(n, -1, dtype=np.int64)
-        for u, v in self._map.items():
-            arr[u] = v
+        arr[:size] = self._arr
         return arr
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PartialMatching):
             return NotImplemented
-        return self._map == other._map
+        return np.array_equal(self._arr, other._arr)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PartialMatching(size={len(self._map)})"
+        return f"PartialMatching(size={len(self)})"
+
+
+def _checked_map(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Dense array of the map ``src[i] -> dst[i]`` (-1 elsewhere), after checks.
+
+    Rejects negative endpoints, a source vertex listed twice and two
+    sources sent to one target.
+    """
+    if (src < 0).any() or (dst < 0).any():
+        raise ValueError("matched vertices must be non-negative")
+    if np.unique(src).size != src.size:
+        raise ValueError("a vertex is matched twice")
+    if np.unique(dst).size != dst.size:
+        raise ValueError("matching must be injective")
+    arr = np.full(int(src.max()) + 1 if src.size else 0, -1, dtype=np.int64)
+    arr[src] = dst
+    return arr
 
 
 # -- core decomposition ----------------------------------------------------
@@ -296,6 +376,11 @@ def k_core(g: Graph, k: int) -> frozenset[int]:
     peeling order does not matter.  Returns the empty set when nothing
     survives.
     """
+    return frozenset(np.flatnonzero(_core_mask(g, k)).tolist())
+
+
+def _core_mask(g: Graph, k: int) -> np.ndarray:
+    """Boolean mask of the vertices in the k-core of ``g``."""
     if k < 1:
         raise ValueError("k must be at least 1")
     csr = g._adjacency()
@@ -311,35 +396,45 @@ def k_core(g: Graph, k: int) -> frozenset[int]:
             if deg[u] < k and not removed[u]:
                 removed[u] = True
                 stack.append(u)
-    return frozenset(np.flatnonzero(~removed).tolist())
+    return ~removed
+
+
+def _vertex_mask(n: int, vertices: Iterable[int]) -> tuple[frozenset[int], np.ndarray]:
+    """A vertex set and its boolean mask over ``0..n-1``, range-checked."""
+    vs = frozenset(int(v) for v in vertices)
+    if vs and (min(vs) < 0 or max(vs) >= n):
+        raise ValueError("vertex out of range [0, n)")
+    mask = np.zeros(n, dtype=bool)
+    mask[list(vs)] = True
+    return vs, mask
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph induced by ``vertices`` (kept at the same vertex count)."""
-    keep = frozenset(int(v) for v in vertices)
-    mask = np.zeros(g.n, dtype=bool)
-    mask[list(keep)] = True
+    keep, mask = _vertex_mask(g.n, vertices)
     e = g.edges
-    return Graph(g.n, e[mask[e].all(axis=1)], vertices=keep)
+    return Graph._from_keys(g.n, g.packed_keys()[mask[e[:, 0]] & mask[e[:, 1]]], keep)
 
 
 # -- matched-graph algebra ---------------------------------------------------
 
 
-def _matched_intersection_edges(g: Graph, h: Graph, to_h: np.ndarray) -> np.ndarray:
-    """Edges of ``g`` whose endpoints are matched and whose image is in ``h``.
+def _matched_intersection_keys(g: Graph, h: Graph, to_h: np.ndarray) -> np.ndarray:
+    """Keys of the ``g`` edges whose endpoints are matched and whose image is in ``h``.
 
-    ``to_h`` is a dense lookup (g-label -> h-label, -1 for unmatched).
+    ``to_h`` is a dense lookup (g-label -> h-label, -1 for unmatched).  The
+    result is a sorted subset of ``g``'s keys.
     """
-    ok, img = _map_edges(g.edges, to_h)
-    return g.edges[ok][h.contains_edges(img)]
+    e = g.edges
+    ok, img = _image_keys(h.n, e[:, 0], e[:, 1], to_h)
+    return g.packed_keys()[np.flatnonzero(ok)[_member(h.packed_keys(), img)]]
 
 
 def _pullback_union(
     graphs: Sequence[Graph],
     maps: Sequence[np.ndarray],
     member: np.ndarray | None = None,
-    vertices: Iterable[int] | None = None,
+    vertices: frozenset[int] | None = None,
 ) -> Graph:
     """Union of ``graphs`` pulled back into one labelling, inside ``member``.
 
@@ -355,22 +450,31 @@ def _pullback_union(
         back = np.full(n, -1, dtype=np.int64)
         matched = src[f[src] >= 0]
         back[f[matched]] = matched
-        blocks.append(_map_edges(g.edges, back)[1])
-    return Graph(n, np.concatenate(blocks), vertices=vertices)
+        e = g.edges
+        blocks.append(_image_keys(n, e[:, 0], e[:, 1], back)[1])
+    return Graph._from_keys(n, _sorted_unique(np.concatenate(blocks)), vertices)
 
 
-def _surviving(edges: np.ndarray, subtract) -> np.ndarray:
-    """Mask of ``edges`` whose image is an edge of no subtracted graph.
+def _surviving(u: np.ndarray, v: np.ndarray, subtract) -> np.ndarray:
+    """Mask of the pairs ``(u[i], v[i])`` whose image is an edge of no subtracted graph.
 
     ``subtract`` yields ``(h, to_h)`` pairs with ``to_h`` a dense map into
-    ``h``'s labels (-1 unmatched).  An edge with an unmatched endpoint is
+    ``h``'s labels (-1 unmatched).  A pair with an unmatched endpoint is
     never removed by that graph.
     """
-    alive = np.ones(len(edges), dtype=bool)
+    alive = np.ones(u.shape[0], dtype=bool)
     for h, to_h in subtract:
-        ok, img = _map_edges(edges, to_h)
-        alive[np.flatnonzero(ok)[h.contains_edges(img)]] = False
+        ok, img = _image_keys(h.n, u, v, to_h)
+        alive[np.flatnonzero(ok)[_member(h.packed_keys(), img)]] = False
     return alive
+
+
+def _map_into(mu: PartialMatching, g: Graph, h: Graph) -> np.ndarray:
+    """``mu`` as a dense map from ``g``'s vertices into ``h``'s, range-checked."""
+    f = mu.as_array(g.n)
+    if f.max(initial=-1) >= h.n:
+        raise ValueError("matched vertex outside the target graph")
+    return f
 
 
 def intersection_graph(g: Graph, h: Graph, mu: PartialMatching) -> Graph:
@@ -379,8 +483,8 @@ def intersection_graph(g: Graph, h: Graph, mu: PartialMatching) -> Graph:
     An edge (u, v) of ``g`` survives when both endpoints are matched and
     (mu[u], mu[v]) is an edge of ``h``.
     """
-    to_h = mu.as_array(g.n)
-    return Graph(g.n, _matched_intersection_edges(g, h, to_h), vertices=mu.domain)
+    keys = _matched_intersection_keys(g, h, _map_into(mu, g, h))
+    return Graph._from_keys(g.n, keys, mu.domain)
 
 
 def union_graph(
@@ -403,15 +507,12 @@ def union_graph(
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError("all graphs must share the same vertex count")
-    if domain is not None:
-        dom = frozenset(int(v) for v in domain)
-    else:
+    if domain is None:
         if not matchings:
             raise ValueError("domain is required when no matchings are given")
-        dom = frozenset.intersection(*(mu.domain for mu in matchings))
-    mask = np.zeros(n, dtype=bool)
-    mask[list(dom)] = True
-    maps = [np.arange(n)] + [mu.as_array(n) for mu in matchings]
+        domain = frozenset.intersection(*(mu.domain for mu in matchings))
+    dom, mask = _vertex_mask(n, domain)
+    maps = [np.arange(n)] + [_map_into(mu, graphs[0], g) for mu, g in zip(matchings, graphs[1:])]
     return _pullback_union(graphs, maps, mask, vertices=dom)
 
 
@@ -427,14 +528,15 @@ def difference_graph(
     are matched and the image pair is an edge there; edges with an unmatched
     endpoint survive.  An empty ``restrict_to`` is rejected.
     """
-    dom = frozenset(int(v) for v in restrict_to)
+    dom, mask = _vertex_mask(g.n, restrict_to)
     if not dom:
         raise ValueError("restrict_to must be non-empty")
-    mask = np.zeros(g.n, dtype=bool)
-    mask[list(dom)] = True
-    e = g.edges[mask[g.edges].all(axis=1)]
-    alive = _surviving(e, ((h, mu.as_array(g.n)) for h, mu in subtract))
-    return Graph(g.n, e[alive], vertices=dom)
+    e = g.edges
+    inside = np.flatnonzero(mask[e[:, 0]] & mask[e[:, 1]])
+    alive = _surviving(
+        e[inside, 0], e[inside, 1], ((h, _map_into(mu, g, h)) for h, mu in subtract)
+    )
+    return Graph._from_keys(g.n, g.packed_keys()[inside[alive]], dom)
 
 
 def neighborhood_majority(

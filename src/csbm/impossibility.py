@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generate import CorrelatedInstance
-from .graphs import Graph, _pullback_union
+from .graphs import Graph, _member, _pullback_union
 
 __all__ = [
     "SingletonReport",
@@ -66,7 +66,7 @@ def singleton_sets(inst: CorrelatedInstance) -> SingletonReport:
     h = _anchored_children_union(inst)
     touched = np.zeros(n, dtype=bool)
     if g1.edge_count:
-        shared = g1.edges[h.contains_edges(g1.edges)]
+        shared = g1.edges[_member(h.packed_keys(), g1.packed_keys())]
         if shared.size:
             touched[shared[:, 0]] = True
             touched[shared[:, 1]] = True

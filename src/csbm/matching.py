@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generate import CorrelatedInstance
-from .graphs import Graph, PartialMatching, _matched_intersection_edges, k_core
+from .graphs import Graph, PartialMatching, _core_mask, _matched_intersection_keys
 
 __all__ = [
     "kcore_matching_bruteforce",
@@ -124,9 +124,8 @@ def kcore_matching_seeded(g: Graph, h: Graph, k: int, pi_true) -> PartialMatchin
     pi = np.asarray(pi_true, dtype=np.int64)
     if pi.shape != (g.n,) or not np.array_equal(np.sort(pi), np.arange(g.n)):
         raise ValueError("pi_true must be a full permutation of the vertex set")
-    edges = _matched_intersection_edges(g, h, pi)
-    core = k_core(Graph(g.n, edges), k)
-    return PartialMatching({int(v): int(pi[v]) for v in sorted(core)})
+    core = _core_mask(Graph._from_keys(g.n, _matched_intersection_keys(g, h, pi)), k)
+    return PartialMatching._from_array(np.where(core, pi, -1))
 
 
 @dataclass
@@ -151,6 +150,7 @@ class MatchingFamily:
     _map_arrays: dict[tuple[int, int], np.ndarray] = field(
         default_factory=dict, repr=False, compare=False
     )
+    _classes: VertexClass | None = field(default=None, repr=False, compare=False)
 
     def pairs(self) -> list[tuple[int, int]]:
         return sorted(self.matchings)
@@ -215,12 +215,8 @@ def all_pairwise_matchings(
                 )
             else:
                 mu = kcore_matching_bruteforce(inst.children[i], inst.children[j], k)
-            mask = np.zeros(n, dtype=bool)
-            if mu.domain:
-                dom = np.fromiter(mu.domain, dtype=np.int64, count=len(mu))
-                mask[inst.inverse_pi(i)[dom]] = True
             fam.matchings[(i, j)] = mu
-            fam.anchor_masks[(i, j)] = mask
+            fam.anchor_masks[(i, j)] = (mu.as_array(n) >= 0)[inst.pi_star[i]]
     return fam
 
 
@@ -304,24 +300,33 @@ def _metagraph_from_code(
 def classify_good_bad(fam: MatchingFamily) -> VertexClass:
     """Split vertices by metagraph connectivity (anchored labels).
 
-    Vertices sharing a matched-pair pattern share a metagraph, so the
-    connectivity test runs once per distinct pattern.
+    The split is computed once per family and cached on it, so every stage
+    of a trial that needs it shares one result.
+    """
+    if fam._classes is None:
+        fam._classes = _classify(fam)
+    return fam._classes
+
+
+def _classify(fam: MatchingFamily) -> VertexClass:
+    """The good/bad split, testing connectivity once per matched-pair pattern.
+
+    Vertices sharing a pattern share a metagraph.
     """
     pairs, codes = _vertex_pair_codes(fam)
     good: list[int] = []
     bad: list[int] = []
     partitions: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
     for code in np.unique(codes):
-        members = np.flatnonzero(codes == code)
+        members = np.flatnonzero(codes == code).tolist()
         mg = _metagraph_from_code(fam.K, pairs, int(code))
         comp = mg.component_of(0)
         if len(comp) == fam.K:
-            good.extend(int(v) for v in members)
+            good.extend(members)
         else:
             rest = frozenset(range(fam.K)) - comp
-            bad.extend(int(v) for v in members)
-            for v in members:
-                partitions[int(v)] = (comp, rest)
+            bad.extend(members)
+            partitions.update(dict.fromkeys(members, (comp, rest)))
     return VertexClass(good=frozenset(good), bad=frozenset(bad), partitions=partitions)
 
 
@@ -399,6 +404,14 @@ class MatchingEstimate:
         return not self.abstained and bool(self.correct)
 
 
+def _check_family(fam: MatchingFamily, k: int, mode: str) -> None:
+    """Reject a family that was not built with ``k`` and ``mode``."""
+    if (fam.k, fam.mode) != (k, mode):
+        raise ValueError(
+            f"family was built with k={fam.k}, mode={fam.mode!r}, not k={k}, mode={mode!r}"
+        )
+
+
 def _compose_array_along_path(
     fam: MatchingFamily, path: tuple[int, ...]
 ) -> np.ndarray:
@@ -425,8 +438,10 @@ def exact_matching_estimator(
     in by path composition (vertices sharing a metagraph share the path).
     The ``correct`` flag reports exact equality with the ground-truth
     permutations.  A ``family`` built with the same ``k`` and ``mode`` may
-    be passed to reuse work.
+    be passed to reuse work; a family built otherwise is rejected.
     """
+    if family is not None:
+        _check_family(family, k, mode)
     fam = family if family is not None else all_pairwise_matchings(inst, k, mode)
     classes = classify_good_bad(fam)
     if classes.bad:

@@ -31,6 +31,7 @@ from .graphs import Graph, _adjacency_csr, _pullback_union, _surviving
 from .matching import (
     MatchingFamily,
     VertexClass,
+    _check_family,
     _compose_array_along_path,
     _metagraph_from_code,
     _vertex_pair_codes,
@@ -337,14 +338,16 @@ def label_bad_vertices(
     # Orient each anchor edge from its bad end to its fully matched end.  A
     # fully matched vertex is good, so no edge qualifies both ways round.
     e = inst.children[0].edges
-    arcs = np.concatenate(
-        [e[bad[e[:, 0]] & in_member[e[:, 1]]], e[bad[e[:, 1]] & in_member[e[:, 0]], ::-1]]
-    )
+    lo, hi = e[:, 0], e[:, 1]
+    fwd = bad[lo] & in_member[hi]
+    rev = bad[hi] & in_member[lo]
+    src = np.concatenate([lo[fwd], hi[rev]])
+    dst = np.concatenate([hi[fwd], lo[rev]])
     # Child j is subtracted exactly when v is matched to it, which is when
     # the arc's image under the anchor -> j map is defined at both ends.
     subtract = [(inst.children[j], fam.map_array(0, j)) for j in range(1, inst.K)]
-    arcs = arcs[_surviving(arcs, subtract)]
-    votes = np.bincount(arcs[:, 0], weights=current.labels[arcs[:, 1]], minlength=n)
+    alive = _surviving(src, dst, subtract)
+    votes = np.bincount(src[alive], weights=current.labels[dst[alive]], minlength=n)
     idx = np.flatnonzero(bad)
     assortative = inst.params.a >= inst.params.b
     est.labels[idx] = _majority_labels(votes[idx], current.labels[idx], assortative)
@@ -362,16 +365,19 @@ def full_recovery(
     """Run the whole pipeline: init, match, good step, bad step.
 
     ``k`` and ``eps`` default to the instance parameters.  A prebuilt
-    matching ``family`` (same k and mode) may be passed to reuse work; with
-    K = 1 the pipeline reduces to the initial labelling plus one majority
-    refinement on the single child.  A failed initialisation degrades the
-    run (flag set, all +1 seed labels) but still executes the later steps.
+    matching ``family`` may be passed to reuse work; one built with another
+    ``k`` or ``mode`` is rejected.  With K = 1 the pipeline reduces to the
+    initial labelling plus one majority refinement on the single child.  A
+    failed initialisation degrades the run (flag set, all +1 seed labels)
+    but still executes the later steps.
     """
     params = inst.params
     if k is None:
         k = params.k
     if eps is None:
         eps = params.eps
+    if family is not None:
+        _check_family(family, k, mode)
     init = almost_exact_label(
         inst.children[0],
         params.s * params.a,

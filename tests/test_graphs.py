@@ -110,6 +110,36 @@ def test_contains_edges_bulk():
     assert list(g.contains_edges(pairs)) == [True, True, False, True]
 
 
+@settings(max_examples=200, deadline=None)
+@example((4, [], [(0, 1)]))
+@example((4, [(0, 1)], []))
+@example((1, [], []))
+@given(
+    st.integers(1, 30).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda p: p[0] != p[1]
+                ),
+                max_size=60,
+            ),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40),
+        )
+    )
+)
+def test_contains_edges_matches_set_membership(case):
+    n, pairs, queries = case
+    g = Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    edge_set = {(min(u, v), max(u, v)) for u, v in pairs}
+    # Unsorted queries, each repeated and reversed; equal endpoints test False.
+    queries = queries + [(v, u) for u, v in queries] + queries
+    expected = [u != v and (min(u, v), max(u, v)) in edge_set for u, v in queries]
+    found = g.contains_edges(np.array(queries, dtype=np.int64).reshape(-1, 2))
+    assert found.dtype == bool
+    assert found.tolist() == expected
+
+
 def test_graph_equality_covers_vertex_set():
     a = Graph(4, [(0, 1)])
     b = Graph(4, [(1, 0)])
@@ -131,11 +161,103 @@ def test_matching_basics():
     assert mu.image == frozenset({0, 1, 2})
     assert mu.inverse()[2] == 0
     assert list(mu.as_array(4)) == [2, 0, -1, 1]
+    # Vertex 3 is matched, so a lookup of length 3 cannot hold the map.
+    with pytest.raises(ValueError):
+        mu.as_array(3)
 
 
 def test_matching_rejects_collisions():
     with pytest.raises(ValueError):
         PartialMatching({0: 1, 2: 1})
+    with pytest.raises(ValueError):
+        PartialMatching([(0, 1), (0, 2)])
+
+
+def reference_matching(pairs) -> dict[int, int]:
+    """A plain-dict partial matching, raising where the class must raise."""
+    ref: dict[int, int] = {}
+    for u, v in pairs:
+        if u < 0 or v < 0:
+            raise ValueError("matched vertices must be non-negative")
+        if u in ref:
+            raise ValueError("a vertex is matched twice")
+        ref[u] = v
+    if len(set(ref.values())) != len(ref):
+        raise ValueError("matching must be injective")
+    return ref
+
+
+# Valid matchings in shuffled order, or arbitrary pairs (mostly invalid).
+matching_pairs = st.one_of(
+    st.tuples(st.permutations(range(12)), st.sets(st.integers(0, 11))).flatmap(
+        lambda t: st.permutations([(u, t[0][u]) for u in sorted(t[1])])
+    ),
+    st.lists(st.tuples(st.integers(-2, 11), st.integers(-2, 11)), max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example([(0, 1), (0, 2)], [])
+@example([(3, -1)], [])
+@example([(0, 4), (5, 1)], [(5, 1), (0, 4)])
+@given(matching_pairs, matching_pairs)
+def test_matching_agrees_with_dict_reference(pairs, other_pairs):
+    try:
+        ref = reference_matching(pairs)
+    except ValueError:
+        with pytest.raises(ValueError):
+            PartialMatching(pairs)
+        return
+    mu = PartialMatching(pairs)
+    assert len(mu) == len(ref)
+    assert list(mu.items()) == sorted(ref.items())
+    assert all(type(u) is int and type(v) is int for u, v in mu.items())
+    assert mu.domain == frozenset(ref)
+    assert mu.image == frozenset(ref.values())
+    for v in range(-3, 15):
+        assert (v in mu) == (v in ref)
+        assert mu.get(v) == ref.get(v)
+        assert mu.get(v, -7) == ref.get(v, -7)
+        if v in ref:
+            assert mu[v] == ref[v]
+        else:
+            with pytest.raises(KeyError):
+                mu[v]
+    inv = mu.inverse()
+    assert list(inv.items()) == sorted((b, a) for a, b in ref.items())
+    assert inv.inverse() == mu
+    for n in range(15):
+        if ref and max(ref) >= n:
+            with pytest.raises(ValueError):
+                mu.as_array(n)
+        else:
+            arr = mu.as_array(n)
+            assert arr.dtype == np.int64
+            assert arr.tolist() == [ref.get(v, -1) for v in range(n)]
+    assert mu == PartialMatching(ref)
+    assert mu != PartialMatching({**ref, 20: 20})
+    try:
+        other_ref = reference_matching(other_pairs)
+    except ValueError:
+        return
+    assert (mu == PartialMatching(other_pairs)) == (ref == other_ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.permutations(range(10)), st.sets(st.integers(0, 9)))
+def test_matching_constructors_agree_with_dict_reference(pi, domain):
+    pi = list(pi)
+    # Restricting a length-10 permutation stores a shorter array; equality
+    # must not depend on the stored length.
+    assert PartialMatching.from_permutation(pi, domain) == PartialMatching(
+        {v: pi[v] for v in domain}
+    )
+    assert PartialMatching.from_permutation(pi) == PartialMatching(dict(enumerate(pi)))
+    assert PartialMatching.identity(domain) == PartialMatching({v: v for v in domain})
+    with pytest.raises(ValueError):
+        PartialMatching.from_permutation(pi[:-1] + [pi[0]])
+    with pytest.raises(ValueError):
+        PartialMatching.identity([-1, *domain])
 
 
 def test_matching_from_permutation():
@@ -227,6 +349,9 @@ def test_intersection_graph_hand_example():
     assert inter.edge_set() == {(0, 1), (1, 2), (2, 3)}
     partial = PartialMatching({0: 1, 1: 2})
     assert intersection_graph(g, h, partial).edge_set() == {(0, 1)}
+    # Image 6 lies outside h, and the key 0 * 4 + 6 of (0, 6) is h's (1, 2).
+    with pytest.raises(ValueError):
+        intersection_graph(g, h, PartialMatching({0: 0, 1: 6}))
 
 
 def test_intersection_random_agrees_with_naive():
@@ -283,6 +408,8 @@ def test_difference_graph_hand_example():
     partial = PartialMatching({1: 1})
     d2 = difference_graph(g, [(h, partial)], restrict_to=range(4))
     assert d2.edge_set() == {(0, 1), (1, 2), (2, 3)}
+    with pytest.raises(ValueError):
+        difference_graph(g, [(h, PartialMatching({0: 0, 1: 6}))], restrict_to=range(4))
     with pytest.raises(ValueError):
         difference_graph(g, [], restrict_to=[])
 

@@ -1,6 +1,8 @@
 """Trial driver, grid sweeps, exponent fits, and CSV export."""
 
+import cProfile
 import hashlib
+import pstats
 import warnings
 
 import pytest
@@ -25,6 +27,19 @@ def test_trial_is_reproducible():
     first = run_trial(params, 11, experiments=("recover", "match", "witness"))
     second = run_trial(params, 11, experiments=("recover", "match", "witness"))
     assert first.replay_key() == second.replay_key()
+
+
+def test_trial_classifies_vertices_once():
+    params = Params(n=300, a=9.0, b=1.0, s=0.4, K=3, k=1)
+    profiler = cProfile.Profile()
+    profiler.runcall(run_trial, params, 4, experiments=("recover", "match", "witness"))
+    stats = pstats.Stats(profiler).stats
+    calls = [
+        counts[1]
+        for (path, _, name), counts in stats.items()
+        if name == "_classify" and path.endswith("matching.py")
+    ]
+    assert calls == [1]
 
 
 def test_trial_rejects_unknown_experiment():

@@ -2,6 +2,7 @@
 
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 from conftest import erdos_renyi, kcore_oracle
@@ -136,6 +137,26 @@ def test_seeded_correct_on_domain_and_dominated():
             assert image == int(true_pi[v])
         brute = kcore_matching_bruteforce(inst.children[0], inst.children[1], 1)
         assert len(brute) >= len(seeded)
+
+
+@pytest.mark.parametrize(("k", "s"), [(1, 0.3), (3, 0.4), (6, 0.5)])
+def test_seeded_matches_networkx_core_of_set_intersection(k, s):
+    # Retention grows with k so that every core is a large strict subset.
+    inst = sample_instance(Params(n=2000, a=9.0, b=1.0, s=s, K=3, k=k), 40 + k)
+    for i, j in itertools.combinations(range(3), 2):
+        pi = inst.true_pairwise_permutation(i, j).tolist()
+        target = inst.children[j].edge_set()
+        inter = [
+            (u, v)
+            for u, v in inst.children[i].edge_set()
+            if (min(pi[u], pi[v]), max(pi[u], pi[v])) in target
+        ]
+        ref = nx.Graph()
+        ref.add_edges_from(inter)
+        core = set(nx.k_core(ref, k).nodes)
+        mu = kcore_matching_seeded(inst.children[i], inst.children[j], k, pi)
+        assert 0 < len(core) < inst.n
+        assert dict(mu.items()) == {v: pi[v] for v in core}
 
 
 # -- matching families --------------------------------------------------------
@@ -292,6 +313,13 @@ def test_classify_records_bipartition():
     comp, rest = classes.partitions[0]
     assert comp == frozenset({0})
     assert rest == frozenset({1, 2})
+
+
+def test_classify_is_cached_on_the_family():
+    inst = sample_instance(Params(n=200, a=9.0, b=1.0, s=0.4, K=3, k=1), 5)
+    fam = all_pairwise_matchings(inst, 1)
+    assert classify_good_bad(fam) is classify_good_bad(fam)
+    assert classify_good_bad(all_pairwise_matchings(inst, 1)) is not classify_good_bad(fam)
 
 
 def test_classify_ignores_insertion_order():
@@ -486,6 +514,18 @@ def test_estimator_accepts_prebuilt_family():
     if not a.abstained:
         for x, y in zip(a.permutations, b.permutations):
             assert np.array_equal(x, y)
+
+
+def test_estimator_rejects_family_built_otherwise():
+    # At k = 13 this instance abstains with every vertex bad; a k = 1 family
+    # would report a perfect match instead.
+    inst = sample_instance(Params(n=3000, a=9.0, b=1.0, s=0.4, K=3), 0)
+    fam = all_pairwise_matchings(inst, 1)
+    assert exact_matching_estimator(inst, 13).bad_count == inst.n
+    with pytest.raises(ValueError):
+        exact_matching_estimator(inst, 13, family=fam)
+    with pytest.raises(ValueError):
+        exact_matching_estimator(inst, 1, mode="bruteforce", family=fam)
 
 
 # -- degree diagnostic --------------------------------------------------------

@@ -385,6 +385,15 @@ def test_full_recovery_provenance_totality():
     assert bad_set == classes.bad
 
 
+def test_full_recovery_rejects_family_built_otherwise():
+    inst = sample_instance(Params(n=400, a=9.0, b=1.0, s=0.4, K=3, k=1), 3)
+    fam = all_pairwise_matchings(inst, 1)
+    with pytest.raises(ValueError):
+        full_recovery(inst, k=13, family=fam)
+    with pytest.raises(ValueError):
+        full_recovery(inst, mode="bruteforce", family=fam)
+
+
 def test_full_recovery_k1_reduction():
     params = Params(n=300, a=9.0, b=1.0, s=0.8, K=1, k=1)
     inst = sample_instance(params, 7)
