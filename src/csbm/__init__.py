@@ -42,12 +42,9 @@ from .impossibility import SingletonReport, map_failure_witness, singleton_sets
 from .matching import (
     MatchingEstimate,
     MatchingFamily,
-    Metagraph,
     VertexClass,
     all_pairwise_matchings,
-    build_metagraph,
     classify_good_bad,
-    compose_matching_along_path,
     exact_matching_estimator,
     kcore_matching_bruteforce,
     kcore_matching_seeded,
@@ -82,7 +79,6 @@ __all__ = [
     "LabelEstimate",
     "MatchingEstimate",
     "MatchingFamily",
-    "Metagraph",
     "Params",
     "PartialMatching",
     "RegionLabel",
@@ -96,11 +92,9 @@ __all__ = [
     "all_pairwise_matchings",
     "almost_exact_label",
     "balance_diagnostic",
-    "build_metagraph",
     "chernoff_hellinger",
     "classify_good_bad",
     "classify_region",
-    "compose_matching_along_path",
     "condition_set",
     "connectivity_param",
     "difference_graph",

@@ -168,9 +168,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     if params.K < 2:
         raise ValueError("the witness needs at least two children (K >= 2)")
     print("trial R_star S_star S_plus S_minus witness")
-    key = cell_key(params.n, params.a, params.b, params.s, params.K, params.k)
-    for t in range(args.trials):
-        inst = sample_instance(params, trial_seed(args.seed, key, t))
+    for t, seed in enumerate(_trial_seeds(args, params)):
+        inst = sample_instance(params, seed)
         report = map_failure_witness(inst)
         plus = sum(1 for i in report.s_star if inst.sigma_star[i] > 0)
         minus = len(report.s_star) - plus

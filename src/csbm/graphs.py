@@ -29,7 +29,6 @@ __all__ = [
     "intersection_graph",
     "union_graph",
     "difference_graph",
-    "neighborhood_majority",
     "write_edge_list",
     "read_edge_list",
 ]
@@ -537,25 +536,6 @@ def difference_graph(
         e[inside, 0], e[inside, 1], ((h, _map_into(mu, g, h)) for h, mu in subtract)
     )
     return Graph._from_keys(g.n, g.packed_keys()[inside[alive]], dom)
-
-
-def neighborhood_majority(
-    g: Graph,
-    labels: Sequence[int] | np.ndarray,
-    v: int,
-    restrict_to: Iterable[int] | None = None,
-) -> int:
-    """Signed sum of neighbour labels of ``v``, optionally within a vertex set.
-
-    Returns the integer sum (positive, negative, or 0 on a tie or empty
-    neighbourhood); the caller decides what to do with ties.
-    """
-    lab = np.asarray(labels)
-    nbrs = g.neighbors(v)
-    if restrict_to is not None:
-        allowed = restrict_to if isinstance(restrict_to, (set, frozenset)) else frozenset(restrict_to)
-        return int(sum(int(lab[u]) for u in nbrs if u in allowed))
-    return int(sum(int(lab[u]) for u in nbrs))
 
 
 # -- plain-text edge-list IO -------------------------------------------------

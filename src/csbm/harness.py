@@ -29,7 +29,7 @@ from itertools import product
 import numpy as np
 
 from .generate import Params, sample_instance
-from .impossibility import map_failure_witness, singleton_sets
+from .impossibility import map_failure_witness
 from .matching import (
     all_pairwise_matchings,
     classify_good_bad,
@@ -54,6 +54,11 @@ __all__ = [
     "SCALING_COLUMNS",
     "REGION_COLUMNS",
     "format_csv",
+    "trial_row",
+    "cells_csv",
+    "trials_csv",
+    "scaling_csv",
+    "regions_csv",
 ]
 
 EXPERIMENT_NAMES = ("recover", "match", "witness", "scaling")
@@ -451,22 +456,14 @@ def scaling_experiment(
     for n in n_list:
         params = replace(base, n=n)
         key = cell_key(params.n, params.a, params.b, params.s, params.K, params.k)
-        sizes_f = []
-        sizes_i = []
-        sizes_r = []
-        for t in range(trials):
-            inst = sample_instance(params, trial_seed(master_seed, key, t))
-            fam = all_pairwise_matchings(inst, params.k)
-            sizes_f.append(int(fam.unmatched_mask(0, 1).sum()))
-            if track_intersection:
-                sizes_i.append(
-                    int((fam.unmatched_mask(0, 1) & fam.unmatched_mask(0, 2)).sum())
-                )
-            sizes_r.append(len(singleton_sets(inst).r_star))
-        mean_unmatched.append(sum(sizes_f) / trials)
+        results = [
+            run_trial(params, trial_seed(master_seed, key, t), experiments=("match", "witness"))
+            for t in range(trials)
+        ]
+        mean_unmatched.append(sum(r.unmatched_sizes[(0, 1)] for r in results) / trials)
         if track_intersection:
-            mean_intersection.append(sum(sizes_i) / trials)
-        mean_singletons.append(sum(sizes_r) / trials)
+            mean_intersection.append(sum(r.intersect_sizes[(1, 2)] for r in results) / trials)
+        mean_singletons.append(sum(r.r_star_size for r in results) / trials)
     s, K = base.s, base.K
     tc = connectivity_param(base.a, base.b)
     fitted_f, used_f = _fit_slope(n_list, mean_unmatched, "unmatched F_12")

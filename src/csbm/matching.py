@@ -10,10 +10,14 @@ the oracle dominates on small instances.
 
 On top of the pairwise matchings sits the per-vertex metagraph: K nodes, an
 edge (i, j) when the vertex is matched by the (i, j) matching.  A vertex is
-"good" when its metagraph is connected; permutations between any two graphs
-then extend to good vertices by composing matchings along a shortest path.
-The exact matching estimator returns the composed anchor permutations when
-every vertex is good and abstains otherwise.
+"good" when its metagraph is connected; the anchor permutations then extend
+to good vertices by composing matchings along a shortest path from the
+anchor.  Vertices matched by the same set of pairs share a metagraph, so it
+is computed once per such matched-pair pattern: one table per family holds
+each pattern's members, pairs and shortest anchor paths, and the
+classification, the good step and the estimator all read it.  The exact
+matching estimator returns the composed anchor permutations when every
+vertex is good and abstains otherwise.
 
 All per-vertex bookkeeping here is anchored: domains are stored as boolean
 masks over the anchor graph's labels (child 1), with ground-truth
@@ -26,6 +30,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,15 +42,10 @@ __all__ = [
     "kcore_matching_seeded",
     "MatchingFamily",
     "all_pairwise_matchings",
-    "Metagraph",
-    "build_metagraph",
     "VertexClass",
     "classify_good_bad",
-    "compose_matching_along_path",
-    "shortest_metagraph_path",
     "MatchingEstimate",
     "exact_matching_estimator",
-    "degree_margin_anomalies",
 ]
 
 _BRUTE_FORCE_MAX_N = 9
@@ -135,9 +135,7 @@ class MatchingFamily:
     ``matchings[(i, j)]`` (i < j) maps graph-i labels to graph-j labels.
     ``anchor_masks[(i, j)]`` is a boolean vector over anchor labels marking
     the vertices matched by that pair; the unmatched sets F_ij are the
-    complements.  ``anchor_to_graph[i]`` is the ground-truth relabelling
-    from anchor labels into graph i (identity for i = 0), kept so composed
-    walks can start from any graph's copy of an anchored vertex.
+    complements.  Graph 0 is the anchor, so anchor labels are its labels.
     """
 
     n: int
@@ -146,10 +144,10 @@ class MatchingFamily:
     mode: str
     matchings: dict[tuple[int, int], PartialMatching]
     anchor_masks: dict[tuple[int, int], np.ndarray]
-    anchor_to_graph: list[np.ndarray]
     _map_arrays: dict[tuple[int, int], np.ndarray] = field(
         default_factory=dict, repr=False, compare=False
     )
+    _pattern_table: list[_Pattern] | None = field(default=None, repr=False, compare=False)
     _classes: VertexClass | None = field(default=None, repr=False, compare=False)
 
     def pairs(self) -> list[tuple[int, int]]:
@@ -177,18 +175,6 @@ class MatchingFamily:
         return arr
 
 
-def _empty_family(inst: CorrelatedInstance, k: int, mode: str) -> MatchingFamily:
-    return MatchingFamily(
-        n=inst.n,
-        K=inst.K,
-        k=k,
-        mode=mode,
-        matchings={},
-        anchor_masks={},
-        anchor_to_graph=[np.asarray(p, dtype=np.int64) for p in inst.pi_star],
-    )
-
-
 def all_pairwise_matchings(
     inst: CorrelatedInstance, k: int, mode: str = "seeded"
 ) -> MatchingFamily:
@@ -202,7 +188,7 @@ def all_pairwise_matchings(
         raise ValueError(f"unknown mode {mode!r}")
     if k < 1:
         raise ValueError("k must be at least 1")
-    fam = _empty_family(inst, k, mode)
+    fam = MatchingFamily(n=inst.n, K=inst.K, k=k, mode=mode, matchings={}, anchor_masks={})
     n = inst.n
     for i in range(inst.K):
         for j in range(i + 1, inst.K):
@@ -220,48 +206,81 @@ def all_pairwise_matchings(
     return fam
 
 
-@dataclass(frozen=True)
-class Metagraph:
-    """Per-vertex pairwise-matching pattern: K nodes, symmetric adjacency."""
+class _Pattern(NamedTuple):
+    """Anchored vertices sharing one matched-pair pattern, and its metagraph.
 
-    K: int
-    adjacency: np.ndarray
+    ``pairs`` are the metagraph's edges; ``paths[j]`` is the
+    lexicographically smallest shortest node sequence from the anchor to
+    graph ``j`` over them, or None when the metagraph does not connect the
+    two.
+    """
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.adjacency[i, j])
-
-    def edge_list(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(self.K)
-            for j in range(i + 1, self.K)
-            if self.adjacency[i, j]
-        ]
-
-    def component_of(self, start: int) -> frozenset[int]:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in range(self.K):
-                if self.adjacency[u, w] and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return frozenset(seen)
-
-    def connected(self) -> bool:
-        return len(self.component_of(0)) == self.K
+    members: np.ndarray
+    pairs: tuple[tuple[int, int], ...]
+    paths: tuple[tuple[int, ...] | None, ...]
 
 
-def build_metagraph(v: int, fam: MatchingFamily) -> Metagraph:
-    """Metagraph of anchored vertex ``v``: edge (i, j) iff v is (i,j)-matched."""
-    if not 0 <= v < fam.n:
-        raise ValueError(f"vertex {v} out of range")
-    adjacency = np.zeros((fam.K, fam.K), dtype=bool)
-    for (i, j), mask in fam.anchor_masks.items():
-        if mask[v]:
-            adjacency[i, j] = adjacency[j, i] = True
-    return Metagraph(K=fam.K, adjacency=adjacency)
+def _patterns(fam: MatchingFamily) -> list[_Pattern]:
+    """The family's matched-pair patterns in code order, computed once.
+
+    A vertex's code has bit t set when the t-th pair of ``fam.pairs()``
+    matches it.  The table is cached on the family, so every stage of a
+    trial walks the same metagraphs.
+    """
+    if fam._pattern_table is None:
+        pairs = fam.pairs()
+        codes = np.zeros(fam.n, dtype=np.int64)
+        for t, pair in enumerate(pairs):
+            codes |= fam.anchor_masks[pair].astype(np.int64) << t
+        uniq, inverse = np.unique(codes, return_inverse=True)
+        # A stable sort groups the vertices by pattern, each group ascending.
+        order = np.argsort(inverse, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(inverse)))).tolist()
+        table = []
+        for p, code in enumerate(uniq.tolist()):
+            matched = tuple(pair for t, pair in enumerate(pairs) if code >> t & 1)
+            table.append(
+                _Pattern(
+                    members=order[bounds[p] : bounds[p + 1]],
+                    pairs=matched,
+                    paths=_anchor_paths(fam.K, matched),
+                )
+            )
+        fam._pattern_table = table
+    return fam._pattern_table
+
+
+def _anchor_paths(
+    K: int, pairs: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, ...] | None, ...]:
+    """Shortest paths from the anchor to every node, by one breadth-first search.
+
+    Neighbours are scanned in increasing order and each node keeps its first
+    predecessor, which yields the lexicographically smallest node sequence
+    among shortest paths.  Unreached nodes get None.
+    """
+    neighbours: list[list[int]] = [[] for _ in range(K)]
+    for i, j in pairs:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    parent = {0: 0}
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for w in sorted(neighbours[u]):
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+    paths: list[tuple[int, ...] | None] = []
+    for j in range(K):
+        if j not in parent:
+            paths.append(None)
+            continue
+        path = [j]
+        while path[-1] != 0:
+            path.append(parent[path[-1]])
+        paths.append(tuple(reversed(path)))
+    return tuple(paths)
 
 
 @dataclass(frozen=True)
@@ -278,25 +297,6 @@ class VertexClass:
     partitions: dict[int, tuple[frozenset[int], frozenset[int]]]
 
 
-def _vertex_pair_codes(fam: MatchingFamily) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Encode each vertex's matched-pair pattern as a bitmask over pairs."""
-    pairs = fam.pairs()
-    codes = np.zeros(fam.n, dtype=np.int64)
-    for t, pair in enumerate(pairs):
-        codes |= fam.anchor_masks[pair].astype(np.int64) << t
-    return pairs, codes
-
-
-def _metagraph_from_code(
-    K: int, pairs: list[tuple[int, int]], code: int
-) -> Metagraph:
-    adjacency = np.zeros((K, K), dtype=bool)
-    for t, (i, j) in enumerate(pairs):
-        if code >> t & 1:
-            adjacency[i, j] = adjacency[j, i] = True
-    return Metagraph(K=K, adjacency=adjacency)
-
-
 def classify_good_bad(fam: MatchingFamily) -> VertexClass:
     """Split vertices by metagraph connectivity (anchored labels).
 
@@ -309,18 +309,17 @@ def classify_good_bad(fam: MatchingFamily) -> VertexClass:
 
 
 def _classify(fam: MatchingFamily) -> VertexClass:
-    """The good/bad split, testing connectivity once per matched-pair pattern.
+    """The good/bad split, read off the pattern table.
 
-    Vertices sharing a pattern share a metagraph.
+    A pattern is good when the anchor reaches every node of its metagraph;
+    otherwise the reached nodes and the rest form its bipartition.
     """
-    pairs, codes = _vertex_pair_codes(fam)
     good: list[int] = []
     bad: list[int] = []
     partitions: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
-    for code in np.unique(codes):
-        members = np.flatnonzero(codes == code).tolist()
-        mg = _metagraph_from_code(fam.K, pairs, int(code))
-        comp = mg.component_of(0)
+    for pattern in _patterns(fam):
+        members = pattern.members.tolist()
+        comp = frozenset(j for j, path in enumerate(pattern.paths) if path is not None)
         if len(comp) == fam.K:
             good.extend(members)
         else:
@@ -328,61 +327,6 @@ def _classify(fam: MatchingFamily) -> VertexClass:
             bad.extend(members)
             partitions.update(dict.fromkeys(members, (comp, rest)))
     return VertexClass(good=frozenset(good), bad=frozenset(bad), partitions=partitions)
-
-
-def shortest_metagraph_path(
-    mg: Metagraph, src: int, dst: int
-) -> tuple[int, ...] | None:
-    """Shortest ``src``-``dst`` node sequence, lexicographic tie-break.
-
-    Breadth-first search that scans neighbours in increasing node order and
-    keeps the first predecessor, which yields the lexicographically smallest
-    node sequence among shortest paths.  Returns None when disconnected.
-    """
-    if src == dst:
-        return (src,)
-    dist = {src: 0}
-    parent: dict[int, int] = {}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for w in range(mg.K):
-            if mg.adjacency[u, w] and w not in dist:
-                dist[w] = dist[u] + 1
-                parent[w] = u
-                queue.append(w)
-    if dst not in dist:
-        return None
-    path = [dst]
-    while path[-1] != src:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return tuple(path)
-
-
-def compose_matching_along_path(
-    v: int, i: int, j: int, fam: MatchingFamily
-) -> int | None:
-    """Image of ``v`` in graph ``j`` by composing matchings from graph ``i``.
-
-    ``v`` is given in anchor labels; its copy in graph ``i`` is looked up
-    through the stored ground-truth relabelling (trivial for i = 0).  The
-    walk follows the shortest path from ``i`` to ``j`` in the vertex's
-    metagraph (ties broken lexicographically over node sequences) and
-    returns None when the metagraph does not connect ``i`` to ``j``, or if
-    any hop is undefined on the walked vertex.
-    """
-    mg = build_metagraph(v, fam)
-    path = shortest_metagraph_path(mg, i, j)
-    if path is None:
-        return None
-    x = int(fam.anchor_to_graph[i][v])
-    for a, b in zip(path, path[1:]):
-        nxt = fam.map_array(a, b)[x]
-        if nxt < 0:
-            return None
-        x = int(nxt)
-    return x
 
 
 @dataclass(frozen=True)
@@ -415,8 +359,12 @@ def _check_family(fam: MatchingFamily, k: int, mode: str) -> None:
 def _compose_array_along_path(
     fam: MatchingFamily, path: tuple[int, ...]
 ) -> np.ndarray:
-    """Vectorised walk: anchor labels through ``path`` to its last graph."""
-    x = fam.anchor_to_graph[path[0]].copy()
+    """Vectorised walk: anchor labels through ``path`` to its last graph.
+
+    ``path`` starts at the anchor; each hop applies one pairwise matching,
+    and a vertex that some hop leaves unmatched maps to -1.
+    """
+    x = np.arange(fam.n, dtype=np.int64)
     for a, b in zip(path, path[1:]):
         arr = fam.map_array(a, b)
         valid = x >= 0
@@ -451,34 +399,14 @@ def exact_matching_estimator(
             correct=None,
             bad_count=len(classes.bad),
         )
-    if inst.K == 1:
-        return MatchingEstimate(permutations=[], abstained=False, correct=True, bad_count=0)
     perms = [np.full(inst.n, -1, dtype=np.int64) for _ in range(inst.K - 1)]
-    pairs, codes = _vertex_pair_codes(fam)
-    for code in np.unique(codes):
-        members = np.flatnonzero(codes == code)
-        mg = _metagraph_from_code(inst.K, pairs, int(code))
+    for pattern in _patterns(fam):
         for j in range(1, inst.K):
-            path = shortest_metagraph_path(mg, 0, j)
-            if path is None:  # pragma: no cover - bad set was empty
-                continue
-            composed = _compose_array_along_path(fam, path)
-            perms[j - 1][members] = composed[members]
+            composed = _compose_array_along_path(fam, pattern.paths[j])
+            perms[j - 1][pattern.members] = composed[pattern.members]
     correct = all(
         np.array_equal(perms[j - 1], inst.pi_star[j]) for j in range(1, inst.K)
     )
     return MatchingEstimate(
         permutations=perms, abstained=False, correct=correct, bad_count=0
     )
-
-
-def degree_margin_anomalies(g: Graph, core: frozenset[int], k: int, m: int) -> int:
-    """Count vertices of degree above ``m + k`` that fell outside ``core``.
-
-    Diagnostic for the high-probability guarantee that high-degree vertices
-    of an intersection graph always survive into its k-core; callers flag a
-    nonzero count rather than fail on it.
-    """
-    degs = g.degrees()
-    heavy = np.flatnonzero(degs > m + k)
-    return int(sum(1 for v in heavy if int(v) not in core))

@@ -33,11 +33,9 @@ from .matching import (
     VertexClass,
     _check_family,
     _compose_array_along_path,
-    _metagraph_from_code,
-    _vertex_pair_codes,
+    _patterns,
     all_pairwise_matchings,
     classify_good_bad,
-    shortest_metagraph_path,
 )
 from .seeds import ROLE_EDGE_HOLDOUT, ROLE_INIT_VECTOR, stream
 from .thresholds import chernoff_hellinger
@@ -231,38 +229,24 @@ def label_good_vertices(
     n = inst.n
     assortative = inst.params.a >= inst.params.b
     init_values = init.labels.astype(np.float64)
-    if inst.K == 1:
-        votes = _union_votes(inst, np.ones(n, dtype=bool), [np.arange(n)], init_values)
-        est.labels = _majority_labels(votes, init.labels, assortative)
-        est.provenance[:] = PROVENANCE_GOOD
-        return est
     if inst.K == 3:
         return _label_good_three(inst, fam, init, est, assortative, init_values)
-    pairs, codes = _vertex_pair_codes(fam)
     good_mask = np.zeros(n, dtype=bool)
     good_mask[list(classes.good)] = True
-    for code in np.unique(codes[good_mask]) if good_mask.any() else []:
-        group = np.flatnonzero((codes == code) & good_mask)
-        mg = _metagraph_from_code(inst.K, pairs, int(code))
+    for pattern in _patterns(fam):
+        group = pattern.members[good_mask[pattern.members]]
+        if not group.size:
+            continue
         in_member = np.ones(n, dtype=bool)
-        for pair in mg.edge_list():
+        for pair in pattern.pairs:
             in_member &= fam.anchor_masks[pair]
-        maps = [
-            _compose_array_along_path(fam, shortest_metagraph_path(mg, 0, j))
-            for j in range(inst.K)
-        ]
+        maps = [_compose_array_along_path(fam, path) for path in pattern.paths]
         votes = _union_votes(inst, in_member, maps, init_values)
         est.labels[group] = _majority_labels(
             votes[group], init.labels[group], assortative
         )
         est.provenance[group] = PROVENANCE_GOOD
     return est
-
-
-def _chain_maps(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Compose two dense partial maps (-1 propagates)."""
-    valid = first >= 0
-    return np.where(valid, second[np.where(valid, first, 0)], -1)
 
 
 def _label_good_three(
@@ -277,16 +261,14 @@ def _label_good_three(
     n = inst.n
     m01 = fam.map_array(0, 1)
     m02 = fam.map_array(0, 2)
-    m12 = fam.map_array(1, 2)
-    m21 = fam.map_array(2, 1)
     mask01 = fam.member_mask(0, 1)
     mask02 = fam.member_mask(0, 2)
     mask12 = fam.member_mask(1, 2)
     cases = [
         # Matched to child 3 on both sides: reach child 2 through child 3.
-        (mask02 & mask12, _chain_maps(m02, m21), m02),
+        (mask02 & mask12, _compose_array_along_path(fam, (0, 2, 1)), m02),
         # Matched to child 2 on both sides: reach child 3 through child 2.
-        (mask01 & mask12, m01, _chain_maps(m01, m12)),
+        (mask01 & mask12, m01, _compose_array_along_path(fam, (0, 1, 2))),
         # Matched directly to both children.
         (mask01 & mask02, m01, m02),
     ]

@@ -14,7 +14,6 @@ from csbm.graphs import (
     induced_subgraph,
     intersection_graph,
     k_core,
-    neighborhood_majority,
     read_edge_list,
     union_graph,
     write_edge_list,
@@ -418,14 +417,6 @@ def test_difference_graph_restriction():
     g = Graph(5, [(0, 1), (1, 2), (3, 4)])
     d = difference_graph(g, [], restrict_to=[0, 1, 4])
     assert d.edge_set() == {(0, 1)}
-
-
-def test_neighborhood_majority():
-    g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    labels = [0, 1, 1, -1, -1]
-    assert neighborhood_majority(g, labels, 0) == 0
-    assert neighborhood_majority(g, labels, 0, restrict_to={1, 2, 3}) == 1
-    assert neighborhood_majority(g, labels, 1) == 0  # lone neighbour has label 0
 
 
 def test_edge_list_round_trip(tmp_path):

@@ -15,6 +15,7 @@ from csbm.harness import (
     format_csv,
     region_grid_export,
     run_trial,
+    scaling_csv,
     scaling_experiment,
     sweep,
     trials_csv,
@@ -105,6 +106,31 @@ def test_sweep_csv_bytes_are_pinned():
     text = cells_csv(result) + trials_csv(result)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "bae1efd701870b877734831e95e7e9ca19fb2df8ac76013569fb7362c8fe8010"
+    )
+
+
+def test_scaling_csv_bytes_are_pinned():
+    """Scaling CSV bytes may not drift between versions of the package.
+
+    The digest was recorded while ``scaling_experiment`` still sampled its
+    own instances; it now runs each trial through ``run_trial``.
+    """
+    cfg = SweepConfig(
+        n_values=(200, 400, 800, 1600),
+        a_values=(6.0,),
+        b_values=(2.0,),
+        s_values=(0.35, 0.6),
+        K_values=(2, 3, 4),
+        k=1,
+        trials=3,
+        master_seed=0,
+        experiments=("scaling",),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        text = scaling_csv(sweep(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5f23425b3773fcb4d5080e59e071988e8c21d6641526f25c2006b1fdac10f168"
     )
 
 

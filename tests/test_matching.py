@@ -8,18 +8,16 @@ import pytest
 from conftest import erdos_renyi, kcore_oracle
 
 from csbm.generate import Params, sample_instance
-from csbm.graphs import Graph, PartialMatching, k_core
+from csbm.graphs import Graph, PartialMatching
 from csbm.matching import (
     MatchingFamily,
+    _compose_array_along_path,
+    _patterns,
     all_pairwise_matchings,
-    build_metagraph,
     classify_good_bad,
-    compose_matching_along_path,
-    degree_margin_anomalies,
     exact_matching_estimator,
     kcore_matching_bruteforce,
     kcore_matching_seeded,
-    shortest_metagraph_path,
 )
 
 
@@ -218,14 +216,11 @@ def test_bruteforce_family_respects_size_guard():
         all_pairwise_matchings(inst, 1, mode="bruteforce")
 
 
-# -- metagraphs and classification -------------------------------------------
+# -- matched-pair patterns and classification --------------------------------
 
 
-def crafted_family(n, K, matchings, masks, relabellings=None):
-    """Family with explicit masks for hand tests; identity relabellings
-    unless the scenario needs consistent non-trivial ones."""
-    if relabellings is None:
-        relabellings = [np.arange(n, dtype=np.int64) for _ in range(K)]
+def crafted_family(n, K, matchings, masks):
+    """Family with explicit anchored masks for hand tests."""
     return MatchingFamily(
         n=n,
         K=K,
@@ -233,15 +228,19 @@ def crafted_family(n, K, matchings, masks, relabellings=None):
         mode="seeded",
         matchings=matchings,
         anchor_masks={key: np.array(val, dtype=bool) for key, val in masks.items()},
-        anchor_to_graph=[np.asarray(r, dtype=np.int64) for r in relabellings],
     )
 
 
-def three_pair_family(n, masks, matchings=None, relabellings=None):
+def three_pair_family(n, masks, matchings=None):
     pairs = [(0, 1), (0, 2), (1, 2)]
     if matchings is None:
         matchings = {p: PartialMatching({}) for p in pairs}
-    return crafted_family(n, 3, matchings, masks, relabellings)
+    return crafted_family(n, 3, matchings, masks)
+
+
+def only_pattern(fam):
+    (pattern,) = _patterns(fam)
+    return pattern
 
 
 def test_metagraph_complete_when_fully_matched():
@@ -253,9 +252,10 @@ def test_metagraph_complete_when_fully_matched():
             (1, 2): [True, True],
         },
     )
-    mg = build_metagraph(0, fam)
-    assert mg.connected()
-    assert mg.edge_list() == [(0, 1), (0, 2), (1, 2)]
+    pattern = only_pattern(fam)
+    assert pattern.members.tolist() == [0, 1]
+    assert pattern.pairs == ((0, 1), (0, 2), (1, 2))
+    assert classify_good_bad(fam).good == frozenset({0, 1})
 
 
 def test_metagraph_isolated_anchor_is_disconnected():
@@ -268,9 +268,10 @@ def test_metagraph_isolated_anchor_is_disconnected():
             (1, 2): [True],
         },
     )
-    mg = build_metagraph(0, fam)
-    assert not mg.connected()
-    assert mg.component_of(0) == frozenset({0})
+    assert only_pattern(fam).paths == ((0,), None, None)
+    classes = classify_good_bad(fam)
+    assert classes.bad == frozenset({0})
+    assert classes.partitions[0][0] == frozenset({0})
 
 
 def test_metagraph_path_is_connected():
@@ -283,9 +284,67 @@ def test_metagraph_path_is_connected():
             (1, 2): [False],
         },
     )
-    mg = build_metagraph(0, fam)
-    assert mg.connected()
-    assert not mg.has_edge(1, 2)
+    pattern = only_pattern(fam)
+    assert pattern.pairs == ((0, 1), (0, 2))
+    assert pattern.paths == ((0,), (0, 1), (0, 2))
+    assert classify_good_bad(fam).good == frozenset({0})
+
+
+def test_patterns_are_cached_and_in_code_order():
+    inst = sample_instance(Params(n=200, a=9.0, b=1.0, s=0.3, K=4, k=1), 2)
+    fam = all_pairwise_matchings(inst, 1)
+    table = _patterns(fam)
+    assert _patterns(fam) is table
+    members = np.concatenate([p.members for p in table])
+    assert np.array_equal(np.sort(members), np.arange(inst.n))
+    pairs = fam.pairs()
+    codes = [sum(1 << pairs.index(pair) for pair in p.pairs) for p in table]
+    assert codes == sorted(set(codes))
+    for p in table:
+        assert np.all(np.diff(p.members) > 0)
+        for pair in pairs:
+            assert (fam.anchor_masks[pair][p.members] == (pair in p.pairs)).all()
+
+
+def all_simple_paths(pairs, src, dst):
+    paths = []
+
+    def walk(node, seen, acc):
+        if node == dst:
+            paths.append(tuple(acc))
+            return
+        for a, b in pairs:
+            for u, w in ((a, b), (b, a)):
+                if u == node and w not in seen:
+                    walk(w, seen | {w}, acc + [w])
+
+    walk(src, {src}, [src])
+    return paths
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+def test_pattern_paths_match_exhaustive_oracle(K):
+    # One anchored vertex per edge set: vertex v is matched by the t-th pair
+    # exactly when bit t of v is set, so the table holds every metagraph on
+    # K nodes, vertex v alone in the pattern of code v.
+    pairs = list(itertools.combinations(range(K), 2))
+    n = 1 << len(pairs)
+    codes = np.arange(n)
+    fam = crafted_family(
+        n,
+        K,
+        {p: PartialMatching({}) for p in pairs},
+        {p: (codes >> t) & 1 for t, p in enumerate(pairs)},
+    )
+    table = _patterns(fam)
+    assert [p.members.tolist() for p in table] == [[v] for v in range(n)]
+    for v, pattern in enumerate(table):
+        edges = [p for t, p in enumerate(pairs) if v >> t & 1]
+        assert pattern.pairs == tuple(edges)
+        for j in range(K):
+            paths = all_simple_paths(edges, 0, j)
+            shortest = min(paths, key=lambda p: (len(p), p), default=None)
+            assert pattern.paths[j] == shortest
 
 
 def test_classify_k2_good_iff_matched():
@@ -332,7 +391,6 @@ def test_classify_ignores_insertion_order():
         mode=fam.mode,
         matchings=dict(reversed(list(fam.matchings.items()))),
         anchor_masks=dict(reversed(list(fam.anchor_masks.items()))),
-        anchor_to_graph=fam.anchor_to_graph,
     )
     a = classify_good_bad(fam)
     b = classify_good_bad(reversed_fam)
@@ -356,13 +414,14 @@ def test_compose_direct_edge():
             (1, 2): PartialMatching({}),
         },
     )
-    assert compose_matching_along_path(1, 0, 2, fam) == 2
+    path = _patterns(fam)[1].paths[2]
+    assert path == (0, 2)
+    assert _compose_array_along_path(fam, path).tolist() == [-1, 2]
 
 
 def test_compose_two_hop_path():
     # (0, 2) misses the vertex; the walk goes 0 -> 1 -> 2.  Vertex 0's
-    # copies are 0, 1, 3 in the three graphs, and both matchings restrict
-    # the true relabellings, so forward and reverse walks agree.
+    # copies are 0, 1, 3 in the three graphs.
     fam = three_pair_family(
         4,
         {
@@ -375,13 +434,15 @@ def test_compose_two_hop_path():
             (0, 2): PartialMatching({}),
             (1, 2): PartialMatching({1: 3}),
         },
-        relabellings=[[0, 1, 2, 3], [1, 0, 2, 3], [3, 1, 2, 0]],
     )
-    assert compose_matching_along_path(0, 0, 2, fam) == 3
-    assert compose_matching_along_path(0, 2, 0, fam) == 0
+    path = _patterns(fam)[-1].paths[2]
+    assert path == (0, 1, 2)
+    assert _compose_array_along_path(fam, path)[0] == 3
 
 
 def test_compose_disconnected_returns_none():
+    # The anchor does not reach graph 2, so there is no walk; a walk over
+    # an edge that does not match the vertex leaves it unmapped.
     fam = three_pair_family(
         1,
         {
@@ -395,8 +456,8 @@ def test_compose_disconnected_returns_none():
             (1, 2): PartialMatching({0: 0}),
         },
     )
-    assert compose_matching_along_path(0, 0, 2, fam) is None
-    assert compose_matching_along_path(0, 1, 2, fam) == 0
+    assert only_pattern(fam).paths[2] is None
+    assert _compose_array_along_path(fam, (0, 2))[0] == -1
 
 
 def test_shortest_path_lexicographic_tie_break():
@@ -408,55 +469,34 @@ def test_shortest_path_lexicographic_tie_break():
             (1, 2): [True],
         },
     )
-    mg = build_metagraph(0, fam)
-    assert shortest_metagraph_path(mg, 0, 2) == (0, 2)
-    assert shortest_metagraph_path(mg, 0, 0) == (0,)
-
-
-def all_simple_paths(mg, src, dst):
-    paths = []
-
-    def walk(node, seen, acc):
-        if node == dst:
-            paths.append(tuple(acc))
-            return
-        for nxt in range(mg.K):
-            if mg.adjacency[node, nxt] and nxt not in seen:
-                walk(nxt, seen | {nxt}, acc + [nxt])
-
-    walk(src, {src}, [src])
-    return paths
+    assert only_pattern(fam).paths == ((0,), (0, 1), (0, 2))
+    # Two shortest routes to node 3; the one through node 1 comes first.
+    square_pairs = [(0, 1), (0, 2), (1, 3), (2, 3)]
+    square = crafted_family(
+        1,
+        4,
+        {p: PartialMatching({}) for p in square_pairs},
+        {p: [True] for p in square_pairs},
+    )
+    assert only_pattern(square).paths[3] == (0, 1, 3)
 
 
 def test_path_composition_is_path_independent():
-    # Under seeded matchings every mu restricts the ground truth, so any
-    # simple path between two graphs maps a good vertex to the same image.
+    # Under seeded matchings every mu restricts the ground truth, so every
+    # simple path from the anchor maps a good pattern's members to the same
+    # images: their true copies.
     params = Params(n=60, a=6.0, b=1.5, s=0.7, K=5, k=1)
     inst = sample_instance(params, 13)
     fam = all_pairwise_matchings(inst, 1)
-    classes = classify_good_bad(fam)
+    good = [p for p in _patterns(fam) if all(path is not None for path in p.paths)]
     checked = 0
-    for v in sorted(classes.good)[:12]:
-        mg = build_metagraph(v, fam)
-        for i in range(5):
-            for j in range(5):
-                if i == j:
-                    continue
-                images = set()
-                for path in all_simple_paths(mg, i, j):
-                    x = int(fam.anchor_to_graph[i][v])
-                    ok = True
-                    for a, b in zip(path, path[1:]):
-                        nxt = int(fam.map_array(a, b)[x])
-                        if nxt < 0:
-                            ok = False
-                            break
-                        x = nxt
-                    if ok:
-                        images.add(x)
-                assert len(images) == 1
-                assert images == {int(fam.anchor_to_graph[j][v])}
-                assert compose_matching_along_path(v, i, j, fam) in images
+    for pattern in good[:12]:
+        for j in range(1, 5):
+            paths = all_simple_paths(pattern.pairs, 0, j)
+            assert pattern.paths[j] in paths
+            for path in paths:
+                composed = _compose_array_along_path(fam, path)[pattern.members]
+                assert np.array_equal(composed, inst.pi_star[j][pattern.members])
                 checked += 1
     assert checked > 0
 
@@ -526,14 +566,3 @@ def test_estimator_rejects_family_built_otherwise():
         exact_matching_estimator(inst, 13, family=fam)
     with pytest.raises(ValueError):
         exact_matching_estimator(inst, 1, mode="bruteforce", family=fam)
-
-
-# -- degree diagnostic --------------------------------------------------------
-
-
-def test_degree_margin_anomalies_counts_heavy_outsiders():
-    star = Graph(7, [(0, v) for v in range(1, 7)])
-    assert degree_margin_anomalies(star, frozenset(), 1, 3) == 1
-    assert degree_margin_anomalies(star, frozenset({0}), 1, 3) == 0
-    core = k_core(star, 1)
-    assert degree_margin_anomalies(star, core, 1, 3) == 0

@@ -1,11 +1,17 @@
 """Initial labelling, good/bad refinement steps, and overlap scoring."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from csbm.generate import CorrelatedInstance, Params, sample_instance, sample_parent
 from csbm.graphs import Graph
-from csbm.matching import all_pairwise_matchings, classify_good_bad
+from csbm.matching import (
+    all_pairwise_matchings,
+    classify_good_bad,
+    exact_matching_estimator,
+)
 from csbm.recovery import (
     PROVENANCE_BAD,
     PROVENANCE_GOOD,
@@ -413,3 +419,43 @@ def test_full_recovery_degraded_instance():
     assert est.degraded
     assert np.all(est.labels == 1)
     assert np.all(est.provenance == PROVENANCE_BAD)
+
+
+def test_pipeline_outputs_are_pinned():
+    """Classification, recovery and estimator outputs may not drift.
+
+    One digest over K = 1..5, both regimes and four seeds per cell.  It
+    covers the bad set, the bipartitions, the final labels with their
+    provenance and diagnostics, and the estimator verdict with its
+    permutations.  Recorded before the per-family pattern table replaced
+    the per-stage metagraph loops.
+    """
+    h = hashlib.sha256()
+    for K in range(1, 6):
+        for s in (0.25, 0.4, 0.6):
+            for seed in range(4):
+                inst = sample_instance(Params(n=600, a=9.0, b=1.0, s=s, K=K, k=1), seed)
+                fam = all_pairwise_matchings(inst, 1)
+                classes = classify_good_bad(fam)
+                final = full_recovery(inst, family=fam)
+                est = exact_matching_estimator(inst, 1, family=fam)
+                perms = est.permutations
+                record = (
+                    sorted(classes.bad),
+                    sorted(
+                        (v, sorted(comp), sorted(rest))
+                        for v, (comp, rest) in classes.partitions.items()
+                    ),
+                    final.labels.tolist(),
+                    final.provenance.tolist(),
+                    final.degraded,
+                    final.good_disagreements,
+                    est.abstained,
+                    est.correct,
+                    est.bad_count,
+                    None if perms is None else [p.tolist() for p in perms],
+                )
+                h.update(repr(record).encode())
+    assert h.hexdigest() == (
+        "2cbd0dc83de5db930adea2880cc6e5e12ba218ac9750049f05b5a0fe97078942"
+    )
