@@ -8,6 +8,12 @@ parent edge independently with probability ``s`` per child; children beyond
 the first are relabelled by uniformly random permutations, while child 1
 keeps the parent's vertex labels and serves as the anchor.
 
+An instance keeps the parent's edges, the permutations and one retention
+code per parent edge (bit ``j`` set = kept by child ``j``).  Every child is
+derived from them, and is built as a graph only when asked for: the trial
+pipeline works in anchor labels, where each child is a subset of the
+parent's sorted edges, and needs only the anchor itself.
+
 Two equivalent constructions are provided.  :func:`sample_instance` draws the
 per-edge retention bits directly.  :func:`sample_instance_partition` instead
 classifies every vertex *pair* into one of ``2**K`` presence patterns up
@@ -23,11 +29,12 @@ edges into children according to the conditional pattern law.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, _image_keys, _pullback_union
+from .graphs import Graph, _image_keys
 from .seeds import (
     ROLE_LABELS,
     ROLE_PAIR_CLASSES,
@@ -142,32 +149,61 @@ class Params:
 class CorrelatedInstance:
     """One sampled instance: parent, ground truth, and the K children.
 
-    ``children[0]`` is the anchor and carries the parent's vertex labels;
-    ``children[j]`` for ``j >= 1`` is relabelled by ``pi_star[j]``, which
-    maps anchor labels to that child's labels (``pi_star[0]`` is identity).
     ``edge_patterns`` has one row per parent edge (aligned with
-    ``parent.edges``) giving the K retention bits.  ``pair_classes`` is only
-    present when the instance came from the partition construction: a
-    condensed ``uint8`` vector over all vertex pairs in lexicographic order,
-    each entry the pattern code of that pair (bit ``j`` set = present in
-    child ``j`` if the pair is a parent edge).
+    ``parent.edges``) giving the K retention bits; it is the one record of
+    which parent edge each child keeps.  :attr:`edge_codes` packs each row
+    into one integer, bit ``j`` set when the edge is in child ``j``, and
+    :attr:`children` is derived from it: ``children[0]`` is the anchor and
+    carries the parent's vertex labels; ``children[j]`` for ``j >= 1`` is
+    relabelled by ``pi_star[j]``, which maps anchor labels to that child's
+    labels (``pi_star[0]`` is the identity).  Each child graph is built on
+    first access, because the seeded pipeline works on the parent's edges
+    and the codes in anchor labels and needs only the anchor as a graph.
+    ``pair_classes`` is only present when the instance came from the
+    partition construction: a condensed ``uint8`` vector over all vertex
+    pairs in lexicographic order, each entry the pattern code of that pair
+    (bit ``j`` set = present in child ``j`` if the pair is a parent edge).
+
+    Construction rejects ``edge_patterns`` not shaped ``(parent.edge_count,
+    K)`` or holding values other than 0 and 1, and ``pi_star`` that is not
+    K permutations of ``range(n)`` starting with the identity.
     """
 
     params: Params
     seed: int
     parent: Graph
     sigma_star: np.ndarray
-    children: list[Graph]
     pi_star: list[np.ndarray]
     edge_patterns: np.ndarray
     pair_classes: np.ndarray | None = None
     _inverse_perms: list[np.ndarray | None] = field(
         default=None, repr=False, compare=False
     )
+    _codes: np.ndarray = field(init=False, repr=False, compare=False)
+    _children: _Children = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n, K = self.params.n, self.params.K
+        patterns = np.asarray(self.edge_patterns)
+        if patterns.shape != (self.parent.edge_count, K):
+            raise ValueError(
+                f"edge_patterns must have shape ({self.parent.edge_count}, {K}), "
+                f"not {patterns.shape}"
+            )
+        if not ((patterns == 0) | (patterns == 1)).all():
+            raise ValueError("edge_patterns must hold only 0 and 1")
+        if len(self.pi_star) != K:
+            raise ValueError(f"pi_star must hold K={K} permutations, not {len(self.pi_star)}")
+        for pi in self.pi_star:
+            if not _is_permutation(np.asarray(pi), n):
+                raise ValueError(f"every pi_star entry must be a permutation of range({n})")
+        if not np.array_equal(self.pi_star[0], np.arange(n)):
+            raise ValueError("pi_star[0] must be the identity")
         if self._inverse_perms is None:
-            self._inverse_perms = [None] * len(self.pi_star)
+            self._inverse_perms = [None] * K
+        self._codes = _retention_codes(patterns)
+        self._codes.setflags(write=False)
+        self._children = _Children(self.parent, self._codes, self.pi_star)
 
     @property
     def K(self) -> int:
@@ -176,6 +212,20 @@ class CorrelatedInstance:
     @property
     def n(self) -> int:
         return self.params.n
+
+    @property
+    def edge_codes(self) -> np.ndarray:
+        """Retention code per parent edge, read-only: bit ``j`` = kept by child ``j``.
+
+        The dtype is ``uint8`` for K <= 8 and the narrowest wider unsigned
+        integer otherwise.
+        """
+        return self._codes
+
+    @property
+    def children(self) -> Sequence[Graph]:
+        """The K child graphs, each in its own labels, built on first access."""
+        return self._children
 
     def inverse_pi(self, j: int) -> np.ndarray:
         """Inverse of ``pi_star[j]`` (child-j labels back to anchor labels)."""
@@ -192,8 +242,82 @@ class CorrelatedInstance:
         return self.pi_star[j][self.inverse_pi(i)]
 
     def child_edges_in_parent_labels(self, j: int) -> np.ndarray:
-        """Canonical edge array of child ``j`` pulled back to anchor labels."""
-        return _pullback_union([self.children[j]], [self.pi_star[j]]).edges
+        """Canonical edge array of child ``j`` in anchor labels: a row subset of the parent's."""
+        return self.parent.edges.take(_rows_with_bit(self._codes, j), axis=0)
+
+
+def _is_permutation(pi: np.ndarray, n: int) -> bool:
+    if pi.shape != (n,) or not np.issubdtype(pi.dtype, np.integer):
+        return False
+    if n == 0:
+        return True
+    if pi.min() < 0 or pi.max() >= n:
+        return False
+    seen = np.zeros(n, dtype=bool)
+    seen[pi] = True
+    return bool(seen.all())
+
+
+def _retention_codes(patterns: np.ndarray) -> np.ndarray:
+    """One integer per row of the 0/1 ``patterns``: bit ``j`` is column ``j``.
+
+    The dtype is the narrowest unsigned integer with a bit per column.
+    """
+    dtype = np.min_scalar_type((1 << patterns.shape[1]) - 1)
+    if dtype.kind != "u":
+        raise ValueError(f"retention codes hold at most 64 children, not K={patterns.shape[1]}")
+    codes = np.zeros(patterns.shape[0], dtype=dtype)
+    for j in range(patterns.shape[1]):
+        codes |= patterns[:, j].astype(dtype) << dtype.type(j)
+    return codes
+
+
+def _rows_with_bit(codes: np.ndarray, j: int) -> np.ndarray:
+    """Indices of the codes with bit ``j`` set, ascending."""
+    # Index arrays from a boolean mask: numpy's nonzero scans a bool array
+    # several times faster than an integer one, and taking rows by index
+    # beats boolean-mask indexing when the mask is irregular.
+    return np.flatnonzero((codes & codes.dtype.type(1 << j)) != 0)
+
+
+class _Children(Sequence):
+    """Read-only sequence of child graphs derived from (parent, codes, pi).
+
+    Child ``j`` keeps the parent edges whose code has bit ``j`` and is
+    relabelled by ``pi[j]``.  Each graph is built on its first access and
+    kept.  The view holds the arrays, not the instance, so it forms no
+    reference cycle.
+    """
+
+    def __init__(self, parent: Graph, codes: np.ndarray, perms: list[np.ndarray]):
+        self._parent = parent
+        self._codes = codes
+        self._perms = perms
+        self._graphs: list[Graph | None] = [None] * len(perms)
+
+    def __len__(self) -> int:
+        return len(self._graphs)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[i] for i in range(*j.indices(len(self)))]
+        j = range(len(self))[j]
+        g = self._graphs[j]
+        if g is None:
+            g = self._graphs[j] = self._build(j)
+        return g
+
+    def _build(self, j: int) -> Graph:
+        parent = self._parent
+        kept = _rows_with_bit(self._codes, j)
+        if j == 0:
+            # The anchor's relabelling is the identity: its keys are a
+            # sorted subset of the parent's.
+            return Graph._from_keys(parent.n, parent.packed_keys()[kept])
+        # A permutation maps distinct parent keys to distinct keys.
+        e = parent.edges.take(kept, axis=0)
+        keys = _image_keys(parent.n, e[:, 0], e[:, 1], self._perms[j])[1]
+        return Graph._from_keys(parent.n, np.sort(keys))
 
 
 def _bernoulli_index_sample(rng: np.random.Generator, count: int, prob: float) -> np.ndarray:
@@ -273,21 +397,6 @@ def sample_parent(params: Params, seed: int) -> tuple[Graph, np.ndarray]:
     return Graph(n, edges), sigma
 
 
-def _child_graphs(
-    parent: Graph,
-    patterns: np.ndarray,
-    perms: list[np.ndarray],
-) -> list[Graph]:
-    # Each pi is a permutation, so distinct parent keys map to distinct keys.
-    n = parent.n
-    children = []
-    for j, pi in enumerate(perms):
-        kept = parent.edges[patterns[:, j].astype(bool)]
-        keys = _image_keys(n, kept[:, 0], kept[:, 1], pi)[1]
-        children.append(Graph._from_keys(n, np.sort(keys)))
-    return children
-
-
 def _draw_permutations(n: int, K: int, seed: int) -> list[np.ndarray]:
     rng = stream(seed, ROLE_PERMUTATIONS)
     perms = [np.arange(n, dtype=np.int64)]
@@ -302,15 +411,12 @@ def sample_instance(params: Params, seed: int) -> CorrelatedInstance:
     m = parent.edge_count
     rng = stream(seed, ROLE_SUBSAMPLE)
     patterns = (rng.random((m, params.K)) < params.s).astype(np.uint8)
-    perms = _draw_permutations(params.n, params.K, seed)
-    children = _child_graphs(parent, patterns, perms)
     return CorrelatedInstance(
         params=params,
         seed=seed,
         parent=parent,
         sigma_star=sigma,
-        children=children,
-        pi_star=perms,
+        pi_star=_draw_permutations(params.n, params.K, seed),
         edge_patterns=patterns,
     )
 
@@ -372,15 +478,12 @@ def sample_instance_partition(params: Params, seed: int) -> CorrelatedInstance:
     patterns = np.zeros((parent.edge_count, params.K), dtype=np.uint8)
     for j in range(params.K):
         patterns[:, j] = (codes >> j) & 1
-    perms = _draw_permutations(n, params.K, seed)
-    children = _child_graphs(parent, patterns, perms)
     return CorrelatedInstance(
         params=params,
         seed=seed,
         parent=parent,
         sigma_star=sigma,
-        children=children,
-        pi_star=perms,
+        pi_star=_draw_permutations(n, params.K, seed),
         edge_patterns=patterns,
         pair_classes=classes,
     )

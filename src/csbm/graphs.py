@@ -88,13 +88,20 @@ def _member(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 def _adjacency_csr(n: int, edges: np.ndarray) -> csr_matrix:
-    """Symmetric 0/1 adjacency of an edge array as a float64 CSR matrix."""
+    """Symmetric 0/1 adjacency of an edge array as a float64 CSR matrix.
+
+    The edge rows must be in key order (``lo < hi``, sorted by ``lo`` then
+    ``hi``), as :attr:`Graph.edges` and every row subset of it are.  The
+    reverse arcs then go first: scipy's stable row sort leaves each row as
+    its smaller neighbours ascending followed by its larger ones, already
+    sorted and free of duplicates, so the canonicalising passes are skipped.
+    """
     if len(edges) == 0:
         return csr_matrix((n, n))
-    u = edges[:, 0]
-    v = edges[:, 1]
-    rows = np.concatenate([u, v])
-    cols = np.concatenate([v, u])
+    lo = edges[:, 0]
+    hi = edges[:, 1]
+    rows = np.concatenate([hi, lo])
+    cols = np.concatenate([lo, hi])
     data = np.ones(len(rows), dtype=np.float64)
     return csr_matrix((data, (rows, cols)), shape=(n, n))
 
@@ -543,10 +550,10 @@ def difference_graph(
 
 def write_edge_list(g: Graph, path) -> None:
     """Write ``n m`` on the first line, then one ``u v`` pair per line."""
+    lines = [f"{g.n} {g.edge_count}\n"]
+    lines.extend(f"{u} {v}\n" for u, v in g.edges.tolist())
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{g.n} {g.edge_count}\n")
-        for u, v in g.edges:
-            fh.write(f"{int(u)} {int(v)}\n")
+        fh.write("".join(lines))
 
 
 def read_edge_list(path) -> Graph:

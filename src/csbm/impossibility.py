@@ -3,7 +3,8 @@
 The failure argument looks at vertices whose anchor-child edges are entirely
 invisible to the other children: ``R*`` collects the vertices isolated in
 the intersection of child 1 with the union ``H`` of children 2..K (all in
-anchor labels, via the ground-truth permutations).  ``S*`` keeps those that
+anchor labels, via the ground-truth permutations, where both are sets of
+parent edges picked out by their retention codes).  ``S*`` keeps those that
 are additionally isolated within ``R*`` in child 1 and whose child-1
 neighbours stay clear of the H-neighbourhood of ``R*``; labels of ``S*``
 vertices can be permuted without changing the likelihood ordering except
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generate import CorrelatedInstance
-from .graphs import Graph, _member, _pullback_union
 
 __all__ = [
     "SingletonReport",
@@ -47,9 +47,11 @@ class SingletonReport:
     witness_pair: tuple[int, int] | None = None
 
 
-def _anchored_children_union(inst: CorrelatedInstance) -> Graph:
-    """Union of children 2..K pulled back to anchor labels."""
-    return _pullback_union(inst.children[1:], inst.pi_star[1:])
+def _marked(n: int, ends: np.ndarray, selected: np.ndarray) -> np.ndarray:
+    """Mask over ``0..n-1`` of the vertices ``ends[i]`` of the selected rows ``i``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[ends[np.flatnonzero(selected)]] = True
+    return mask
 
 
 def singleton_sets(inst: CorrelatedInstance) -> SingletonReport:
@@ -58,35 +60,28 @@ def singleton_sets(inst: CorrelatedInstance) -> SingletonReport:
     ``R*``: vertices with no child-1 edge that survives into the union of
     the other children.  ``S*``: vertices of ``R*`` with no child-1
     neighbour inside ``R*`` or inside the union's neighbourhood of ``R*``.
+    In anchor labels both graphs are sets of parent edges: child 1 holds
+    the edges whose retention code has bit 0, the union those with any
+    higher bit.
     """
     if inst.K < 2:
         raise ValueError("singleton sets need at least two children")
     n = inst.n
-    g1 = inst.children[0]
-    h = _anchored_children_union(inst)
-    touched = np.zeros(n, dtype=bool)
-    if g1.edge_count:
-        shared = g1.edges[_member(h.packed_keys(), g1.packed_keys())]
-        if shared.size:
-            touched[shared[:, 0]] = True
-            touched[shared[:, 1]] = True
-    r_mask = ~touched
-    union_boundary = np.zeros(n, dtype=bool)
-    if h.edge_count:
-        he = h.edges
-        union_boundary[he[:, 1][r_mask[he[:, 0]]]] = True
-        union_boundary[he[:, 0][r_mask[he[:, 1]]]] = True
-    barred = r_mask | union_boundary
-    excluded = np.zeros(n, dtype=bool)
-    if g1.edge_count:
-        ge = g1.edges
-        u, v = ge[:, 0], ge[:, 1]
-        excluded[u[r_mask[u] & barred[v]]] = True
-        excluded[v[r_mask[v] & barred[u]]] = True
+    e = inst.parent.edges
+    u, v = e[:, 0], e[:, 1]
+    codes = inst.edge_codes
+    in_g1 = (codes & 1) != 0
+    in_h = (codes >> 1) != 0
+    shared = in_g1 & in_h
+    r_mask = ~(_marked(n, u, shared) | _marked(n, v, shared))
+    barred = r_mask | _marked(n, v, in_h & r_mask[u]) | _marked(n, u, in_h & r_mask[v])
+    excluded = _marked(n, u, in_g1 & r_mask[u] & barred[v]) | _marked(
+        n, v, in_g1 & r_mask[v] & barred[u]
+    )
     s_mask = r_mask & ~excluded
     return SingletonReport(
-        r_star=frozenset(int(i) for i in np.flatnonzero(r_mask)),
-        s_star=frozenset(int(i) for i in np.flatnonzero(s_mask)),
+        r_star=frozenset(np.flatnonzero(r_mask).tolist()),
+        s_star=frozenset(np.flatnonzero(s_mask).tolist()),
     )
 
 

@@ -6,7 +6,10 @@ and the seeded matcher that evaluates the ground-truth permutation and keeps
 the k-core of the resulting intersection graph.  The seeded matcher is the
 pipeline default; in the regime where matching is information-theoretically
 possible the two coincide with high probability, and the test suite checks
-the oracle dominates on small instances.
+the oracle dominates on small instances.  Within a trial the seeded family
+never builds the child graphs: in anchor labels the (i, j) intersection is
+the set of parent edges whose retention code has bits i and j, and its
+k-core is peeled there directly.
 
 On top of the pairwise matchings sits the per-vertex metagraph: K nodes, an
 edge (i, j) when the vertex is matched by the (i, j) matching.  A vertex is
@@ -180,9 +183,13 @@ def all_pairwise_matchings(
 ) -> MatchingFamily:
     """Match every unordered pair of children of one instance.
 
-    Seeded mode evaluates the ground-truth pairwise permutations
-    ``pi_j o pi_i^(-1)``; bruteforce mode runs the exhaustive oracle per
-    pair (n <= 9 only).  K = 1 yields an empty family.
+    Seeded mode keeps the ground-truth pairwise permutations
+    ``pi_j o pi_i^(-1)`` on the k-core of each intersection graph, which
+    it peels in anchor labels: the (i, j) intersection is the set of parent
+    edges whose retention code has bits i and j, so no child graph is
+    built.  The result equals :func:`kcore_matching_seeded` on the two
+    children.  Bruteforce mode runs the exhaustive oracle per pair (n <= 9
+    only).  K = 1 yields an empty family.
     """
     if mode not in ("seeded", "bruteforce"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -190,20 +197,40 @@ def all_pairwise_matchings(
         raise ValueError("k must be at least 1")
     fam = MatchingFamily(n=inst.n, K=inst.K, k=k, mode=mode, matchings={}, anchor_masks={})
     n = inst.n
+    keys = inst.parent.packed_keys()
+    codes = inst.edge_codes
     for i in range(inst.K):
         for j in range(i + 1, inst.K):
             if mode == "seeded":
-                mu = kcore_matching_seeded(
-                    inst.children[i],
-                    inst.children[j],
-                    k,
-                    inst.true_pairwise_permutation(i, j),
-                )
+                both = codes.dtype.type((1 << i) | (1 << j))
+                shared = Graph._from_keys(n, keys[np.flatnonzero((codes & both) == both)])
+                core = _core_mask(shared, k)
+                arr = np.full(n, -1, dtype=np.int64)
+                arr[inst.pi_star[i][core]] = inst.pi_star[j][core]
+                mu = PartialMatching._from_array(arr)
+                fam.anchor_masks[(i, j)] = core
             else:
                 mu = kcore_matching_bruteforce(inst.children[i], inst.children[j], k)
+                fam.anchor_masks[(i, j)] = (mu.as_array(n) >= 0)[inst.pi_star[i]]
             fam.matchings[(i, j)] = mu
-            fam.anchor_masks[(i, j)] = (mu.as_array(n) >= 0)[inst.pi_star[i]]
     return fam
+
+
+def _agrees_with_truth(fam: MatchingFamily, inst: CorrelatedInstance) -> bool:
+    """True when every map of ``fam`` is the ground truth on its matched set.
+
+    That is, for every pair (i, j) the map sends ``pi_i[v]`` to ``pi_j[v]``
+    for each anchor vertex ``v`` of its anchored mask and leaves every other
+    vertex unmatched.  Seeded families always pass; an exhaustive matcher
+    on a tiny graph may pick another bijection.  When this holds, each
+    child edge a stage needs is a parent edge picked out by its retention
+    code, and the stages run on the parent's edges in anchor labels.
+    """
+    for (i, j), mask in fam.anchor_masks.items():
+        truth = np.where(mask, inst.pi_star[j], -1)
+        if not np.array_equal(fam.map_array(i, j)[inst.pi_star[i]], truth):
+            return False
+    return True
 
 
 class _Pattern(NamedTuple):

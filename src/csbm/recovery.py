@@ -11,6 +11,13 @@ relabelled on a difference graph: the anchor child minus the children its
 metagraph still links it to, restricted to the fully-matched vertex set,
 voting with the labels the good step produced.
 
+When every pairwise matching agrees with the ground-truth permutations, as
+seeded matchings do, each child pulled back to anchor labels is the set of
+parent edges whose retention code has that child's bit, so the union and
+difference graphs are parent edges selected by codes.  Other families (an
+exhaustive matcher may pick another bijection on a tiny graph) map the
+child graphs through their matchings instead.
+
 Majorities are taken when the intra-community coefficient dominates
 (``a >= b``) and minorities otherwise; every tie keeps the incoming label.
 Votes never include the vertex's own label.
@@ -26,11 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generate import CorrelatedInstance
+from .generate import CorrelatedInstance, _rows_with_bit
 from .graphs import Graph, _adjacency_csr, _pullback_union, _surviving
 from .matching import (
     MatchingFamily,
     VertexClass,
+    _agrees_with_truth,
     _check_family,
     _compose_array_along_path,
     _patterns,
@@ -184,20 +192,39 @@ def _majority_labels(votes: np.ndarray, incoming: np.ndarray, assortative: bool)
     return np.where(votes > 0, pos, np.where(votes < 0, -pos, incoming)).astype(np.int8)
 
 
+def _vertex_codes(inst: CorrelatedInstance, masks: list[np.ndarray]) -> np.ndarray:
+    """Per-vertex code in the dtype of the edge codes: bit ``j`` is ``masks[j]``."""
+    dtype = inst.edge_codes.dtype
+    vc = np.zeros(inst.n, dtype=dtype)
+    for j, mask in enumerate(masks):
+        if mask is not None:
+            vc |= mask.astype(dtype) << dtype.type(j)
+    return vc
+
+
 def _union_votes(
     inst: CorrelatedInstance,
     in_member: np.ndarray,
     maps: list[np.ndarray],
     init_values: np.ndarray,
+    anchored: bool,
 ) -> np.ndarray:
     """Neighbourhood vote sums on a union graph restricted to a matched set.
 
     Every child ``j`` is pulled back to anchor labels through ``maps[j]``
     (anchor -> child j; identity for the anchor), and an edge is kept when
     both endpoints land in the member set.  Edges shared by several children
-    count once.
+    count once.  When the maps agree with the ground truth (``anchored``),
+    child ``j`` pulled back is the set of parent edges with code bit ``j``,
+    so the union is the parent edges whose code meets the codes of both
+    endpoints' map domains; otherwise the children are mapped as graphs.
     """
-    e = _pullback_union(inst.children, maps, in_member).edges
+    if anchored:
+        e = inst.parent.edges
+        vc = _vertex_codes(inst, [in_member & (f >= 0) for f in maps])
+        e = e.take(np.flatnonzero((vc[e[:, 0]] & vc[e[:, 1]] & inst.edge_codes) != 0), axis=0)
+    else:
+        e = _pullback_union(inst.children, maps, in_member).edges
     return np.bincount(e[:, 0], weights=init_values[e[:, 1]], minlength=inst.n) + np.bincount(
         e[:, 1], weights=init_values[e[:, 0]], minlength=inst.n
     )
@@ -229,8 +256,9 @@ def label_good_vertices(
     n = inst.n
     assortative = inst.params.a >= inst.params.b
     init_values = init.labels.astype(np.float64)
+    anchored = _agrees_with_truth(fam, inst)
     if inst.K == 3:
-        return _label_good_three(inst, fam, init, est, assortative, init_values)
+        return _label_good_three(inst, fam, init, est, assortative, init_values, anchored)
     good_mask = np.zeros(n, dtype=bool)
     good_mask[list(classes.good)] = True
     for pattern in _patterns(fam):
@@ -241,7 +269,7 @@ def label_good_vertices(
         for pair in pattern.pairs:
             in_member &= fam.anchor_masks[pair]
         maps = [_compose_array_along_path(fam, path) for path in pattern.paths]
-        votes = _union_votes(inst, in_member, maps, init_values)
+        votes = _union_votes(inst, in_member, maps, init_values, anchored)
         est.labels[group] = _majority_labels(
             votes[group], init.labels[group], assortative
         )
@@ -256,6 +284,7 @@ def _label_good_three(
     est: LabelEstimate,
     assortative: bool,
     init_values: np.ndarray,
+    anchored: bool,
 ) -> LabelEstimate:
     """The literal three-case good step for K = 3."""
     n = inst.n
@@ -274,7 +303,8 @@ def _label_good_three(
     ]
     case_assignments: list[np.ndarray] = []
     for in_member, to_two, to_three in cases:
-        votes = _union_votes(inst, in_member, [np.arange(n), to_two, to_three], init_values)
+        maps = [np.arange(n), to_two, to_three]
+        votes = _union_votes(inst, in_member, maps, init_values, anchored)
         idx = np.flatnonzero(in_member)
         labels = _majority_labels(votes[idx], init.labels[idx], assortative)
         est.labels[idx] = labels
@@ -327,8 +357,16 @@ def label_bad_vertices(
     dst = np.concatenate([hi[fwd], lo[rev]])
     # Child j is subtracted exactly when v is matched to it, which is when
     # the arc's image under the anchor -> j map is defined at both ends.
-    subtract = [(inst.children[j], fam.map_array(0, j)) for j in range(1, inst.K)]
-    alive = _surviving(src, dst, subtract)
+    maps = [fam.map_array(0, j) for j in range(1, inst.K)]
+    if _agrees_with_truth(fam, inst):
+        # The image is then a child-j edge exactly when the retention code
+        # of the arc's parent edge has bit j; the anchor's edges are the
+        # parent edges with bit 0, in the same order.
+        codes = inst.edge_codes[_rows_with_bit(inst.edge_codes, 0)]
+        vc = _vertex_codes(inst, [None] + [f >= 0 for f in maps])
+        alive = (vc[src] & vc[dst] & np.concatenate([codes[fwd], codes[rev]])) == 0
+    else:
+        alive = _surviving(src, dst, zip(inst.children[1:], maps))
     votes = np.bincount(src[alive], weights=current.labels[dst[alive]], minlength=n)
     idx = np.flatnonzero(bad)
     assortative = inst.params.a >= inst.params.b

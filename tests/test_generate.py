@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from csbm.generate import (
+    CorrelatedInstance,
     Params,
     balance_diagnostic,
     sample_instance,
@@ -16,7 +17,7 @@ from csbm.generate import (
     split_union_graph,
     union_split_weights,
 )
-from csbm.graphs import Graph
+from csbm.graphs import Graph, _image_keys, _pullback_union
 
 
 def test_params_validation():
@@ -188,6 +189,113 @@ def test_instance_determinism():
     for j in range(3):
         assert a.children[j] == b.children[j]
         assert np.array_equal(a.pi_star[j], b.pi_star[j])
+
+
+# -- the edge table and the derived children ---------------------------------
+
+
+def reference_child_graphs(parent, patterns, perms):
+    """The eager child construction the derived children replaced, kept verbatim."""
+    # Each pi is a permutation, so distinct parent keys map to distinct keys.
+    n = parent.n
+    children = []
+    for j, pi in enumerate(perms):
+        kept = parent.edges[patterns[:, j].astype(bool)]
+        keys = _image_keys(n, kept[:, 0], kept[:, 1], pi)[1]
+        children.append(Graph._from_keys(n, np.sort(keys)))
+    return children
+
+
+@pytest.mark.parametrize("sampler", [sample_instance, sample_instance_partition])
+@pytest.mark.parametrize("s, K", [(0.0, 2), (0.35, 1), (0.35, 3), (0.6, 5), (1.0, 4)])
+def test_derived_children_equal_eager_construction(sampler, s, K):
+    for seed in range(3):
+        inst = sampler(Params(n=150, a=8.0, b=2.0, s=s, K=K), seed)
+        ref = reference_child_graphs(inst.parent, inst.edge_patterns, inst.pi_star)
+        assert list(inst.children) == ref
+        for j in range(K):
+            back = _pullback_union([ref[j]], [inst.pi_star[j]]).edges
+            assert np.array_equal(inst.child_edges_in_parent_labels(j), back)
+
+
+def test_children_are_built_on_first_access():
+    inst = sample_instance(Params(n=100, a=6.0, b=2.0, s=0.5, K=4), 3)
+    children = inst.children
+    assert children._graphs == [None] * 4
+    third = children[2]
+    assert [g is not None for g in children._graphs] == [False, False, True, False]
+    assert children[2] is third and children[-2] is third
+    assert children[1:3] == [children[1], third]
+    assert len(children) == 4
+    with pytest.raises(IndexError):
+        children[4]
+    with pytest.raises(TypeError):
+        children[0] = third
+
+
+def test_edge_codes_pack_the_retention_bits():
+    for K, dtype in [(1, np.uint8), (3, np.uint8), (8, np.uint8), (9, np.uint16)]:
+        inst = sample_instance(Params(n=60, a=6.0, b=2.0, s=0.5, K=K), 2)
+        codes = inst.edge_codes
+        assert codes.dtype == dtype
+        assert not codes.flags.writeable
+        weights = np.array([1 << j for j in range(K)], dtype=np.int64)
+        assert codes.tolist() == (inst.edge_patterns.astype(np.int64) @ weights).tolist()
+
+
+def instance_fields(**changes):
+    inst = sample_instance(Params(n=40, a=6.0, b=2.0, s=0.5, K=3), 1)
+    fields = dict(
+        params=inst.params,
+        seed=inst.seed,
+        parent=inst.parent,
+        sigma_star=inst.sigma_star,
+        pi_star=inst.pi_star,
+        edge_patterns=inst.edge_patterns,
+    )
+    fields.update(changes)
+    return fields
+
+
+def test_instance_accepts_its_own_fields():
+    inst = CorrelatedInstance(**instance_fields())
+    assert inst.edge_codes.shape == (inst.parent.edge_count,)
+
+
+def test_instance_rejects_misshapen_edge_patterns():
+    patterns = instance_fields()["edge_patterns"]
+    for bad in (patterns[:-1], patterns[:, :2], patterns.reshape(-1)):
+        with pytest.raises(ValueError, match="shape"):
+            CorrelatedInstance(**instance_fields(edge_patterns=bad))
+
+
+def test_instance_rejects_non_binary_edge_patterns():
+    patterns = instance_fields()["edge_patterns"].copy()
+    patterns[0, 1] = 2
+    with pytest.raises(ValueError, match="0 and 1"):
+        CorrelatedInstance(**instance_fields(edge_patterns=patterns))
+
+
+def test_instance_rejects_pi_star_that_is_not_k_permutations():
+    pi = instance_fields()["pi_star"]
+    repeated = pi[2].copy()
+    repeated[0] = repeated[1]
+    for bad in (
+        pi[:2],
+        pi + [pi[1]],
+        [pi[0], pi[1], repeated],
+        [pi[0], pi[1], pi[2][:-1]],
+        [pi[0], pi[1], pi[2] + 1],
+        [pi[0], pi[1], pi[2].astype(np.float64)],
+    ):
+        with pytest.raises(ValueError, match="permutation"):
+            CorrelatedInstance(**instance_fields(pi_star=bad))
+
+
+def test_instance_rejects_non_identity_anchor_permutation():
+    pi = instance_fields()["pi_star"]
+    with pytest.raises(ValueError, match="identity"):
+        CorrelatedInstance(**instance_fields(pi_star=[pi[1], pi[1], pi[2]]))
 
 
 # -- partition construction ---------------------------------------------------

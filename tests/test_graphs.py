@@ -6,10 +6,12 @@ import pytest
 from conftest import erdos_renyi, kcore_oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from csbm.graphs import (
     Graph,
     PartialMatching,
+    _adjacency_csr,
     difference_graph,
     induced_subgraph,
     intersection_graph,
@@ -101,6 +103,21 @@ def test_degrees_and_adjacency():
     assert g.has_edge(1, 0)
     assert not g.has_edge(1, 2)
     assert not g.has_edge(2, 2)
+
+
+def test_adjacency_rows_come_out_sorted_and_equal_the_coo_build():
+    rng = np.random.default_rng(5)
+    for n, p in [(1, 0.0), (12, 0.0), (12, 0.5), (300, 0.05)]:
+        g = erdos_renyi(n, p, rng)
+        csr = _adjacency_csr(n, g.edges)
+        u, v = g.edges[:, 0], g.edges[:, 1]
+        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+        ref = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+        assert csr.has_canonical_format
+        assert np.array_equal(csr.indptr, ref.indptr)
+        assert np.array_equal(csr.indices, ref.indices)
+        x = rng.standard_normal(n)
+        assert np.array_equal(csr @ x, ref @ x)
 
 
 def test_contains_edges_bulk():
@@ -417,6 +434,22 @@ def test_difference_graph_restriction():
     g = Graph(5, [(0, 1), (1, 2), (3, 4)])
     d = difference_graph(g, [], restrict_to=[0, 1, 4])
     assert d.edge_set() == {(0, 1)}
+
+
+def reference_write_edge_list(g, path):
+    """The per-edge writer the joined write replaced, kept verbatim."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"{g.n} {g.edge_count}\n")
+        for u, v in g.edges:
+            fh.write(f"{int(u)} {int(v)}\n")
+
+
+def test_edge_list_bytes_match_per_edge_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    for g in (Graph(0), Graph(5), erdos_renyi(40, 0.3, rng), Graph(1000, [(998, 999), (0, 7)])):
+        write_edge_list(g, tmp_path / "new.edges")
+        reference_write_edge_list(g, tmp_path / "old.edges")
+        assert (tmp_path / "new.edges").read_bytes() == (tmp_path / "old.edges").read_bytes()
 
 
 def test_edge_list_round_trip(tmp_path):

@@ -7,7 +7,8 @@ import warnings
 
 import pytest
 
-from csbm.generate import Params
+from csbm import harness
+from csbm.generate import Params, sample_instance
 from csbm.harness import (
     AGGREGATE_COLUMNS,
     SweepConfig,
@@ -41,6 +42,26 @@ def test_trial_classifies_vertices_once():
         if name == "_classify" and path.endswith("matching.py")
     ]
     assert calls == [1]
+
+
+@pytest.mark.parametrize("s", [0.15, 0.4])
+def test_trial_builds_only_the_anchor_child(s, monkeypatch):
+    sampled = []
+
+    def keep(params, seed):
+        sampled.append(sample_instance(params, seed))
+        return sampled[-1]
+
+    monkeypatch.setattr(harness, "sample_instance", keep)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = run_trial(
+            Params(n=500, a=9.0, b=1.0, s=s, K=4, k=1), 2,
+            experiments=("recover", "match", "witness"),
+        )
+    assert [g is not None for g in sampled[0].children._graphs] == [True, False, False, False]
+    if s == 0.15:
+        assert result.bad_vertex_count > 0
 
 
 def test_trial_rejects_unknown_experiment():

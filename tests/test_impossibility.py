@@ -17,15 +17,16 @@ def crafted(children, a, b, sigma):
     for row, (u, v) in enumerate(parent.edges):
         for j, g in enumerate(children):
             patterns[row, j] = g.has_edge(int(u), int(v))
-    return CorrelatedInstance(
+    inst = CorrelatedInstance(
         params=Params(n=n, a=a, b=b, s=0.5, K=len(children), k=1),
         seed=0,
         parent=parent,
         sigma_star=np.asarray(sigma, dtype=np.int8),
-        children=children,
         pi_star=[np.arange(n, dtype=np.int64) for _ in children],
         edge_patterns=patterns,
     )
+    assert list(inst.children) == list(children)
+    return inst
 
 
 def singleton_oracle(inst):

@@ -5,9 +5,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from csbm import recovery
 from csbm.generate import CorrelatedInstance, Params, sample_instance, sample_parent
 from csbm.graphs import Graph
 from csbm.matching import (
+    _agrees_with_truth,
     all_pairwise_matchings,
     classify_good_bad,
     exact_matching_estimator,
@@ -118,15 +120,16 @@ def test_init_accuracy_at_reference_point():
 def crafted_k1_instance(a: float, b: float, edges, n: int = 4):
     params = Params(n=n, a=a, b=b, s=1.0, K=1, k=1)
     g = Graph(n, edges)
-    return CorrelatedInstance(
+    inst = CorrelatedInstance(
         params=params,
         seed=0,
         parent=g,
         sigma_star=np.ones(n, dtype=np.int8),
-        children=[g],
         pi_star=[np.arange(n, dtype=np.int64)],
         edge_patterns=np.ones((g.edge_count, 1), dtype=np.uint8),
     )
+    assert list(inst.children) == [g]
+    return inst
 
 
 def crafted_k3_instance(a: float = 2.0, b: float = 1.0):
@@ -147,15 +150,16 @@ def crafted_k3_instance(a: float = 2.0, b: float = 1.0):
         for j, child in enumerate(children):
             patterns[row, j] = child.has_edge(int(u), int(v))
     params = Params(n=7, a=a, b=b, s=0.5, K=3, k=1)
-    return CorrelatedInstance(
+    inst = CorrelatedInstance(
         params=params,
         seed=0,
         parent=parent,
         sigma_star=np.ones(7, dtype=np.int8),
-        children=children,
         pi_star=[np.arange(7, dtype=np.int64) for _ in range(3)],
         edge_patterns=patterns,
     )
+    assert list(inst.children) == children
+    return inst
 
 
 def test_crafted_k3_classification():
@@ -275,10 +279,10 @@ def test_bad_step_votes_only_on_fully_matched_core():
         seed=0,
         parent=parent,
         sigma_star=np.ones(6, dtype=np.int8),
-        children=children,
         pi_star=[np.arange(6, dtype=np.int64) for _ in range(3)],
         edge_patterns=patterns,
     )
+    assert list(inst.children) == children
     fam = all_pairwise_matchings(inst, 1)
     classes = classify_good_bad(fam)
     assert classes.good == frozenset({1, 2, 3, 4})
@@ -353,6 +357,30 @@ def test_bad_step_matches_per_vertex_reference(n, s, K):
         assert out.provenance.tolist() == ref.provenance.tolist()
         bad_total += len(classes.bad)
     assert bad_total > 0
+
+
+def test_disagreeing_bruteforce_family_takes_the_graph_path(monkeypatch):
+    """A matching off the true permutation must not be read through the codes.
+
+    At n = 7 the exhaustive matcher picks, among equally large cores, a
+    bijection other than the truth.  The recovery steps then map the child
+    graphs through the family's own matchings; reading the retention codes
+    instead would give other labels here.
+    """
+    inst = sample_instance(Params(n=7, a=1.9, b=0.8, s=0.7, K=3, k=1), 23)
+    fam = all_pairwise_matchings(inst, 1, mode="bruteforce")
+    assert not _agrees_with_truth(fam, inst)
+    classes = classify_good_bad(fam)
+    assert classes.good and classes.bad
+    labels = np.random.default_rng(23).choice(np.array([-1, 1], dtype=np.int8), 7)
+    good = label_good_vertices(inst, fam, estimate(labels))
+    final = label_bad_vertices(inst, fam, good)
+    ref = reference_bad_step(inst, fam, good, classes)
+    assert final.labels.tolist() == ref.labels.tolist()
+    assert final.provenance.tolist() == ref.provenance.tolist()
+    monkeypatch.setattr(recovery, "_agrees_with_truth", lambda fam, inst: True)
+    assert label_good_vertices(inst, fam, estimate(labels)).labels.tolist() != good.labels.tolist()
+    assert label_bad_vertices(inst, fam, good).labels.tolist() != final.labels.tolist()
 
 
 # -- full pipeline ------------------------------------------------------------
