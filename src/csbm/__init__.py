@@ -20,12 +20,9 @@ from .generate import (
 from .graphs import (
     Graph,
     PartialMatching,
-    difference_graph,
-    induced_subgraph,
     intersection_graph,
     k_core,
     read_edge_list,
-    union_graph,
     write_edge_list,
 )
 from .harness import (
@@ -97,10 +94,8 @@ __all__ = [
     "classify_region",
     "condition_set",
     "connectivity_param",
-    "difference_graph",
     "exact_matching_estimator",
     "full_recovery",
-    "induced_subgraph",
     "intersection_graph",
     "k_core",
     "kcore_matching_bruteforce",
@@ -119,7 +114,6 @@ __all__ = [
     "singleton_sets",
     "split_union_graph",
     "sweep",
-    "union_graph",
     "union_split_weights",
     "write_edge_list",
 ]

@@ -116,7 +116,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     rows = []
     print("trial overlap success bad_vertices degraded ms")
     for t, seed in enumerate(_trial_seeds(args, params)):
-        result = run_trial(params, seed, mode=args.mode, experiments=("recover",))
+        result = run_trial(params, seed, experiments=("recover",))
         bad = "-" if result.bad_vertex_count is None else result.bad_vertex_count
         print(
             f"{t} {result.overlap:.6f} {int(result.recovery_success)} "
@@ -137,7 +137,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
     ]
     records = []
     for t, seed in enumerate(_trial_seeds(args, params)):
-        result = run_trial(params, seed, mode=args.mode, experiments=("match",))
+        result = run_trial(params, seed, experiments=("match",))
         fractions = {
             name: 1.0 - result.unmatched_sizes[pair] / params.n
             for name, pair in zip(
@@ -266,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_arguments(recover)
     recover.add_argument("--trials", type=int, default=10)
     recover.add_argument("--seed", type=int, default=0)
-    recover.add_argument("--mode", choices=("seeded", "bruteforce"), default="seeded")
     recover.add_argument("--csv", help="append per-trial rows to this CSV")
     recover.add_argument(
         "--timing", action="store_true", help="fill the wall_ms column in --csv output"
@@ -277,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_arguments(match)
     match.add_argument("--trials", type=int, default=10)
     match.add_argument("--seed", type=int, default=0)
-    match.add_argument("--mode", choices=("seeded", "bruteforce"), default="seeded")
     match.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     match.set_defaults(func=_cmd_match)
 

@@ -1,4 +1,4 @@
-"""Undirected simple graphs and the small graph algebra used everywhere else.
+"""Undirected simple graphs, partial matchings and k-core peeling.
 
 Vertices are 0-based integers below a fixed count ``n``.  A :class:`Graph`
 is immutable once built.  Its one canonical form is the sorted array of
@@ -7,11 +7,10 @@ edge array is decoded; the CSR adjacency is built lazily because bulk
 distribution tests create tens of thousands of throwaway graphs whose
 neighbourhoods are never queried.
 
-The algebra operations (:func:`intersection_graph`, :func:`union_graph`,
-:func:`difference_graph`) each take partial vertex matchings and return new
-graphs whose ``vertices`` attribute records the domain they were built on.
-The recovery pipeline calls the same private cores (``_pullback_union`` and
-``_surviving``) on dense matching arrays.
+:func:`intersection_graph` keeps the edges of one graph whose image under a
+partial matching is an edge of another; the result's ``vertices`` attribute
+records the matching domain.  The trial pipeline itself never maps graphs
+through matchings: it selects parent edges by their retention codes.
 """
 
 from __future__ import annotations
@@ -25,10 +24,7 @@ __all__ = [
     "Graph",
     "PartialMatching",
     "k_core",
-    "induced_subgraph",
     "intersection_graph",
-    "union_graph",
-    "difference_graph",
     "write_edge_list",
     "read_edge_list",
 ]
@@ -109,8 +105,8 @@ def _adjacency_csr(n: int, edges: np.ndarray) -> csr_matrix:
 class Graph:
     """Immutable undirected simple graph on vertices ``0..n-1``.
 
-    ``vertices`` optionally restricts the vertex set (used by the algebra
-    operations to record the matching domain a graph was built on); when
+    ``vertices`` optionally restricts the vertex set (used by
+    :func:`intersection_graph` to record the matching domain); when
     omitted the graph lives on all of ``0..n-1``.  Self-loops and endpoints
     outside ``[0, n)`` are errors; duplicate and reversed pairs collapse.
     """
@@ -389,10 +385,13 @@ def _core_mask(g: Graph, k: int) -> np.ndarray:
     """Boolean mask of the vertices in the k-core of ``g``."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    csr = g._adjacency()
-    indptr, indices = csr.indptr, csr.indices
     deg = g.degrees()
     removed = deg < k
+    if not deg[removed].any():
+        # Only isolated vertices go, so no degree drops and nothing cascades.
+        return ~removed
+    csr = g._adjacency()
+    indptr, indices = csr.indptr, csr.indices
     stack = np.flatnonzero(removed).tolist()
     deg = deg.tolist()
     while stack:
@@ -415,14 +414,7 @@ def _vertex_mask(n: int, vertices: Iterable[int]) -> tuple[frozenset[int], np.nd
     return vs, mask
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced by ``vertices`` (kept at the same vertex count)."""
-    keep, mask = _vertex_mask(g.n, vertices)
-    e = g.edges
-    return Graph._from_keys(g.n, g.packed_keys()[mask[e[:, 0]] & mask[e[:, 1]]], keep)
-
-
-# -- matched-graph algebra ---------------------------------------------------
+# -- matched intersection --------------------------------------------------
 
 
 def _matched_intersection_keys(g: Graph, h: Graph, to_h: np.ndarray) -> np.ndarray:
@@ -434,45 +426,6 @@ def _matched_intersection_keys(g: Graph, h: Graph, to_h: np.ndarray) -> np.ndarr
     e = g.edges
     ok, img = _image_keys(h.n, e[:, 0], e[:, 1], to_h)
     return g.packed_keys()[np.flatnonzero(ok)[_member(h.packed_keys(), img)]]
-
-
-def _pullback_union(
-    graphs: Sequence[Graph],
-    maps: Sequence[np.ndarray],
-    member: np.ndarray | None = None,
-    vertices: frozenset[int] | None = None,
-) -> Graph:
-    """Union of ``graphs`` pulled back into one labelling, inside ``member``.
-
-    ``maps[i]`` is a dense map from that labelling into ``graphs[i]``'s
-    labels, -1 meaning unmatched; it must be injective on its matched
-    entries.  An edge contributes when both endpoints have a preimage in
-    the boolean ``member`` mask (all vertices when None).
-    """
-    n = graphs[0].n
-    src = np.arange(n) if member is None else np.flatnonzero(member)
-    blocks = []
-    for g, f in zip(graphs, maps):
-        back = np.full(n, -1, dtype=np.int64)
-        matched = src[f[src] >= 0]
-        back[f[matched]] = matched
-        e = g.edges
-        blocks.append(_image_keys(n, e[:, 0], e[:, 1], back)[1])
-    return Graph._from_keys(n, _sorted_unique(np.concatenate(blocks)), vertices)
-
-
-def _surviving(u: np.ndarray, v: np.ndarray, subtract) -> np.ndarray:
-    """Mask of the pairs ``(u[i], v[i])`` whose image is an edge of no subtracted graph.
-
-    ``subtract`` yields ``(h, to_h)`` pairs with ``to_h`` a dense map into
-    ``h``'s labels (-1 unmatched).  A pair with an unmatched endpoint is
-    never removed by that graph.
-    """
-    alive = np.ones(u.shape[0], dtype=bool)
-    for h, to_h in subtract:
-        ok, img = _image_keys(h.n, u, v, to_h)
-        alive[np.flatnonzero(ok)[_member(h.packed_keys(), img)]] = False
-    return alive
 
 
 def _map_into(mu: PartialMatching, g: Graph, h: Graph) -> np.ndarray:
@@ -491,58 +444,6 @@ def intersection_graph(g: Graph, h: Graph, mu: PartialMatching) -> Graph:
     """
     keys = _matched_intersection_keys(g, h, _map_into(mu, g, h))
     return Graph._from_keys(g.n, keys, mu.domain)
-
-
-def union_graph(
-    graphs: Sequence[Graph],
-    matchings: Sequence[PartialMatching],
-    domain: Iterable[int] | None = None,
-) -> Graph:
-    """Union of ``graphs[0]`` with the pullbacks of the remaining graphs.
-
-    ``matchings[i]`` maps ``graphs[0]``'s labels into ``graphs[i + 1]``'s.
-    The result lives on the common matching domain (their intersection), or
-    on an explicit ``domain``; passing a single graph with ``domain`` covers
-    the degenerate one-graph case.  Edges of a non-anchor graph contribute
-    only when both endpoints pull back into the domain.
-    """
-    if not graphs:
-        raise ValueError("union of no graphs")
-    if len(matchings) != len(graphs) - 1:
-        raise ValueError("need exactly one matching per non-anchor graph")
-    n = graphs[0].n
-    if any(g.n != n for g in graphs):
-        raise ValueError("all graphs must share the same vertex count")
-    if domain is None:
-        if not matchings:
-            raise ValueError("domain is required when no matchings are given")
-        domain = frozenset.intersection(*(mu.domain for mu in matchings))
-    dom, mask = _vertex_mask(n, domain)
-    maps = [np.arange(n)] + [_map_into(mu, graphs[0], g) for mu, g in zip(matchings, graphs[1:])]
-    return _pullback_union(graphs, maps, mask, vertices=dom)
-
-
-def difference_graph(
-    g: Graph,
-    subtract: Sequence[tuple[Graph, PartialMatching]],
-    restrict_to: Iterable[int],
-) -> Graph:
-    """Edges of ``g`` inside ``restrict_to`` that appear in no subtracted graph.
-
-    Each entry of ``subtract`` pairs a graph with a matching from ``g``'s
-    labels into that graph's.  An edge is removed only when both endpoints
-    are matched and the image pair is an edge there; edges with an unmatched
-    endpoint survive.  An empty ``restrict_to`` is rejected.
-    """
-    dom, mask = _vertex_mask(g.n, restrict_to)
-    if not dom:
-        raise ValueError("restrict_to must be non-empty")
-    e = g.edges
-    inside = np.flatnonzero(mask[e[:, 0]] & mask[e[:, 1]])
-    alive = _surviving(
-        e[inside, 0], e[inside, 1], ((h, _map_into(mu, g, h)) for h, mu in subtract)
-    )
-    return Graph._from_keys(g.n, g.packed_keys()[inside[alive]], dom)
 
 
 # -- plain-text edge-list IO -------------------------------------------------

@@ -126,15 +126,16 @@ class TrialResult:
 def run_trial(
     params: Params,
     seed: int,
-    mode: str = "seeded",
     experiments: tuple[str, ...] = ("recover", "match"),
 ) -> TrialResult:
     """Sample one instance and run the requested experiments on it.
 
-    Deterministic given ``(params, seed, mode, experiments)`` in every field
-    except wall time.  Experiments needing at least two children (match,
-    witness) leave their fields None at K = 1; a degraded recovery run is
-    recorded like any other.
+    Every experiment shares one seeded matching family, read from the
+    parent's edges and retention codes in anchor labels; only the anchor
+    child is built as a graph.  Deterministic given ``(params, seed,
+    experiments)`` in every field except wall time.  Experiments needing at
+    least two children (match, witness) leave their fields None at K = 1; a
+    degraded recovery run is recorded like any other.
     """
     bad_names = set(experiments) - {"recover", "match", "witness"}
     if bad_names:
@@ -144,7 +145,7 @@ def run_trial(
     result = TrialResult(params=params, seed=seed)
     fam = None
     if params.K >= 2 and ("recover" in experiments or "match" in experiments):
-        fam = all_pairwise_matchings(inst, params.k, mode)
+        fam = all_pairwise_matchings(inst, params.k)
         classes = classify_good_bad(fam)
         result.bad_vertex_count = len(classes.bad)
         result.unmatched_sizes = {
@@ -158,10 +159,10 @@ def run_trial(
             for j in range(i + 1, params.K)
         }
     if "match" in experiments and params.K >= 2:
-        estimate = exact_matching_estimator(inst, params.k, mode=mode, family=fam)
+        estimate = exact_matching_estimator(inst, params.k, family=fam)
         result.matching_success = estimate.success
     if "recover" in experiments:
-        final = full_recovery(inst, mode=mode, family=fam)
+        final = full_recovery(inst, family=fam)
         signed = int(
             np.dot(
                 inst.sigma_star.astype(np.int64), final.labels.astype(np.int64)
@@ -205,7 +206,6 @@ class SweepConfig:
     trials: int = 10
     master_seed: int = 0
     experiments: tuple[str, ...] = ("recover",)
-    mode: str = "seeded"
     record_timing: bool = False
     per_trial: bool = False
 
@@ -226,8 +226,6 @@ class SweepConfig:
             raise ValueError("at least one experiment is required")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.mode not in ("seeded", "bruteforce"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if "scaling" in self.experiments and len(self.n_values) < 4:
             raise ValueError("the scaling experiment needs at least 4 distinct n values")
         for cell in self.cells():
@@ -259,7 +257,6 @@ class SweepConfig:
             "trials": self.trials,
             "master_seed": self.master_seed,
             "experiments": list(self.experiments),
-            "mode": self.mode,
             "record_timing": self.record_timing,
             "per_trial": self.per_trial,
         }
@@ -365,7 +362,7 @@ def sweep(cfg: SweepConfig) -> SweepResult:
             for t in range(cfg.trials):
                 seed = trial_seed(cfg.master_seed, key, t)
                 trial_results.append(
-                    run_trial(params, seed, mode=cfg.mode, experiments=trial_experiments)
+                    run_trial(params, seed, experiments=trial_experiments)
                 )
             result.cell_rows.append(
                 _aggregate_row(params, trial_results, cfg.record_timing)

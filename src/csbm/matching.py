@@ -3,13 +3,13 @@
 Two matchers produce a partial matching between a pair of children: an
 exhaustive oracle that tries every vertex bijection (usable up to n = 9),
 and the seeded matcher that evaluates the ground-truth permutation and keeps
-the k-core of the resulting intersection graph.  The seeded matcher is the
-pipeline default; in the regime where matching is information-theoretically
+the k-core of the resulting intersection graph.  Every trial uses the
+seeded matcher; in the regime where matching is information-theoretically
 possible the two coincide with high probability, and the test suite checks
-the oracle dominates on small instances.  Within a trial the seeded family
-never builds the child graphs: in anchor labels the (i, j) intersection is
-the set of parent edges whose retention code has bits i and j, and its
-k-core is peeled there directly.
+the oracle dominates on small instances.  The seeded family never builds
+the child graphs: in anchor labels the (i, j) intersection is the set of
+parent edges whose retention code has bits i and j, and its k-core is
+peeled there directly.
 
 On top of the pairwise matchings sits the per-vertex metagraph: K nodes, an
 edge (i, j) when the vertex is matched by the (i, j) matching.  A vertex is
@@ -118,9 +118,10 @@ def kcore_matching_seeded(g: Graph, h: Graph, k: int, pi_true) -> PartialMatchin
 
     Evaluates the known permutation ``pi_true`` (an array mapping ``g``
     labels to ``h`` labels), forms the intersection graph of matched edges,
-    and returns ``pi_true`` restricted to its k-core.  This is the default
-    matcher of the pipeline; in the feasible regime it agrees with what the
-    exhaustive search would return, with high probability.
+    and returns ``pi_true`` restricted to its k-core.  The pipeline's
+    :func:`all_pairwise_matchings` computes the same matchings in anchor
+    labels; in the feasible regime they agree with what the exhaustive
+    search would return, with high probability.
     """
     if g.n != h.n:
         raise ValueError("graphs must have equal vertex counts")
@@ -144,7 +145,6 @@ class MatchingFamily:
     n: int
     K: int
     k: int
-    mode: str
     matchings: dict[tuple[int, int], PartialMatching]
     anchor_masks: dict[tuple[int, int], np.ndarray]
     _map_arrays: dict[tuple[int, int], np.ndarray] = field(
@@ -178,41 +178,31 @@ class MatchingFamily:
         return arr
 
 
-def all_pairwise_matchings(
-    inst: CorrelatedInstance, k: int, mode: str = "seeded"
-) -> MatchingFamily:
-    """Match every unordered pair of children of one instance.
+def all_pairwise_matchings(inst: CorrelatedInstance, k: int) -> MatchingFamily:
+    """Seeded k-core matchings between every unordered pair of children.
 
-    Seeded mode keeps the ground-truth pairwise permutations
-    ``pi_j o pi_i^(-1)`` on the k-core of each intersection graph, which
-    it peels in anchor labels: the (i, j) intersection is the set of parent
+    Each pair keeps the ground-truth pairwise permutation
+    ``pi_j o pi_i^(-1)`` on the k-core of its intersection graph, which is
+    peeled in anchor labels: the (i, j) intersection is the set of parent
     edges whose retention code has bits i and j, so no child graph is
     built.  The result equals :func:`kcore_matching_seeded` on the two
-    children.  Bruteforce mode runs the exhaustive oracle per pair (n <= 9
-    only).  K = 1 yields an empty family.
+    children.  K = 1 yields an empty family.
     """
-    if mode not in ("seeded", "bruteforce"):
-        raise ValueError(f"unknown mode {mode!r}")
     if k < 1:
         raise ValueError("k must be at least 1")
-    fam = MatchingFamily(n=inst.n, K=inst.K, k=k, mode=mode, matchings={}, anchor_masks={})
+    fam = MatchingFamily(n=inst.n, K=inst.K, k=k, matchings={}, anchor_masks={})
     n = inst.n
     keys = inst.parent.packed_keys()
     codes = inst.edge_codes
     for i in range(inst.K):
         for j in range(i + 1, inst.K):
-            if mode == "seeded":
-                both = codes.dtype.type((1 << i) | (1 << j))
-                shared = Graph._from_keys(n, keys[np.flatnonzero((codes & both) == both)])
-                core = _core_mask(shared, k)
-                arr = np.full(n, -1, dtype=np.int64)
-                arr[inst.pi_star[i][core]] = inst.pi_star[j][core]
-                mu = PartialMatching._from_array(arr)
-                fam.anchor_masks[(i, j)] = core
-            else:
-                mu = kcore_matching_bruteforce(inst.children[i], inst.children[j], k)
-                fam.anchor_masks[(i, j)] = (mu.as_array(n) >= 0)[inst.pi_star[i]]
-            fam.matchings[(i, j)] = mu
+            both = codes.dtype.type((1 << i) | (1 << j))
+            shared = Graph._from_keys(n, keys[np.flatnonzero((codes & both) == both)])
+            core = _core_mask(shared, k)
+            arr = np.full(n, -1, dtype=np.int64)
+            arr[inst.pi_star[i][core]] = inst.pi_star[j][core]
+            fam.matchings[(i, j)] = PartialMatching._from_array(arr)
+            fam.anchor_masks[(i, j)] = core
     return fam
 
 
@@ -221,10 +211,10 @@ def _agrees_with_truth(fam: MatchingFamily, inst: CorrelatedInstance) -> bool:
 
     That is, for every pair (i, j) the map sends ``pi_i[v]`` to ``pi_j[v]``
     for each anchor vertex ``v`` of its anchored mask and leaves every other
-    vertex unmatched.  Seeded families always pass; an exhaustive matcher
-    on a tiny graph may pick another bijection.  When this holds, each
-    child edge a stage needs is a parent edge picked out by its retention
-    code, and the stages run on the parent's edges in anchor labels.
+    vertex unmatched.  Seeded families always pass; a hand-built family (say,
+    from the exhaustive matcher on a tiny graph) may not.  When this holds,
+    each child edge a stage needs is a parent edge picked out by its
+    retention code, which is how the relabelling steps read them.
     """
     for (i, j), mask in fam.anchor_masks.items():
         truth = np.where(mask, inst.pi_star[j], -1)
@@ -250,28 +240,31 @@ class _Pattern(NamedTuple):
 def _patterns(fam: MatchingFamily) -> list[_Pattern]:
     """The family's matched-pair patterns in code order, computed once.
 
-    A vertex's code has bit t set when the t-th pair of ``fam.pairs()``
-    matches it.  The table is cached on the family, so every stage of a
+    A vertex's code is the number with bit t set when the t-th pair of
+    ``fam.pairs()`` matches it; it has one bit per pair however many pairs
+    there are.  The table is cached on the family, so every stage of a
     trial walks the same metagraphs.
     """
     if fam._pattern_table is None:
         pairs = fam.pairs()
-        codes = np.zeros(fam.n, dtype=np.int64)
+        bits = np.zeros((max(len(pairs), 1), fam.n), dtype=bool)
         for t, pair in enumerate(pairs):
-            codes |= fam.anchor_masks[pair].astype(np.int64) << t
-        uniq, inverse = np.unique(codes, return_inverse=True)
-        # A stable sort groups the vertices by pattern, each group ascending.
-        order = np.argsort(inverse, kind="stable")
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(inverse)))).tolist()
+            bits[t] = fam.anchor_masks[pair]
+        # Byte b of a code holds pairs 8b..8b+7.  Sorting on the last byte
+        # first orders the codes as numbers, and the stable sort keeps each
+        # pattern's vertices ascending.
+        packed = np.packbits(bits, axis=0, bitorder="little")
+        order = np.lexsort(packed)
+        grouped = packed[:, order]
+        starts = np.ones(fam.n, dtype=bool)
+        starts[1:] = (grouped[:, 1:] != grouped[:, :-1]).any(axis=0)
+        bounds = np.append(np.flatnonzero(starts), fam.n).tolist()
         table = []
-        for p, code in enumerate(uniq.tolist()):
-            matched = tuple(pair for t, pair in enumerate(pairs) if code >> t & 1)
+        for lo, hi in zip(bounds, bounds[1:]):
+            members = order[lo:hi]
+            matched = tuple(p for p, b in zip(pairs, bits[:, members[0]].tolist()) if b)
             table.append(
-                _Pattern(
-                    members=order[bounds[p] : bounds[p + 1]],
-                    pairs=matched,
-                    paths=_anchor_paths(fam.K, matched),
-                )
+                _Pattern(members=members, pairs=matched, paths=_anchor_paths(fam.K, matched))
             )
         fam._pattern_table = table
     return fam._pattern_table
@@ -375,12 +368,18 @@ class MatchingEstimate:
         return not self.abstained and bool(self.correct)
 
 
-def _check_family(fam: MatchingFamily, k: int, mode: str) -> None:
-    """Reject a family that was not built with ``k`` and ``mode``."""
-    if (fam.k, fam.mode) != (k, mode):
-        raise ValueError(
-            f"family was built with k={fam.k}, mode={fam.mode!r}, not k={k}, mode={mode!r}"
-        )
+def _check_family(
+    fam: MatchingFamily, k: int | None, inst: CorrelatedInstance | None = None
+) -> None:
+    """Reject a family built with another core order ``k`` (None skips that).
+
+    With ``inst`` given, also reject a family whose maps are not the ground
+    truth on their matched sets (see :func:`_agrees_with_truth`).
+    """
+    if k is not None and fam.k != k:
+        raise ValueError(f"family was built with k={fam.k}, not k={k}")
+    if inst is not None and not _agrees_with_truth(fam, inst):
+        raise ValueError("a matching is not the true permutation on its matched set")
 
 
 def _compose_array_along_path(
@@ -402,7 +401,6 @@ def _compose_array_along_path(
 def exact_matching_estimator(
     inst: CorrelatedInstance,
     k: int,
-    mode: str = "seeded",
     family: MatchingFamily | None = None,
 ) -> MatchingEstimate:
     """Recover the hidden anchor-to-child permutations, or abstain.
@@ -412,12 +410,12 @@ def exact_matching_estimator(
     vertex's metagraph is connected and each anchor permutation is filled
     in by path composition (vertices sharing a metagraph share the path).
     The ``correct`` flag reports exact equality with the ground-truth
-    permutations.  A ``family`` built with the same ``k`` and ``mode`` may
-    be passed to reuse work; a family built otherwise is rejected.
+    permutations.  A ``family`` built with the same ``k`` may be passed to
+    reuse work; a family built with another ``k`` is rejected.
     """
     if family is not None:
-        _check_family(family, k, mode)
-    fam = family if family is not None else all_pairwise_matchings(inst, k, mode)
+        _check_family(family, k)
+    fam = family if family is not None else all_pairwise_matchings(inst, k)
     classes = classify_good_bad(fam)
     if classes.bad:
         return MatchingEstimate(

@@ -11,12 +11,12 @@ relabelled on a difference graph: the anchor child minus the children its
 metagraph still links it to, restricted to the fully-matched vertex set,
 voting with the labels the good step produced.
 
-When every pairwise matching agrees with the ground-truth permutations, as
-seeded matchings do, each child pulled back to anchor labels is the set of
-parent edges whose retention code has that child's bit, so the union and
-difference graphs are parent edges selected by codes.  Other families (an
-exhaustive matcher may pick another bijection on a tiny graph) map the
-child graphs through their matchings instead.
+Every pairwise matching of a seeded family is the ground-truth permutation
+on its matched set, so each child pulled back to anchor labels is the set
+of parent edges whose retention code has that child's bit: the union and
+difference graphs are parent edges selected by codes, and no child graph is
+mapped through a matching.  Both relabelling steps reject a family whose
+maps leave the ground truth, since the codes would not describe it.
 
 Majorities are taken when the intra-community coefficient dominates
 (``a >= b``) and minorities otherwise; every tie keeps the incoming label.
@@ -34,11 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generate import CorrelatedInstance, _rows_with_bit
-from .graphs import Graph, _adjacency_csr, _pullback_union, _surviving
+from .graphs import Graph, _adjacency_csr
 from .matching import (
     MatchingFamily,
     VertexClass,
-    _agrees_with_truth,
     _check_family,
     _compose_array_along_path,
     _patterns,
@@ -151,8 +150,8 @@ def almost_exact_label(
     if g1.edge_count == 0:
         return degraded
     hold = stream(seed, ROLE_EDGE_HOLDOUT).random(g1.edge_count) < 0.5
-    spectral_edges = g1.edges[hold]
-    refine_edges = g1.edges[~hold]
+    spectral_edges = g1.edges.take(np.flatnonzero(hold), axis=0)
+    refine_edges = g1.edges.take(np.flatnonzero(~hold), axis=0)
     adj = _adjacency_csr(n, spectral_edges)
     density = 2.0 * len(spectral_edges) / (n * (n - 1)) if n > 1 else 0.0
     rng = stream(seed, ROLE_INIT_VECTOR)
@@ -207,24 +206,20 @@ def _union_votes(
     in_member: np.ndarray,
     maps: list[np.ndarray],
     init_values: np.ndarray,
-    anchored: bool,
 ) -> np.ndarray:
     """Neighbourhood vote sums on a union graph restricted to a matched set.
 
     Every child ``j`` is pulled back to anchor labels through ``maps[j]``
     (anchor -> child j; identity for the anchor), and an edge is kept when
     both endpoints land in the member set.  Edges shared by several children
-    count once.  When the maps agree with the ground truth (``anchored``),
-    child ``j`` pulled back is the set of parent edges with code bit ``j``,
-    so the union is the parent edges whose code meets the codes of both
-    endpoints' map domains; otherwise the children are mapped as graphs.
+    count once.  The maps agree with the ground truth, so child ``j`` pulled
+    back is the set of parent edges with code bit ``j``, and the union is
+    the parent edges whose code meets the codes of both endpoints' map
+    domains.
     """
-    if anchored:
-        e = inst.parent.edges
-        vc = _vertex_codes(inst, [in_member & (f >= 0) for f in maps])
-        e = e.take(np.flatnonzero((vc[e[:, 0]] & vc[e[:, 1]] & inst.edge_codes) != 0), axis=0)
-    else:
-        e = _pullback_union(inst.children, maps, in_member).edges
+    e = inst.parent.edges
+    vc = _vertex_codes(inst, [in_member & (f >= 0) for f in maps])
+    e = e.take(np.flatnonzero((vc[e[:, 0]] & vc[e[:, 1]] & inst.edge_codes) != 0), axis=0)
     return np.bincount(e[:, 0], weights=init_values[e[:, 1]], minlength=inst.n) + np.bincount(
         e[:, 1], weights=init_values[e[:, 0]], minlength=inst.n
     )
@@ -246,19 +241,18 @@ def label_good_vertices(
     the classic three cases, processed in order (via-3, via-2, direct) with
     last write winning on overlaps; the returned estimate carries the
     count of triple-matched vertices whose three case votes disagree.
-    Bad vertices are never written.
+    Bad vertices are never written.  A family whose maps are not the ground
+    truth on their matched sets is rejected.
     """
-    if k is not None and k != fam.k:
-        raise ValueError(f"family was built with k={fam.k}, not k={k}")
+    _check_family(fam, k, inst)
     if classes is None:
         classes = classify_good_bad(fam)
     est = init.copy()
     n = inst.n
     assortative = inst.params.a >= inst.params.b
     init_values = init.labels.astype(np.float64)
-    anchored = _agrees_with_truth(fam, inst)
     if inst.K == 3:
-        return _label_good_three(inst, fam, init, est, assortative, init_values, anchored)
+        return _label_good_three(inst, fam, init, est, assortative, init_values)
     good_mask = np.zeros(n, dtype=bool)
     good_mask[list(classes.good)] = True
     for pattern in _patterns(fam):
@@ -269,7 +263,7 @@ def label_good_vertices(
         for pair in pattern.pairs:
             in_member &= fam.anchor_masks[pair]
         maps = [_compose_array_along_path(fam, path) for path in pattern.paths]
-        votes = _union_votes(inst, in_member, maps, init_values, anchored)
+        votes = _union_votes(inst, in_member, maps, init_values)
         est.labels[group] = _majority_labels(
             votes[group], init.labels[group], assortative
         )
@@ -284,7 +278,6 @@ def _label_good_three(
     est: LabelEstimate,
     assortative: bool,
     init_values: np.ndarray,
-    anchored: bool,
 ) -> LabelEstimate:
     """The literal three-case good step for K = 3."""
     n = inst.n
@@ -304,7 +297,7 @@ def _label_good_three(
     case_assignments: list[np.ndarray] = []
     for in_member, to_two, to_three in cases:
         maps = [np.arange(n), to_two, to_three]
-        votes = _union_votes(inst, in_member, maps, init_values, anchored)
+        votes = _union_votes(inst, in_member, maps, init_values)
         idx = np.flatnonzero(in_member)
         labels = _majority_labels(votes[idx], init.labels[idx], assortative)
         est.labels[idx] = labels
@@ -332,10 +325,11 @@ def label_bad_vertices(
     anchor node) votes over its anchor-child neighbours inside the fully
     matched set, except that any anchor edge whose matched image is an edge
     of some child in ``phi`` is subtracted first.  Votes read the labels the
-    good step produced; ties keep them.  Good vertices are never written.
+    good step produced; ties keep them.  Good vertices are never written.  A
+    family whose maps are not the ground truth on their matched sets is
+    rejected.
     """
-    if k is not None and k != fam.k:
-        raise ValueError(f"family was built with k={fam.k}, not k={k}")
+    _check_family(fam, k, inst)
     if classes is None:
         classes = classify_good_bad(fam)
     est = current.copy()
@@ -357,16 +351,12 @@ def label_bad_vertices(
     dst = np.concatenate([hi[fwd], lo[rev]])
     # Child j is subtracted exactly when v is matched to it, which is when
     # the arc's image under the anchor -> j map is defined at both ends.
-    maps = [fam.map_array(0, j) for j in range(1, inst.K)]
-    if _agrees_with_truth(fam, inst):
-        # The image is then a child-j edge exactly when the retention code
-        # of the arc's parent edge has bit j; the anchor's edges are the
-        # parent edges with bit 0, in the same order.
-        codes = inst.edge_codes[_rows_with_bit(inst.edge_codes, 0)]
-        vc = _vertex_codes(inst, [None] + [f >= 0 for f in maps])
-        alive = (vc[src] & vc[dst] & np.concatenate([codes[fwd], codes[rev]])) == 0
-    else:
-        alive = _surviving(src, dst, zip(inst.children[1:], maps))
+    # That image is a child-j edge exactly when the retention code of the
+    # arc's parent edge has bit j; the anchor's edges are the parent edges
+    # with bit 0, in the same order.
+    codes = inst.edge_codes[_rows_with_bit(inst.edge_codes, 0)]
+    vc = _vertex_codes(inst, [None] + [fam.map_array(0, j) >= 0 for j in range(1, inst.K)])
+    alive = (vc[src] & vc[dst] & np.concatenate([codes[fwd], codes[rev]])) == 0
     votes = np.bincount(src[alive], weights=current.labels[dst[alive]], minlength=n)
     idx = np.flatnonzero(bad)
     assortative = inst.params.a >= inst.params.b
@@ -379,17 +369,16 @@ def full_recovery(
     inst: CorrelatedInstance,
     k: int | None = None,
     eps: float | None = None,
-    mode: str = "seeded",
     family: MatchingFamily | None = None,
 ) -> LabelEstimate:
     """Run the whole pipeline: init, match, good step, bad step.
 
     ``k`` and ``eps`` default to the instance parameters.  A prebuilt
     matching ``family`` may be passed to reuse work; one built with another
-    ``k`` or ``mode`` is rejected.  With K = 1 the pipeline reduces to the
-    initial labelling plus one majority refinement on the single child.  A
-    failed initialisation degrades the run (flag set, all +1 seed labels)
-    but still executes the later steps.
+    ``k``, or whose maps leave the ground truth, is rejected.  With K = 1
+    the pipeline reduces to the initial labelling plus one majority
+    refinement on the single child.  A failed initialisation degrades the
+    run (flag set, all +1 seed labels) but still executes the later steps.
     """
     params = inst.params
     if k is None:
@@ -397,7 +386,7 @@ def full_recovery(
     if eps is None:
         eps = params.eps
     if family is not None:
-        _check_family(family, k, mode)
+        _check_family(family, k)
     init = almost_exact_label(
         inst.children[0],
         params.s * params.a,
@@ -405,7 +394,7 @@ def full_recovery(
         eps,
         seed=inst.seed,
     )
-    fam = family if family is not None else all_pairwise_matchings(inst, k, mode)
+    fam = family if family is not None else all_pairwise_matchings(inst, k)
     classes = classify_good_bad(fam)
     good = label_good_vertices(inst, fam, init, classes=classes)
     return label_bad_vertices(inst, fam, good, classes=classes)

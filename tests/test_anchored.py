@@ -1,22 +1,24 @@
-"""The anchored kernels against the graph-algebra path they replace.
+"""The anchored kernels against the graph-algebra path they replaced.
 
 Seeded families agree with the ground truth, so the pairwise matcher, the
 good step, the bad step and the singleton sets all run on the parent's
 edges and the per-edge retention codes.  Each is compared here, label for
 label and mask for mask, with the path that maps the child graphs through
 the matchings: per-pair ``kcore_matching_seeded``, the recovery steps with
-the agreement check forced off, and the singleton sets as they were
-computed from the pulled-back union of children 2..K.
+the children mapped through the family's matchings by the reference kernels
+of ``graph_algebra``, and the singleton sets as they were computed from the
+pulled-back union of children 2..K.
 """
 
 import functools
 
 import numpy as np
 import pytest
+from graph_algebra import _pullback_union, _surviving
 
 from csbm import recovery
 from csbm.generate import Params, sample_instance
-from csbm.graphs import _member, _pullback_union
+from csbm.graphs import _member
 from csbm.impossibility import singleton_sets
 from csbm.matching import (
     _agrees_with_truth,
@@ -24,7 +26,13 @@ from csbm.matching import (
     classify_good_bad,
     kcore_matching_seeded,
 )
-from csbm.recovery import LabelEstimate, label_bad_vertices, label_good_vertices
+from csbm.recovery import (
+    PROVENANCE_BAD,
+    LabelEstimate,
+    _majority_labels,
+    label_bad_vertices,
+    label_good_vertices,
+)
 
 GRID = [
     (n, s, K)
@@ -48,9 +56,40 @@ def instances(n, s, K):
     return out
 
 
-def graph_algebra(monkeypatch):
-    """Send the recovery steps down the child-graph path."""
-    monkeypatch.setattr(recovery, "_agrees_with_truth", lambda fam, inst: False)
+def graph_union_votes(inst, in_member, maps, init_values):
+    """The good step's vote sums on the children pulled back as graphs."""
+    e = _pullback_union(inst.children, maps, in_member).edges
+    return np.bincount(e[:, 0], weights=init_values[e[:, 1]], minlength=inst.n) + np.bincount(
+        e[:, 1], weights=init_values[e[:, 0]], minlength=inst.n
+    )
+
+
+def graph_bad_step(inst, fam, current):
+    """The bad step with each subtracted child mapped as a graph."""
+    classes = classify_good_bad(fam)
+    est = current.copy()
+    if not classes.bad:
+        return est
+    n = inst.n
+    bad = np.zeros(n, dtype=bool)
+    bad[list(classes.bad)] = True
+    in_member = np.ones(n, dtype=bool)
+    for j in range(1, inst.K):
+        in_member &= fam.member_mask(0, j)
+    e = inst.children[0].edges
+    lo, hi = e[:, 0], e[:, 1]
+    fwd = bad[lo] & in_member[hi]
+    rev = bad[hi] & in_member[lo]
+    src = np.concatenate([lo[fwd], hi[rev]])
+    dst = np.concatenate([hi[fwd], lo[rev]])
+    maps = [fam.map_array(0, j) for j in range(1, inst.K)]
+    alive = _surviving(src, dst, zip(inst.children[1:], maps))
+    votes = np.bincount(src[alive], weights=current.labels[dst[alive]], minlength=n)
+    idx = np.flatnonzero(bad)
+    assortative = inst.params.a >= inst.params.b
+    est.labels[idx] = _majority_labels(votes[idx], current.labels[idx], assortative)
+    est.provenance[idx] = PROVENANCE_BAD
+    return est
 
 
 def assert_same_estimate(a, b):
@@ -77,18 +116,16 @@ def test_family_matches_per_pair_seeded_matcher(n, s, K):
 @pytest.mark.parametrize("n, s, K", GRID)
 def test_good_step_matches_graph_algebra(n, s, K, monkeypatch):
     anchored = [label_good_vertices(inst, fam, init) for inst, fam, init in instances(n, s, K)]
-    graph_algebra(monkeypatch)
+    monkeypatch.setattr(recovery, "_union_votes", graph_union_votes)
     for out, (inst, fam, init) in zip(anchored, instances(n, s, K)):
         assert_same_estimate(out, label_good_vertices(inst, fam, init))
 
 
 @pytest.mark.parametrize("n, s, K", GRID)
-def test_bad_step_matches_graph_algebra(n, s, K, monkeypatch):
+def test_bad_step_matches_graph_algebra(n, s, K):
     cases = instances(n, s, K)
-    anchored = [label_bad_vertices(inst, fam, init) for inst, fam, init in cases]
-    graph_algebra(monkeypatch)
-    for out, (inst, fam, init) in zip(anchored, cases):
-        assert_same_estimate(out, label_bad_vertices(inst, fam, init))
+    for inst, fam, init in cases:
+        assert_same_estimate(label_bad_vertices(inst, fam, init), graph_bad_step(inst, fam, init))
     if s == 0.15:
         assert any(classify_good_bad(fam).bad for _, fam, _ in cases)
 

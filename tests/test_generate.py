@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from graph_algebra import _pullback_union
 
 from csbm.generate import (
     CorrelatedInstance,
@@ -17,7 +18,7 @@ from csbm.generate import (
     split_union_graph,
     union_split_weights,
 )
-from csbm.graphs import Graph, _image_keys, _pullback_union
+from csbm.graphs import Graph, _image_keys
 
 
 def test_params_validation():

@@ -1,4 +1,4 @@
-"""Graph container, k-core peeling, and the edge-algebra operations."""
+"""Graph container, k-core peeling, the intersection graph and edge-list IO."""
 
 import networkx as nx
 import numpy as np
@@ -12,12 +12,9 @@ from csbm.graphs import (
     Graph,
     PartialMatching,
     _adjacency_csr,
-    difference_graph,
-    induced_subgraph,
     intersection_graph,
     k_core,
     read_edge_list,
-    union_graph,
     write_edge_list,
 )
 
@@ -337,6 +334,17 @@ def test_kcore_matches_networkx(k):
         assert k_core(g, k) == frozenset(nx.k_core(ref, k).nodes)
 
 
+def test_kcore_without_cascade_builds_no_adjacency():
+    # Below k = 1 only isolated vertices go, so the peel needs no neighbours.
+    g = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    assert k_core(g, 1) == frozenset(range(5))
+    assert g._csr is None
+    assert k_core(Graph(4), 3) == frozenset()
+    # At k = 2 the pendant edge (3, 4) must be peeled through the adjacency.
+    assert k_core(g, 2) == frozenset({0, 1, 2})
+    assert g._csr is not None
+
+
 def test_kcore_respects_vertex_restriction():
     # Vertex 3 exists but the graph is declared on {0, 1, 2} plus 3 isolated.
     g = Graph(5, [(0, 1), (1, 2), (0, 2)], vertices=[0, 1, 2, 3])
@@ -344,14 +352,7 @@ def test_kcore_respects_vertex_restriction():
     assert 4 not in k_core(g, 1)
 
 
-# -- algebra -----------------------------------------------------------------
-
-
-def test_induced_subgraph():
-    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    sub = induced_subgraph(g, [1, 2, 3])
-    assert sub.edge_set() == {(1, 2), (2, 3)}
-    assert sub.vertices == frozenset({1, 2, 3})
+# -- intersection graph ------------------------------------------------------
 
 
 def test_intersection_graph_hand_example():
@@ -384,56 +385,6 @@ def test_intersection_random_agrees_with_naive():
             if h.has_edge(int(pi[u]), int(pi[v]))
         }
         assert intersection_graph(g, h, mu).edge_set() == expected
-
-
-def test_union_graph_pulls_back_edges():
-    g1 = Graph(4, [(0, 1)])
-    g2 = Graph(4, [(2, 3), (0, 1)])
-    # 0->0, 1->2, 2->3: g2-edge (2,3) pulls back to (1,2); (0,1) has image
-    # pair (0, ?) with no preimage for 1, so it contributes nothing.
-    mu = PartialMatching({0: 0, 1: 2, 2: 3})
-    u = union_graph([g1, g2], [mu])
-    assert u.vertices == frozenset({0, 1, 2})
-    assert u.edge_set() == {(0, 1), (1, 2)}
-
-
-def test_union_graph_multiway_and_domain():
-    g1 = Graph(3, [(0, 1)])
-    g2 = Graph(3, [(1, 2)])
-    g3 = Graph(3, [(0, 2)])
-    ident = PartialMatching.identity(range(3))
-    u = union_graph([g1, g2, g3], [ident, ident])
-    assert u.edge_set() == {(0, 1), (1, 2), (0, 2)}
-    restricted = union_graph([g1, g2, g3], [ident, ident], domain=[0, 1])
-    assert restricted.edge_set() == {(0, 1)}
-    only = union_graph([g1], [], domain=[0, 1, 2])
-    assert only.edge_set() == {(0, 1)}
-    with pytest.raises(ValueError):
-        union_graph([], [])
-    with pytest.raises(ValueError):
-        union_graph([g1, g2], [])
-
-
-def test_difference_graph_hand_example():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    h = Graph(4, [(2, 1)])
-    ident = PartialMatching.identity(range(4))
-    d = difference_graph(g, [(h, ident)], restrict_to=range(4))
-    assert d.edge_set() == {(0, 1), (2, 3)}
-    # An unmatched endpoint keeps the edge even when the image pair exists.
-    partial = PartialMatching({1: 1})
-    d2 = difference_graph(g, [(h, partial)], restrict_to=range(4))
-    assert d2.edge_set() == {(0, 1), (1, 2), (2, 3)}
-    with pytest.raises(ValueError):
-        difference_graph(g, [(h, PartialMatching({0: 0, 1: 6}))], restrict_to=range(4))
-    with pytest.raises(ValueError):
-        difference_graph(g, [], restrict_to=[])
-
-
-def test_difference_graph_restriction():
-    g = Graph(5, [(0, 1), (1, 2), (3, 4)])
-    d = difference_graph(g, [], restrict_to=[0, 1, 4])
-    assert d.edge_set() == {(0, 1)}
 
 
 def reference_write_edge_list(g, path):

@@ -2,6 +2,7 @@
 
 import cProfile
 import hashlib
+import json
 import pstats
 import warnings
 
@@ -258,8 +259,6 @@ def test_config_normalises_and_validates():
     with pytest.raises(ValueError):
         base_config(trials=0)
     with pytest.raises(ValueError):
-        base_config(mode="fast")
-    with pytest.raises(ValueError):
         base_config(a_values=(-3.0,))
     with pytest.raises(ValueError):
         base_config(experiments=("scaling",), n_values=(100, 200, 300))
@@ -270,6 +269,14 @@ def test_config_json_round_trip():
     assert SweepConfig.from_json(cfg.to_json()) == cfg
     with pytest.raises(ValueError):
         SweepConfig.from_json('{"n_values": [100], "grid": true}')
+
+
+def test_config_json_rejects_mode():
+    payload = json.loads(base_config().to_json())
+    assert "mode" not in payload
+    payload["mode"] = "seeded"
+    with pytest.raises(ValueError, match="mode"):
+        SweepConfig.from_json(json.dumps(payload))
 
 
 def test_scaling_validates_inputs():

@@ -210,12 +210,6 @@ def test_family_masks_are_anchored():
             assert mask[v] == (copy_in_i in dom)
 
 
-def test_bruteforce_family_respects_size_guard():
-    inst = sample_instance(Params(n=12, a=2.0, b=1.0, s=0.5, K=2), 0)
-    with pytest.raises(ValueError):
-        all_pairwise_matchings(inst, 1, mode="bruteforce")
-
-
 # -- matched-pair patterns and classification --------------------------------
 
 
@@ -225,7 +219,6 @@ def crafted_family(n, K, matchings, masks):
         n=n,
         K=K,
         k=1,
-        mode="seeded",
         matchings=matchings,
         anchor_masks={key: np.array(val, dtype=bool) for key, val in masks.items()},
     )
@@ -304,6 +297,26 @@ def test_patterns_are_cached_and_in_code_order():
         assert np.all(np.diff(p.members) > 0)
         for pair in pairs:
             assert (fam.anchor_masks[pair][p.members] == (pair in p.pairs)).all()
+
+
+@pytest.mark.parametrize("K", [12, 13])
+def test_patterns_keep_every_pair_past_64(K):
+    # 66 and 78 pairs: more pairs than an int64 code has bits.
+    inst = sample_instance(Params(n=300, a=9.0, b=1.0, s=0.5, K=K, k=1), 0)
+    fam = all_pairwise_matchings(inst, 1)
+    pairs = fam.pairs()
+    assert len(pairs) > 64
+    table = _patterns(fam)
+    members = np.concatenate([p.members for p in table])
+    assert np.array_equal(np.sort(members), np.arange(inst.n))
+    codes = []
+    for p in table:
+        assert np.all(np.diff(p.members) > 0)
+        for v in p.members.tolist():
+            assert p.pairs == tuple(pair for pair in pairs if fam.anchor_masks[pair][v])
+        codes.append(sum(1 << pairs.index(pair) for pair in p.pairs))
+    assert codes == sorted(set(codes))
+    assert any(max(pairs.index(pair) for pair in p.pairs) >= 64 for p in table if p.pairs)
 
 
 def all_simple_paths(pairs, src, dst):
@@ -388,7 +401,6 @@ def test_classify_ignores_insertion_order():
         n=fam.n,
         K=fam.K,
         k=fam.k,
-        mode=fam.mode,
         matchings=dict(reversed(list(fam.matchings.items()))),
         anchor_masks=dict(reversed(list(fam.anchor_masks.items()))),
     )
@@ -564,5 +576,3 @@ def test_estimator_rejects_family_built_otherwise():
     assert exact_matching_estimator(inst, 13).bad_count == inst.n
     with pytest.raises(ValueError):
         exact_matching_estimator(inst, 13, family=fam)
-    with pytest.raises(ValueError):
-        exact_matching_estimator(inst, 1, mode="bruteforce", family=fam)

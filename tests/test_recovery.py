@@ -5,14 +5,15 @@ import hashlib
 import numpy as np
 import pytest
 
-from csbm import recovery
 from csbm.generate import CorrelatedInstance, Params, sample_instance, sample_parent
 from csbm.graphs import Graph
 from csbm.matching import (
+    MatchingFamily,
     _agrees_with_truth,
     all_pairwise_matchings,
     classify_good_bad,
     exact_matching_estimator,
+    kcore_matching_bruteforce,
 )
 from csbm.recovery import (
     PROVENANCE_BAD,
@@ -359,28 +360,38 @@ def test_bad_step_matches_per_vertex_reference(n, s, K):
     assert bad_total > 0
 
 
-def test_disagreeing_bruteforce_family_takes_the_graph_path(monkeypatch):
-    """A matching off the true permutation must not be read through the codes.
+def test_disagreeing_family_is_rejected():
+    """A matching off the true permutation cannot be read through the codes.
 
     At n = 7 the exhaustive matcher picks, among equally large cores, a
-    bijection other than the truth.  The recovery steps then map the child
-    graphs through the family's own matchings; reading the retention codes
-    instead would give other labels here.
+    bijection other than the truth.  A family built from it by hand is
+    refused by both relabelling steps and by the whole pipeline.
     """
     inst = sample_instance(Params(n=7, a=1.9, b=0.8, s=0.7, K=3, k=1), 23)
-    fam = all_pairwise_matchings(inst, 1, mode="bruteforce")
+    matchings = {
+        (i, j): kcore_matching_bruteforce(inst.children[i], inst.children[j], 1)
+        for i in range(3)
+        for j in range(i + 1, 3)
+    }
+    fam = MatchingFamily(
+        n=7,
+        K=3,
+        k=1,
+        matchings=matchings,
+        anchor_masks={
+            (i, j): (mu.as_array(7) >= 0)[inst.pi_star[i]] for (i, j), mu in matchings.items()
+        },
+    )
     assert not _agrees_with_truth(fam, inst)
     classes = classify_good_bad(fam)
     assert classes.good and classes.bad
-    labels = np.random.default_rng(23).choice(np.array([-1, 1], dtype=np.int8), 7)
-    good = label_good_vertices(inst, fam, estimate(labels))
-    final = label_bad_vertices(inst, fam, good)
-    ref = reference_bad_step(inst, fam, good, classes)
-    assert final.labels.tolist() == ref.labels.tolist()
-    assert final.provenance.tolist() == ref.provenance.tolist()
-    monkeypatch.setattr(recovery, "_agrees_with_truth", lambda fam, inst: True)
-    assert label_good_vertices(inst, fam, estimate(labels)).labels.tolist() != good.labels.tolist()
-    assert label_bad_vertices(inst, fam, good).labels.tolist() != final.labels.tolist()
+    current = estimate(np.random.default_rng(23).choice(np.array([-1, 1], dtype=np.int8), 7))
+    with pytest.raises(ValueError):
+        label_good_vertices(inst, fam, current)
+    with pytest.raises(ValueError):
+        label_bad_vertices(inst, fam, current)
+    with pytest.raises(ValueError):
+        full_recovery(inst, eps=0.01, family=fam)
 
 
 # -- full pipeline ------------------------------------------------------------
@@ -424,8 +435,6 @@ def test_full_recovery_rejects_family_built_otherwise():
     fam = all_pairwise_matchings(inst, 1)
     with pytest.raises(ValueError):
         full_recovery(inst, k=13, family=fam)
-    with pytest.raises(ValueError):
-        full_recovery(inst, mode="bruteforce", family=fam)
 
 
 def test_full_recovery_k1_reduction():
