@@ -164,7 +164,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    params = Params(n=args.n, a=args.a, b=args.b, s=args.s, K=args.K)
+    params = _params_from(args)
     if params.K < 2:
         raise ValueError("the witness needs at least two children (K >= 2)")
     print("trial R_star S_star S_plus S_minus witness")
@@ -280,11 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     match.set_defaults(func=_cmd_match)
 
     witness = sub.add_parser("witness", help="singleton sets and the failure witness")
-    witness.add_argument("--n", type=int, required=True)
-    witness.add_argument("--a", type=float, required=True)
-    witness.add_argument("--b", type=float, required=True)
-    witness.add_argument("--s", type=float, required=True)
-    witness.add_argument("--K", type=int, default=3)
+    _add_model_arguments(witness, with_core=False)
     witness.add_argument("--trials", type=int, default=10)
     witness.add_argument("--seed", type=int, default=0)
     witness.set_defaults(func=_cmd_witness)

@@ -176,9 +176,7 @@ class CorrelatedInstance:
     pi_star: list[np.ndarray]
     edge_patterns: np.ndarray
     pair_classes: np.ndarray | None = None
-    _inverse_perms: list[np.ndarray | None] = field(
-        default=None, repr=False, compare=False
-    )
+    _inverse_perms: list[np.ndarray | None] = field(init=False, repr=False, compare=False)
     _codes: np.ndarray = field(init=False, repr=False, compare=False)
     _children: _Children = field(init=False, repr=False, compare=False)
 
@@ -199,8 +197,7 @@ class CorrelatedInstance:
                 raise ValueError(f"every pi_star entry must be a permutation of range({n})")
         if not np.array_equal(self.pi_star[0], np.arange(n)):
             raise ValueError("pi_star[0] must be the identity")
-        if self._inverse_perms is None:
-            self._inverse_perms = [None] * K
+        self._inverse_perms = [None] * K
         self._codes = _retention_codes(patterns)
         self._codes.setflags(write=False)
         self._children = _Children(self.parent, self._codes, self.pi_star)

@@ -102,13 +102,26 @@ def _adjacency_csr(n: int, edges: np.ndarray) -> csr_matrix:
     return csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
+def _as_int64(values) -> np.ndarray:
+    """``values`` as an int64 array, rejecting entries the cast would change."""
+    raw = np.asarray(values)
+    if raw.dtype == np.int64:
+        return raw
+    with np.errstate(invalid="ignore"):
+        arr = raw.astype(np.int64)
+    if not np.array_equal(arr, raw):
+        raise ValueError("vertex labels must be integers")
+    return arr
+
+
 class Graph:
     """Immutable undirected simple graph on vertices ``0..n-1``.
 
     ``vertices`` optionally restricts the vertex set (used by
     :func:`intersection_graph` to record the matching domain); when
     omitted the graph lives on all of ``0..n-1``.  Self-loops and endpoints
-    outside ``[0, n)`` are errors; duplicate and reversed pairs collapse.
+    outside ``[0, n)`` are errors, as are edges not shaped ``(m, 2)`` and
+    non-integer endpoints; duplicate and reversed pairs collapse.
     """
 
     __slots__ = ("n", "_keys", "_edges", "_vertices", "_csr")
@@ -119,17 +132,17 @@ class Graph:
         if n > _MAX_N:
             raise ValueError(f"n={n} exceeds {_MAX_N}; packed edge keys would overflow int64")
         n = int(n)
-        if edges is None:
-            arr = np.empty((0, 2), dtype=np.int64)
-        elif isinstance(edges, np.ndarray):
-            arr = edges.astype(np.int64, copy=False).reshape(-1, 2)
-        else:
-            arr = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-        if arr.size:
-            if arr.min() < 0 or arr.max() >= n:
-                raise ValueError("edge endpoint out of range [0, n)")
-            if (arr[:, 0] == arr[:, 1]).any():
-                raise ValueError("self-loops are not allowed")
+        if edges is not None and not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        arr = _as_int64(() if edges is None else edges)
+        if not arr.size:
+            arr = arr.reshape(0, 2)
+        elif arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError(f"edges must be shaped (m, 2), not {arr.shape}")
+        elif arr.min() < 0 or arr.max() >= n:
+            raise ValueError("edge endpoint out of range [0, n)")
+        elif (arr[:, 0] == arr[:, 1]).any():
+            raise ValueError("self-loops are not allowed")
         vs = None
         if vertices is not None:
             vs, mask = _vertex_mask(n, vertices)
@@ -255,15 +268,15 @@ class PartialMatching:
     map is stored as a dense int64 array indexed by source vertex, -1
     meaning unmatched, and trimmed after the last matched vertex so equal
     maps have equal arrays.  Construction checks that the map is injective
-    with non-negative endpoints and that no vertex is matched twice.
+    with non-negative integer endpoints and that no vertex is matched twice.
     """
 
     __slots__ = ("_arr",)
 
     def __init__(self, mapping: Mapping[int, int] | Iterable[tuple[int, int]]):
         pairs = list(mapping.items() if isinstance(mapping, Mapping) else mapping)
-        src = np.array([int(u) for u, _ in pairs], dtype=np.int64)
-        dst = np.array([int(v) for _, v in pairs], dtype=np.int64)
+        src = _as_int64([u for u, _ in pairs])
+        dst = _as_int64([v for _, v in pairs])
         self._store(_checked_map(src, dst))
 
     @classmethod
@@ -280,7 +293,7 @@ class PartialMatching:
 
     @classmethod
     def identity(cls, vertices: Iterable[int]) -> "PartialMatching":
-        vs = np.unique(np.fromiter(vertices, dtype=np.int64))
+        vs = np.unique(_as_int64(list(vertices)))
         return cls._from_array(_checked_map(vs, vs))
 
     @classmethod
@@ -288,11 +301,13 @@ class PartialMatching:
         cls, pi: Sequence[int], domain: Iterable[int] | None = None
     ) -> "PartialMatching":
         """Matching ``v -> pi[v]``, optionally restricted to ``domain``."""
-        pi = np.asarray(pi, dtype=np.int64).reshape(-1)
+        pi = _as_int64(pi)
+        if pi.ndim != 1:
+            raise ValueError(f"pi must be one-dimensional, not shaped {pi.shape}")
         if domain is None:
             src = np.arange(pi.shape[0], dtype=np.int64)
         else:
-            src = np.unique(np.fromiter(domain, dtype=np.int64))
+            src = np.unique(_as_int64(list(domain)))
             if src.size and (src[0] < 0 or src[-1] >= pi.shape[0]):
                 raise ValueError("domain vertex outside the permutation")
         return cls._from_array(_checked_map(src, pi[src]))

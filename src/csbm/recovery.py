@@ -5,18 +5,19 @@ almost exactly: a spectral initialisation (power iteration on the centred
 adjacency of half the edges, sign rounding) followed by one majority
 refinement round on the held-out half.  Second, every *good* vertex (one
 whose pairwise-matching metagraph is connected) is relabelled by the
-majority of its neighbourhood in the union of all K children, aligned by
-composing matchings along metagraph paths.  Third, every *bad* vertex is
+majority of its neighbourhood in the union of all K children, restricted to
+the set its metagraph's matchings all match.  Third, every *bad* vertex is
 relabelled on a difference graph: the anchor child minus the children its
 metagraph still links it to, restricted to the fully-matched vertex set,
 voting with the labels the good step produced.
 
 Every pairwise matching of a seeded family is the ground-truth permutation
 on its matched set, so each child pulled back to anchor labels is the set
-of parent edges whose retention code has that child's bit: the union and
-difference graphs are parent edges selected by codes, and no child graph is
-mapped through a matching.  Both relabelling steps reject a family whose
-maps leave the ground truth, since the codes would not describe it.
+of parent edges whose retention code has that child's bit.  The union and
+difference graphs are therefore parent edges selected by retention codes
+and matched-set masks: both relabelling steps read the family's anchored
+masks only, never its maps, and reject a family whose maps leave the
+ground truth, since the codes would not describe it.
 
 Majorities are taken when the intra-community coefficient dominates
 (``a >= b``) and minorities otherwise; every tie keeps the incoming label.
@@ -39,7 +40,6 @@ from .matching import (
     MatchingFamily,
     VertexClass,
     _check_family,
-    _compose_array_along_path,
     _patterns,
     all_pairwise_matchings,
     classify_good_bad,
@@ -191,35 +191,20 @@ def _majority_labels(votes: np.ndarray, incoming: np.ndarray, assortative: bool)
     return np.where(votes > 0, pos, np.where(votes < 0, -pos, incoming)).astype(np.int8)
 
 
-def _vertex_codes(inst: CorrelatedInstance, masks: list[np.ndarray]) -> np.ndarray:
-    """Per-vertex code in the dtype of the edge codes: bit ``j`` is ``masks[j]``."""
-    dtype = inst.edge_codes.dtype
-    vc = np.zeros(inst.n, dtype=dtype)
-    for j, mask in enumerate(masks):
-        if mask is not None:
-            vc |= mask.astype(dtype) << dtype.type(j)
-    return vc
-
-
 def _union_votes(
-    inst: CorrelatedInstance,
-    in_member: np.ndarray,
-    maps: list[np.ndarray],
-    init_values: np.ndarray,
+    inst: CorrelatedInstance, in_member: np.ndarray, init_values: np.ndarray
 ) -> np.ndarray:
-    """Neighbourhood vote sums on a union graph restricted to a matched set.
+    """Neighbourhood vote sums on the union of all children inside a matched set.
 
-    Every child ``j`` is pulled back to anchor labels through ``maps[j]``
-    (anchor -> child j; identity for the anchor), and an edge is kept when
-    both endpoints land in the member set.  Edges shared by several children
-    count once.  The maps agree with the ground truth, so child ``j`` pulled
-    back is the set of parent edges with code bit ``j``, and the union is
-    the parent edges whose code meets the codes of both endpoints' map
-    domains.
+    The family agrees with the ground truth and ``in_member`` lies inside
+    every matched set the union needs, so each child pulled back to anchor
+    labels is the set of parent edges with that child's code bit, and the
+    union is the parent edges kept by some child with both endpoints in the
+    member set.  Edges shared by several children count once.
     """
     e = inst.parent.edges
-    vc = _vertex_codes(inst, [in_member & (f >= 0) for f in maps])
-    e = e.take(np.flatnonzero((vc[e[:, 0]] & vc[e[:, 1]] & inst.edge_codes) != 0), axis=0)
+    keep = in_member[e[:, 0]] & in_member[e[:, 1]] & (inst.edge_codes != 0)
+    e = e.take(np.flatnonzero(keep), axis=0)
     return np.bincount(e[:, 0], weights=init_values[e[:, 1]], minlength=inst.n) + np.bincount(
         e[:, 1], weights=init_values[e[:, 0]], minlength=inst.n
     )
@@ -234,81 +219,52 @@ def label_good_vertices(
 ) -> LabelEstimate:
     """Relabel every good vertex by union-graph majority of the init labels.
 
-    Each good vertex votes over its neighbourhood in the union of all K
-    children, aligned by matchings composed along its metagraph and
-    restricted to the set matched by every matching the metagraph uses.
-    All votes read the *initial* labels.  For K = 3 the vertex groups are
-    the classic three cases, processed in order (via-3, via-2, direct) with
-    last write winning on overlaps; the returned estimate carries the
-    count of triple-matched vertices whose three case votes disagree.
-    Bad vertices are never written.  A family whose maps are not the ground
-    truth on their matched sets is rejected.
+    A group of vertices votes over its neighbourhoods in the union of all K
+    children, restricted to the set matched by every pair its metagraph
+    uses; the family is the ground truth on its matched sets, so the step
+    reads only those masks and the parent's retention codes.  All votes
+    read the *initial* labels.  For K = 3 the groups are the classic three
+    cases, each writing every vertex of its matched set, processed in order
+    (via-3, via-2, direct) with last write winning on overlaps; the returned
+    estimate carries the count of triple-matched vertices whose three case
+    votes disagree.  For other K there is one group per metagraph pattern,
+    and only its good members are written.  Bad vertices are never written.
+    A family whose maps are not the ground truth on their matched sets is
+    rejected.
     """
     _check_family(fam, k, inst)
     if classes is None:
         classes = classify_good_bad(fam)
     est = init.copy()
     n = inst.n
+    triple = np.zeros(0, dtype=np.int64)
+    if inst.K == 3:
+        m01, m02, m12 = fam.member_mask(0, 1), fam.member_mask(0, 2), fam.member_mask(1, 2)
+        # Via child 3, via child 2, then matched directly to both.
+        groups = [(mask, np.flatnonzero(mask)) for mask in (m02 & m12, m01 & m12, m01 & m02)]
+        triple = np.flatnonzero(m01 & m02 & m12)
+    else:
+        good_mask = np.zeros(n, dtype=bool)
+        good_mask[list(classes.good)] = True
+        groups = []
+        for pattern in _patterns(fam):
+            group = pattern.members[good_mask[pattern.members]]
+            if group.size:
+                in_member = np.ones(n, dtype=bool)
+                for pair in pattern.pairs:
+                    in_member &= fam.anchor_masks[pair]
+                groups.append((in_member, group))
     assortative = inst.params.a >= inst.params.b
     init_values = init.labels.astype(np.float64)
-    if inst.K == 3:
-        return _label_good_three(inst, fam, init, est, assortative, init_values)
-    good_mask = np.zeros(n, dtype=bool)
-    good_mask[list(classes.good)] = True
-    for pattern in _patterns(fam):
-        group = pattern.members[good_mask[pattern.members]]
-        if not group.size:
-            continue
-        in_member = np.ones(n, dtype=bool)
-        for pair in pattern.pairs:
-            in_member &= fam.anchor_masks[pair]
-        maps = [_compose_array_along_path(fam, path) for path in pattern.paths]
-        votes = _union_votes(inst, in_member, maps, init_values)
-        est.labels[group] = _majority_labels(
-            votes[group], init.labels[group], assortative
-        )
-        est.provenance[group] = PROVENANCE_GOOD
-    return est
-
-
-def _label_good_three(
-    inst: CorrelatedInstance,
-    fam: MatchingFamily,
-    init: LabelEstimate,
-    est: LabelEstimate,
-    assortative: bool,
-    init_values: np.ndarray,
-) -> LabelEstimate:
-    """The literal three-case good step for K = 3."""
-    n = inst.n
-    m01 = fam.map_array(0, 1)
-    m02 = fam.map_array(0, 2)
-    mask01 = fam.member_mask(0, 1)
-    mask02 = fam.member_mask(0, 2)
-    mask12 = fam.member_mask(1, 2)
-    cases = [
-        # Matched to child 3 on both sides: reach child 2 through child 3.
-        (mask02 & mask12, _compose_array_along_path(fam, (0, 2, 1)), m02),
-        # Matched to child 2 on both sides: reach child 3 through child 2.
-        (mask01 & mask12, m01, _compose_array_along_path(fam, (0, 1, 2))),
-        # Matched directly to both children.
-        (mask01 & mask02, m01, m02),
-    ]
-    case_assignments: list[np.ndarray] = []
-    for in_member, to_two, to_three in cases:
-        maps = [np.arange(n), to_two, to_three]
-        votes = _union_votes(inst, in_member, maps, init_values)
-        idx = np.flatnonzero(in_member)
-        labels = _majority_labels(votes[idx], init.labels[idx], assortative)
-        est.labels[idx] = labels
+    case_labels = []
+    for in_member, idx in groups:
+        votes = _union_votes(inst, in_member, init_values)
+        est.labels[idx] = _majority_labels(votes[idx], init.labels[idx], assortative)
         est.provenance[idx] = PROVENANCE_GOOD
-        full = np.zeros(n, dtype=np.int8)
-        full[idx] = labels
-        case_assignments.append(full)
-    triple = np.flatnonzero(mask01 & mask02 & mask12)
+        case_labels.append(_majority_labels(votes[triple], init.labels[triple], assortative))
     if triple.size:
-        first, second, third = (arr[triple] for arr in case_assignments)
-        est.good_disagreements = int(np.sum((first != second) | (second != third)))
+        cases = np.stack(case_labels)
+        est.good_disagreements = int(np.count_nonzero((cases != cases[0]).any(axis=0)))
     return est
 
 
@@ -350,12 +306,15 @@ def label_bad_vertices(
     src = np.concatenate([lo[fwd], hi[rev]])
     dst = np.concatenate([hi[fwd], lo[rev]])
     # Child j is subtracted exactly when v is matched to it, which is when
-    # the arc's image under the anchor -> j map is defined at both ends.
-    # That image is a child-j edge exactly when the retention code of the
-    # arc's parent edge has bit j; the anchor's edges are the parent edges
+    # both ends of the arc lie in the (0, j) matched set, bit j of ``vc``.
+    # The arc's image is then a child-j edge exactly when the retention code
+    # of its parent edge has bit j; the anchor's edges are the parent edges
     # with bit 0, in the same order.
     codes = inst.edge_codes[_rows_with_bit(inst.edge_codes, 0)]
-    vc = _vertex_codes(inst, [None] + [fam.map_array(0, j) >= 0 for j in range(1, inst.K)])
+    dtype = codes.dtype
+    vc = np.zeros(n, dtype=dtype)
+    for j in range(1, inst.K):
+        vc |= fam.member_mask(0, j).astype(dtype) << dtype.type(j)
     alive = (vc[src] & vc[dst] & np.concatenate([codes[fwd], codes[rev]])) == 0
     votes = np.bincount(src[alive], weights=current.labels[dst[alive]], minlength=n)
     idx = np.flatnonzero(bad)

@@ -5,8 +5,9 @@ good step, the bad step and the singleton sets all run on the parent's
 edges and the per-edge retention codes.  Each is compared here, label for
 label and mask for mask, with the path that maps the child graphs through
 the matchings: per-pair ``kcore_matching_seeded``, the recovery steps with
-the children mapped through the family's matchings by the reference kernels
-of ``graph_algebra``, and the singleton sets as they were computed from the
+the children mapped through the family's matchings (composed along each
+metagraph path for the good step) by the reference kernels of
+``graph_algebra``, and the singleton sets as they were computed from the
 pulled-back union of children 2..K.
 """
 
@@ -16,18 +17,20 @@ import numpy as np
 import pytest
 from graph_algebra import _pullback_union, _surviving
 
-from csbm import recovery
 from csbm.generate import Params, sample_instance
 from csbm.graphs import _member
 from csbm.impossibility import singleton_sets
 from csbm.matching import (
     _agrees_with_truth,
+    _compose_array_along_path,
+    _patterns,
     all_pairwise_matchings,
     classify_good_bad,
     kcore_matching_seeded,
 )
 from csbm.recovery import (
     PROVENANCE_BAD,
+    PROVENANCE_GOOD,
     LabelEstimate,
     _majority_labels,
     label_bad_vertices,
@@ -51,7 +54,10 @@ def instances(n, s, K):
         inst = sample_instance(Params(n=n, a=9.0, b=1.0, s=s, K=K, k=k), seed)
         fam = all_pairwise_matchings(inst, k)
         labels = np.random.default_rng(seed).choice(np.array([-1, 1], dtype=np.int8), n)
-        init = LabelEstimate(labels=labels, provenance=np.zeros(n, dtype=np.uint8))
+        # The good step overwrites this count only when some vertex is triple-matched.
+        init = LabelEstimate(
+            labels=labels, provenance=np.zeros(n, dtype=np.uint8), good_disagreements=-1
+        )
         out.append((inst, fam, init))
     return out
 
@@ -62,6 +68,67 @@ def graph_union_votes(inst, in_member, maps, init_values):
     return np.bincount(e[:, 0], weights=init_values[e[:, 1]], minlength=inst.n) + np.bincount(
         e[:, 1], weights=init_values[e[:, 0]], minlength=inst.n
     )
+
+
+def graph_good_step(inst, fam, init):
+    """The good step with each child mapped as a graph along composed matchings."""
+    classes = classify_good_bad(fam)
+    est = init.copy()
+    n = inst.n
+    assortative = inst.params.a >= inst.params.b
+    init_values = init.labels.astype(np.float64)
+    if inst.K == 3:
+        return graph_good_three(inst, fam, init, est, assortative, init_values)
+    good_mask = np.zeros(n, dtype=bool)
+    good_mask[list(classes.good)] = True
+    for pattern in _patterns(fam):
+        group = pattern.members[good_mask[pattern.members]]
+        if not group.size:
+            continue
+        in_member = np.ones(n, dtype=bool)
+        for pair in pattern.pairs:
+            in_member &= fam.anchor_masks[pair]
+        maps = [_compose_array_along_path(fam, path) for path in pattern.paths]
+        votes = graph_union_votes(inst, in_member, maps, init_values)
+        est.labels[group] = _majority_labels(
+            votes[group], init.labels[group], assortative
+        )
+        est.provenance[group] = PROVENANCE_GOOD
+    return est
+
+
+def graph_good_three(inst, fam, init, est, assortative, init_values):
+    """The literal three-case good step for K = 3, on composed maps."""
+    n = inst.n
+    m01 = fam.map_array(0, 1)
+    m02 = fam.map_array(0, 2)
+    mask01 = fam.member_mask(0, 1)
+    mask02 = fam.member_mask(0, 2)
+    mask12 = fam.member_mask(1, 2)
+    cases = [
+        # Matched to child 3 on both sides: reach child 2 through child 3.
+        (mask02 & mask12, _compose_array_along_path(fam, (0, 2, 1)), m02),
+        # Matched to child 2 on both sides: reach child 3 through child 2.
+        (mask01 & mask12, m01, _compose_array_along_path(fam, (0, 1, 2))),
+        # Matched directly to both children.
+        (mask01 & mask02, m01, m02),
+    ]
+    case_assignments = []
+    for in_member, to_two, to_three in cases:
+        maps = [np.arange(n), to_two, to_three]
+        votes = graph_union_votes(inst, in_member, maps, init_values)
+        idx = np.flatnonzero(in_member)
+        labels = _majority_labels(votes[idx], init.labels[idx], assortative)
+        est.labels[idx] = labels
+        est.provenance[idx] = PROVENANCE_GOOD
+        full = np.zeros(n, dtype=np.int8)
+        full[idx] = labels
+        case_assignments.append(full)
+    triple = np.flatnonzero(mask01 & mask02 & mask12)
+    if triple.size:
+        first, second, third = (arr[triple] for arr in case_assignments)
+        est.good_disagreements = int(np.sum((first != second) | (second != third)))
+    return est
 
 
 def graph_bad_step(inst, fam, current):
@@ -114,11 +181,14 @@ def test_family_matches_per_pair_seeded_matcher(n, s, K):
 
 
 @pytest.mark.parametrize("n, s, K", GRID)
-def test_good_step_matches_graph_algebra(n, s, K, monkeypatch):
-    anchored = [label_good_vertices(inst, fam, init) for inst, fam, init in instances(n, s, K)]
-    monkeypatch.setattr(recovery, "_union_votes", graph_union_votes)
-    for out, (inst, fam, init) in zip(anchored, instances(n, s, K)):
-        assert_same_estimate(out, label_good_vertices(inst, fam, init))
+def test_good_step_matches_graph_algebra(n, s, K):
+    cases = instances(n, s, K)
+    for inst, fam, init in cases:
+        assert_same_estimate(label_good_vertices(inst, fam, init), graph_good_step(inst, fam, init))
+    if K == 3 and s == 0.6:
+        triple = [fam.member_mask(0, 1) & fam.member_mask(0, 2) & fam.member_mask(1, 2)
+                  for _, fam, _ in cases]
+        assert any(mask.any() for mask in triple)
 
 
 @pytest.mark.parametrize("n, s, K", GRID)

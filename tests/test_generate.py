@@ -299,6 +299,15 @@ def test_instance_rejects_non_identity_anchor_permutation():
         CorrelatedInstance(**instance_fields(pi_star=[pi[1], pi[1], pi[2]]))
 
 
+def test_instance_takes_no_inverse_permutation_cache():
+    fields = instance_fields()
+    with pytest.raises(TypeError, match="_inverse_perms"):
+        CorrelatedInstance(**fields, _inverse_perms=[None, None, fields["pi_star"][2]])
+    inst = CorrelatedInstance(**fields)
+    for j, pi in enumerate(fields["pi_star"]):
+        assert inst.inverse_pi(j)[pi].tolist() == list(range(inst.n))
+
+
 # -- partition construction ---------------------------------------------------
 
 

@@ -36,6 +36,35 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 1)], vertices=[0, 2])
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 1, 2, 3)],
+        [0, 1],
+        np.array([[0, 1, 2], [3, 4, 0]]),
+        np.zeros((2, 2, 2), dtype=np.int64),
+    ],
+)
+def test_graph_rejects_edges_not_shaped_m_by_2(edges):
+    with pytest.raises(ValueError, match="shaped"):
+        Graph(5, edges)
+
+
+@pytest.mark.parametrize(
+    "edges", [np.array([[0.0, 1.7]]), [(0.5, 2)], np.array([[0, np.nan]]), np.array([[0, 1e30]])]
+)
+def test_graph_rejects_non_integer_endpoints(edges):
+    with pytest.raises(ValueError, match="integers"):
+        Graph(5, edges)
+
+
+def test_graph_accepts_empty_and_integral_input():
+    for empty in (None, [], (), np.empty((0, 2)), np.empty(0, dtype=np.int64)):
+        assert Graph(5, empty).edges.shape == (0, 2)
+    assert Graph(5, np.array([[0.0, 1.0]])).edge_set() == {(0, 1)}
+    assert Graph(5, np.array([[3, 2]], dtype=np.uint8)).edge_set() == {(2, 3)}
+
+
 @settings(max_examples=200, deadline=None)
 @example((5, []))
 @given(
@@ -281,6 +310,29 @@ def test_matching_from_permutation():
     assert sub.domain == frozenset({0, 2})
     ident = PartialMatching.identity([1, 3])
     assert ident[3] == 3 and len(ident) == 2
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PartialMatching.from_permutation([1.9, 0.2]),
+        lambda: PartialMatching.from_permutation(np.array([1.0, np.nan])),
+        lambda: PartialMatching.from_permutation([1, 0, 2], domain=[0.7, 2]),
+        lambda: PartialMatching({0.7: 1}),
+        lambda: PartialMatching([(0, 1.5)]),
+        lambda: PartialMatching.identity([0.5, 2]),
+    ],
+    ids=["pi", "pi-nan", "domain", "mapping", "pairs", "identity"],
+)
+def test_matching_rejects_non_integer_vertices(build):
+    with pytest.raises(ValueError, match="integers"):
+        build()
+
+
+def test_matching_from_permutation_rejects_nested_input():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        PartialMatching.from_permutation([[1, 0], [3, 2]])
+    assert PartialMatching.from_permutation(np.array([1.0, 0.0])).as_array(2).tolist() == [1, 0]
 
 
 # -- k-core ------------------------------------------------------------------
