@@ -165,8 +165,10 @@ class CorrelatedInstance:
     (bit ``j`` set = present in child ``j`` if the pair is a parent edge).
 
     Construction rejects ``edge_patterns`` not shaped ``(parent.edge_count,
-    K)`` or holding values other than 0 and 1, and ``pi_star`` that is not
-    K permutations of ``range(n)`` starting with the identity.
+    K)`` or holding values other than 0 and 1, ``pi_star`` that is not K
+    permutations of ``range(n)`` starting with the identity, and
+    ``sigma_star`` that is not n labels in {-1, +1}.  Each ``pi_star`` entry
+    is stored as an int64 array.
     """
 
     params: Params
@@ -195,8 +197,12 @@ class CorrelatedInstance:
         for pi in self.pi_star:
             if not _is_permutation(np.asarray(pi), n):
                 raise ValueError(f"every pi_star entry must be a permutation of range({n})")
+        self.pi_star = [np.asarray(pi, dtype=np.int64) for pi in self.pi_star]
         if not np.array_equal(self.pi_star[0], np.arange(n)):
             raise ValueError("pi_star[0] must be the identity")
+        sigma = np.asarray(self.sigma_star)
+        if sigma.shape != (n,) or not ((sigma == 1) | (sigma == -1)).all():
+            raise ValueError(f"sigma_star must hold n={n} labels, each -1 or +1")
         self._inverse_perms = [None] * K
         self._codes = _retention_codes(patterns)
         self._codes.setflags(write=False)

@@ -315,17 +315,24 @@ class PartialMatching:
     def __len__(self) -> int:
         return int(np.count_nonzero(self._arr >= 0))
 
+    def get(self, v: int, default=None):
+        """``mu[v]``, or ``default`` when ``v`` is not a matched integer label."""
+        try:
+            i = int(v)
+        except (TypeError, ValueError, OverflowError):
+            return default
+        if i != v or not 0 <= i < self._arr.shape[0] or self._arr[i] < 0:
+            return default
+        return int(self._arr[i])
+
     def __contains__(self, v: int) -> bool:
-        v = int(v)
-        return 0 <= v < self._arr.shape[0] and self._arr[v] >= 0
+        return self.get(v) is not None
 
     def __getitem__(self, v: int) -> int:
-        if v not in self:
+        image = self.get(v)
+        if image is None:
             raise KeyError(v)
-        return int(self._arr[int(v)])
-
-    def get(self, v: int, default=None):
-        return int(self._arr[int(v)]) if v in self else default
+        return image
 
     def items(self) -> Iterator[tuple[int, int]]:
         """Matched pairs ``(u, mu[u])`` in increasing ``u``."""
@@ -421,12 +428,12 @@ def _core_mask(g: Graph, k: int) -> np.ndarray:
 
 def _vertex_mask(n: int, vertices: Iterable[int]) -> tuple[frozenset[int], np.ndarray]:
     """A vertex set and its boolean mask over ``0..n-1``, range-checked."""
-    vs = frozenset(int(v) for v in vertices)
-    if vs and (min(vs) < 0 or max(vs) >= n):
+    arr = _as_int64(list(vertices))
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise ValueError("vertex out of range [0, n)")
     mask = np.zeros(n, dtype=bool)
-    mask[list(vs)] = True
-    return vs, mask
+    mask[arr] = True
+    return frozenset(arr.tolist()), mask
 
 
 # -- matched intersection --------------------------------------------------

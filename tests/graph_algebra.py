@@ -2,9 +2,14 @@
 
 They map whole child graphs through dense matching arrays and are kept here,
 verbatim, as the independent reference that the anchored kernels of
-``csbm.recovery`` and ``csbm.generate`` are compared against.
+``csbm.recovery`` and ``csbm.generate`` are compared against.  The path
+composition that ``csbm.matching`` used for the good step and the exact
+matching estimator is kept here too: shortest anchor paths over a
+metagraph's pairs, a family's matchings as dense arrays, and the walk that
+composes them.
 """
 
+from collections import deque
 from typing import Sequence
 
 import numpy as np
@@ -49,3 +54,59 @@ def _surviving(u: np.ndarray, v: np.ndarray, subtract) -> np.ndarray:
         ok, img = _image_keys(h.n, u, v, to_h)
         alive[np.flatnonzero(ok)[_member(h.packed_keys(), img)]] = False
     return alive
+
+
+def _anchor_paths(
+    K: int, pairs: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, ...] | None, ...]:
+    """Shortest paths from the anchor to every node, by one breadth-first search.
+
+    Neighbours are scanned in increasing order and each node keeps its first
+    predecessor, which yields the lexicographically smallest node sequence
+    among shortest paths.  Unreached nodes get None.
+    """
+    neighbours: list[list[int]] = [[] for _ in range(K)]
+    for i, j in pairs:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    parent = {0: 0}
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for w in sorted(neighbours[u]):
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+    paths: list[tuple[int, ...] | None] = []
+    for j in range(K):
+        if j not in parent:
+            paths.append(None)
+            continue
+        path = [j]
+        while path[-1] != 0:
+            path.append(parent[path[-1]])
+        paths.append(tuple(reversed(path)))
+    return tuple(paths)
+
+
+def map_array(fam, i: int, j: int) -> np.ndarray:
+    """Dense lookup from graph-i labels to graph-j labels (-1 unmatched)."""
+    if i == j:
+        raise ValueError("i and j must differ")
+    lo, hi = (i, j) if i < j else (j, i)
+    mu = fam.matchings[(lo, hi)]
+    return (mu if (i, j) == (lo, hi) else mu.inverse()).as_array(fam.n)
+
+
+def _compose_array_along_path(fam, path: tuple[int, ...]) -> np.ndarray:
+    """Vectorised walk: anchor labels through ``path`` to its last graph.
+
+    ``path`` starts at the anchor; each hop applies one pairwise matching,
+    and a vertex that some hop leaves unmatched maps to -1.
+    """
+    x = np.arange(fam.n, dtype=np.int64)
+    for a, b in zip(path, path[1:]):
+        arr = map_array(fam, a, b)
+        valid = x >= 0
+        x = np.where(valid, arr[np.where(valid, x, 0)], -1)
+    return x

@@ -7,25 +7,33 @@ label and mask for mask, with the path that maps the child graphs through
 the matchings: per-pair ``kcore_matching_seeded``, the recovery steps with
 the children mapped through the family's matchings (composed along each
 metagraph path for the good step) by the reference kernels of
-``graph_algebra``, and the singleton sets as they were computed from the
-pulled-back union of children 2..K.
+``graph_algebra``, the exact matching estimator against the same
+composition along shortest anchor paths, and the singleton sets as they
+were computed from the pulled-back union of children 2..K.
 """
 
 import functools
 
 import numpy as np
 import pytest
-from graph_algebra import _pullback_union, _surviving
+from graph_algebra import (
+    _anchor_paths,
+    _compose_array_along_path,
+    _pullback_union,
+    _surviving,
+    map_array,
+)
 
 from csbm.generate import Params, sample_instance
 from csbm.graphs import _member
 from csbm.impossibility import singleton_sets
 from csbm.matching import (
+    MatchingEstimate,
     _agrees_with_truth,
-    _compose_array_along_path,
     _patterns,
     all_pairwise_matchings,
     classify_good_bad,
+    exact_matching_estimator,
     kcore_matching_seeded,
 )
 from csbm.recovery import (
@@ -88,7 +96,8 @@ def graph_good_step(inst, fam, init):
         in_member = np.ones(n, dtype=bool)
         for pair in pattern.pairs:
             in_member &= fam.anchor_masks[pair]
-        maps = [_compose_array_along_path(fam, path) for path in pattern.paths]
+        paths = _anchor_paths(inst.K, pattern.pairs)
+        maps = [_compose_array_along_path(fam, path) for path in paths]
         votes = graph_union_votes(inst, in_member, maps, init_values)
         est.labels[group] = _majority_labels(
             votes[group], init.labels[group], assortative
@@ -100,8 +109,8 @@ def graph_good_step(inst, fam, init):
 def graph_good_three(inst, fam, init, est, assortative, init_values):
     """The literal three-case good step for K = 3, on composed maps."""
     n = inst.n
-    m01 = fam.map_array(0, 1)
-    m02 = fam.map_array(0, 2)
+    m01 = map_array(fam, 0, 1)
+    m02 = map_array(fam, 0, 2)
     mask01 = fam.member_mask(0, 1)
     mask02 = fam.member_mask(0, 2)
     mask12 = fam.member_mask(1, 2)
@@ -149,7 +158,7 @@ def graph_bad_step(inst, fam, current):
     rev = bad[hi] & in_member[lo]
     src = np.concatenate([lo[fwd], hi[rev]])
     dst = np.concatenate([hi[fwd], lo[rev]])
-    maps = [fam.map_array(0, j) for j in range(1, inst.K)]
+    maps = [map_array(fam, 0, j) for j in range(1, inst.K)]
     alive = _surviving(src, dst, zip(inst.children[1:], maps))
     votes = np.bincount(src[alive], weights=current.labels[dst[alive]], minlength=n)
     idx = np.flatnonzero(bad)
@@ -157,6 +166,30 @@ def graph_bad_step(inst, fam, current):
     est.labels[idx] = _majority_labels(votes[idx], current.labels[idx], assortative)
     est.provenance[idx] = PROVENANCE_BAD
     return est
+
+
+def graph_estimator(inst, fam):
+    """The exact matching estimator composing matchings along shortest anchor paths."""
+    classes = classify_good_bad(fam)
+    if classes.bad:
+        return MatchingEstimate(
+            permutations=None,
+            abstained=True,
+            correct=None,
+            bad_count=len(classes.bad),
+        )
+    perms = [np.full(inst.n, -1, dtype=np.int64) for _ in range(inst.K - 1)]
+    for pattern in _patterns(fam):
+        paths = _anchor_paths(inst.K, pattern.pairs)
+        for j in range(1, inst.K):
+            composed = _compose_array_along_path(fam, paths[j])
+            perms[j - 1][pattern.members] = composed[pattern.members]
+    correct = all(
+        np.array_equal(perms[j - 1], inst.pi_star[j]) for j in range(1, inst.K)
+    )
+    return MatchingEstimate(
+        permutations=perms, abstained=False, correct=correct, bad_count=0
+    )
 
 
 def assert_same_estimate(a, b):
@@ -198,6 +231,29 @@ def test_bad_step_matches_graph_algebra(n, s, K):
         assert_same_estimate(label_bad_vertices(inst, fam, init), graph_bad_step(inst, fam, init))
     if s == 0.15:
         assert any(classify_good_bad(fam).bad for _, fam, _ in cases)
+
+
+@pytest.mark.parametrize("n, s, K", GRID)
+def test_estimator_matches_path_composition(n, s, K):
+    cases = instances(n, s, K)
+    for inst, fam, _ in cases:
+        ref = graph_estimator(inst, fam)
+        for est in (
+            exact_matching_estimator(inst, fam.k, family=fam),
+            exact_matching_estimator(inst, fam.k),
+        ):
+            assert (est.abstained, est.correct, est.bad_count) == (
+                ref.abstained, ref.correct, ref.bad_count
+            )
+            if ref.permutations is None:
+                assert est.permutations is None
+            else:
+                assert all(p.dtype == np.int64 for p in est.permutations)
+                assert [p.tolist() for p in est.permutations] == [
+                    p.tolist() for p in ref.permutations
+                ]
+    if s == 0.6:
+        assert any(not graph_estimator(inst, fam).abstained for inst, fam, _ in cases)
 
 
 def reference_singleton_sets(inst):

@@ -19,6 +19,7 @@ from csbm.generate import (
     union_split_weights,
 )
 from csbm.graphs import Graph, _image_keys
+from csbm.matching import all_pairwise_matchings
 
 
 def test_params_validation():
@@ -297,6 +298,37 @@ def test_instance_rejects_non_identity_anchor_permutation():
     pi = instance_fields()["pi_star"]
     with pytest.raises(ValueError, match="identity"):
         CorrelatedInstance(**instance_fields(pi_star=[pi[1], pi[1], pi[2]]))
+
+
+def test_instance_stores_list_permutations_as_int64_arrays():
+    fields = instance_fields()
+    reference = CorrelatedInstance(**fields)
+    # Arrays that already are int64 pass through uncopied.
+    assert all(a is b for a, b in zip(reference.pi_star, fields["pi_star"]))
+    inst = CorrelatedInstance(**instance_fields(pi_star=[pi.tolist() for pi in fields["pi_star"]]))
+    assert all(pi.dtype == np.int64 for pi in inst.pi_star)
+    assert list(inst.children) == list(reference.children)
+    fam, ref_fam = all_pairwise_matchings(inst, 1), all_pairwise_matchings(reference, 1)
+    assert fam.matchings == ref_fam.matchings
+    for pair, mask in ref_fam.anchor_masks.items():
+        assert fam.anchor_masks[pair].tolist() == mask.tolist()
+    for j in range(inst.K):
+        assert inst.inverse_pi(j).tolist() == reference.inverse_pi(j).tolist()
+
+
+def test_instance_rejects_malformed_sigma_star():
+    sigma = instance_fields()["sigma_star"]
+    for bad in (
+        sigma[:10],
+        sigma.reshape(4, 10),
+        sigma * 0.5,
+        np.zeros_like(sigma),
+        np.where(sigma > 0, 2, -1),
+    ):
+        with pytest.raises(ValueError, match="sigma_star"):
+            CorrelatedInstance(**instance_fields(sigma_star=bad))
+    inst = CorrelatedInstance(**instance_fields(sigma_star=sigma.astype(np.float64).tolist()))
+    assert inst.n == sigma.shape[0]
 
 
 def test_instance_takes_no_inverse_permutation_cache():

@@ -34,6 +34,8 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 1)], vertices=[0, 2])
+    with pytest.raises(ValueError, match="integers"):
+        Graph(5, [(0, 1)], vertices=[0.7, 1])
 
 
 @pytest.mark.parametrize(
@@ -63,6 +65,7 @@ def test_graph_accepts_empty_and_integral_input():
         assert Graph(5, empty).edges.shape == (0, 2)
     assert Graph(5, np.array([[0.0, 1.0]])).edge_set() == {(0, 1)}
     assert Graph(5, np.array([[3, 2]], dtype=np.uint8)).edge_set() == {(2, 3)}
+    assert Graph(5, [(0, 1)], vertices=[0, 1.0, np.int64(3)]).vertices == {0, 1, 3}
 
 
 @settings(max_examples=200, deadline=None)
@@ -256,7 +259,9 @@ def test_matching_agrees_with_dict_reference(pairs, other_pairs):
     assert all(type(u) is int and type(v) is int for u, v in mu.items())
     assert mu.domain == frozenset(ref)
     assert mu.image == frozenset(ref.values())
-    for v in range(-3, 15):
+    # Non-integral labels are absent, as in the dict; integral floats and
+    # numpy scalars look up their integer.
+    for v in [*range(-3, 15), 0.7, -0.5, 2.5, 1.0, np.int64(3), np.float64(4.0)]:
         assert (v in mu) == (v in ref)
         assert mu.get(v) == ref.get(v)
         assert mu.get(v, -7) == ref.get(v, -7)

@@ -6,12 +6,12 @@ import networkx as nx
 import numpy as np
 import pytest
 from conftest import erdos_renyi, kcore_oracle
+from graph_algebra import _anchor_paths, _compose_array_along_path
 
 from csbm.generate import Params, sample_instance
 from csbm.graphs import Graph, PartialMatching
 from csbm.matching import (
     MatchingFamily,
-    _compose_array_along_path,
     _patterns,
     all_pairwise_matchings,
     classify_good_bad,
@@ -261,7 +261,7 @@ def test_metagraph_isolated_anchor_is_disconnected():
             (1, 2): [True],
         },
     )
-    assert only_pattern(fam).paths == ((0,), None, None)
+    assert only_pattern(fam).reached == frozenset({0})
     classes = classify_good_bad(fam)
     assert classes.bad == frozenset({0})
     assert classes.partitions[0][0] == frozenset({0})
@@ -279,7 +279,7 @@ def test_metagraph_path_is_connected():
     )
     pattern = only_pattern(fam)
     assert pattern.pairs == ((0, 1), (0, 2))
-    assert pattern.paths == ((0,), (0, 1), (0, 2))
+    assert pattern.reached == frozenset({0, 1, 2})
     assert classify_good_bad(fam).good == frozenset({0})
 
 
@@ -339,7 +339,9 @@ def all_simple_paths(pairs, src, dst):
 def test_pattern_paths_match_exhaustive_oracle(K):
     # One anchored vertex per edge set: vertex v is matched by the t-th pair
     # exactly when bit t of v is set, so the table holds every metagraph on
-    # K nodes, vertex v alone in the pattern of code v.
+    # K nodes, vertex v alone in the pattern of code v.  Each pattern's
+    # reached set is the anchor's component, and its vertex is good exactly
+    # when that component spans all K nodes.
     pairs = list(itertools.combinations(range(K), 2))
     n = 1 << len(pairs)
     codes = np.arange(n)
@@ -350,14 +352,15 @@ def test_pattern_paths_match_exhaustive_oracle(K):
         {p: (codes >> t) & 1 for t, p in enumerate(pairs)},
     )
     table = _patterns(fam)
+    classes = classify_good_bad(fam)
     assert [p.members.tolist() for p in table] == [[v] for v in range(n)]
     for v, pattern in enumerate(table):
         edges = [p for t, p in enumerate(pairs) if v >> t & 1]
         assert pattern.pairs == tuple(edges)
-        for j in range(K):
-            paths = all_simple_paths(edges, 0, j)
-            shortest = min(paths, key=lambda p: (len(p), p), default=None)
-            assert pattern.paths[j] == shortest
+        metagraph = nx.Graph(edges)
+        metagraph.add_nodes_from(range(K))
+        assert pattern.reached == frozenset(nx.node_connected_component(metagraph, 0))
+        assert (v in classes.good) == (len(pattern.reached) == K) == nx.is_connected(metagraph)
 
 
 def test_classify_k2_good_iff_matched():
@@ -412,100 +415,21 @@ def test_classify_ignores_insertion_order():
 # -- path composition ---------------------------------------------------------
 
 
-def test_compose_direct_edge():
-    fam = three_pair_family(
-        2,
-        {
-            (0, 1): [False, False],
-            (0, 2): [False, True],
-            (1, 2): [False, False],
-        },
-        matchings={
-            (0, 1): PartialMatching({}),
-            (0, 2): PartialMatching({1: 2}),
-            (1, 2): PartialMatching({}),
-        },
-    )
-    path = _patterns(fam)[1].paths[2]
-    assert path == (0, 2)
-    assert _compose_array_along_path(fam, path).tolist() == [-1, 2]
-
-
-def test_compose_two_hop_path():
-    # (0, 2) misses the vertex; the walk goes 0 -> 1 -> 2.  Vertex 0's
-    # copies are 0, 1, 3 in the three graphs.
-    fam = three_pair_family(
-        4,
-        {
-            (0, 1): [True, False, False, False],
-            (0, 2): [False, False, False, False],
-            (1, 2): [True, False, False, False],
-        },
-        matchings={
-            (0, 1): PartialMatching({0: 1}),
-            (0, 2): PartialMatching({}),
-            (1, 2): PartialMatching({1: 3}),
-        },
-    )
-    path = _patterns(fam)[-1].paths[2]
-    assert path == (0, 1, 2)
-    assert _compose_array_along_path(fam, path)[0] == 3
-
-
-def test_compose_disconnected_returns_none():
-    # The anchor does not reach graph 2, so there is no walk; a walk over
-    # an edge that does not match the vertex leaves it unmapped.
-    fam = three_pair_family(
-        1,
-        {
-            (0, 1): [False],
-            (0, 2): [False],
-            (1, 2): [True],
-        },
-        matchings={
-            (0, 1): PartialMatching({}),
-            (0, 2): PartialMatching({}),
-            (1, 2): PartialMatching({0: 0}),
-        },
-    )
-    assert only_pattern(fam).paths[2] is None
-    assert _compose_array_along_path(fam, (0, 2))[0] == -1
-
-
-def test_shortest_path_lexicographic_tie_break():
-    fam = three_pair_family(
-        1,
-        {
-            (0, 1): [True],
-            (0, 2): [True],
-            (1, 2): [True],
-        },
-    )
-    assert only_pattern(fam).paths == ((0,), (0, 1), (0, 2))
-    # Two shortest routes to node 3; the one through node 1 comes first.
-    square_pairs = [(0, 1), (0, 2), (1, 3), (2, 3)]
-    square = crafted_family(
-        1,
-        4,
-        {p: PartialMatching({}) for p in square_pairs},
-        {p: [True] for p in square_pairs},
-    )
-    assert only_pattern(square).paths[3] == (0, 1, 3)
-
-
 def test_path_composition_is_path_independent():
     # Under seeded matchings every mu restricts the ground truth, so every
     # simple path from the anchor maps a good pattern's members to the same
-    # images: their true copies.
+    # images: their true copies.  This is why the estimator may return
+    # pi_star itself once every vertex is good.
     params = Params(n=60, a=6.0, b=1.5, s=0.7, K=5, k=1)
     inst = sample_instance(params, 13)
     fam = all_pairwise_matchings(inst, 1)
-    good = [p for p in _patterns(fam) if all(path is not None for path in p.paths)]
+    good = [p for p in _patterns(fam) if len(p.reached) == 5]
     checked = 0
     for pattern in good[:12]:
+        shortest = _anchor_paths(5, pattern.pairs)
         for j in range(1, 5):
             paths = all_simple_paths(pattern.pairs, 0, j)
-            assert pattern.paths[j] in paths
+            assert shortest[j] in paths
             for path in paths:
                 composed = _compose_array_along_path(fam, path)[pattern.members]
                 assert np.array_equal(composed, inst.pi_star[j][pattern.members])

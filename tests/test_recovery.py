@@ -312,7 +312,7 @@ def reference_bad_step(inst, fam, current, classes):
     in_member = np.ones(n, dtype=bool)
     for j in range(1, inst.K):
         in_member &= fam.member_mask(0, j)
-    maps = [fam.map_array(0, j) if j else None for j in range(inst.K)]
+    maps = [fam.matchings[(0, j)].as_array(n) if j else None for j in range(inst.K)]
     current_labels = current.labels
     anchor = inst.children[0]
     for v in sorted(classes.bad):
@@ -365,7 +365,8 @@ def test_disagreeing_family_is_rejected():
 
     At n = 7 the exhaustive matcher picks, among equally large cores, a
     bijection other than the truth.  A family built from it by hand is
-    refused by both relabelling steps and by the whole pipeline.
+    refused by both relabelling steps, by the whole pipeline and by the
+    exact matching estimator.
     """
     inst = sample_instance(Params(n=7, a=1.9, b=0.8, s=0.7, K=3, k=1), 23)
     matchings = {
@@ -392,6 +393,8 @@ def test_disagreeing_family_is_rejected():
         label_bad_vertices(inst, fam, current)
     with pytest.raises(ValueError):
         full_recovery(inst, eps=0.01, family=fam)
+    with pytest.raises(ValueError, match="true permutation"):
+        exact_matching_estimator(inst, 1, family=fam)
 
 
 # -- full pipeline ------------------------------------------------------------
