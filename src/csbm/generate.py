@@ -8,11 +8,20 @@ parent edge independently with probability ``s`` per child; children beyond
 the first are relabelled by uniformly random permutations, while child 1
 keeps the parent's vertex labels and serves as the anchor.
 
+The parent is built from packed keys ``lo * n + hi``: each intra-community
+hit of the geometric skip sampler is placed in its triangle row by one
+search per row, inter-community hits give their keys directly, and one sort
+of all keys gives the canonical edge order, with no further checks, since
+the construction yields distinct pairs of distinct vertices.
+
 An instance keeps the parent's edges, the permutations and one retention
-code per parent edge (bit ``j`` set = kept by child ``j``).  Every child is
-derived from them, and is built as a graph only when asked for: the trial
-pipeline works in anchor labels, where each child is a subset of the
-parent's sorted edges, and needs only the anchor itself.
+code per parent edge (bit ``j`` set = kept by child ``j``), drawn in chunks
+of whole edge rows so no ``(m, K)`` float array is held at once.  Every
+child is derived from them, and is built as a graph only when asked for:
+the trial pipeline works in anchor labels, where each child is a subset of
+the parent's sorted edges, and needs only the anchor itself.  Every stage
+after sampling reads one cached table, the parent edges some child keeps
+(the union edges), so none scans the parent edges no child keeps.
 
 Two equivalent constructions are provided.  :func:`sample_instance` draws the
 per-edge retention bits directly.  :func:`sample_instance_partition` instead
@@ -31,6 +40,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +73,14 @@ _PARTITION_MAX_N = 20_000
 
 # Chunk sizes for O(n^2) pair scans, chosen to bound transient allocations.
 _PAIR_CHUNK = 1 << 23
+
+# Pairs per chunk of the balance count: its int64 temporaries then stay in
+# cache (1 << 19 ran about twice as fast as 1 << 23 at n = 10^4).
+_COUNT_CHUNK = 1 << 19
+
+# Parent edges per draw of retention uniforms; whole rows, so the draws
+# are those of one ``random((m, K))`` call.
+_RETENTION_CHUNK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -145,7 +163,7 @@ class Params:
         return cls(n=n, a=coeff(p), b=coeff(q), s=s, K=K, k=k, eps=eps)
 
 
-@dataclass
+@dataclass(eq=False)
 class CorrelatedInstance:
     """One sampled instance: parent, ground truth, and the K children.
 
@@ -159,6 +177,9 @@ class CorrelatedInstance:
     labels (``pi_star[0]`` is the identity).  Each child graph is built on
     first access, because the seeded pipeline works on the parent's edges
     and the codes in anchor labels and needs only the anchor as a graph.
+    The stages that read edges in anchor labels read :attr:`union_edges`,
+    the parent edges kept by some child, built once on first access.
+    Instances compare by identity.
     ``pair_classes`` is only present when the instance came from the
     partition construction: a condensed ``uint8`` vector over all vertex
     pairs in lexicographic order, each entry the pattern code of that pair
@@ -181,6 +202,7 @@ class CorrelatedInstance:
     _inverse_perms: list[np.ndarray | None] = field(init=False, repr=False, compare=False)
     _codes: np.ndarray = field(init=False, repr=False, compare=False)
     _children: _Children = field(init=False, repr=False, compare=False)
+    _union: UnionEdges | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, K = self.params.n, self.params.K
@@ -207,6 +229,7 @@ class CorrelatedInstance:
         self._codes = _retention_codes(patterns)
         self._codes.setflags(write=False)
         self._children = _Children(self.parent, self._codes, self.pi_star)
+        self._union = None
 
     @property
     def K(self) -> int:
@@ -224,6 +247,18 @@ class CorrelatedInstance:
         integer otherwise.
         """
         return self._codes
+
+    @property
+    def union_edges(self) -> UnionEdges:
+        """The parent edges some child keeps (code != 0), in parent order, read-only."""
+        if self._union is None:
+            rows = np.flatnonzero(self._codes != 0)
+            ends = np.divmod(self.parent.packed_keys().take(rows), np.int64(self.n))
+            parts = (*ends, self._codes.take(rows))
+            for arr in parts:
+                arr.setflags(write=False)
+            self._union = UnionEdges(*parts)
+        return self._union
 
     @property
     def children(self) -> Sequence[Graph]:
@@ -247,6 +282,14 @@ class CorrelatedInstance:
     def child_edges_in_parent_labels(self, j: int) -> np.ndarray:
         """Canonical edge array of child ``j`` in anchor labels: a row subset of the parent's."""
         return self.parent.edges.take(_rows_with_bit(self._codes, j), axis=0)
+
+
+class UnionEdges(NamedTuple):
+    """Contiguous endpoints ``u < v`` and retention codes of the union edges."""
+
+    u: np.ndarray
+    v: np.ndarray
+    codes: np.ndarray
 
 
 def _is_permutation(pi: np.ndarray, n: int) -> bool:
@@ -318,8 +361,8 @@ class _Children(Sequence):
             # sorted subset of the parent's.
             return Graph._from_keys(parent.n, parent.packed_keys()[kept])
         # A permutation maps distinct parent keys to distinct keys.
-        e = parent.edges.take(kept, axis=0)
-        keys = _image_keys(parent.n, e[:, 0], e[:, 1], self._perms[j])[1]
+        u, v = np.divmod(parent.packed_keys().take(kept), np.int64(parent.n))
+        keys = _image_keys(parent.n, u, v, self._perms[j])[1]
         return Graph._from_keys(parent.n, np.sort(keys))
 
 
@@ -357,13 +400,20 @@ def _tri_row_starts(m: int) -> np.ndarray:
     return starts
 
 
-def _unpack_triangle(flat: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Map flat upper-triangle indices to vertex pairs within ``members``."""
-    m = len(members)
-    starts = _tri_row_starts(m)
-    row = np.searchsorted(starts, flat, side="right") - 1
-    col = flat - starts[row] + row + 1
-    return np.column_stack((members[row], members[col]))
+def _triangle_keys(n: int, flat: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Packed keys of the pairs of ``members`` at sorted flat upper-triangle indices.
+
+    ``members`` is ascending, so row ``r`` and column ``c > r`` give the key
+    ``members[r] * n + members[c]``.  Each row's hits are one contiguous run
+    of the sorted ``flat``, found by one search per row.
+    """
+    starts = _tri_row_starts(len(members))
+    counts = np.diff(np.searchsorted(flat, starts), append=flat.size)
+    cols = np.repeat(starts - np.arange(len(members)) - 1, counts)
+    np.subtract(flat, cols, out=cols)
+    keys = np.repeat(members * np.int64(n), counts)
+    keys += members[cols]
+    return keys
 
 
 def sample_parent(params: Params, seed: int) -> tuple[Graph, np.ndarray]:
@@ -371,7 +421,8 @@ def sample_parent(params: Params, seed: int) -> tuple[Graph, np.ndarray]:
 
     Returns ``(graph, sigma)`` with ``sigma`` an int8 vector of ±1.  Labels
     and edges come from separate seed roles, so the parent edge set is a
-    deterministic function of ``(seed, labels)``.
+    deterministic function of ``(seed, labels)``.  Every hit is a distinct
+    pair of distinct vertices, so the packed keys need only one sort.
     """
     n = params.n
     sigma = (stream(seed, ROLE_LABELS).integers(0, 2, size=n) * 2 - 1).astype(np.int8)
@@ -379,25 +430,22 @@ def sample_parent(params: Params, seed: int) -> tuple[Graph, np.ndarray]:
     plus = np.flatnonzero(sigma > 0)
     minus = np.flatnonzero(sigma < 0)
     np_, nm = len(plus), len(minus)
-    blocks = []
     # Intra-community pairs: all pairs within V+, then all pairs within V-.
     cp = np_ * (np_ - 1) // 2
     cm = nm * (nm - 1) // 2
     hits = _bernoulli_index_sample(rng, cp + cm, params.p)
-    if hits.size:
-        in_plus = hits < cp
-        if in_plus.any():
-            blocks.append(_unpack_triangle(hits[in_plus], plus))
-        if (~in_plus).any():
-            blocks.append(_unpack_triangle(hits[~in_plus] - cp, minus))
+    split = np.searchsorted(hits, cp)
+    blocks = [
+        _triangle_keys(n, hits[:split], plus),
+        _triangle_keys(n, hits[split:] - cp, minus),
+    ]
     # Inter-community pairs, plus-major lexicographic order.
     hits = _bernoulli_index_sample(rng, np_ * nm, params.q)
-    if hits.size:
-        blocks.append(
-            np.column_stack((plus[hits // nm], minus[hits % nm]))
-        )
-    edges = np.concatenate(blocks) if blocks else None
-    return Graph(n, edges), sigma
+    u, v = plus[hits // nm], minus[hits % nm]
+    blocks.append(np.minimum(u, v) * np.int64(n) + np.maximum(u, v))
+    keys = np.concatenate(blocks)
+    keys.sort()
+    return Graph._from_keys(n, keys), sigma
 
 
 def _draw_permutations(n: int, K: int, seed: int) -> list[np.ndarray]:
@@ -413,7 +461,10 @@ def sample_instance(params: Params, seed: int) -> CorrelatedInstance:
     parent, sigma = sample_parent(params, seed)
     m = parent.edge_count
     rng = stream(seed, ROLE_SUBSAMPLE)
-    patterns = (rng.random((m, params.K)) < params.s).astype(np.uint8)
+    patterns = np.empty((m, params.K), dtype=np.uint8)
+    for start in range(0, m, _RETENTION_CHUNK_ROWS):
+        stop = min(start + _RETENTION_CHUNK_ROWS, m)
+        patterns[start:stop] = rng.random((stop - start, params.K)) < params.s
     return CorrelatedInstance(
         params=params,
         seed=seed,
@@ -561,30 +612,30 @@ def _pair_class_counts(
     """Per-vertex pair counts by (class code, same/opposite community).
 
     Returns an ``(n, num_classes, 2)`` int64 array; index 1 of the last axis
-    counts pairs whose other endpoint lies in the same community.
+    counts pairs whose other endpoint lies in the same community.  Rows of
+    the pair triangle are taken in chunks of at most ``_COUNT_CHUNK`` pairs
+    (one row at least); pair ``p`` of row ``r`` has column
+    ``p - starts[r] + r + 1``.
     """
     width = num_classes * 2
     acc = np.zeros(n * width, dtype=np.int64)
-    same_side = (sigma > 0).astype(np.int64)
-    pos = 0
+    side = (sigma > 0).astype(np.int8)
+    starts = _tri_row_starts(n)
     i = 0
     while i < n - 1:
-        j = i
-        total = 0
-        while j < n - 1 and total + (n - 1 - j) <= _PAIR_CHUNK:
-            total += n - 1 - j
-            j += 1
-        if j == i:
-            j = i + 1
-            total = n - 1 - i
-        rows = np.arange(i, j, dtype=np.int64)
-        i_idx = np.repeat(rows, n - 1 - rows)
-        j_idx = np.concatenate([np.arange(r + 1, n, dtype=np.int64) for r in rows])
-        cls = classes[pos : pos + total].astype(np.int64)
-        same = (same_side[i_idx] == same_side[j_idx]).astype(np.int64)
-        acc += np.bincount(i_idx * width + cls * 2 + same, minlength=n * width)
-        acc += np.bincount(j_idx * width + cls * 2 + same, minlength=n * width)
-        pos += total
+        j = int(np.searchsorted(starts, starts[i] + _COUNT_CHUNK, side="right")) - 1
+        j = min(max(j, i + 1), n - 1)
+        rows = np.arange(i, j)
+        lengths = n - 1 - rows
+        cols = np.arange(starts[i], starts[j]) - np.repeat(starts[i:j] - rows - 1, lengths)
+        cell = classes[starts[i] : starts[j]] * np.int64(2)
+        cell += np.repeat(side[rows], lengths) == side[cols]
+        keys = np.repeat(rows * width, lengths)
+        keys += cell
+        acc += np.bincount(keys, minlength=n * width)
+        cols *= width
+        cols += cell
+        acc += np.bincount(cols, minlength=n * width)
         i = j
     return acc.reshape(n, num_classes, 2)
 

@@ -3,9 +3,10 @@
 Vertices are 0-based integers below a fixed count ``n``.  A :class:`Graph`
 is immutable once built.  Its one canonical form is the sorted array of
 distinct packed keys ``lo * n + hi`` (``lo < hi``), from which the ``(m, 2)``
-edge array is decoded; the CSR adjacency is built lazily because bulk
-distribution tests create tens of thousands of throwaway graphs whose
-neighbourhoods are never queried.
+edge array is decoded on first access; that array and the CSR adjacency are
+built lazily because bulk distribution tests create tens of thousands of
+throwaway graphs whose neighbourhoods are never queried, and a trial reads
+the parent only through its keys.
 
 :func:`intersection_graph` keeps the edges of one graph whose image under a
 partial matching is an edge of another; the result's ``vertices`` attribute
@@ -166,8 +167,7 @@ class Graph:
         self.n = n
         self._keys = keys
         self._keys.setflags(write=False)
-        self._edges = np.stack(np.divmod(keys, np.int64(n)), axis=1)
-        self._edges.setflags(write=False)
+        self._edges = None
         self._vertices = vertices
         self._csr = None
 
@@ -175,12 +175,17 @@ class Graph:
 
     @property
     def edges(self) -> np.ndarray:
-        """Canonical (m, 2) edge array, read-only."""
+        """Canonical (m, 2) edge array, read-only, decoded from the keys on first access."""
+        if self._edges is None:
+            edges = np.empty((self._keys.shape[0], 2), dtype=np.int64)
+            np.divmod(self._keys, np.int64(self.n), out=(edges[:, 0], edges[:, 1]))
+            edges.setflags(write=False)
+            self._edges = edges
         return self._edges
 
     @property
     def edge_count(self) -> int:
-        return self._edges.shape[0]
+        return self._keys.shape[0]
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -190,14 +195,14 @@ class Graph:
 
     def edge_set(self) -> set[tuple[int, int]]:
         """Edges as a set of (lo, hi) tuples; convenient in tests."""
-        return {(int(u), int(v)) for u, v in self._edges}
+        return {(int(u), int(v)) for u, v in self.edges}
 
     # -- adjacency ---------------------------------------------------------
 
     def _adjacency(self) -> csr_matrix:
         """Lazily built symmetric CSR adjacency (treat as read-only)."""
         if self._csr is None:
-            self._csr = _adjacency_csr(self.n, self._edges)
+            self._csr = _adjacency_csr(self.n, self.edges)
         return self._csr
 
     def _row(self, v: int) -> np.ndarray:
@@ -216,9 +221,10 @@ class Graph:
     def degrees(self) -> np.ndarray:
         """Degree of every vertex as an int64 array."""
         deg = np.zeros(self.n, dtype=np.int64)
-        if self._edges.size:
-            deg += np.bincount(self._edges[:, 0], minlength=self.n)
-            deg += np.bincount(self._edges[:, 1], minlength=self.n)
+        if self.edge_count:
+            e = self.edges
+            deg += np.bincount(e[:, 0], minlength=self.n)
+            deg += np.bincount(e[:, 1], minlength=self.n)
         return deg
 
     def has_edge(self, u: int, v: int) -> bool:

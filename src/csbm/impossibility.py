@@ -8,7 +8,9 @@ parent edges picked out by their retention codes).  ``S*`` keeps those that
 are additionally isolated within ``R*`` in child 1 and whose child-1
 neighbours stay clear of the H-neighbourhood of ``R*``; labels of ``S*``
 vertices can be permuted without changing the likelihood ordering except
-through their child-1 majorities.  A *witness* is a crossing pair: with
+through their child-1 majorities.  Every scan here reads only the
+instance's union edges, the parent edges some child keeps, and past ``R*``
+only those with an end in ``R*``.  A *witness* is a crossing pair: with
 ``a > b``, some plus-community vertex of ``S*`` whose majority is strictly
 smaller than that of some minus-community vertex (directions reversed for
 ``a < b``).  Whenever such a pair exists, the optimal estimator must
@@ -60,20 +62,21 @@ def singleton_sets(inst: CorrelatedInstance) -> SingletonReport:
     ``R*``: vertices with no child-1 edge that survives into the union of
     the other children.  ``S*``: vertices of ``R*`` with no child-1
     neighbour inside ``R*`` or inside the union's neighbourhood of ``R*``.
-    In anchor labels both graphs are sets of parent edges: child 1 holds
+    In anchor labels both graphs are sets of union edges: child 1 holds
     the edges whose retention code has bit 0, the union those with any
     higher bit.
     """
     if inst.K < 2:
         raise ValueError("singleton sets need at least two children")
     n = inst.n
-    e = inst.parent.edges
-    u, v = e[:, 0], e[:, 1]
-    codes = inst.edge_codes
+    u, v, codes = inst.union_edges
     in_g1 = (codes & 1) != 0
     in_h = (codes >> 1) != 0
     shared = in_g1 & in_h
     r_mask = ~(_marked(n, u, shared) | _marked(n, v, shared))
+    # Every later test needs an end in R*, so keep only those edges.
+    near = np.flatnonzero(r_mask[u] | r_mask[v])
+    u, v, in_g1, in_h = u.take(near), v.take(near), in_g1.take(near), in_h.take(near)
     barred = r_mask | _marked(n, v, in_h & r_mask[u]) | _marked(n, u, in_h & r_mask[v])
     excluded = _marked(n, u, in_g1 & r_mask[u] & barred[v]) | _marked(
         n, v, in_g1 & r_mask[v] & barred[u]
@@ -98,13 +101,14 @@ def map_failure_witness(inst: CorrelatedInstance) -> SingletonReport:
     """
     report = singleton_sets(inst)
     n = inst.n
-    g1 = inst.children[0]
-    maj_all = np.zeros(n, dtype=np.int64)
-    if g1.edge_count:
-        sig = inst.sigma_star.astype(np.int64)
-        e = g1.edges
-        np.add.at(maj_all, e[:, 0], sig[e[:, 1]])
-        np.add.at(maj_all, e[:, 1], sig[e[:, 0]])
+    u, v, codes = inst.union_edges
+    in_g1 = np.flatnonzero((codes & 1) != 0)
+    u, v = u.take(in_g1), v.take(in_g1)
+    sig = inst.sigma_star.astype(np.float64)
+    # Sums of ±1 are exact integers in float64.
+    maj_all = (
+        np.bincount(u, weights=sig[v], minlength=n) + np.bincount(v, weights=sig[u], minlength=n)
+    ).astype(np.int64)
     members = sorted(report.s_star)
     maj = {i: int(maj_all[i]) for i in members}
     a, b = inst.params.a, inst.params.b

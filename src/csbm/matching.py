@@ -8,20 +8,21 @@ seeded matcher; in the regime where matching is information-theoretically
 possible the two coincide with high probability, and the test suite checks
 the oracle dominates on small instances.  The seeded family never builds
 the child graphs: in anchor labels the (i, j) intersection is the set of
-parent edges whose retention code has bits i and j, and its k-core is
-peeled there directly.
+union edges (parent edges kept by some child) whose retention code has bits
+i and j.  Its degrees are counted there, and it is built as a graph only
+when its k-core peel can cascade.
 
 On top of the pairwise matchings sits the per-vertex metagraph: K nodes, an
 edge (i, j) when the vertex is matched by the (i, j) matching.  A vertex is
 "good" when its metagraph is connected.  Vertices matched by the same set of
 pairs share a metagraph, so it is computed once per such matched-pair
 pattern: one table per family holds each pattern's members, pairs and the
-nodes its anchor reaches, and the classification and the good step read
-it.  The exact matching estimator abstains when some vertex is bad;
-otherwise it returns the ground-truth anchor permutations.  Every family it
-reads is the ground truth on each matched set (seeded, or checked), so
-composing matchings along any path of a connected metagraph gives exactly
-those permutations.
+nodes its anchor reaches, and the classification reads it; the good step
+reads the per-vertex pattern codes the table is sorted by.  The exact
+matching estimator abstains when some vertex is bad; otherwise it returns
+the ground-truth anchor permutations.  Every family it reads is the ground
+truth on each matched set (seeded, or checked), so composing matchings
+along any path of a connected metagraph gives exactly those permutations.
 
 All per-vertex bookkeeping here is anchored: domains are stored as boolean
 masks over the anchor graph's labels (child 1), with ground-truth
@@ -132,7 +133,7 @@ def kcore_matching_seeded(g: Graph, h: Graph, k: int, pi_true) -> PartialMatchin
     return PartialMatching._from_array(np.where(core, pi, -1))
 
 
-@dataclass
+@dataclass(eq=False)
 class MatchingFamily:
     """All pairwise matchings of one instance, with anchored domain masks.
 
@@ -140,6 +141,7 @@ class MatchingFamily:
     ``anchor_masks[(i, j)]`` is a boolean vector over anchor labels marking
     the vertices matched by that pair; the unmatched sets F_ij are the
     complements.  Graph 0 is the anchor, so anchor labels are its labels.
+    Families compare by identity.
     """
 
     n: int
@@ -167,22 +169,27 @@ def all_pairwise_matchings(inst: CorrelatedInstance, k: int) -> MatchingFamily:
 
     Each pair keeps the ground-truth pairwise permutation
     ``pi_j o pi_i^(-1)`` on the k-core of its intersection graph, which is
-    peeled in anchor labels: the (i, j) intersection is the set of parent
+    peeled in anchor labels: the (i, j) intersection is the set of union
     edges whose retention code has bits i and j, so no child graph is
-    built.  The result equals :func:`kcore_matching_seeded` on the two
+    built.  Its degrees come from the edge endpoints directly; a graph is
+    built only when some vertex below ``k`` has an edge, so the peel can
+    cascade.  The result equals :func:`kcore_matching_seeded` on the two
     children.  K = 1 yields an empty family.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     fam = MatchingFamily(n=inst.n, K=inst.K, k=k, matchings={}, anchor_masks={})
     n = inst.n
-    keys = inst.parent.packed_keys()
-    codes = inst.edge_codes
+    u, v, codes = inst.union_edges
     for i in range(inst.K):
         for j in range(i + 1, inst.K):
             both = codes.dtype.type((1 << i) | (1 << j))
-            shared = Graph._from_keys(n, keys[np.flatnonzero((codes & both) == both)])
-            core = _core_mask(shared, k)
+            rows = np.flatnonzero((codes & both) == both)
+            ends_u, ends_v = u.take(rows), v.take(rows)
+            deg = np.bincount(ends_u, minlength=n) + np.bincount(ends_v, minlength=n)
+            core = deg >= k
+            if deg[~core].any():
+                core = _core_mask(Graph._from_keys(n, ends_u * np.int64(n) + ends_v), k)
             arr = np.full(n, -1, dtype=np.int64)
             arr[inst.pi_star[i][core]] = inst.pi_star[j][core]
             fam.matchings[(i, j)] = PartialMatching._from_array(arr)
@@ -229,13 +236,9 @@ def _patterns(fam: MatchingFamily) -> list[_Pattern]:
     """
     if fam._pattern_table is None:
         pairs = fam.pairs()
-        bits = np.zeros((max(len(pairs), 1), fam.n), dtype=bool)
-        for t, pair in enumerate(pairs):
-            bits[t] = fam.anchor_masks[pair]
-        # Byte b of a code holds pairs 8b..8b+7.  Sorting on the last byte
-        # first orders the codes as numbers, and the stable sort keeps each
-        # pattern's vertices ascending.
-        packed = np.packbits(bits, axis=0, bitorder="little")
+        packed = _pair_codes(fam)
+        # Sorting on the last byte first orders the codes as numbers, and
+        # the stable sort keeps each pattern's vertices ascending.
         order = np.lexsort(packed)
         grouped = packed[:, order]
         starts = np.ones(fam.n, dtype=bool)
@@ -244,12 +247,27 @@ def _patterns(fam: MatchingFamily) -> list[_Pattern]:
         table = []
         for lo, hi in zip(bounds, bounds[1:]):
             members = order[lo:hi]
-            matched = tuple(p for p, b in zip(pairs, bits[:, members[0]].tolist()) if b)
+            v = members[0]
+            matched = tuple(p for p in pairs if fam.anchor_masks[p][v])
             table.append(
                 _Pattern(members=members, pairs=matched, reached=_anchor_component(matched))
             )
         fam._pattern_table = table
     return fam._pattern_table
+
+
+def _pair_codes(fam: MatchingFamily) -> np.ndarray:
+    """Each vertex's matched-pair code as little-endian bytes, shape ``(bytes, n)``.
+
+    Bit ``t % 8`` of byte ``t // 8`` is set when the t-th pair of
+    ``fam.pairs()`` matches the vertex, so the code has one bit per pair
+    however many pairs there are.
+    """
+    pairs = fam.pairs()
+    bits = np.zeros((max(len(pairs), 1), fam.n), dtype=bool)
+    for t, pair in enumerate(pairs):
+        bits[t] = fam.anchor_masks[pair]
+    return np.packbits(bits, axis=0, bitorder="little")
 
 
 def _anchor_component(pairs: tuple[tuple[int, int], ...]) -> frozenset[int]:

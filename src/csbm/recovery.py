@@ -19,6 +19,16 @@ and matched-set masks: both relabelling steps read the family's anchored
 masks only, never its maps, and reject a family whose maps leave the
 ground truth, since the codes would not describe it.
 
+Each step makes one pass over the instance's union edges (the parent edges
+some child keeps).  In the good step a vertex v of metagraph pattern P
+votes inside the set every pair of P matches, which holds a vertex w
+exactly when w's pattern contains P; so for K other than 3 every union arc
+v -> w is kept or dropped by comparing the two pattern codes, and one
+bincount gives every vertex's vote.  At K = 3 each vertex carries one bit
+per case, and one bincount per value of the two ends' shared case bits
+gives all three cases.  Votes are sums of ±1, exact in float64, so the
+order of summation does not change them.
+
 Majorities are taken when the intra-community coefficient dominates
 (``a >= b``) and minorities otherwise; every tie keeps the incoming label.
 Votes never include the vertex's own label.
@@ -34,13 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generate import CorrelatedInstance, _rows_with_bit
+from .generate import CorrelatedInstance
 from .graphs import Graph, _adjacency_csr
 from .matching import (
     MatchingFamily,
     VertexClass,
     _check_family,
-    _patterns,
+    _pair_codes,
     all_pairwise_matchings,
     classify_good_bad,
 )
@@ -176,7 +186,7 @@ def almost_exact_label(
     if not converged:
         return degraded
     init = np.where(x >= 0, 1, -1).astype(np.int8)
-    votes = _adjacency_csr(n, refine_edges) @ init.astype(np.float64)
+    votes = _neighbour_sums(n, refine_edges[:, 0], refine_edges[:, 1], init.astype(np.float64))
     labels = _majority_labels(votes, init, a_eff >= b_eff)
     return LabelEstimate(
         labels=labels,
@@ -191,23 +201,57 @@ def _majority_labels(votes: np.ndarray, incoming: np.ndarray, assortative: bool)
     return np.where(votes > 0, pos, np.where(votes < 0, -pos, incoming)).astype(np.int8)
 
 
-def _union_votes(
-    inst: CorrelatedInstance, in_member: np.ndarray, init_values: np.ndarray
-) -> np.ndarray:
-    """Neighbourhood vote sums on the union of all children inside a matched set.
+def _neighbour_sums(n: int, u: np.ndarray, v: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per-vertex sums of ``values`` over the neighbours along the edges ``(u[i], v[i])``.
 
-    The family agrees with the ground truth and ``in_member`` lies inside
-    every matched set the union needs, so each child pulled back to anchor
-    labels is the set of parent edges with that child's code bit, and the
-    union is the parent edges kept by some child with both endpoints in the
-    member set.  Edges shared by several children count once.
+    Equal to the adjacency matvec: the values are vote weights of ±1, so
+    every partial sum is an exact integer in float64 whatever the order.
     """
-    e = inst.parent.edges
-    keep = in_member[e[:, 0]] & in_member[e[:, 1]] & (inst.edge_codes != 0)
-    e = e.take(np.flatnonzero(keep), axis=0)
-    return np.bincount(e[:, 0], weights=init_values[e[:, 1]], minlength=inst.n) + np.bincount(
-        e[:, 1], weights=init_values[e[:, 0]], minlength=inst.n
+    return np.bincount(u, weights=values[v], minlength=n) + np.bincount(
+        v, weights=values[u], minlength=n
     )
+
+
+def _superset_votes(
+    inst: CorrelatedInstance, fam: MatchingFamily, values: np.ndarray
+) -> np.ndarray:
+    """Each vertex's union vote inside the set its own pattern's pairs all match.
+
+    A vertex w lies in every matched set of v's pattern exactly when w's
+    pattern code holds every bit of v's, so each union arc v -> w counts for
+    v when ``code[w] & code[v] == code[v]``: one pass over the union edges,
+    one byte of the packed codes at a time.
+    """
+    u, v, _ = inst.union_edges
+    fwd = rev = True
+    for code in _pair_codes(fam):
+        cu, cv = code[u], code[v]
+        shared = cu & cv
+        fwd = fwd & (shared == cu)
+        rev = rev & (shared == cv)
+    return np.bincount(u[fwd], weights=values[v[fwd]], minlength=inst.n) + np.bincount(
+        v[rev], weights=values[u[rev]], minlength=inst.n
+    )
+
+
+def _case_votes(
+    inst: CorrelatedInstance, case: np.ndarray, values: np.ndarray
+) -> list[np.ndarray]:
+    """Union votes for each K = 3 case, inside its matched set, from one pass.
+
+    ``case`` holds one bit per case for each vertex.  A union arc v -> w
+    counts for case c at v when both ends carry bit c, so the arcs are
+    summed once per value of ``case[v] & case[w]`` and each case adds the
+    columns holding its bit.
+    """
+    n = inst.n
+    u, v, _ = inst.union_edges
+    shared = case[u] & case[v]
+    sums = np.bincount(u * 8 + shared, weights=values[v], minlength=8 * n) + np.bincount(
+        v * 8 + shared, weights=values[u], minlength=8 * n
+    )
+    sums = sums.reshape(n, 8)
+    return [sums[:, [x for x in range(8) if x >> c & 1]].sum(axis=1) for c in range(3)]
 
 
 def label_good_vertices(
@@ -219,46 +263,40 @@ def label_good_vertices(
 ) -> LabelEstimate:
     """Relabel every good vertex by union-graph majority of the init labels.
 
-    A group of vertices votes over its neighbourhoods in the union of all K
-    children, restricted to the set matched by every pair its metagraph
-    uses; the family is the ground truth on its matched sets, so the step
-    reads only those masks and the parent's retention codes.  All votes
-    read the *initial* labels.  For K = 3 the groups are the classic three
-    cases, each writing every vertex of its matched set, processed in order
-    (via-3, via-2, direct) with last write winning on overlaps; the returned
-    estimate carries the count of triple-matched vertices whose three case
-    votes disagree.  For other K there is one group per metagraph pattern,
-    and only its good members are written.  Bad vertices are never written.
-    A family whose maps are not the ground truth on their matched sets is
-    rejected.
+    A vertex votes over its neighbourhood in the union of all K children,
+    restricted to the set matched by every pair its group uses; the family
+    is the ground truth on its matched sets, so the step reads only those
+    masks and the union edges with their retention codes, in one pass.  All
+    votes read the *initial* labels.  For K = 3 the groups are the classic
+    three cases, each writing every vertex of its matched set, processed in
+    order (via-3, via-2, direct) with last write winning on overlaps; the
+    returned estimate carries the count of triple-matched vertices whose
+    three case votes disagree.  For other K each good vertex's group is its
+    metagraph pattern, and only good vertices are written.  Bad vertices
+    are never written.  A family whose maps are not the ground truth on
+    their matched sets is rejected.
     """
     _check_family(fam, k, inst)
     if classes is None:
         classes = classify_good_bad(fam)
     est = init.copy()
-    n = inst.n
-    triple = np.zeros(0, dtype=np.int64)
-    if inst.K == 3:
-        m01, m02, m12 = fam.member_mask(0, 1), fam.member_mask(0, 2), fam.member_mask(1, 2)
-        # Via child 3, via child 2, then matched directly to both.
-        groups = [(mask, np.flatnonzero(mask)) for mask in (m02 & m12, m01 & m12, m01 & m02)]
-        triple = np.flatnonzero(m01 & m02 & m12)
-    else:
-        good_mask = np.zeros(n, dtype=bool)
-        good_mask[list(classes.good)] = True
-        groups = []
-        for pattern in _patterns(fam):
-            group = pattern.members[good_mask[pattern.members]]
-            if group.size:
-                in_member = np.ones(n, dtype=bool)
-                for pair in pattern.pairs:
-                    in_member &= fam.anchor_masks[pair]
-                groups.append((in_member, group))
     assortative = inst.params.a >= inst.params.b
     init_values = init.labels.astype(np.float64)
+    if inst.K != 3:
+        idx = np.fromiter(classes.good, dtype=np.int64, count=len(classes.good))
+        votes = _superset_votes(inst, fam, init_values)
+        est.labels[idx] = _majority_labels(votes[idx], init.labels[idx], assortative)
+        est.provenance[idx] = PROVENANCE_GOOD
+        return est
+    m01, m02, m12 = fam.member_mask(0, 1), fam.member_mask(0, 2), fam.member_mask(1, 2)
+    # Via child 3, via child 2, then matched directly to both.
+    case = np.zeros(inst.n, dtype=np.uint8)
+    for c, mask in enumerate((m02 & m12, m01 & m12, m01 & m02)):
+        case |= mask.astype(np.uint8) << c
+    triple = np.flatnonzero(case == 7)
     case_labels = []
-    for in_member, idx in groups:
-        votes = _union_votes(inst, in_member, init_values)
+    for c, votes in enumerate(_case_votes(inst, case, init_values)):
+        idx = np.flatnonzero(case & (1 << c))
         est.labels[idx] = _majority_labels(votes[idx], init.labels[idx], assortative)
         est.provenance[idx] = PROVENANCE_GOOD
         case_labels.append(_majority_labels(votes[triple], init.labels[triple], assortative))
@@ -297,20 +335,19 @@ def label_bad_vertices(
     in_member = np.ones(n, dtype=bool)
     for j in range(1, inst.K):
         in_member &= fam.member_mask(0, j)
-    # Orient each anchor edge from its bad end to its fully matched end.  A
-    # fully matched vertex is good, so no edge qualifies both ways round.
-    e = inst.children[0].edges
-    lo, hi = e[:, 0], e[:, 1]
-    fwd = bad[lo] & in_member[hi]
-    rev = bad[hi] & in_member[lo]
+    # Orient each anchor edge (a union edge with code bit 0) from its bad
+    # end to its fully matched end.  A fully matched vertex is good, so no
+    # edge qualifies both ways round.
+    lo, hi, codes = inst.union_edges
+    in_anchor = (codes & 1) != 0
+    fwd = in_anchor & bad[lo] & in_member[hi]
+    rev = in_anchor & bad[hi] & in_member[lo]
     src = np.concatenate([lo[fwd], hi[rev]])
     dst = np.concatenate([hi[fwd], lo[rev]])
     # Child j is subtracted exactly when v is matched to it, which is when
     # both ends of the arc lie in the (0, j) matched set, bit j of ``vc``.
     # The arc's image is then a child-j edge exactly when the retention code
-    # of its parent edge has bit j; the anchor's edges are the parent edges
-    # with bit 0, in the same order.
-    codes = inst.edge_codes[_rows_with_bit(inst.edge_codes, 0)]
+    # of its parent edge has bit j.
     dtype = codes.dtype
     vc = np.zeros(n, dtype=dtype)
     for j in range(1, inst.K):

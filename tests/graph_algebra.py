@@ -6,7 +6,9 @@ verbatim, as the independent reference that the anchored kernels of
 composition that ``csbm.matching`` used for the good step and the exact
 matching estimator is kept here too: shortest anchor paths over a
 metagraph's pairs, a family's matchings as dense arrays, and the walk that
-composes them.
+composes them.  So are the parent sampler that unpacked each pair from
+its triangle index, and the balance diagnostic's per-vertex pair count,
+as they were before they were vectorised.
 """
 
 from collections import deque
@@ -14,7 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
+from csbm.generate import (
+    _PAIR_CHUNK,
+    Params,
+    _bernoulli_index_sample,
+    _tri_row_starts,
+)
 from csbm.graphs import Graph, _image_keys, _member, _sorted_unique
+from csbm.seeds import ROLE_LABELS, ROLE_PARENT_EDGES, stream
 
 
 def _pullback_union(
@@ -110,3 +119,83 @@ def _compose_array_along_path(fam, path: tuple[int, ...]) -> np.ndarray:
         valid = x >= 0
         x = np.where(valid, arr[np.where(valid, x, 0)], -1)
     return x
+
+
+# -- the sampler and the balance count as they were before vectorising -------
+
+
+def _unpack_triangle(flat: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Map flat upper-triangle indices to vertex pairs within ``members``."""
+    m = len(members)
+    starts = _tri_row_starts(m)
+    row = np.searchsorted(starts, flat, side="right") - 1
+    col = flat - starts[row] + row + 1
+    return np.column_stack((members[row], members[col]))
+
+
+def sample_parent(params: Params, seed: int) -> tuple[Graph, np.ndarray]:
+    """Draw the parent graph and ground-truth labels.
+
+    Returns ``(graph, sigma)`` with ``sigma`` an int8 vector of ±1.  Labels
+    and edges come from separate seed roles, so the parent edge set is a
+    deterministic function of ``(seed, labels)``.
+    """
+    n = params.n
+    sigma = (stream(seed, ROLE_LABELS).integers(0, 2, size=n) * 2 - 1).astype(np.int8)
+    rng = stream(seed, ROLE_PARENT_EDGES)
+    plus = np.flatnonzero(sigma > 0)
+    minus = np.flatnonzero(sigma < 0)
+    np_, nm = len(plus), len(minus)
+    blocks = []
+    # Intra-community pairs: all pairs within V+, then all pairs within V-.
+    cp = np_ * (np_ - 1) // 2
+    cm = nm * (nm - 1) // 2
+    hits = _bernoulli_index_sample(rng, cp + cm, params.p)
+    if hits.size:
+        in_plus = hits < cp
+        if in_plus.any():
+            blocks.append(_unpack_triangle(hits[in_plus], plus))
+        if (~in_plus).any():
+            blocks.append(_unpack_triangle(hits[~in_plus] - cp, minus))
+    # Inter-community pairs, plus-major lexicographic order.
+    hits = _bernoulli_index_sample(rng, np_ * nm, params.q)
+    if hits.size:
+        blocks.append(
+            np.column_stack((plus[hits // nm], minus[hits % nm]))
+        )
+    edges = np.concatenate(blocks) if blocks else None
+    return Graph(n, edges), sigma
+
+
+def _pair_class_counts(
+    classes: np.ndarray, sigma: np.ndarray, n: int, num_classes: int
+) -> np.ndarray:
+    """Per-vertex pair counts by (class code, same/opposite community).
+
+    Returns an ``(n, num_classes, 2)`` int64 array; index 1 of the last axis
+    counts pairs whose other endpoint lies in the same community.
+    """
+    width = num_classes * 2
+    acc = np.zeros(n * width, dtype=np.int64)
+    same_side = (sigma > 0).astype(np.int64)
+    pos = 0
+    i = 0
+    while i < n - 1:
+        j = i
+        total = 0
+        while j < n - 1 and total + (n - 1 - j) <= _PAIR_CHUNK:
+            total += n - 1 - j
+            j += 1
+        if j == i:
+            j = i + 1
+            total = n - 1 - i
+        rows = np.arange(i, j, dtype=np.int64)
+        i_idx = np.repeat(rows, n - 1 - rows)
+        j_idx = np.concatenate([np.arange(r + 1, n, dtype=np.int64) for r in rows])
+        cls = classes[pos : pos + total].astype(np.int64)
+        same = (same_side[i_idx] == same_side[j_idx]).astype(np.int64)
+        acc += np.bincount(i_idx * width + cls * 2 + same, minlength=n * width)
+        acc += np.bincount(j_idx * width + cls * 2 + same, minlength=n * width)
+        pos += total
+        i = j
+    return acc.reshape(n, num_classes, 2)

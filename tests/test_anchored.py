@@ -30,6 +30,7 @@ from csbm.impossibility import singleton_sets
 from csbm.matching import (
     MatchingEstimate,
     _agrees_with_truth,
+    _pair_codes,
     _patterns,
     all_pairwise_matchings,
     classify_good_bad,
@@ -53,6 +54,9 @@ GRID = [
 ]
 # (seed, core order) per grid cell; the third seed also peels deeper cores.
 SEEDS = [(0, 1), (1, 1), (2, 3)]
+# Cells whose good vertices fall into many metagraph patterns (37 and 526 at
+# seed 0 for the first two), and K >= 12, where a pattern code spans bytes.
+MANY_GROUPS = [(2000, 0.25, 4, 37), (2000, 0.15, 5, 526), (300, 0.5, 12, 16), (400, 0.5, 13, 15)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -222,6 +226,28 @@ def test_good_step_matches_graph_algebra(n, s, K):
         triple = [fam.member_mask(0, 1) & fam.member_mask(0, 2) & fam.member_mask(1, 2)
                   for _, fam, _ in cases]
         assert any(mask.any() for mask in triple)
+
+
+def good_groups(fam):
+    """Patterns holding at least one good vertex; `graph_good_step` maps one union per each."""
+    good = np.zeros(fam.n, dtype=bool)
+    good[list(classify_good_bad(fam).good)] = True
+    return [p for p in _patterns(fam) if good[p.members].any()]
+
+
+@pytest.mark.parametrize("n, s, K, groups", MANY_GROUPS)
+def test_good_step_with_many_groups_matches_graph_algebra(n, s, K, groups):
+    # One pass over the union edges against one mapped union per pattern.
+    cases = instances(n, s, K)
+    for inst, fam, init in cases:
+        assert_same_estimate(label_good_vertices(inst, fam, init), graph_good_step(inst, fam, init))
+    inst, fam, _ = cases[0]
+    assert len(good_groups(fam)) == groups
+    if K >= 12:
+        good = np.zeros(n, dtype=bool)
+        good[list(classify_good_bad(fam).good)] = True
+        codes = _pair_codes(fam)
+        assert codes.shape[0] > 8 and (codes[8:, good] != 0).any()
 
 
 @pytest.mark.parametrize("n, s, K", GRID)

@@ -6,8 +6,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import graph_algebra
 from graph_algebra import _pullback_union
 
+from csbm import generate
 from csbm.generate import (
     CorrelatedInstance,
     Params,
@@ -20,6 +22,7 @@ from csbm.generate import (
 )
 from csbm.graphs import Graph, _image_keys
 from csbm.matching import all_pairwise_matchings
+from csbm.seeds import ROLE_SUBSAMPLE, stream
 
 
 def test_params_validation():
@@ -99,6 +102,36 @@ def test_parent_determinism():
     g3, s3 = sample_parent(params, 10)
     assert g1 == g2 and np.array_equal(s1, s2)
     assert g1 != g3 or not np.array_equal(s1, s3)
+
+
+def sampler_params():
+    """Empty, sparse, a != b either way, and dense parents over small to medium n."""
+    for n in (1, 2, 3, 7, 50, 301, 2000):
+        yield Params(n=n, a=0.0, b=0.0, s=0.5)
+        for a, b in ((9.0, 1.0), (1.0, 9.0), (3.0, 0.0), (0.0, 3.0)):
+            if n == 1 or max(a, b) * math.log(n) / n <= 1.0:
+                yield Params(n=n, a=a, b=b, s=0.5)
+        if 2 <= n <= 301:
+            yield Params.from_edge_probs(n=n, p=0.999, q=0.97, s=0.5)
+
+
+def test_parent_sampler_matches_pairwise_unpacking():
+    # The packed-key sampler against the one that unpacked each hit into a
+    # vertex pair and canonicalised them through Graph(n, edges).
+    cases = 0
+    for params in sampler_params():
+        for seed in (0, 1):
+            g, sigma = sample_parent(params, seed)
+            ref, ref_sigma = graph_algebra.sample_parent(params, seed)
+            assert sigma.dtype == ref_sigma.dtype and sigma.tolist() == ref_sigma.tolist()
+            assert g.n == ref.n and type(g.n) is int
+            assert g.packed_keys().dtype == np.int64
+            assert np.array_equal(g.packed_keys(), ref.packed_keys())
+            assert g.edges.dtype == ref.edges.dtype
+            assert np.array_equal(g.edges, ref.edges)
+            assert not g.packed_keys().flags.writeable and not g.edges.flags.writeable
+            cases += 1
+    assert cases >= 60
 
 
 # -- subsampling construction -------------------------------------------------
@@ -243,6 +276,50 @@ def test_edge_codes_pack_the_retention_bits():
         assert not codes.flags.writeable
         weights = np.array([1 << j for j in range(K)], dtype=np.int64)
         assert codes.tolist() == (inst.edge_patterns.astype(np.int64) @ weights).tolist()
+
+
+@pytest.mark.parametrize("K", [1, 3, 9])
+def test_union_edges_are_the_kept_parent_rows(K):
+    inst = sample_instance(Params(n=300, a=9.0, b=1.0, s=0.3, K=K), 5)
+    union = inst.union_edges
+    kept = np.flatnonzero(inst.edge_codes != 0)
+    assert 0 < kept.size < inst.parent.edge_count
+    assert union.u.tolist() == inst.parent.edges[kept, 0].tolist()
+    assert union.v.tolist() == inst.parent.edges[kept, 1].tolist()
+    assert union.codes.dtype == inst.edge_codes.dtype
+    assert union.codes.tolist() == inst.edge_codes[kept].tolist()
+    for arr in union:
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert inst.union_edges is union
+
+
+def test_union_edges_of_an_instance_no_child_keeps():
+    union = sample_instance(Params(n=80, a=9.0, b=1.0, s=0.0, K=2), 1).union_edges
+    assert [arr.size for arr in union] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("rows, K", [(3, 3), (5, 2), (1, 4), (10**6, 3)])
+def test_retention_draw_in_row_chunks_equals_one_draw(monkeypatch, rows, K):
+    params = Params(n=200, a=9.0, b=1.0, s=0.4, K=K)
+    monkeypatch.setattr(generate, "_RETENTION_CHUNK_ROWS", rows)
+    inst = sample_instance(params, 8)
+    m = inst.parent.edge_count
+    assert rows in (1, 10**6) or m % rows  # a ragged last chunk
+    one_draw = stream(8, ROLE_SUBSAMPLE).random((m, K)) < params.s
+    assert inst.edge_patterns.dtype == np.uint8
+    assert inst.edge_patterns.tolist() == one_draw.astype(np.uint8).tolist()
+
+
+def test_instances_and_families_compare_by_identity():
+    params = Params(n=120, a=9.0, b=1.0, s=0.5, K=3, k=1)
+    inst, twin = sample_instance(params, 1), sample_instance(params, 1)
+    assert inst == inst and not inst != inst
+    assert inst != twin and not inst == twin
+    fam, fam_twin = all_pairwise_matchings(inst, 1), all_pairwise_matchings(inst, 1)
+    assert fam == fam and fam != fam_twin
+    assert inst in [twin, inst] and fam not in [fam_twin]
 
 
 def instance_fields(**changes):
@@ -494,6 +571,23 @@ def test_balance_detects_pair_count_violations():
     assert side in ("same", "opp")
     assert lo <= hi
     assert count < lo or count > hi
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+@pytest.mark.parametrize("n", [2, 3, 50, 301])
+@pytest.mark.parametrize("K", [1, 3])
+def test_pair_class_counts_match_reference(monkeypatch, n, K, chunk):
+    # The vectorised count against the per-row loop it replaced, also with
+    # chunks cut mid-triangle.
+    if chunk is not None:
+        monkeypatch.setattr(generate, "_COUNT_CHUNK", chunk)
+    rng = np.random.default_rng(n * 10 + K)
+    classes = rng.integers(0, 1 << K, size=n * (n - 1) // 2).astype(np.uint8)
+    sigma = rng.choice(np.array([-1, 1], dtype=np.int8), n)
+    got = generate._pair_class_counts(classes, sigma, n, 1 << K)
+    want = graph_algebra._pair_class_counts(classes, sigma, n, 1 << K)
+    assert got.dtype == np.int64 and got.shape == (n, 1 << K, 2)
+    assert np.array_equal(got, want)
 
 
 def test_balance_typical_instances_pass():

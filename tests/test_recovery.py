@@ -5,8 +5,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from csbm import recovery
 from csbm.generate import CorrelatedInstance, Params, sample_instance, sample_parent
-from csbm.graphs import Graph
+from csbm.graphs import Graph, _adjacency_csr
 from csbm.matching import (
     MatchingFamily,
     _agrees_with_truth,
@@ -26,6 +27,7 @@ from csbm.recovery import (
     label_good_vertices,
     overlap,
 )
+from csbm.seeds import ROLE_EDGE_HOLDOUT, stream
 
 
 def two_cliques(half: int) -> tuple[Graph, np.ndarray]:
@@ -113,6 +115,36 @@ def test_init_accuracy_at_reference_point():
         est = almost_exact_label(g, 7.2, 0.8, seed=seed)
         overlaps.append(overlap(sigma, est))
     assert float(np.mean(overlaps)) >= 0.95
+
+
+@pytest.mark.parametrize("n, s", [(300, 0.4), (3000, 0.15), (3000, 0.6)])
+def test_refinement_votes_equal_the_adjacency_matvec(n, s):
+    # The held-out half of an anchor, as the init splits it, with random ±1
+    # weights and with all ones (the degrees).
+    inst = sample_instance(Params(n=n, a=9.0, b=1.0, s=s, K=2), 4)
+    g = inst.children[0]
+    hold = stream(inst.seed, ROLE_EDGE_HOLDOUT).random(g.edge_count) < 0.5
+    refine = g.edges.take(np.flatnonzero(~hold), axis=0)
+    signs = np.random.default_rng(n).choice(np.array([-1.0, 1.0]), n)
+    for values in (signs, np.ones(n)):
+        got = recovery._neighbour_sums(n, refine[:, 0], refine[:, 1], values)
+        want = _adjacency_csr(n, refine) @ values
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert recovery._neighbour_sums(n, refine[:0, 0], refine[:0, 1], signs).tolist() == [0.0] * n
+
+
+def test_init_builds_one_adjacency(monkeypatch):
+    built = []
+
+    def counting(n, edges):
+        built.append(len(edges))
+        return _adjacency_csr(n, edges)
+
+    monkeypatch.setattr(recovery, "_adjacency_csr", counting)
+    g, sigma = sample_parent(Params(n=2000, a=7.2, b=0.8, s=1.0), 3)
+    est = almost_exact_label(g, 7.2, 0.8, seed=3)
+    assert not est.degraded and overlap(sigma, est) > 0.9
+    assert len(built) == 1 and 0 < built[0] < g.edge_count
 
 
 # -- crafted instances for the refinement steps -------------------------------
