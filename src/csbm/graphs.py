@@ -16,7 +16,7 @@ through matchings: it selects parent edges by their retention codes.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -101,6 +101,23 @@ def _adjacency_csr(n: int, edges: np.ndarray) -> csr_matrix:
     cols = np.concatenate([lo, hi])
     data = np.ones(len(rows), dtype=np.float64)
     return csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
+def _neighbour_sums(
+    n: int, lo: np.ndarray, hi: np.ndarray, values: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-vertex sums of ``values`` over the neighbours along the edges ``(lo[i], hi[i])``.
+
+    Without ``values`` each vertex counts its edges: the int64 degrees.
+    With vote weights of ±1 every partial sum is an exact integer in
+    float64, so the result equals the adjacency matvec bit for bit whatever
+    the summation order.
+    """
+    if values is None:
+        return np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
+    return np.bincount(lo, weights=values[hi], minlength=n) + np.bincount(
+        hi, weights=values[lo], minlength=n
+    )
 
 
 def _as_int64(values) -> np.ndarray:
@@ -220,12 +237,8 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         """Degree of every vertex as an int64 array."""
-        deg = np.zeros(self.n, dtype=np.int64)
-        if self.edge_count:
-            e = self.edges
-            deg += np.bincount(e[:, 0], minlength=self.n)
-            deg += np.bincount(e[:, 1], minlength=self.n)
-        return deg
+        e = self.edges
+        return _neighbour_sums(self.n, e[:, 0], e[:, 1])
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self._row(u)
@@ -406,19 +419,34 @@ def k_core(g: Graph, k: int) -> frozenset[int]:
     peeling order does not matter.  Returns the empty set when nothing
     survives.
     """
-    return frozenset(np.flatnonzero(_core_mask(g, k)).tolist())
+    e = g.edges
+    core = _core_mask(g.n, e[:, 0], e[:, 1], k, g._adjacency)
+    return frozenset(np.flatnonzero(core).tolist())
 
 
-def _core_mask(g: Graph, k: int) -> np.ndarray:
-    """Boolean mask of the vertices in the k-core of ``g``."""
+def _core_mask(
+    n: int,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    k: int,
+    adjacency: Callable[[], csr_matrix] | None = None,
+) -> np.ndarray:
+    """Boolean mask of the k-core of the graph on ``0..n-1`` with edges ``(lo[i], hi[i])``.
+
+    The edges must be distinct and in key order, as :attr:`Graph.edges` and
+    every row subset of it are.  The adjacency is needed only when a vertex
+    below ``k`` has an edge, so that the peel can cascade; it then comes
+    from ``adjacency`` (say, a graph's cached one) or is built from the
+    edges.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
-    deg = g.degrees()
+    deg = _neighbour_sums(n, lo, hi)
     removed = deg < k
     if not deg[removed].any():
         # Only isolated vertices go, so no degree drops and nothing cascades.
         return ~removed
-    csr = g._adjacency()
+    csr = adjacency() if adjacency is not None else _adjacency_csr(n, np.column_stack((lo, hi)))
     indptr, indices = csr.indptr, csr.indices
     stack = np.flatnonzero(removed).tolist()
     deg = deg.tolist()

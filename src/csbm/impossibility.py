@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generate import CorrelatedInstance
+from .graphs import _neighbour_sums
 
 __all__ = [
     "SingletonReport",
@@ -104,11 +105,7 @@ def map_failure_witness(inst: CorrelatedInstance) -> SingletonReport:
     u, v, codes = inst.union_edges
     in_g1 = np.flatnonzero((codes & 1) != 0)
     u, v = u.take(in_g1), v.take(in_g1)
-    sig = inst.sigma_star.astype(np.float64)
-    # Sums of ±1 are exact integers in float64.
-    maj_all = (
-        np.bincount(u, weights=sig[v], minlength=n) + np.bincount(v, weights=sig[u], minlength=n)
-    ).astype(np.int64)
+    maj_all = _neighbour_sums(n, u, v, inst.sigma_star.astype(np.float64)).astype(np.int64)
     members = sorted(report.s_star)
     maj = {i: int(maj_all[i]) for i in members}
     a, b = inst.params.a, inst.params.b

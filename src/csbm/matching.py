@@ -129,7 +129,8 @@ def kcore_matching_seeded(g: Graph, h: Graph, k: int, pi_true) -> PartialMatchin
     pi = np.asarray(pi_true, dtype=np.int64)
     if pi.shape != (g.n,) or not np.array_equal(np.sort(pi), np.arange(g.n)):
         raise ValueError("pi_true must be a full permutation of the vertex set")
-    core = _core_mask(Graph._from_keys(g.n, _matched_intersection_keys(g, h, pi)), k)
+    lo, hi = np.divmod(_matched_intersection_keys(g, h, pi), np.int64(g.n))
+    core = _core_mask(g.n, lo, hi, k)
     return PartialMatching._from_array(np.where(core, pi, -1))
 
 
@@ -170,8 +171,8 @@ def all_pairwise_matchings(inst: CorrelatedInstance, k: int) -> MatchingFamily:
     Each pair keeps the ground-truth pairwise permutation
     ``pi_j o pi_i^(-1)`` on the k-core of its intersection graph, which is
     peeled in anchor labels: the (i, j) intersection is the set of union
-    edges whose retention code has bits i and j, so no child graph is
-    built.  Its degrees come from the edge endpoints directly; a graph is
+    edges whose retention code has bits i and j, so no graph is built.
+    Its degrees come from the edge endpoints directly; an adjacency is
     built only when some vertex below ``k`` has an edge, so the peel can
     cascade.  The result equals :func:`kcore_matching_seeded` on the two
     children.  K = 1 yields an empty family.
@@ -185,11 +186,7 @@ def all_pairwise_matchings(inst: CorrelatedInstance, k: int) -> MatchingFamily:
         for j in range(i + 1, inst.K):
             both = codes.dtype.type((1 << i) | (1 << j))
             rows = np.flatnonzero((codes & both) == both)
-            ends_u, ends_v = u.take(rows), v.take(rows)
-            deg = np.bincount(ends_u, minlength=n) + np.bincount(ends_v, minlength=n)
-            core = deg >= k
-            if deg[~core].any():
-                core = _core_mask(Graph._from_keys(n, ends_u * np.int64(n) + ends_v), k)
+            core = _core_mask(n, u.take(rows), v.take(rows), k)
             arr = np.full(n, -1, dtype=np.int64)
             arr[inst.pi_star[i][core]] = inst.pi_star[j][core]
             fam.matchings[(i, j)] = PartialMatching._from_array(arr)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generate import CorrelatedInstance
-from .graphs import Graph, _adjacency_csr
+from .graphs import Graph, _adjacency_csr, _neighbour_sums
 from .matching import (
     MatchingFamily,
     VertexClass,
@@ -199,17 +199,6 @@ def _majority_labels(votes: np.ndarray, incoming: np.ndarray, assortative: bool)
     """Majority (or minority) call per vertex; zero votes keep the incoming label."""
     pos = 1 if assortative else -1
     return np.where(votes > 0, pos, np.where(votes < 0, -pos, incoming)).astype(np.int8)
-
-
-def _neighbour_sums(n: int, u: np.ndarray, v: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per-vertex sums of ``values`` over the neighbours along the edges ``(u[i], v[i])``.
-
-    Equal to the adjacency matvec: the values are vote weights of ±1, so
-    every partial sum is an exact integer in float64 whatever the order.
-    """
-    return np.bincount(u, weights=values[v], minlength=n) + np.bincount(
-        v, weights=values[u], minlength=n
-    )
 
 
 def _superset_votes(

@@ -1,19 +1,21 @@
 """Wall time and peak memory of single trials at desk scale.
 
-For each n in ``--sizes`` (default 10^5, 3·10^5, 10^6) at (a, b, s, K, k) =
-(9, 1, 0.4, 3, 1), this runs ``run_trial(params, seed, ("recover", "match",
-"witness"))`` ``--repeats`` times, each in a fresh Python process, and
-records each wall time and their median, the largest peak resident set
-size of those processes (``ru_maxrss``, which includes the interpreter and
-numpy) and a digest of the trial's ``replay_key``, so two source trees can
-be checked to compute the same trial.  BLAS and OpenMP are pinned to one
-thread.  The runs go one after another, never at once.
+For each n in 10^5, 3·10^5 and 10^6 at (a, b, s, K, k) = (9, 1, 0.4, 3, 1)
+and seed 1, this runs ``run_trial(params, 1, ("recover", "match",
+"witness"))`` three times, each in a fresh Python process, and records each
+wall time and their median, the largest peak resident set size of those
+processes (``ru_maxrss``, which includes the interpreter and numpy) and a
+digest of the trial's ``replay_key``, so two source trees can be checked
+to compute the same trial.  BLAS and OpenMP are pinned to one thread.  The
+runs go one after another, never at once.
 
 Each run writes one column of ``--out`` and keeps the file's other
 columns, so a change can be put next to its parent::
 
     python3 studies/desk_scale.py --column change --out BENCH.json
     python3 studies/desk_scale.py --column parent --src ../parent/src --out BENCH.json
+
+A file whose columns were measured on another machine is refused.
 """
 
 import argparse
@@ -26,6 +28,13 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SIZES = (10**5, 3 * 10**5, 10**6)
+SEED = 1
+REPEATS = 3
+POINT = {
+    "a": 9.0, "b": 1.0, "s": 0.4, "K": 3, "k": 1, "seed": SEED,
+    "experiments": ["recover", "match", "witness"],
+}
 
 CHILD = """
 import hashlib, json, resource, sys, time, warnings
@@ -60,26 +69,22 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--src", type=Path, default=ROOT / "src", help="source tree to import csbm from"
     )
-    parser.add_argument("--sizes", type=int, nargs="+", default=[10**5, 3 * 10**5, 10**6])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--column", required=True, help="name of the column to write")
     parser.add_argument(
         "--out", type=Path, required=True, help="JSON file to merge the column into"
     )
     args = parser.parse_args(argv)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc.setdefault("point", {
-        "a": 9.0, "b": 1.0, "s": 0.4, "K": 3, "k": 1, "seed": args.seed,
-        "experiments": ["recover", "match", "witness"],
-    })
-    doc.setdefault("machine", {
+    machine = {
         "cpus": os.cpu_count(), "platform": platform.platform(),
         "python": platform.python_version(),
-    })
+    }
+    if doc.setdefault("machine", machine) != machine:
+        raise SystemExit(f"{args.out} holds columns measured on {doc['machine']}")
+    doc["point"] = POINT
     column = {}
-    for n in args.sizes:
-        runs = [run_one(args.src.resolve(), n, args.seed) for _ in range(args.repeats)]
+    for n in SIZES:
+        runs = [run_one(args.src.resolve(), n, SEED) for _ in range(REPEATS)]
         if len({r["replay_digest"] for r in runs}) != 1:
             raise RuntimeError(f"n={n}: repeated trials differ")
         walls = [r["wall_s"] for r in runs]

@@ -8,9 +8,9 @@ import pytest
 from conftest import erdos_renyi, kcore_oracle
 from graph_algebra import _anchor_paths, _compose_array_along_path
 
-from csbm import matching
+from csbm import graphs, matching
 from csbm.generate import Params, sample_instance
-from csbm.graphs import Graph, PartialMatching, _core_mask
+from csbm.graphs import Graph, PartialMatching, _adjacency_csr
 from csbm.matching import (
     MatchingFamily,
     _patterns,
@@ -180,22 +180,29 @@ def test_family_k2_equals_single_pairwise_call():
     assert fam.matchings[(0, 1)] == direct
 
 
-def test_family_peels_through_a_graph_only_when_it_can_cascade(monkeypatch):
+def test_family_builds_an_adjacency_only_when_the_peel_can_cascade(monkeypatch):
+    inst = sample_instance(Params(n=400, a=9.0, b=1.0, s=0.5, K=3), 2)
+    inst.union_edges
     peeled = []
 
-    def counting(g, k):
-        peeled.append(g.edge_count)
-        return _core_mask(g, k)
+    def counting(n, edges):
+        peeled.append(len(edges))
+        return _adjacency_csr(n, edges)
 
-    monkeypatch.setattr(matching, "_core_mask", counting)
-    inst = sample_instance(Params(n=400, a=9.0, b=1.0, s=0.5, K=3), 2)
-    # At k = 1 only isolated vertices fall below k, so no graph is built.
+    def no_graph(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(graphs, "_adjacency_csr", counting)
+    monkeypatch.setattr(Graph, "_set_keys", no_graph)
+    # No graph is built at any k.  At k = 1 only isolated vertices fall
+    # below k, so no adjacency is built either.
     one = all_pairwise_matchings(inst, 1)
     assert peeled == []
-    # At k = 3 low-degree vertices with edges cascade; the peel then runs on
-    # the intersection itself.
+    # At k = 3 low-degree vertices with edges cascade; the peel then walks
+    # the adjacency of the intersection itself.
     three = all_pairwise_matchings(inst, 3)
     assert len(peeled) == 3
+    monkeypatch.undo()
     for (i, j), mask in three.anchor_masks.items():
         mu = kcore_matching_seeded(
             inst.children[i], inst.children[j], 3, inst.true_pairwise_permutation(i, j)

@@ -7,7 +7,7 @@ import pytest
 
 from csbm import recovery
 from csbm.generate import CorrelatedInstance, Params, sample_instance, sample_parent
-from csbm.graphs import Graph, _adjacency_csr
+from csbm.graphs import Graph, _adjacency_csr, _neighbour_sums
 from csbm.matching import (
     MatchingFamily,
     _agrees_with_truth,
@@ -126,11 +126,15 @@ def test_refinement_votes_equal_the_adjacency_matvec(n, s):
     hold = stream(inst.seed, ROLE_EDGE_HOLDOUT).random(g.edge_count) < 0.5
     refine = g.edges.take(np.flatnonzero(~hold), axis=0)
     signs = np.random.default_rng(n).choice(np.array([-1.0, 1.0]), n)
+    adj = _adjacency_csr(n, refine)
     for values in (signs, np.ones(n)):
-        got = recovery._neighbour_sums(n, refine[:, 0], refine[:, 1], values)
-        want = _adjacency_csr(n, refine) @ values
+        got = _neighbour_sums(n, refine[:, 0], refine[:, 1], values)
+        want = adj @ values
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert recovery._neighbour_sums(n, refine[:0, 0], refine[:0, 1], signs).tolist() == [0.0] * n
+    degrees = _neighbour_sums(n, refine[:, 0], refine[:, 1])
+    assert degrees.dtype == np.int64
+    assert degrees.tolist() == np.diff(adj.indptr).tolist()
+    assert _neighbour_sums(n, refine[:0, 0], refine[:0, 1], signs).tolist() == [0.0] * n
 
 
 def test_init_builds_one_adjacency(monkeypatch):
