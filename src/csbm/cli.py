@@ -48,7 +48,9 @@ def _add_model_arguments(parser: argparse.ArgumentParser, with_core: bool = True
     parser.add_argument("--K", type=int, default=3, help="number of children (default 3)")
     if with_core:
         parser.add_argument("--k", type=int, default=13, help="core order (default 13)")
-        parser.add_argument("--eps", type=float, default=0.05, help="init accuracy target")
+        parser.add_argument(
+            "--eps", type=float, default=0.01, help="init accuracy target (default 0.01)"
+        )
 
 
 def _params_from(args: argparse.Namespace) -> Params:
@@ -59,7 +61,7 @@ def _params_from(args: argparse.Namespace) -> Params:
         s=args.s,
         K=args.K,
         k=getattr(args, "k", 13),
-        eps=getattr(args, "eps", 0.05),
+        eps=getattr(args, "eps", 0.01),
     )
 
 

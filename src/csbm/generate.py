@@ -100,7 +100,7 @@ class Params:
     s: float
     K: int = 3
     k: int = 13
-    eps: float = 0.05
+    eps: float = 0.01
 
     def __post_init__(self):
         if self.n < 1:
@@ -140,7 +140,7 @@ class Params:
         s: float,
         K: int = 3,
         k: int = 13,
-        eps: float = 0.05,
+        eps: float = 0.01,
     ) -> "Params":
         """Build Params from raw edge probabilities instead of coefficients.
 
@@ -485,14 +485,24 @@ def _pattern_weights(s: float, bits: int) -> np.ndarray:
 
 
 def _draw_codes(rng: np.random.Generator, count: int, weights: np.ndarray) -> np.ndarray:
-    """Draw ``count`` i.i.d. codes from ``weights`` (chunked inverse CDF)."""
+    """Draw ``count`` i.i.d. codes from ``weights`` (chunked inverse CDF).
+
+    A uniform ``u`` gets the code ``#{i : u >= cum[i]}``, counted over the
+    inner edges of the cumulative table: the index ``searchsorted(cum, u,
+    side="right")`` would return, found by a handful of vectorised
+    comparisons instead of one binary search per draw.
+    """
     cum = np.cumsum(weights)
-    cum[-1] = 1.0
     out = np.empty(count, dtype=np.uint8)
+    hit = np.empty(min(count, _PAIR_CHUNK), dtype=bool)
     for start in range(0, count, _PAIR_CHUNK):
         stop = min(start + _PAIR_CHUNK, count)
         u = rng.random(stop - start)
-        out[start:stop] = np.searchsorted(cum, u, side="right").astype(np.uint8)
+        codes = out[start:stop]
+        codes[:] = 0
+        for edge in cum[:-1]:
+            np.greater_equal(u, edge, out=hit[: stop - start])
+            codes += hit[: stop - start]
     return out
 
 

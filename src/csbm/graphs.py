@@ -16,10 +16,12 @@ through matchings: it selects parent edges by their retention codes.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = [
     "Graph",
@@ -92,7 +94,11 @@ def _adjacency_csr(n: int, edges: np.ndarray) -> csr_matrix:
     reverse arcs then go first: scipy's stable row sort leaves each row as
     its smaller neighbours ascending followed by its larger ones, already
     sorted and free of duplicates, so the canonicalising passes are skipped.
+    scipy is imported here, not with the module, because only cascading
+    peels and the per-vertex queries of :class:`Graph` need a CSR.
     """
+    from scipy.sparse import csr_matrix
+
     if len(edges) == 0:
         return csr_matrix((n, n))
     lo = edges[:, 0]

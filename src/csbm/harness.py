@@ -202,7 +202,7 @@ class SweepConfig:
     s_values: tuple[float, ...]
     K_values: tuple[int, ...] = (3,)
     k: int = 13
-    eps: float = 0.05
+    eps: float = 0.01
     trials: int = 10
     master_seed: int = 0
     experiments: tuple[str, ...] = ("recover",)

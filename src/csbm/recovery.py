@@ -1,15 +1,21 @@
 """The community-recovery pipeline.
 
 Recovery runs in three stages.  First the anchor child alone is labelled
-almost exactly: a spectral initialisation (power iteration on the centred
-adjacency of half the edges, sign rounding) followed by one majority
-refinement round on the held-out half.  Second, every *good* vertex (one
-whose pairwise-matching metagraph is connected) is relabelled by the
-majority of its neighbourhood in the union of all K children, restricted to
-the set its metagraph's matchings all match.  Third, every *bad* vertex is
-relabelled on a difference graph: the anchor child minus the children its
-metagraph still links it to, restricted to the fully-matched vertex set,
-voting with the labels the good step produced.
+almost exactly: a spectral initialisation (Lanczos for the extreme
+eigenpair of the centred adjacency of half the edges, on the side the
+community structure sets, then sign rounding) followed by one majority
+refinement round on the held-out half.  Lanczos stops once the Ritz pair's
+residual is within ``_LANCZOS_TOL`` of its value, or gives up after
+``_LANCZOS_BUDGET`` matvecs and flags the labelling degraded: a numerical
+failure, reported apart from the statistical kind.  Both halves are read
+as endpoint columns decoded from the anchor's keys; no adjacency matrix is
+built.  Second, every *good* vertex (one whose pairwise-matching metagraph
+is connected) is relabelled by the majority of its neighbourhood in the
+union of all K children, restricted to the set its metagraph's matchings
+all match.  Third, every *bad* vertex is relabelled on a difference
+graph: the anchor child minus the children its metagraph still links it
+to, restricted to the fully-matched vertex set, voting with the labels the
+good step produced.
 
 Every pairwise matching of a seeded family is the ground-truth permutation
 on its matched set, so each child pulled back to anchor labels is the set
@@ -45,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generate import CorrelatedInstance
-from .graphs import Graph, _adjacency_csr, _neighbour_sums
+from .graphs import Graph, _neighbour_sums
 from .matching import (
     MatchingFamily,
     VertexClass,
@@ -79,8 +85,10 @@ PROVENANCE_NAMES = {
     PROVENANCE_BAD: "bad-step",
 }
 
-_POWER_ITERATION_BUDGET = 200
-_POWER_ITERATION_TOL = 1e-8
+# Lanczos steps (one matvec each) before the init gives up, and the
+# relative residual at which its Ritz pair counts as converged.
+_LANCZOS_BUDGET = 100
+_LANCZOS_TOL = 1e-4
 
 
 @dataclass
@@ -120,7 +128,7 @@ def almost_exact_label(
     g1: Graph,
     a_eff: float,
     b_eff: float,
-    eps: float = 0.05,
+    eps: float = 0.01,
     seed: int | None = None,
 ) -> LabelEstimate:
     """Label one graph almost exactly by spectral init plus one refinement.
@@ -130,10 +138,28 @@ def almost_exact_label(
     and ``s * b``); they choose between majority and minority refinement and
     feed the accuracy-target sanity check on ``eps``.  Half the edges (an
     independent Bernoulli split derived from ``seed``) go to the spectral
-    stage, the other half to the refinement vote.  If power iteration fails
-    to converge within its budget the routine returns the all +1 labelling
-    flagged degraded.  ``seed=None`` derives a seed from the graph bytes, so
-    the labelling is still deterministic per input.
+    stage, the other half to the refinement vote.  ``seed=None`` derives a
+    seed from the graph bytes, so the labelling is still deterministic per
+    input.
+
+    The spectral stage runs Lanczos on the centred adjacency ``M`` of the
+    spectral half (``M x = A x - d (sum(x) - x)``, ``d`` its edge density)
+    from a Gaussian start vector: the plain three-term recurrence, no
+    reorthogonalisation, with the Ritz pair taken from the tridiagonal
+    matrix by ``np.linalg.eigh``.  The pair is the largest eigenvalue of
+    ``M`` when ``a_eff >= b_eff`` and the smallest otherwise, the side the
+    refinement's majority or minority rule reads.  It has converged once
+    ``beta_m * |s_m| <= _LANCZOS_TOL * |theta|`` (``_LANCZOS_TOL`` = 1e-4;
+    ``beta_m * |s_m|`` is the residual norm of the Ritz pair).  The matvec
+    reads the spectral half's endpoint columns directly; no adjacency
+    matrix is built.  The basis keeps one float64 row of length n per step,
+    at most ``8 * n * (_LANCZOS_BUDGET + 1)`` bytes for the budget of 100
+    steps, though only the rows used are touched.
+
+    The result is flagged ``degraded``, with every label +1, when the graph
+    or its spectral half has no edges or when the budget is spent before
+    the Ritz pair converges: a numerical failure, told apart from a
+    labelling that converged and is simply wrong.
     """
     if a_eff < 0 or b_eff < 0:
         raise ValueError("a_eff and b_eff must be non-negative")
@@ -152,47 +178,62 @@ def almost_exact_label(
     n = g1.n
     if seed is None:
         seed = _graph_seed(g1)
-    degraded = LabelEstimate(
-        labels=np.ones(n, dtype=np.int8),
-        provenance=np.full(n, PROVENANCE_INITIAL, dtype=np.uint8),
-        degraded=True,
-    )
-    if g1.edge_count == 0:
-        return degraded
+    provenance = np.full(n, PROVENANCE_INITIAL, dtype=np.uint8)
     hold = stream(seed, ROLE_EDGE_HOLDOUT).random(g1.edge_count) < 0.5
-    spectral_edges = g1.edges.take(np.flatnonzero(hold), axis=0)
-    refine_edges = g1.edges.take(np.flatnonzero(~hold), axis=0)
-    adj = _adjacency_csr(n, spectral_edges)
-    density = 2.0 * len(spectral_edges) / (n * (n - 1)) if n > 1 else 0.0
-    rng = stream(seed, ROLE_INIT_VECTOR)
-    x = rng.standard_normal(n)
-    nrm = np.linalg.norm(x)
+    assortative = a_eff >= b_eff
+    x = _lanczos_top_vector(n, *_edge_columns(g1, hold), seed, assortative)
+    if x is None:
+        return LabelEstimate(np.ones(n, dtype=np.int8), provenance, degraded=True)
+    init = np.where(x >= 0, 1.0, -1.0)
+    lo, hi = _edge_columns(g1, ~hold)
+    labels = _majority_labels(_neighbour_sums(n, lo, hi, init), init, assortative)
+    return LabelEstimate(labels, provenance)
+
+
+def _edge_columns(g: Graph, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous ``lo`` and ``hi`` endpoint columns of the edges ``keep`` selects.
+
+    Decoded from the selected keys, so the graph's (m, 2) edge array is
+    never built, and contiguous, so no bincount that reads them copies them.
+    """
+    return np.divmod(g.packed_keys().take(np.flatnonzero(keep)), np.int64(g.n))
+
+
+def _lanczos_top_vector(
+    n: int, lo: np.ndarray, hi: np.ndarray, seed: int, assortative: bool
+) -> np.ndarray | None:
+    """Ritz vector of the centred adjacency's extreme eigenvalue, or None.
+
+    See :func:`almost_exact_label` for the operator, the side rule and the
+    stopping rule.  None means there are no edges or the budget ran out.
+    """
+    if lo.size == 0:
+        return None
+    density = 2.0 * lo.size / (n * (n - 1))
+    basis = np.empty((_LANCZOS_BUDGET + 1, n))
+    q = stream(seed, ROLE_INIT_VECTOR).standard_normal(n)
+    nrm = np.linalg.norm(q)
     if nrm == 0.0:  # pragma: no cover - measure zero
-        return degraded
-    x /= nrm
-    converged = False
-    for _ in range(_POWER_ITERATION_BUDGET):
-        # Centered adjacency acting on x: A x - density * (J - I) x.
-        y = adj @ x - density * (x.sum() - x)
-        nrm = np.linalg.norm(y)
-        if nrm < 1e-300:
-            break
-        y /= nrm
-        residual = min(np.linalg.norm(y - x), np.linalg.norm(y + x))
-        x = y
-        if residual < _POWER_ITERATION_TOL:
-            converged = True
-            break
-    if not converged:
-        return degraded
-    init = np.where(x >= 0, 1, -1).astype(np.int8)
-    votes = _neighbour_sums(n, refine_edges[:, 0], refine_edges[:, 1], init.astype(np.float64))
-    labels = _majority_labels(votes, init, a_eff >= b_eff)
-    return LabelEstimate(
-        labels=labels,
-        provenance=np.full(n, PROVENANCE_INITIAL, dtype=np.uint8),
-        degraded=False,
-    )
+        return None
+    basis[0] = q / nrm
+    alpha = np.zeros(_LANCZOS_BUDGET)
+    beta = np.zeros(_LANCZOS_BUDGET)
+    pick = -1 if assortative else 0
+    for m in range(1, _LANCZOS_BUDGET + 1):
+        q = basis[m - 1]
+        w = _neighbour_sums(n, lo, hi, q) - density * (q.sum() - q)
+        alpha[m - 1] = w @ q
+        w -= alpha[m - 1] * q
+        if m > 1:
+            w -= beta[m - 2] * basis[m - 2]
+        beta[m - 1] = np.linalg.norm(w)
+        tri = np.diag(alpha[:m]) + np.diag(beta[: m - 1], 1) + np.diag(beta[: m - 1], -1)
+        theta, vecs = np.linalg.eigh(tri)
+        s = vecs[:, pick]
+        if beta[m - 1] * abs(s[-1]) <= _LANCZOS_TOL * abs(theta[pick]):
+            return s @ basis[:m]
+        basis[m] = w / beta[m - 1]
+    return None
 
 
 def _majority_labels(votes: np.ndarray, incoming: np.ndarray, assortative: bool) -> np.ndarray:

@@ -9,6 +9,16 @@ digest of the trial's ``replay_key``, so two source trees can be checked
 to compute the same trial.  BLAS and OpenMP are pinned to one thread.  The
 runs go one after another, never at once.
 
+Two more fresh processes per column look inside a trial.  One runs the
+trial stage by stage, in the order of ``perfbench/bench.py``'s traced run
+with the union table and the anchor split out, at each of
+``STAGE_POINTS`` (n = 10^6 at s = 0.4, and n = 3·10^5 at s = 0.15, where
+the init used to exhaust its budget) and records per stage the wall time,
+``ru_maxrss`` after the stage and the minor page faults (``ru_minflt``)
+during it, plus whether the init degraded and its overlap.  The other runs
+``FAULT_TRIALS`` whole trials at the ``above-n30k`` benchmark point,
+n = 3·10^4 and s = 0.4, and records the minor page faults of each.
+
 Each run writes one column of ``--out`` and keeps the file's other
 columns, so a change can be put next to its parent::
 
@@ -54,11 +64,68 @@ print(json.dumps({
 }))
 """
 
+STAGE_POINTS = ((10**6, 0.4), (3 * 10**5, 0.15))
+STAGE_CHILD = """
+import json, resource, sys, time, warnings
+sys.path.insert(0, sys.argv[1])
+warnings.simplefilter("ignore")
+import csbm
+n, s, seed = int(sys.argv[2]), float(sys.argv[3]), int(sys.argv[4])
+params = csbm.Params(n=n, a=9.0, b=1.0, s=s, K=3, k=1)
+stages = {}
+def stage(name, fn, *args, **kwargs):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    out = fn(*args, **kwargs)
+    wall = time.perf_counter() - start
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    stages[name] = {
+        "wall_s": round(wall, 3),
+        "maxrss_mb": round(usage.ru_maxrss / 1024, 1),
+        "minflt": usage.ru_minflt - before,
+    }
+    return out
+inst = stage("sample", csbm.sample_instance, params, seed)
+stage("union", lambda: inst.union_edges)
+anchor = stage("anchor", lambda: inst.children[0])
+init = stage(
+    "init", csbm.almost_exact_label, anchor, s * 9.0, s * 1.0, params.eps, seed=inst.seed
+)
+fam = stage("match", csbm.all_pairwise_matchings, inst, 1)
+classes = stage("classify", csbm.classify_good_bad, fam)
+good = stage("good", csbm.label_good_vertices, inst, fam, init, classes=classes)
+stage("bad", csbm.label_bad_vertices, inst, fam, good, classes=classes)
+stage("exact", csbm.exact_matching_estimator, inst, 1, family=fam)
+stage("witness", csbm.map_failure_witness, inst)
+print(json.dumps({
+    "stages": stages,
+    "init_degraded": init.degraded,
+    "init_overlap": csbm.overlap(inst.sigma_star, init),
+}))
+"""
 
-def run_one(src: Path, n: int, seed: int) -> dict:
+FAULT_POINT = {"n": 3 * 10**4, "s": 0.4}
+FAULT_TRIALS = 5
+FAULT_CHILD = """
+import json, resource, sys, warnings
+sys.path.insert(0, sys.argv[1])
+warnings.simplefilter("ignore")
+from csbm import Params, run_trial
+n, s, trials = int(sys.argv[2]), float(sys.argv[3]), int(sys.argv[4])
+params = Params(n=n, a=9.0, b=1.0, s=s, K=3, k=1)
+faults = []
+for seed in range(1, trials + 1):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_trial(params, seed, ("recover", "match", "witness"))
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps({"minflt_per_trial": faults}))
+"""
+
+
+def run_child(code: str, src: Path, *args) -> dict:
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, str(src), str(n), str(seed)],
+        [sys.executable, "-c", code, str(src), *map(str, args)],
         env=env, check=True, capture_output=True, text=True,
     )
     return json.loads(out.stdout)
@@ -84,7 +151,7 @@ def main(argv=None) -> int:
     doc["point"] = POINT
     column = {}
     for n in SIZES:
-        runs = [run_one(args.src.resolve(), n, SEED) for _ in range(REPEATS)]
+        runs = [run_child(CHILD, args.src.resolve(), n, SEED) for _ in range(REPEATS)]
         if len({r["replay_digest"] for r in runs}) != 1:
             raise RuntimeError(f"n={n}: repeated trials differ")
         walls = [r["wall_s"] for r in runs]
@@ -96,6 +163,16 @@ def main(argv=None) -> int:
             "overlap": runs[0]["overlap"],
         }
         print(f"{args.column} n={n}: {column[str(n)]}", file=sys.stderr)
+    column["stages"] = {
+        f"n={n},s={s}": run_child(STAGE_CHILD, args.src.resolve(), n, s, SEED)
+        for n, s in STAGE_POINTS
+    }
+    faults = run_child(
+        FAULT_CHILD, args.src.resolve(), FAULT_POINT["n"], FAULT_POINT["s"], FAULT_TRIALS
+    )
+    column["page_faults"] = {**FAULT_POINT, **faults}
+    print(f"{args.column} stages: {column['stages']}", file=sys.stderr)
+    print(f"{args.column} page faults: {column['page_faults']}", file=sys.stderr)
     doc.setdefault("columns", {})[args.column] = column
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0

@@ -2,12 +2,23 @@
 
 The oracles here are written independently of the library code paths they
 check, on purpose: ``kcore_oracle`` enumerates every vertex subset instead
-of peeling, and ``erdos_renyi`` draws edges one coin at a time.
+of peeling, and ``erdos_renyi`` draws edges one coin at a time.  The
+``power_init`` fixture runs the pipeline on the power-iteration init that
+the pins recorded before the Lanczos one still describe.
 """
 
 import numpy as np
+import pytest
+from graph_algebra import almost_exact_label as power_iteration_label
 
+from csbm import recovery
 from csbm.graphs import Graph
+
+
+@pytest.fixture
+def power_init(monkeypatch):
+    """Swap the power-iteration init of ``graph_algebra`` into the pipeline."""
+    monkeypatch.setattr(recovery, "almost_exact_label", power_iteration_label)
 
 
 def kcore_oracle(g: Graph, k: int) -> frozenset:

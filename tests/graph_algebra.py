@@ -8,9 +8,14 @@ matching estimator is kept here too: shortest anchor paths over a
 metagraph's pairs, a family's matchings as dense arrays, and the walk that
 composes them.  So are the parent sampler that unpacked each pair from
 its triangle index, and the balance diagnostic's per-vertex pair count,
-as they were before they were vectorised.
+as they were before they were vectorised, the inverse-CDF code draw as it
+was before it counted comparisons, and the power-iteration initialisation
+that the Lanczos one replaced, with which the pins recorded before it still
+hold.
 """
 
+import math
+import warnings
 from collections import deque
 from typing import Sequence
 
@@ -22,8 +27,28 @@ from csbm.generate import (
     _bernoulli_index_sample,
     _tri_row_starts,
 )
-from csbm.graphs import Graph, _image_keys, _member, _sorted_unique
-from csbm.seeds import ROLE_LABELS, ROLE_PARENT_EDGES, stream
+from csbm.graphs import (
+    Graph,
+    _adjacency_csr,
+    _image_keys,
+    _member,
+    _neighbour_sums,
+    _sorted_unique,
+)
+from csbm.recovery import (
+    PROVENANCE_INITIAL,
+    LabelEstimate,
+    _graph_seed,
+    _majority_labels,
+)
+from csbm.seeds import (
+    ROLE_EDGE_HOLDOUT,
+    ROLE_INIT_VECTOR,
+    ROLE_LABELS,
+    ROLE_PARENT_EDGES,
+    stream,
+)
+from csbm.thresholds import chernoff_hellinger
 
 
 def _pullback_union(
@@ -199,3 +224,100 @@ def _pair_class_counts(
         pos += total
         i = j
     return acc.reshape(n, num_classes, 2)
+
+
+def _draw_codes(rng: np.random.Generator, count: int, weights: np.ndarray) -> np.ndarray:
+    """Draw ``count`` i.i.d. codes from ``weights`` (chunked inverse CDF)."""
+    cum = np.cumsum(weights)
+    cum[-1] = 1.0
+    out = np.empty(count, dtype=np.uint8)
+    for start in range(0, count, _PAIR_CHUNK):
+        stop = min(start + _PAIR_CHUNK, count)
+        u = rng.random(stop - start)
+        out[start:stop] = np.searchsorted(cum, u, side="right").astype(np.uint8)
+    return out
+
+
+# -- the power-iteration initialisation --------------------------------------
+
+_POWER_ITERATION_BUDGET = 200
+_POWER_ITERATION_TOL = 1e-8
+
+
+def almost_exact_label(
+    g1: Graph,
+    a_eff: float,
+    b_eff: float,
+    eps: float = 0.05,
+    seed: int | None = None,
+) -> LabelEstimate:
+    """Label one graph almost exactly by spectral init plus one refinement.
+
+    ``a_eff`` and ``b_eff`` are the effective intra/inter coefficients of
+    the graph being labelled (for a child of the correlated model, ``s * a``
+    and ``s * b``); they choose between majority and minority refinement and
+    feed the accuracy-target sanity check on ``eps``.  Half the edges (an
+    independent Bernoulli split derived from ``seed``) go to the spectral
+    stage, the other half to the refinement vote.  If power iteration fails
+    to converge within its budget the routine returns the all +1 labelling
+    flagged degraded.  ``seed=None`` derives a seed from the graph bytes, so
+    the labelling is still deterministic per input.
+    """
+    if a_eff < 0 or b_eff < 0:
+        raise ValueError("a_eff and b_eff must be non-negative")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if a_eff > 0 and b_eff > 0 and a_eff != b_eff:
+        bound = chernoff_hellinger(a_eff, b_eff) / (
+            4.0 * abs(math.log(a_eff / b_eff))
+        )
+        if eps > bound:
+            warnings.warn(
+                f"eps={eps} exceeds the accuracy-target bound {bound:.6g} "
+                "for these parameters; the almost-exact guarantee may not apply",
+                stacklevel=2,
+            )
+    n = g1.n
+    if seed is None:
+        seed = _graph_seed(g1)
+    degraded = LabelEstimate(
+        labels=np.ones(n, dtype=np.int8),
+        provenance=np.full(n, PROVENANCE_INITIAL, dtype=np.uint8),
+        degraded=True,
+    )
+    if g1.edge_count == 0:
+        return degraded
+    hold = stream(seed, ROLE_EDGE_HOLDOUT).random(g1.edge_count) < 0.5
+    spectral_edges = g1.edges.take(np.flatnonzero(hold), axis=0)
+    refine_edges = g1.edges.take(np.flatnonzero(~hold), axis=0)
+    adj = _adjacency_csr(n, spectral_edges)
+    density = 2.0 * len(spectral_edges) / (n * (n - 1)) if n > 1 else 0.0
+    rng = stream(seed, ROLE_INIT_VECTOR)
+    x = rng.standard_normal(n)
+    nrm = np.linalg.norm(x)
+    if nrm == 0.0:  # pragma: no cover - measure zero
+        return degraded
+    x /= nrm
+    converged = False
+    for _ in range(_POWER_ITERATION_BUDGET):
+        # Centered adjacency acting on x: A x - density * (J - I) x.
+        y = adj @ x - density * (x.sum() - x)
+        nrm = np.linalg.norm(y)
+        if nrm < 1e-300:
+            break
+        y /= nrm
+        residual = min(np.linalg.norm(y - x), np.linalg.norm(y + x))
+        x = y
+        if residual < _POWER_ITERATION_TOL:
+            converged = True
+            break
+    if not converged:
+        return degraded
+    init = np.where(x >= 0, 1, -1).astype(np.int8)
+    votes = _neighbour_sums(n, refine_edges[:, 0], refine_edges[:, 1], init.astype(np.float64))
+    labels = _majority_labels(votes, init, a_eff >= b_eff)
+    return LabelEstimate(
+        labels=labels,
+        provenance=np.full(n, PROVENANCE_INITIAL, dtype=np.uint8),
+        degraded=False,
+    )

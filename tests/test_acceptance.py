@@ -13,7 +13,6 @@ the same bounds once the core order is reduced to a feasible value.
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -378,16 +377,15 @@ def test_criterion_05_companion_pairwise_full_matching_stays_rare():
 
 
 def test_criterion_06_deep_subcritical_recovery_fails():
+    # The init converges here (no trial is degraded); the labelling still
+    # fails because the graphs carry too little signal this far below
+    # threshold, which is the behaviour under test.
     params = Params(n=3000, a=4.0, b=1.0, s=0.15, K=3, k=13)
-    with warnings.catch_warnings():
-        # The initialisation accuracy target is not attainable this far
-        # below threshold; the pipeline warns and degrades, which is the
-        # behaviour under test.
-        warnings.simplefilter("ignore", UserWarning)
-        results = [
-            run_trial(params, seed, experiments=("recover",))
-            for seed in TRIAL_SEEDS
-        ]
+    results = [
+        run_trial(params, seed, experiments=("recover",))
+        for seed in TRIAL_SEEDS
+    ]
+    assert not any(r.degraded for r in results)
     assert _success_rate(results) <= 0.2
 
 

@@ -1,7 +1,10 @@
-"""Every exported name of the package resolves."""
+"""Every exported name of the package resolves, and a trial needs no scipy."""
 
 import importlib
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +21,20 @@ def test_every_exported_name_resolves(module):
     exported = getattr(mod, "__all__", ())
     assert [name for name in exported if not hasattr(mod, name)] == []
     assert len(set(exported)) == len(exported)
+
+
+def test_a_trial_loads_no_scipy():
+    # In a fresh interpreter: import the package and run one small trial
+    # through every experiment; only cascading peels and per-vertex graph
+    # queries import scipy.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import csbm; "
+        "csbm.run_trial(csbm.Params(n=200, a=9.0, b=1.0, s=0.4, K=3, k=1), 0, "
+        "('recover', 'match', 'witness')); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(csbm.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

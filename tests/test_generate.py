@@ -590,6 +590,38 @@ def test_pair_class_counts_match_reference(monkeypatch, n, K, chunk):
     assert np.array_equal(got, want)
 
 
+class _FixedUniforms:
+    """Stands in for a Generator whose ``random`` hands out fixed values in order."""
+
+    def __init__(self, values: np.ndarray):
+        self._values = values
+        self._pos = 0
+
+    def random(self, size: int) -> np.ndarray:
+        out = self._values[self._pos : self._pos + size]
+        self._pos += size
+        return out
+
+
+@pytest.mark.parametrize("s, K", [(0.5, 3), (0.15, 3), (0.4, 1), (0.7, 5)])
+def test_draw_codes_equal_the_binary_search_form(monkeypatch, s, K):
+    weights = generate._pattern_weights(s, K)
+    # A seeded stream drawn across several chunks, then uniforms placed on
+    # every inner edge of the cumulative table and one ulp either side.
+    monkeypatch.setattr(generate, "_PAIR_CHUNK", 1000)
+    got = generate._draw_codes(np.random.default_rng(K), 4567, weights)
+    want = graph_algebra._draw_codes(np.random.default_rng(K), 4567, weights)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+    edges = np.cumsum(weights)[:-1]
+    u = np.concatenate(
+        [edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0), [0.0, np.nextafter(1.0, 0.0)]]
+    )
+    got = generate._draw_codes(_FixedUniforms(u), u.size, weights)
+    want = graph_algebra._draw_codes(_FixedUniforms(u), u.size, weights)
+    assert np.array_equal(got, want)
+    assert got.max() == (1 << K) - 1
+
+
 def test_balance_typical_instances_pass():
     # The regularity event has high probability at n = 10^4; these seeds are
     # fixed, so the outcome is deterministic.
