@@ -15,8 +15,9 @@ of all keys gives the canonical edge order, with no further checks, since
 the construction yields distinct pairs of distinct vertices.
 
 An instance keeps the parent's edges, the permutations and one retention
-code per parent edge (bit ``j`` set = kept by child ``j``), drawn in chunks
-of whole edge rows so no ``(m, K)`` float array is held at once.  Every
+code per parent edge (bit ``j`` set = kept by child ``j``).  The codes are
+filled in chunks of whole edge rows, each chunk's retention draws ORed
+straight into them, so no per-edge float or bit matrix is held.  Every
 child is derived from them, and is built as a graph only when asked for:
 the trial pipeline works in anchor labels, where each child is a subset of
 the parent's sorted edges, and needs only the anchor itself.  Every stage
@@ -167,10 +168,10 @@ class Params:
 class CorrelatedInstance:
     """One sampled instance: parent, ground truth, and the K children.
 
-    ``edge_patterns`` has one row per parent edge (aligned with
-    ``parent.edges``) giving the K retention bits; it is the one record of
-    which parent edge each child keeps.  :attr:`edge_codes` packs each row
-    into one integer, bit ``j`` set when the edge is in child ``j``, and
+    ``edge_codes`` has one integer per parent edge (aligned with
+    ``parent.edges``), bit ``j`` set when child ``j`` keeps the edge; it is
+    the one record of which parent edge each child keeps, stored read-only
+    in the narrowest unsigned dtype with K bits (``uint8`` for K <= 8).
     :attr:`children` is derived from it: ``children[0]`` is the anchor and
     carries the parent's vertex labels; ``children[j]`` for ``j >= 1`` is
     relabelled by ``pi_star[j]``, which maps anchor labels to that child's
@@ -185,11 +186,11 @@ class CorrelatedInstance:
     pairs in lexicographic order, each entry the pattern code of that pair
     (bit ``j`` set = present in child ``j`` if the pair is a parent edge).
 
-    Construction rejects ``edge_patterns`` not shaped ``(parent.edge_count,
-    K)`` or holding values other than 0 and 1, ``pi_star`` that is not K
-    permutations of ``range(n)`` starting with the identity, and
-    ``sigma_star`` that is not n labels in {-1, +1}.  Each ``pi_star`` entry
-    is stored as an int64 array.
+    Construction rejects K > 64, ``edge_codes`` not shaped
+    ``(parent.edge_count,)`` or holding anything but integers in
+    ``[0, 2**K)``, ``pi_star`` that is not K permutations of ``range(n)``
+    starting with the identity, and ``sigma_star`` that is not n labels in
+    {-1, +1}.  Each ``pi_star`` entry is stored as an int64 array.
     """
 
     params: Params
@@ -197,23 +198,24 @@ class CorrelatedInstance:
     parent: Graph
     sigma_star: np.ndarray
     pi_star: list[np.ndarray]
-    edge_patterns: np.ndarray
+    edge_codes: np.ndarray
     pair_classes: np.ndarray | None = None
     _inverse_perms: list[np.ndarray | None] = field(init=False, repr=False, compare=False)
-    _codes: np.ndarray = field(init=False, repr=False, compare=False)
     _children: _Children = field(init=False, repr=False, compare=False)
     _union: UnionEdges | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, K = self.params.n, self.params.K
-        patterns = np.asarray(self.edge_patterns)
-        if patterns.shape != (self.parent.edge_count, K):
+        dtype = _code_dtype(K)
+        codes = np.asarray(self.edge_codes)
+        if codes.shape != (self.parent.edge_count,):
             raise ValueError(
-                f"edge_patterns must have shape ({self.parent.edge_count}, {K}), "
-                f"not {patterns.shape}"
+                f"edge_codes must have shape ({self.parent.edge_count},), not {codes.shape}"
             )
-        if not ((patterns == 0) | (patterns == 1)).all():
-            raise ValueError("edge_patterns must hold only 0 and 1")
+        if not np.issubdtype(codes.dtype, np.integer) or (
+            codes.size and (int(codes.min()) < 0 or int(codes.max()) >= 1 << K)
+        ):
+            raise ValueError(f"edge_codes must hold integers in [0, 2**{K})")
         if len(self.pi_star) != K:
             raise ValueError(f"pi_star must hold K={K} permutations, not {len(self.pi_star)}")
         for pi in self.pi_star:
@@ -225,10 +227,11 @@ class CorrelatedInstance:
         sigma = np.asarray(self.sigma_star)
         if sigma.shape != (n,) or not ((sigma == 1) | (sigma == -1)).all():
             raise ValueError(f"sigma_star must hold n={n} labels, each -1 or +1")
+        # A read-only view: the caller's array keeps its own flags.
+        self.edge_codes = codes.astype(dtype, copy=False).view()
+        self.edge_codes.setflags(write=False)
         self._inverse_perms = [None] * K
-        self._codes = _retention_codes(patterns)
-        self._codes.setflags(write=False)
-        self._children = _Children(self.parent, self._codes, self.pi_star)
+        self._children = _Children(self.parent, self.edge_codes, self.pi_star)
         self._union = None
 
     @property
@@ -240,21 +243,12 @@ class CorrelatedInstance:
         return self.params.n
 
     @property
-    def edge_codes(self) -> np.ndarray:
-        """Retention code per parent edge, read-only: bit ``j`` = kept by child ``j``.
-
-        The dtype is ``uint8`` for K <= 8 and the narrowest wider unsigned
-        integer otherwise.
-        """
-        return self._codes
-
-    @property
     def union_edges(self) -> UnionEdges:
         """The parent edges some child keeps (code != 0), in parent order, read-only."""
         if self._union is None:
-            rows = np.flatnonzero(self._codes != 0)
+            rows = np.flatnonzero(self.edge_codes != 0)
             ends = np.divmod(self.parent.packed_keys().take(rows), np.int64(self.n))
-            parts = (*ends, self._codes.take(rows))
+            parts = (*ends, self.edge_codes.take(rows))
             for arr in parts:
                 arr.setflags(write=False)
             self._union = UnionEdges(*parts)
@@ -279,10 +273,6 @@ class CorrelatedInstance:
         """Ground-truth relabelling from child ``i``'s labels to child ``j``'s."""
         return self.pi_star[j][self.inverse_pi(i)]
 
-    def child_edges_in_parent_labels(self, j: int) -> np.ndarray:
-        """Canonical edge array of child ``j`` in anchor labels: a row subset of the parent's."""
-        return self.parent.edges.take(_rows_with_bit(self._codes, j), axis=0)
-
 
 class UnionEdges(NamedTuple):
     """Contiguous endpoints ``u < v`` and retention codes of the union edges."""
@@ -304,26 +294,12 @@ def _is_permutation(pi: np.ndarray, n: int) -> bool:
     return bool(seen.all())
 
 
-def _retention_codes(patterns: np.ndarray) -> np.ndarray:
-    """One integer per row of the 0/1 ``patterns``: bit ``j`` is column ``j``.
-
-    The dtype is the narrowest unsigned integer with a bit per column.
-    """
-    dtype = np.min_scalar_type((1 << patterns.shape[1]) - 1)
+def _code_dtype(K: int) -> np.dtype:
+    """The narrowest unsigned integer dtype with a bit per child."""
+    dtype = np.min_scalar_type((1 << K) - 1)
     if dtype.kind != "u":
-        raise ValueError(f"retention codes hold at most 64 children, not K={patterns.shape[1]}")
-    codes = np.zeros(patterns.shape[0], dtype=dtype)
-    for j in range(patterns.shape[1]):
-        codes |= patterns[:, j].astype(dtype) << dtype.type(j)
-    return codes
-
-
-def _rows_with_bit(codes: np.ndarray, j: int) -> np.ndarray:
-    """Indices of the codes with bit ``j`` set, ascending."""
-    # Index arrays from a boolean mask: numpy's nonzero scans a bool array
-    # several times faster than an integer one, and taking rows by index
-    # beats boolean-mask indexing when the mask is irregular.
-    return np.flatnonzero((codes & codes.dtype.type(1 << j)) != 0)
+        raise ValueError(f"retention codes hold at most 64 children, not K={K}")
+    return dtype
 
 
 class _Children(Sequence):
@@ -355,7 +331,10 @@ class _Children(Sequence):
 
     def _build(self, j: int) -> Graph:
         parent = self._parent
-        kept = _rows_with_bit(self._codes, j)
+        # Index arrays from a boolean mask: numpy's nonzero scans a bool
+        # array several times faster than an integer one, and taking rows by
+        # index beats boolean-mask indexing when the mask is irregular.
+        kept = np.flatnonzero((self._codes & self._codes.dtype.type(1 << j)) != 0)
         if j == 0:
             # The anchor's relabelling is the identity: its keys are a
             # sorted subset of the parent's.
@@ -461,17 +440,21 @@ def sample_instance(params: Params, seed: int) -> CorrelatedInstance:
     parent, sigma = sample_parent(params, seed)
     m = parent.edge_count
     rng = stream(seed, ROLE_SUBSAMPLE)
-    patterns = np.empty((m, params.K), dtype=np.uint8)
+    dtype = _code_dtype(params.K)
+    codes = np.zeros(m, dtype=dtype)
     for start in range(0, m, _RETENTION_CHUNK_ROWS):
         stop = min(start + _RETENTION_CHUNK_ROWS, m)
-        patterns[start:stop] = rng.random((stop - start, params.K)) < params.s
+        kept = rng.random((stop - start, params.K)) < params.s
+        chunk = codes[start:stop]
+        for j in range(params.K):
+            chunk |= kept[:, j].astype(dtype) << dtype.type(j)
     return CorrelatedInstance(
         params=params,
         seed=seed,
         parent=parent,
         sigma_star=sigma,
         pi_star=_draw_permutations(params.n, params.K, seed),
-        edge_patterns=patterns,
+        edge_codes=codes,
     )
 
 
@@ -538,17 +521,14 @@ def sample_instance_partition(params: Params, seed: int) -> CorrelatedInstance:
     n_pairs = n * (n - 1) // 2
     weights = _pattern_weights(params.s, params.K)
     classes = _draw_codes(stream(seed, ROLE_PAIR_CLASSES), n_pairs, weights)
-    codes = classes[_pair_index(n, parent.edges)].astype(np.int64)
-    patterns = np.zeros((parent.edge_count, params.K), dtype=np.uint8)
-    for j in range(params.K):
-        patterns[:, j] = (codes >> j) & 1
+    # A pair's class is its retention code once the pair is a parent edge.
     return CorrelatedInstance(
         params=params,
         seed=seed,
         parent=parent,
         sigma_star=sigma,
         pi_star=_draw_permutations(n, params.K, seed),
-        edge_patterns=patterns,
+        edge_codes=classes[_pair_index(n, parent.edges)],
         pair_classes=classes,
     )
 

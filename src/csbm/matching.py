@@ -20,8 +20,8 @@ pattern: one table per family holds each pattern's members, pairs and the
 nodes its anchor reaches, and the classification reads it; the good step
 reads the per-vertex pattern codes the table is sorted by.  The exact
 matching estimator abstains when some vertex is bad; otherwise it returns
-the ground-truth anchor permutations.  Every family it reads is the ground
-truth on each matched set (seeded, or checked), so composing matchings
+the ground-truth anchor permutations.  A family stores only its matched
+sets, and each map is the ground truth on its set, so composing matchings
 along any path of a connected metagraph gives exactly those permutations.
 
 All per-vertex bookkeeping here is anchored: domains are stored as boolean
@@ -136,25 +136,40 @@ def kcore_matching_seeded(g: Graph, h: Graph, k: int, pi_true) -> PartialMatchin
 
 @dataclass(eq=False)
 class MatchingFamily:
-    """All pairwise matchings of one instance, with anchored domain masks.
+    """All pairwise matchings of one instance, stored as anchored matched sets.
 
-    ``matchings[(i, j)]`` (i < j) maps graph-i labels to graph-j labels.
-    ``anchor_masks[(i, j)]`` is a boolean vector over anchor labels marking
-    the vertices matched by that pair; the unmatched sets F_ij are the
-    complements.  Graph 0 is the anchor, so anchor labels are its labels.
-    Families compare by identity.
+    ``anchor_masks[(i, j)]`` (i < j) is a boolean vector over anchor labels
+    (graph 0 is the anchor) marking the vertices matched by that pair; the
+    unmatched sets F_ij are the complements.  Each pair's map is the ground
+    truth on its set, so it is derived: ``matchings[(i, j)]`` sends
+    ``pi_star[i][v]`` to ``pi_star[j][v]`` for each masked anchor vertex
+    ``v``, built on first access and kept.  Families compare by identity.
     """
 
     n: int
     K: int
     k: int
-    matchings: dict[tuple[int, int], PartialMatching]
     anchor_masks: dict[tuple[int, int], np.ndarray]
+    pi_star: list[np.ndarray]
+    _matchings: dict[tuple[int, int], PartialMatching] | None = field(
+        default=None, init=False, repr=False
+    )
     _pattern_table: list[_Pattern] | None = field(default=None, repr=False, compare=False)
     _classes: VertexClass | None = field(default=None, repr=False, compare=False)
 
+    @property
+    def matchings(self) -> dict[tuple[int, int], PartialMatching]:
+        """Each pair's map, the ground truth restricted to its matched set."""
+        if self._matchings is None:
+            self._matchings = {}
+            for (i, j), mask in sorted(self.anchor_masks.items()):
+                arr = np.full(self.n, -1, dtype=np.int64)
+                arr[self.pi_star[i][mask]] = self.pi_star[j][mask]
+                self._matchings[(i, j)] = PartialMatching._from_array(arr)
+        return self._matchings
+
     def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.matchings)
+        return sorted(self.anchor_masks)
 
     def member_mask(self, i: int, j: int) -> np.ndarray:
         """Anchored boolean mask of the (i, j) matched set M_ij."""
@@ -174,41 +189,20 @@ def all_pairwise_matchings(inst: CorrelatedInstance, k: int) -> MatchingFamily:
     edges whose retention code has bits i and j, so no graph is built.
     Its degrees come from the edge endpoints directly; an adjacency is
     built only when some vertex below ``k`` has an edge, so the peel can
-    cascade.  The result equals :func:`kcore_matching_seeded` on the two
-    children.  K = 1 yields an empty family.
+    cascade.  Only the cores are stored; the maps they stand for equal
+    :func:`kcore_matching_seeded` on the two children.  K = 1 yields an
+    empty family.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    fam = MatchingFamily(n=inst.n, K=inst.K, k=k, matchings={}, anchor_masks={})
-    n = inst.n
     u, v, codes = inst.union_edges
+    masks = {}
     for i in range(inst.K):
         for j in range(i + 1, inst.K):
             both = codes.dtype.type((1 << i) | (1 << j))
             rows = np.flatnonzero((codes & both) == both)
-            core = _core_mask(n, u.take(rows), v.take(rows), k)
-            arr = np.full(n, -1, dtype=np.int64)
-            arr[inst.pi_star[i][core]] = inst.pi_star[j][core]
-            fam.matchings[(i, j)] = PartialMatching._from_array(arr)
-            fam.anchor_masks[(i, j)] = core
-    return fam
-
-
-def _agrees_with_truth(fam: MatchingFamily, inst: CorrelatedInstance) -> bool:
-    """True when every map of ``fam`` is the ground truth on its matched set.
-
-    That is, for every pair (i, j) the map sends ``pi_i[v]`` to ``pi_j[v]``
-    for each anchor vertex ``v`` of its anchored mask and leaves every other
-    vertex unmatched.  Seeded families always pass; a hand-built family (say,
-    from the exhaustive matcher on a tiny graph) may not.  When this holds,
-    each child edge a stage needs is a parent edge picked out by its
-    retention code, which is how the relabelling steps read them.
-    """
-    for (i, j), mask in fam.anchor_masks.items():
-        truth = np.where(mask, inst.pi_star[j], -1)
-        if not np.array_equal(fam.matchings[(i, j)].as_array(fam.n)[inst.pi_star[i]], truth):
-            return False
-    return True
+            masks[(i, j)] = _core_mask(inst.n, u.take(rows), v.take(rows), k)
+    return MatchingFamily(n=inst.n, K=inst.K, k=k, anchor_masks=masks, pi_star=inst.pi_star)
 
 
 class _Pattern(NamedTuple):
@@ -330,10 +324,9 @@ class MatchingEstimate:
     """Output of the exact matching estimator.
 
     ``permutations[j]`` maps anchor labels into child ``j + 2``'s labels
-    (None when the estimator abstained because bad vertices exist).  The
-    estimator only runs on families that are the ground truth on their
-    matched sets, so when it does not abstain these are ``pi_star[1:]`` and
-    ``correct`` is True; ``correct`` is None when it abstained.
+    (None when the estimator abstained because bad vertices exist); when
+    it does not abstain these are ``pi_star[1:]`` and ``correct`` is True,
+    otherwise ``correct`` is None.
     """
 
     permutations: list[np.ndarray] | None
@@ -346,18 +339,10 @@ class MatchingEstimate:
         return not self.abstained and bool(self.correct)
 
 
-def _check_family(
-    fam: MatchingFamily, k: int | None, inst: CorrelatedInstance | None = None
-) -> None:
-    """Reject a family built with another core order ``k`` (None skips that).
-
-    With ``inst`` given, also reject a family whose maps are not the ground
-    truth on their matched sets (see :func:`_agrees_with_truth`).
-    """
+def _check_family(fam: MatchingFamily, k: int | None) -> None:
+    """Reject a family built with another core order ``k`` (None skips the check)."""
     if k is not None and fam.k != k:
         raise ValueError(f"family was built with k={fam.k}, not k={k}")
-    if inst is not None and not _agrees_with_truth(fam, inst):
-        raise ValueError("a matching is not the true permutation on its matched set")
 
 
 def exact_matching_estimator(
@@ -369,16 +354,15 @@ def exact_matching_estimator(
 
     Builds all pairwise matchings, classifies vertices by metagraph
     connectivity, and abstains if any vertex is bad.  Otherwise it returns
-    the ground-truth permutations ``pi_star[1:]`` with ``correct`` True: the
-    family is seeded, or a passed ``family`` is checked to be the ground
-    truth on each matched set, so composing its matchings along any path of
-    a connected metagraph sends each vertex to its true copy.  A ``family``
-    built with the same ``k`` may be passed to reuse work; one built with
-    another ``k``, or whose maps leave the ground truth, is rejected with
+    the ground-truth permutations ``pi_star[1:]`` with ``correct`` True:
+    every map of a family is the ground truth on its matched set, so
+    composing them along any path of a connected metagraph sends each
+    vertex to its true copy.  A ``family`` built with the same ``k`` may be
+    passed to reuse work; one built with another ``k`` is rejected with
     ``ValueError``.
     """
     if family is not None:
-        _check_family(family, k, inst)
+        _check_family(family, k)
     fam = family if family is not None else all_pairwise_matchings(inst, k)
     bad = classify_good_bad(fam).bad
     if bad:

@@ -17,13 +17,12 @@ graph: the anchor child minus the children its metagraph still links it
 to, restricted to the fully-matched vertex set, voting with the labels the
 good step produced.
 
-Every pairwise matching of a seeded family is the ground-truth permutation
-on its matched set, so each child pulled back to anchor labels is the set
-of parent edges whose retention code has that child's bit.  The union and
-difference graphs are therefore parent edges selected by retention codes
-and matched-set masks: both relabelling steps read the family's anchored
-masks only, never its maps, and reject a family whose maps leave the
-ground truth, since the codes would not describe it.
+A family stores only its matched sets, and each of its maps is the
+ground-truth permutation on its set, so each child pulled back to anchor
+labels is the set of parent edges whose retention code has that child's
+bit.  The union and difference graphs are therefore parent edges selected
+by retention codes and matched-set masks: both relabelling steps read the
+family's anchored masks only, never its maps.
 
 Each step makes one pass over the instance's union edges (the parent edges
 some child keeps).  In the good step a vertex v of metagraph pattern P
@@ -294,19 +293,17 @@ def label_good_vertices(
     """Relabel every good vertex by union-graph majority of the init labels.
 
     A vertex votes over its neighbourhood in the union of all K children,
-    restricted to the set matched by every pair its group uses; the family
-    is the ground truth on its matched sets, so the step reads only those
-    masks and the union edges with their retention codes, in one pass.  All
-    votes read the *initial* labels.  For K = 3 the groups are the classic
-    three cases, each writing every vertex of its matched set, processed in
-    order (via-3, via-2, direct) with last write winning on overlaps; the
-    returned estimate carries the count of triple-matched vertices whose
-    three case votes disagree.  For other K each good vertex's group is its
-    metagraph pattern, and only good vertices are written.  Bad vertices
-    are never written.  A family whose maps are not the ground truth on
-    their matched sets is rejected.
+    restricted to the set matched by every pair its group uses; the step
+    reads only those masks and the union edges with their retention codes,
+    in one pass.  All votes read the *initial* labels.  For K = 3 the
+    groups are the classic three cases, each writing every vertex of its
+    matched set, processed in order (via-3, via-2, direct) with last write
+    winning on overlaps; the returned estimate carries the count of
+    triple-matched vertices whose three case votes disagree.  For other K
+    each good vertex's group is its metagraph pattern, and only good
+    vertices are written.  Bad vertices are never written.
     """
-    _check_family(fam, k, inst)
+    _check_family(fam, k)
     if classes is None:
         classes = classify_good_bad(fam)
     est = init.copy()
@@ -349,11 +346,9 @@ def label_bad_vertices(
     anchor node) votes over its anchor-child neighbours inside the fully
     matched set, except that any anchor edge whose matched image is an edge
     of some child in ``phi`` is subtracted first.  Votes read the labels the
-    good step produced; ties keep them.  Good vertices are never written.  A
-    family whose maps are not the ground truth on their matched sets is
-    rejected.
+    good step produced; ties keep them.  Good vertices are never written.
     """
-    _check_family(fam, k, inst)
+    _check_family(fam, k)
     if classes is None:
         classes = classify_good_bad(fam)
     est = current.copy()
@@ -401,10 +396,10 @@ def full_recovery(
 
     ``k`` and ``eps`` default to the instance parameters.  A prebuilt
     matching ``family`` may be passed to reuse work; one built with another
-    ``k``, or whose maps leave the ground truth, is rejected.  With K = 1
-    the pipeline reduces to the initial labelling plus one majority
-    refinement on the single child.  A failed initialisation degrades the
-    run (flag set, all +1 seed labels) but still executes the later steps.
+    ``k`` is rejected.  With K = 1 the pipeline reduces to the initial
+    labelling plus one majority refinement on the single child.  A failed
+    initialisation degrades the run (flag set, all +1 seed labels) but still
+    executes the later steps.
     """
     params = inst.params
     if k is None:

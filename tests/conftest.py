@@ -1,4 +1,4 @@
-"""Shared test helpers: brute-force oracles and tiny random graphs.
+"""Shared test helpers: brute-force oracles, tiny random graphs and retention codes.
 
 The oracles here are written independently of the library code paths they
 check, on purpose: ``kcore_oracle`` enumerates every vertex subset instead
@@ -61,3 +61,16 @@ def erdos_renyi(n: int, p: float, rng: np.random.Generator) -> Graph:
 
 def random_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.permutation(n).astype(np.int64)
+
+
+def kept_by(inst, j: int) -> np.ndarray:
+    """Boolean per parent edge: bit ``j`` of its retention code, kept by child ``j``."""
+    return (inst.edge_codes >> j) & 1 == 1
+
+
+def retention_codes(parent: Graph, children) -> np.ndarray:
+    """Retention code per parent edge of children drawn in the parent's labels."""
+    codes = np.zeros(parent.edge_count, dtype=np.int64)
+    for j, g in enumerate(children):
+        codes |= g.contains_edges(parent.edges).astype(np.int64) << j
+    return codes

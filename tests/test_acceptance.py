@@ -173,7 +173,7 @@ def _pattern_frequencies(instances):
         sig = inst.sigma_star
         edges = inst.parent.edges
         intra = sig[edges[:, 0]] == sig[edges[:, 1]]
-        codes = inst.edge_patterns.astype(np.int64) @ np.array([1, 2, 4])
+        codes = inst.edge_codes
         counts[0, 1:] += np.bincount(codes[intra], minlength=8)
         counts[1, 1:] += np.bincount(codes[~intra], minlength=8)
         n_plus = int(np.sum(sig == 1))
@@ -215,7 +215,7 @@ def _triple_frequencies_direct(instances):
         sig = inst.sigma_star
         edges = inst.parent.edges
         intra = sig[edges[:, 0]] == sig[edges[:, 1]]
-        codes = inst.edge_patterns.astype(np.int64) @ np.array([1, 2, 4])
+        codes = inst.edge_codes
         counts[0] += np.bincount(codes[intra], minlength=8)
         counts[1] += np.bincount(codes[~intra], minlength=8)
     return counts.ravel() / counts.sum()
@@ -234,21 +234,13 @@ def _triple_frequencies_resplit(instances):
         sig = inst.sigma_star
         edges = inst.parent.edges
         intra = sig[edges[:, 0]] == sig[edges[:, 1]]
-        union = Graph(
-            n,
-            np.concatenate(
-                [
-                    inst.child_edges_in_parent_labels(1),
-                    inst.child_edges_in_parent_labels(2),
-                ]
-            ),
-        )
+        union = Graph(n, edges[(inst.edge_codes & 0b110) != 0])
         g2, g3 = split_union_graph(
             union, inst.params.s, inst.params.K, seed=inst.seed + 50_000
         )
         bit2 = g2.contains_edges(edges).astype(np.int64)
         bit3 = g3.contains_edges(edges).astype(np.int64)
-        codes = inst.edge_patterns[:, 0].astype(np.int64) + 2 * bit2 + 4 * bit3
+        codes = (inst.edge_codes & 1) + 2 * bit2 + 4 * bit3
         counts[0] += np.bincount(codes[intra], minlength=8)
         counts[1] += np.bincount(codes[~intra], minlength=8)
     return counts.ravel() / counts.sum()
@@ -273,10 +265,11 @@ def test_criterion_04_union_resampling_matches_direct_children():
 # conditions are 1.28 and 1.568 > 1, so only the full pipeline should
 # succeed.  Parts (a) and (c) are xfailed: with core order 13 at
 # n = 3000 the pairwise intersection graphs average degree about 6.4,
-# so every 13-core is empty, every vertex is unmatched, and the
-# pipeline degrades in all thirty trials.  Part (b) is xfailed because
-# a single graph, while far from reliable, still lands on the exact
-# labelling in 12 of 30 trials here and that rate decays extremely
+# so every 13-core is empty and every vertex is unmatched, hence bad:
+# in all thirty trials the init converges, yet all 3000 vertices keep
+# their init labels and the estimator abstains.  Part (b) is xfailed
+# because a single graph, while far from reliable, still lands on the
+# exact labelling in 12 of 30 trials here and that rate decays extremely
 # slowly with n.  The companion tests rerun the identical point with
 # core order 1, where the three-graph pipeline does clear both bounds
 # while pairwise full matching stays rare.
@@ -286,8 +279,8 @@ def test_criterion_04_union_resampling_matches_direct_children():
     strict=True,
     reason=(
         "core order 13 is infeasible at n=3000: matched intersection "
-        "graphs average degree about 6.4, so the 13-cores are empty and "
-        "all 30 trials degrade (success 0/30)"
+        "graphs average degree about 6.4, so the 13-cores are empty, all "
+        "3000 vertices are bad and keep their init labels (success 0/30)"
     ),
 )
 def test_criterion_05a_three_graph_recovery_succeeds(headline_k13_trials):
@@ -318,8 +311,8 @@ def test_criterion_05b_single_graph_pipeline_fails():
 @pytest.mark.xfail(
     strict=True,
     reason=(
-        "core order 13 is infeasible at n=3000 (empty 13-cores), so the "
-        "matching estimator abstains or errs in all 30 trials"
+        "core order 13 is infeasible at n=3000 (empty 13-cores), so every "
+        "vertex is bad and the matching estimator abstains in all 30 trials"
     ),
 )
 def test_criterion_05c_exact_matching_succeeds(headline_k13_trials):

@@ -29,7 +29,6 @@ from csbm.graphs import _member
 from csbm.impossibility import singleton_sets
 from csbm.matching import (
     MatchingEstimate,
-    _agrees_with_truth,
     _pair_codes,
     _patterns,
     all_pairwise_matchings,
@@ -205,7 +204,6 @@ def assert_same_estimate(a, b):
 @pytest.mark.parametrize("n, s, K", GRID)
 def test_family_matches_per_pair_seeded_matcher(n, s, K):
     for inst, fam, _ in instances(n, s, K):
-        assert _agrees_with_truth(fam, inst)
         for i in range(K):
             for j in range(i + 1, K):
                 mu = kcore_matching_seeded(

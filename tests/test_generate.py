@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import graph_algebra
+from conftest import kept_by
 from graph_algebra import _pullback_union
 
 from csbm import generate
@@ -140,11 +141,9 @@ def test_parent_sampler_matches_pairwise_unpacking():
 def test_instance_retention_extremes():
     params = Params(n=60, a=6.0, b=2.0, s=1.0, K=3)
     inst = sample_instance(params, 4)
+    assert inst.edge_codes.tolist() == [7] * inst.parent.edge_count
     for j in range(3):
-        assert inst.child_edges_in_parent_labels(j).shape == inst.parent.edges.shape
-        assert np.array_equal(
-            inst.child_edges_in_parent_labels(j), inst.parent.edges
-        )
+        assert inst.children[j].edge_count == inst.parent.edge_count
     zero = sample_instance(Params(n=60, a=6.0, b=2.0, s=0.0, K=3), 4)
     assert all(c.edge_count == 0 for c in zero.children)
 
@@ -157,15 +156,11 @@ def test_children_are_masked_relabelled_parent():
     inst = sample_instance(params, 11)
     assert np.array_equal(inst.pi_star[0], np.arange(80))
     for j in range(3):
-        kept = inst.parent.edges[inst.edge_patterns[:, j] == 1]
+        kept = inst.parent.edges[kept_by(inst, j)]
         pi = inst.pi_star[j]
         mapped = np.sort(pi[kept], axis=1)
         expected = {(int(u), int(v)) for u, v in mapped}
         assert inst.children[j].edge_set() == expected
-        back = inst.child_edges_in_parent_labels(j)
-        assert {(int(u), int(v)) for u, v in back} == {
-            (int(u), int(v)) for u, v in kept
-        }
 
 
 def test_permutations_are_valid_and_distinct():
@@ -184,11 +179,8 @@ def test_pattern_marginal_frequency():
     # P(pattern = (1,0,0)) = s(1-s)^2 = 0.125 at s = 0.5.
     params = Params(n=2000, a=18.0, b=2.0, s=0.5, K=3)
     inst = sample_instance(params, 0)
-    pats = inst.edge_patterns
-    m = pats.shape[0]
-    freq = float(
-        ((pats[:, 0] == 1) & (pats[:, 1] == 0) & (pats[:, 2] == 0)).mean()
-    )
+    m = inst.parent.edge_count
+    freq = float((inst.edge_codes == 0b001).mean())
     se = math.sqrt(0.125 * 0.875 / m)
     assert abs(freq - 0.125) < 3 * se
 
@@ -220,7 +212,7 @@ def test_instance_determinism():
     b = sample_instance(params, 77)
     assert a.parent == b.parent
     assert np.array_equal(a.sigma_star, b.sigma_star)
-    assert np.array_equal(a.edge_patterns, b.edge_patterns)
+    assert np.array_equal(a.edge_codes, b.edge_codes)
     for j in range(3):
         assert a.children[j] == b.children[j]
         assert np.array_equal(a.pi_star[j], b.pi_star[j])
@@ -229,13 +221,13 @@ def test_instance_determinism():
 # -- the edge table and the derived children ---------------------------------
 
 
-def reference_child_graphs(parent, patterns, perms):
-    """The eager child construction the derived children replaced, kept verbatim."""
+def reference_child_graphs(parent, codes, perms):
+    """The eager child construction the derived children replaced."""
     # Each pi is a permutation, so distinct parent keys map to distinct keys.
     n = parent.n
     children = []
     for j, pi in enumerate(perms):
-        kept = parent.edges[patterns[:, j].astype(bool)]
+        kept = parent.edges[(codes >> j) & 1 == 1]
         keys = _image_keys(n, kept[:, 0], kept[:, 1], pi)[1]
         children.append(Graph._from_keys(n, np.sort(keys)))
     return children
@@ -246,11 +238,11 @@ def reference_child_graphs(parent, patterns, perms):
 def test_derived_children_equal_eager_construction(sampler, s, K):
     for seed in range(3):
         inst = sampler(Params(n=150, a=8.0, b=2.0, s=s, K=K), seed)
-        ref = reference_child_graphs(inst.parent, inst.edge_patterns, inst.pi_star)
+        ref = reference_child_graphs(inst.parent, inst.edge_codes, inst.pi_star)
         assert list(inst.children) == ref
         for j in range(K):
             back = _pullback_union([ref[j]], [inst.pi_star[j]]).edges
-            assert np.array_equal(inst.child_edges_in_parent_labels(j), back)
+            assert np.array_equal(inst.parent.edges[kept_by(inst, j)], back)
 
 
 def test_children_are_built_on_first_access():
@@ -268,14 +260,20 @@ def test_children_are_built_on_first_access():
         children[0] = third
 
 
+def packed_one_draw(params, seed, m):
+    """The retention bits of one ``random((m, K))`` draw, packed per edge row."""
+    kept = stream(seed, ROLE_SUBSAMPLE).random((m, params.K)) < params.s
+    return kept.astype(np.int64) @ (1 << np.arange(params.K, dtype=np.int64))
+
+
 def test_edge_codes_pack_the_retention_bits():
     for K, dtype in [(1, np.uint8), (3, np.uint8), (8, np.uint8), (9, np.uint16)]:
-        inst = sample_instance(Params(n=60, a=6.0, b=2.0, s=0.5, K=K), 2)
+        params = Params(n=60, a=6.0, b=2.0, s=0.5, K=K)
+        inst = sample_instance(params, 2)
         codes = inst.edge_codes
         assert codes.dtype == dtype
         assert not codes.flags.writeable
-        weights = np.array([1 << j for j in range(K)], dtype=np.int64)
-        assert codes.tolist() == (inst.edge_patterns.astype(np.int64) @ weights).tolist()
+        assert codes.tolist() == packed_one_draw(params, 2, inst.parent.edge_count).tolist()
 
 
 @pytest.mark.parametrize("K", [1, 3, 9])
@@ -307,9 +305,8 @@ def test_retention_draw_in_row_chunks_equals_one_draw(monkeypatch, rows, K):
     inst = sample_instance(params, 8)
     m = inst.parent.edge_count
     assert rows in (1, 10**6) or m % rows  # a ragged last chunk
-    one_draw = stream(8, ROLE_SUBSAMPLE).random((m, K)) < params.s
-    assert inst.edge_patterns.dtype == np.uint8
-    assert inst.edge_patterns.tolist() == one_draw.astype(np.uint8).tolist()
+    assert inst.edge_codes.dtype == np.uint8
+    assert inst.edge_codes.tolist() == packed_one_draw(params, 8, m).tolist()
 
 
 def test_instances_and_families_compare_by_identity():
@@ -330,7 +327,7 @@ def instance_fields(**changes):
         parent=inst.parent,
         sigma_star=inst.sigma_star,
         pi_star=inst.pi_star,
-        edge_patterns=inst.edge_patterns,
+        edge_codes=inst.edge_codes,
     )
     fields.update(changes)
     return fields
@@ -341,18 +338,33 @@ def test_instance_accepts_its_own_fields():
     assert inst.edge_codes.shape == (inst.parent.edge_count,)
 
 
-def test_instance_rejects_misshapen_edge_patterns():
-    patterns = instance_fields()["edge_patterns"]
-    for bad in (patterns[:-1], patterns[:, :2], patterns.reshape(-1)):
-        with pytest.raises(ValueError, match="shape"):
-            CorrelatedInstance(**instance_fields(edge_patterns=bad))
+def test_instance_stores_narrow_read_only_codes_and_leaves_the_input_alone():
+    codes = instance_fields()["edge_codes"].astype(np.int64)
+    inst = CorrelatedInstance(**instance_fields(edge_codes=codes))
+    assert inst.edge_codes.dtype == np.uint8 and not inst.edge_codes.flags.writeable
+    assert inst.edge_codes.tolist() == codes.tolist()
+    assert codes.flags.writeable
 
 
-def test_instance_rejects_non_binary_edge_patterns():
-    patterns = instance_fields()["edge_patterns"].copy()
-    patterns[0, 1] = 2
-    with pytest.raises(ValueError, match="0 and 1"):
-        CorrelatedInstance(**instance_fields(edge_patterns=patterns))
+@pytest.mark.parametrize("case", ["short", "column", "float", "negative", "two-to-the-K"])
+def test_instance_rejects_malformed_edge_codes(case):
+    codes = instance_fields()["edge_codes"].astype(np.int64)
+    first = np.arange(codes.size) == 0
+    bad = {
+        "short": codes[:-1],
+        "column": codes.reshape(-1, 1),
+        "float": codes.astype(np.float64),
+        "negative": np.where(first, -1, codes),
+        "two-to-the-K": np.where(first, 1 << 3, codes),
+    }[case]
+    with pytest.raises(ValueError, match="shape" if case in ("short", "column") else "integers"):
+        CorrelatedInstance(**instance_fields(edge_codes=bad))
+
+
+def test_instance_rejects_more_than_64_children():
+    params = dataclasses.replace(instance_fields()["params"], K=65)
+    with pytest.raises(ValueError, match="64 children"):
+        CorrelatedInstance(**instance_fields(params=params))
 
 
 def test_instance_rejects_pi_star_that_is_not_k_permutations():
@@ -425,12 +437,11 @@ def test_partition_records_classes():
     inst = sample_instance_partition(params, 5)
     assert inst.pair_classes is not None
     assert inst.pair_classes.shape == (30 * 29 // 2,)
-    # Patterns on parent edges agree with the recorded class bits.
+    # Each parent edge's retention code is its recorded pair class.
     e = inst.parent.edges
     idx = e[:, 0] * 30 - e[:, 0] * (e[:, 0] + 1) // 2 + (e[:, 1] - e[:, 0] - 1)
-    for j in range(3):
-        bits = (inst.pair_classes[idx] >> j) & 1
-        assert np.array_equal(bits.astype(np.uint8), inst.edge_patterns[:, j])
+    assert inst.edge_codes.dtype == np.uint8
+    assert np.array_equal(inst.edge_codes, inst.pair_classes[idx])
 
 
 def test_partition_full_retention_uses_single_class():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import kept_by, retention_codes
 
 from csbm.generate import CorrelatedInstance, Params, sample_instance
 from csbm.graphs import Graph
@@ -13,17 +14,13 @@ def crafted(children, a, b, sigma):
     n = children[0].n
     seen = sorted({tuple(sorted(map(int, e))) for g in children for e in g.edges})
     parent = Graph(n, seen or None)
-    patterns = np.zeros((parent.edge_count, len(children)), dtype=np.uint8)
-    for row, (u, v) in enumerate(parent.edges):
-        for j, g in enumerate(children):
-            patterns[row, j] = g.has_edge(int(u), int(v))
     inst = CorrelatedInstance(
         params=Params(n=n, a=a, b=b, s=0.5, K=len(children), k=1),
         seed=0,
         parent=parent,
         sigma_star=np.asarray(sigma, dtype=np.int8),
         pi_star=[np.arange(n, dtype=np.int64) for _ in children],
-        edge_patterns=patterns,
+        edge_codes=retention_codes(parent, children),
     )
     assert list(inst.children) == list(children)
     return inst
@@ -37,7 +34,7 @@ def singleton_oracle(inst):
         A[u, v] = A[v, u] = True
     D = np.zeros((n, n), dtype=bool)
     for j in range(1, inst.K):
-        for u, v in inst.child_edges_in_parent_labels(j):
+        for u, v in inst.parent.edges[kept_by(inst, j)]:
             D[u, v] = D[v, u] = True
     r_star = {i for i in range(n) if not np.any(A[i] & D[i])}
     in_r = np.zeros(n, dtype=bool)

@@ -10,7 +10,7 @@ from graph_algebra import _anchor_paths, _compose_array_along_path
 
 from csbm import graphs, matching
 from csbm.generate import Params, sample_instance
-from csbm.graphs import Graph, PartialMatching, _adjacency_csr
+from csbm.graphs import Graph, _adjacency_csr
 from csbm.matching import (
     MatchingFamily,
     _patterns,
@@ -229,6 +229,21 @@ def test_family_full_retention_gives_full_matchings():
         assert all(mu[v] == int(true_pi[v]) for v in range(params.n))
 
 
+def test_family_matchings_are_built_once_from_the_masks():
+    inst = sample_instance(Params(n=60, a=5.0, b=1.0, s=0.6, K=3), 4)
+    fam = all_pairwise_matchings(inst, 1)
+    assert fam._matchings is None
+    assert fam.pairs() == [(0, 1), (0, 2), (1, 2)]
+    matchings = fam.matchings
+    assert fam.matchings is matchings
+    assert list(matchings) == fam.pairs()
+    for (i, j), mu in matchings.items():
+        arr = mu.as_array(inst.n)
+        mask = fam.anchor_masks[(i, j)]
+        assert np.array_equal(arr[inst.pi_star[i][mask]], inst.pi_star[j][mask])
+        assert len(mu) == mask.sum()
+
+
 def test_family_masks_are_anchored():
     # The (i, j) mask marks anchor labels, not graph-i labels: a vertex is
     # flagged exactly when its graph-i copy sits in the matching domain.
@@ -245,22 +260,19 @@ def test_family_masks_are_anchored():
 # -- matched-pair patterns and classification --------------------------------
 
 
-def crafted_family(n, K, matchings, masks):
-    """Family with explicit anchored masks for hand tests."""
+def crafted_family(n, K, masks):
+    """Family with explicit anchored masks and identity relabellings for hand tests."""
     return MatchingFamily(
         n=n,
         K=K,
         k=1,
-        matchings=matchings,
         anchor_masks={key: np.array(val, dtype=bool) for key, val in masks.items()},
+        pi_star=[np.arange(n, dtype=np.int64)] * K,
     )
 
 
-def three_pair_family(n, masks, matchings=None):
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    if matchings is None:
-        matchings = {p: PartialMatching({}) for p in pairs}
-    return crafted_family(n, 3, matchings, masks)
+def three_pair_family(n, masks):
+    return crafted_family(n, 3, masks)
 
 
 def only_pattern(fam):
@@ -377,12 +389,7 @@ def test_pattern_paths_match_exhaustive_oracle(K):
     pairs = list(itertools.combinations(range(K), 2))
     n = 1 << len(pairs)
     codes = np.arange(n)
-    fam = crafted_family(
-        n,
-        K,
-        {p: PartialMatching({}) for p in pairs},
-        {p: (codes >> t) & 1 for t, p in enumerate(pairs)},
-    )
+    fam = crafted_family(n, K, {p: (codes >> t) & 1 for t, p in enumerate(pairs)})
     table = _patterns(fam)
     classes = classify_good_bad(fam)
     assert [p.members.tolist() for p in table] == [[v] for v in range(n)]
@@ -436,8 +443,8 @@ def test_classify_ignores_insertion_order():
         n=fam.n,
         K=fam.K,
         k=fam.k,
-        matchings=dict(reversed(list(fam.matchings.items()))),
         anchor_masks=dict(reversed(list(fam.anchor_masks.items()))),
+        pi_star=inst.pi_star,
     )
     a = classify_good_bad(fam)
     b = classify_good_bad(reversed_fam)

@@ -5,17 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import retention_codes
 
 from csbm import graphs, recovery
 from csbm.generate import CorrelatedInstance, Params, sample_instance, sample_parent
 from csbm.graphs import Graph, _adjacency_csr, _neighbour_sums
 from csbm.matching import (
-    MatchingFamily,
-    _agrees_with_truth,
     all_pairwise_matchings,
     classify_good_bad,
     exact_matching_estimator,
-    kcore_matching_bruteforce,
 )
 from csbm.recovery import (
     PROVENANCE_BAD,
@@ -254,7 +252,7 @@ def crafted_k1_instance(a: float, b: float, edges, n: int = 4):
         parent=g,
         sigma_star=np.ones(n, dtype=np.int8),
         pi_star=[np.arange(n, dtype=np.int64)],
-        edge_patterns=np.ones((g.edge_count, 1), dtype=np.uint8),
+        edge_codes=np.ones(g.edge_count, dtype=np.uint8),
     )
     assert list(inst.children) == [g]
     return inst
@@ -273,10 +271,6 @@ def crafted_k3_instance(a: float = 2.0, b: float = 1.0):
     g3 = Graph(7, [(1, 2), (1, 3), (2, 3)])
     children = [g1, g2, g3]
     parent = Graph(7, g1.edges)
-    patterns = np.zeros((parent.edge_count, 3), dtype=np.uint8)
-    for row, (u, v) in enumerate(parent.edges):
-        for j, child in enumerate(children):
-            patterns[row, j] = child.has_edge(int(u), int(v))
     params = Params(n=7, a=a, b=b, s=0.5, K=3, k=1)
     inst = CorrelatedInstance(
         params=params,
@@ -284,7 +278,7 @@ def crafted_k3_instance(a: float = 2.0, b: float = 1.0):
         parent=parent,
         sigma_star=np.ones(7, dtype=np.int8),
         pi_star=[np.arange(7, dtype=np.int64) for _ in range(3)],
-        edge_patterns=patterns,
+        edge_codes=retention_codes(parent, children),
     )
     assert list(inst.children) == children
     return inst
@@ -398,17 +392,13 @@ def test_bad_step_votes_only_on_fully_matched_core():
     g3 = Graph(6, t + [(1, 3)])
     children = [g1, g2, g3]
     parent = Graph(6, g1.edges)
-    patterns = np.zeros((parent.edge_count, 3), dtype=np.uint8)
-    for row, (u, v) in enumerate(parent.edges):
-        for j, child in enumerate(children):
-            patterns[row, j] = child.has_edge(int(u), int(v))
     inst = CorrelatedInstance(
         params=Params(n=6, a=2.0, b=1.0, s=0.5, K=3, k=1),
         seed=0,
         parent=parent,
         sigma_star=np.ones(6, dtype=np.int8),
         pi_star=[np.arange(6, dtype=np.int64) for _ in range(3)],
-        edge_patterns=patterns,
+        edge_codes=retention_codes(parent, children),
     )
     assert list(inst.children) == children
     fam = all_pairwise_matchings(inst, 1)
@@ -487,43 +477,6 @@ def test_bad_step_matches_per_vertex_reference(n, s, K):
     assert bad_total > 0
 
 
-def test_disagreeing_family_is_rejected():
-    """A matching off the true permutation cannot be read through the codes.
-
-    At n = 7 the exhaustive matcher picks, among equally large cores, a
-    bijection other than the truth.  A family built from it by hand is
-    refused by both relabelling steps, by the whole pipeline and by the
-    exact matching estimator.
-    """
-    inst = sample_instance(Params(n=7, a=1.9, b=0.8, s=0.7, K=3, k=1), 23)
-    matchings = {
-        (i, j): kcore_matching_bruteforce(inst.children[i], inst.children[j], 1)
-        for i in range(3)
-        for j in range(i + 1, 3)
-    }
-    fam = MatchingFamily(
-        n=7,
-        K=3,
-        k=1,
-        matchings=matchings,
-        anchor_masks={
-            (i, j): (mu.as_array(7) >= 0)[inst.pi_star[i]] for (i, j), mu in matchings.items()
-        },
-    )
-    assert not _agrees_with_truth(fam, inst)
-    classes = classify_good_bad(fam)
-    assert classes.good and classes.bad
-    current = estimate(np.random.default_rng(23).choice(np.array([-1, 1], dtype=np.int8), 7))
-    with pytest.raises(ValueError):
-        label_good_vertices(inst, fam, current)
-    with pytest.raises(ValueError):
-        label_bad_vertices(inst, fam, current)
-    with pytest.raises(ValueError):
-        full_recovery(inst, eps=0.01, family=fam)
-    with pytest.raises(ValueError, match="true permutation"):
-        exact_matching_estimator(inst, 1, family=fam)
-
-
 # -- full pipeline ------------------------------------------------------------
 
 
@@ -558,6 +511,22 @@ def test_full_recovery_provenance_totality():
     bad_set = frozenset(np.flatnonzero(est.provenance == PROVENANCE_BAD).tolist())
     assert good_set == classes.good
     assert bad_set == classes.bad
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_trial_stages_read_the_family_masks_only(K):
+    # No stage after matching reads a map: the family's matchings dict is
+    # never built.
+    inst = sample_instance(Params(n=400, a=9.0, b=1.0, s=0.25, K=K, k=1), 3)
+    fam = all_pairwise_matchings(inst, 1)
+    init = almost_exact_label(inst.children[0], 0.25 * 9.0, 0.25 * 1.0, seed=inst.seed)
+    classes = classify_good_bad(fam)
+    assert classes.bad
+    good = label_good_vertices(inst, fam, init, classes=classes)
+    label_bad_vertices(inst, fam, good, classes=classes)
+    exact_matching_estimator(inst, 1, family=fam)
+    full_recovery(inst, family=fam)
+    assert fam._matchings is None
 
 
 def test_full_recovery_rejects_family_built_otherwise():
