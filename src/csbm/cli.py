@@ -22,6 +22,7 @@ from .harness import (
     SCALING_COLUMNS,
     TRIAL_COLUMNS,
     SweepConfig,
+    cell_seeds,
     cells_csv,
     format_csv,
     region_grid_export,
@@ -35,7 +36,6 @@ from .harness import (
     trials_csv,
 )
 from .impossibility import map_failure_witness
-from .seeds import cell_key, trial_seed
 
 __all__ = ["main"]
 
@@ -63,11 +63,6 @@ def _params_from(args: argparse.Namespace) -> Params:
         k=getattr(args, "k", 13),
         eps=getattr(args, "eps", 0.01),
     )
-
-
-def _trial_seeds(args: argparse.Namespace, params: Params) -> list[int]:
-    key = cell_key(params.n, params.a, params.b, params.s, params.K, params.k)
-    return [trial_seed(args.seed, key, t) for t in range(args.trials)]
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -117,7 +112,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     params = _params_from(args)
     rows = []
     print("trial overlap success bad_vertices degraded ms")
-    for t, seed in enumerate(_trial_seeds(args, params)):
+    for t, seed in enumerate(cell_seeds(params, args.trials, args.seed)):
         result = run_trial(params, seed, experiments=("recover",))
         bad = "-" if result.bad_vertex_count is None else result.bad_vertex_count
         print(
@@ -134,23 +129,18 @@ def _cmd_match(args: argparse.Namespace) -> int:
     params = _params_from(args)
     if params.K < 2:
         raise ValueError("matching needs at least two children (K >= 2)")
-    pair_names = [
-        f"M{i + 1}{j + 1}" for i in range(params.K) for j in range(i + 1, params.K)
-    ]
+    pairs = [(i, j) for i in range(params.K) for j in range(i + 1, params.K)]
+    pair_names = [f"M{i + 1}{j + 1}" for i, j in pairs]
     records = []
-    for t, seed in enumerate(_trial_seeds(args, params)):
+    for t, seed in enumerate(cell_seeds(params, args.trials, args.seed)):
         result = run_trial(params, seed, experiments=("match",))
-        fractions = {
-            name: 1.0 - result.unmatched_sizes[pair] / params.n
-            for name, pair in zip(
-                pair_names,
-                [(i, j) for i in range(params.K) for j in range(i + 1, params.K)],
-            )
-        }
         records.append(
             {
                 "trial": t,
-                **{name: round(frac, 6) for name, frac in fractions.items()},
+                **{
+                    name: round(1.0 - result.unmatched_sizes[pair] / params.n, 6)
+                    for name, pair in zip(pair_names, pairs)
+                },
                 "bad_vertices": result.bad_vertex_count,
                 "estimator_success": result.matching_success,
             }
@@ -170,7 +160,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     if params.K < 2:
         raise ValueError("the witness needs at least two children (K >= 2)")
     print("trial R_star S_star S_plus S_minus witness")
-    for t, seed in enumerate(_trial_seeds(args, params)):
+    for t, seed in enumerate(cell_seeds(params, args.trials, args.seed)):
         inst = sample_instance(params, seed)
         report = map_failure_witness(inst)
         plus = sum(1 for i in report.s_star if inst.sigma_star[i] > 0)
@@ -206,6 +196,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
     n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
+    if not n_list:
+        raise ValueError("scaling needs at least four n values")
     base = Params(
         n=n_list[0], a=args.a, b=args.b, s=args.s, K=args.K, k=args.k
     )

@@ -473,10 +473,11 @@ def _draw_codes(rng: np.random.Generator, count: int, weights: np.ndarray) -> np
     A uniform ``u`` gets the code ``#{i : u >= cum[i]}``, counted over the
     inner edges of the cumulative table: the index ``searchsorted(cum, u,
     side="right")`` would return, found by a handful of vectorised
-    comparisons instead of one binary search per draw.
+    comparisons instead of one binary search per draw.  Codes come in the
+    narrowest unsigned dtype that holds ``len(weights) - 1``.
     """
     cum = np.cumsum(weights)
-    out = np.empty(count, dtype=np.uint8)
+    out = np.empty(count, dtype=np.min_scalar_type(len(weights) - 1))
     hit = np.empty(min(count, _PAIR_CHUNK), dtype=bool)
     for start in range(0, count, _PAIR_CHUNK):
         stop = min(start + _PAIR_CHUNK, count)
@@ -570,11 +571,7 @@ def split_union_graph(h: Graph, s: float, K: int, seed: int) -> list[Graph]:
     wvec = np.array(
         [weights[tuple((code >> j) & 1 for j in range(num))] for code in range(1, 1 << num)]
     )
-    cum = np.cumsum(wvec)
-    cum[-1] = 1.0
-    rng = stream(seed, ROLE_UNION_SPLIT)
-    u = rng.random(h.edge_count)
-    codes = np.searchsorted(cum, u, side="right") + 1
+    codes = _draw_codes(stream(seed, ROLE_UNION_SPLIT), h.edge_count, wvec) + 1
     return [
         Graph._from_keys(h.n, h.packed_keys()[(codes >> j) & 1 == 1]) for j in range(num)
     ]

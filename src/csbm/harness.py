@@ -23,7 +23,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 
 import numpy as np
@@ -42,6 +42,7 @@ from .thresholds import RegionLabel, classify_region, connectivity_param
 __all__ = [
     "TrialResult",
     "run_trial",
+    "cell_seeds",
     "SweepConfig",
     "SweepResult",
     "sweep",
@@ -63,14 +64,24 @@ __all__ = [
 
 EXPERIMENT_NAMES = ("recover", "match", "witness", "scaling")
 
-AGGREGATE_COLUMNS = [
-    "n", "a", "b", "s", "K", "k", "trials",
-    "success_rate", "match_rate", "mean_overlap", "mean_bad",
-    "mean_F12", "mean_F12capF13", "witness_rate", "mean_ms",
-]
+_CELL_COLUMNS = ["n", "a", "b", "s", "K", "k"]
+
+# Each aggregate column after "trials" is the mean of one TRIAL_COLUMNS column.
+_TRIAL_COLUMN_OF = {
+    "success_rate": "recovery_success",
+    "match_rate": "matching_success",
+    "mean_overlap": "overlap",
+    "mean_bad": "bad_vertex_count",
+    "mean_F12": "F12",
+    "mean_F12capF13": "F12capF13",
+    "witness_rate": "witness_found",
+    "mean_ms": "wall_ms",
+}
+
+AGGREGATE_COLUMNS = [*_CELL_COLUMNS, "trials", *_TRIAL_COLUMN_OF]
 
 TRIAL_COLUMNS = [
-    "n", "a", "b", "s", "K", "k", "trial", "seed",
+    *_CELL_COLUMNS, "trial", "seed",
     "overlap", "recovery_success", "degraded", "good_disagreements",
     "matching_success", "bad_vertex_count", "F12", "F12capF13",
     "R_star", "S_star", "witness_found", "wall_ms",
@@ -246,33 +257,15 @@ class SweepConfig:
         return Params(n=n, a=a, b=b, s=s, K=K, k=self.k, eps=self.eps)
 
     def to_json(self) -> str:
-        payload = {
-            "n_values": list(self.n_values),
-            "a_values": list(self.a_values),
-            "b_values": list(self.b_values),
-            "s_values": list(self.s_values),
-            "K_values": list(self.K_values),
-            "k": self.k,
-            "eps": self.eps,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "experiments": list(self.experiments),
-            "record_timing": self.record_timing,
-            "per_trial": self.per_trial,
-        }
-        return json.dumps(payload, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
+        """Parse a config; lists become tuples and omitted fields keep defaults."""
         payload = json.loads(text)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(payload) - known
+        unknown = set(payload) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        payload["experiments"] = tuple(payload.get("experiments", ("recover",)))
-        for grid in ("n_values", "a_values", "b_values", "s_values", "K_values"):
-            if grid in payload:
-                payload[grid] = tuple(payload[grid])
         return cls(**payload)
 
 
@@ -292,41 +285,19 @@ def _mean(values) -> float | None:
     return sum(kept) / len(kept)
 
 
-def _aggregate_row(params: Params, results: list[TrialResult], record_timing: bool) -> dict:
-    row = {
-        "n": params.n,
-        "a": params.a,
-        "b": params.b,
-        "s": params.s,
-        "K": params.K,
-        "k": params.k,
-        "trials": len(results),
-        "success_rate": _mean(r.recovery_success for r in results),
-        "match_rate": _mean(r.matching_success for r in results),
-        "mean_overlap": _mean(r.overlap for r in results),
-        "mean_bad": _mean(r.bad_vertex_count for r in results),
-        "mean_F12": _mean(
-            r.unmatched_sizes.get((0, 1)) if r.unmatched_sizes else None
-            for r in results
-        ),
-        "mean_F12capF13": _mean(
-            r.intersect_sizes.get((1, 2)) if r.intersect_sizes else None
-            for r in results
-        ),
-        "witness_rate": _mean(r.witness_found for r in results),
-        "mean_ms": _mean(r.wall_ms for r in results) if record_timing else None,
-    }
+def _aggregate_row(rows: list[dict]) -> dict:
+    """One AGGREGATE_COLUMNS row: the column means of one cell's trial rows."""
+    row = {c: rows[0][c] for c in _CELL_COLUMNS}
+    row["trials"] = len(rows)
+    for column, trial_column in _TRIAL_COLUMN_OF.items():
+        row[column] = _mean(r[trial_column] for r in rows)
     return row
 
 
 def trial_row(params: Params, index: int, r: TrialResult, record_timing: bool) -> dict:
+    """One TRIAL_COLUMNS row; ``wall_ms`` stays empty unless ``record_timing``."""
     return {
-        "n": params.n,
-        "a": params.a,
-        "b": params.b,
-        "s": params.s,
-        "K": params.K,
-        "k": params.k,
+        **{c: getattr(params, c) for c in _CELL_COLUMNS},
         "trial": index,
         "seed": r.seed,
         "overlap": r.overlap,
@@ -344,34 +315,46 @@ def trial_row(params: Params, index: int, r: TrialResult, record_timing: bool) -
     }
 
 
+def cell_seeds(params: Params, trials: int, master_seed: int) -> list[int]:
+    """Seeds of a cell's ``trials`` trials, in trial order.
+
+    A seed depends only on (master seed, cell parameters, trial index), so
+    permuting cells or splitting a grid leaves every trial unchanged.
+    """
+    key = cell_key(params.n, params.a, params.b, params.s, params.K, params.k)
+    return [trial_seed(master_seed, key, t) for t in range(trials)]
+
+
+def _cell_rows(
+    params: Params,
+    trials: int,
+    master_seed: int,
+    experiments: tuple[str, ...],
+    record_timing: bool,
+) -> list[dict]:
+    """Run a cell's trials and return their TRIAL_COLUMNS rows."""
+    return [
+        trial_row(params, t, run_trial(params, seed, experiments=experiments), record_timing)
+        for t, seed in enumerate(cell_seeds(params, trials, master_seed))
+    ]
+
+
 def sweep(cfg: SweepConfig) -> SweepResult:
     """Run every cell of the grid; aggregate per cell, optionally per trial.
 
-    Per-trial seeds depend only on (master seed, cell parameters, trial
-    index), so permuting cells or splitting the grid leaves every trial
-    unchanged.  Cells run in sorted parameter order and rows come out
-    already sorted.
+    Cells run in sorted parameter order and rows come out already sorted.
     """
     trial_experiments = tuple(e for e in cfg.experiments if e != "scaling")
     result = SweepResult(cell_rows=[])
     if trial_experiments:
         for cell in cfg.cells():
-            params = cfg.cell_params(cell)
-            key = cell_key(params.n, params.a, params.b, params.s, params.K, params.k)
-            trial_results = []
-            for t in range(cfg.trials):
-                seed = trial_seed(cfg.master_seed, key, t)
-                trial_results.append(
-                    run_trial(params, seed, experiments=trial_experiments)
-                )
-            result.cell_rows.append(
-                _aggregate_row(params, trial_results, cfg.record_timing)
+            rows = _cell_rows(
+                cfg.cell_params(cell), cfg.trials, cfg.master_seed,
+                trial_experiments, cfg.record_timing,
             )
+            result.cell_rows.append(_aggregate_row(rows))
             if cfg.per_trial:
-                result.trial_rows.extend(
-                    trial_row(params, t, r, cfg.record_timing)
-                    for t, r in enumerate(trial_results)
-                )
+                result.trial_rows.extend(rows)
     if "scaling" in cfg.experiments:
         for a, b, s, K in product(cfg.a_values, cfg.b_values, cfg.s_values, cfg.K_values):
             if K < 2:
@@ -447,20 +430,14 @@ def scaling_experiment(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     track_intersection = base.K >= 3
-    mean_unmatched: list[float] = []
-    mean_intersection: list[float] = []
-    mean_singletons: list[float] = []
-    for n in n_list:
-        params = replace(base, n=n)
-        key = cell_key(params.n, params.a, params.b, params.s, params.K, params.k)
-        results = [
-            run_trial(params, trial_seed(master_seed, key, t), experiments=("match", "witness"))
-            for t in range(trials)
-        ]
-        mean_unmatched.append(sum(r.unmatched_sizes[(0, 1)] for r in results) / trials)
-        if track_intersection:
-            mean_intersection.append(sum(r.intersect_sizes[(1, 2)] for r in results) / trials)
-        mean_singletons.append(sum(r.r_star_size for r in results) / trials)
+    cells = [
+        _cell_rows(replace(base, n=n), trials, master_seed, ("match", "witness"), False)
+        for n in n_list
+    ]
+    mean_unmatched, mean_intersection, mean_singletons = (
+        [_mean(r[column] for r in rows) for rows in cells]
+        for column in ("F12", "F12capF13", "R_star")
+    )
     s, K = base.s, base.K
     tc = connectivity_param(base.a, base.b)
     fitted_f, used_f = _fit_slope(n_list, mean_unmatched, "unmatched F_12")
@@ -559,18 +536,12 @@ def format_csv(columns: list[str], rows: list[dict], sort_by: list[str] | None =
 
 def cells_csv(result: SweepResult) -> str:
     """Aggregated per-cell CSV for a sweep result."""
-    return format_csv(
-        AGGREGATE_COLUMNS, result.cell_rows, sort_by=["n", "a", "b", "s", "K", "k"]
-    )
+    return format_csv(AGGREGATE_COLUMNS, result.cell_rows, sort_by=_CELL_COLUMNS)
 
 
 def trials_csv(result: SweepResult) -> str:
     """Per-trial CSV for a sweep run with per_trial enabled."""
-    return format_csv(
-        TRIAL_COLUMNS,
-        result.trial_rows,
-        sort_by=["n", "a", "b", "s", "K", "k", "trial"],
-    )
+    return format_csv(TRIAL_COLUMNS, result.trial_rows, sort_by=[*_CELL_COLUMNS, "trial"])
 
 
 def scaling_csv(result: SweepResult) -> str:

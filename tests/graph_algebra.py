@@ -9,9 +9,9 @@ metagraph's pairs, a family's matchings as dense arrays, and the walk that
 composes them.  So are the parent sampler that unpacked each pair from
 its triangle index, and the balance diagnostic's per-vertex pair count,
 as they were before they were vectorised, the inverse-CDF code draw as it
-was before it counted comparisons, and the power-iteration initialisation
-that the Lanczos one replaced, with which the pins recorded before it still
-hold.
+was before it counted comparisons, the union split with its own binary
+search, and the power-iteration initialisation that the Lanczos one
+replaced, with which the pins recorded before it still hold.
 """
 
 import math
@@ -26,6 +26,7 @@ from csbm.generate import (
     Params,
     _bernoulli_index_sample,
     _tri_row_starts,
+    union_split_weights,
 )
 from csbm.graphs import (
     Graph,
@@ -46,6 +47,7 @@ from csbm.seeds import (
     ROLE_INIT_VECTOR,
     ROLE_LABELS,
     ROLE_PARENT_EDGES,
+    ROLE_UNION_SPLIT,
     stream,
 )
 from csbm.thresholds import chernoff_hellinger
@@ -236,6 +238,33 @@ def _draw_codes(rng: np.random.Generator, count: int, weights: np.ndarray) -> np
         u = rng.random(stop - start)
         out[start:stop] = np.searchsorted(cum, u, side="right").astype(np.uint8)
     return out
+
+
+def split_union_graph(h: Graph, s: float, K: int, seed: int) -> list[Graph]:
+    """Split a realised union graph back into ``K - 1`` children.
+
+    Models ``h`` as the union of children ``2..K`` of a correlated family
+    (all in the same labelling): every edge of ``h`` independently receives
+    a non-zero presence pattern from :func:`union_split_weights` and is
+    copied into the children whose bits are set.  With ``K = 2`` the single
+    child equals ``h``.
+    """
+    if K < 2:
+        raise ValueError("K must be at least 2 (h is a union of K-1 children)")
+    num = K - 1
+    weights = union_split_weights(s, num)
+    # Codes 1..2^num-1 in ascending order; weight lookup by code.
+    wvec = np.array(
+        [weights[tuple((code >> j) & 1 for j in range(num))] for code in range(1, 1 << num)]
+    )
+    cum = np.cumsum(wvec)
+    cum[-1] = 1.0
+    rng = stream(seed, ROLE_UNION_SPLIT)
+    u = rng.random(h.edge_count)
+    codes = np.searchsorted(cum, u, side="right") + 1
+    return [
+        Graph._from_keys(h.n, h.packed_keys()[(codes >> j) & 1 == 1]) for j in range(num)
+    ]
 
 
 # -- the power-iteration initialisation --------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from csbm.cli import main
 from csbm.generate import Params, sample_instance
 from csbm.graphs import read_edge_list
-from csbm.harness import run_trial
+from csbm.harness import SweepConfig, run_trial, sweep, trials_csv
 from csbm.seeds import cell_key, trial_seed
 
 
@@ -105,6 +105,22 @@ def test_recover_appends_csv(tmp_path):
     assert lines[1] == lines[3]
     # Without --timing the wall-clock column stays empty.
     assert lines[1].endswith(",")
+
+
+def test_recover_csv_equals_the_sweep_trial_rows(tmp_path):
+    csv_path = tmp_path / "trials.csv"
+    assert run_cli(
+        "recover", "--n", 150, "--a", 9.0, "--b", 1.0, "--s", 0.6,
+        "--K", 3, "--k", 1, "--trials", 3, "--seed", 5, "--csv", csv_path,
+    ) == 0
+    cfg = SweepConfig(
+        n_values=(150,), a_values=(9.0,), b_values=(1.0,), s_values=(0.6,),
+        K_values=(3,), k=1, trials=3, master_seed=5, experiments=("recover",),
+        per_trial=True,
+    )
+    want = trials_csv(sweep(cfg)).splitlines()
+    assert len(want) == 4
+    assert csv_path.read_text().splitlines() == want
 
 
 def test_recover_timing_fills_wall_ms(tmp_path):
@@ -222,12 +238,13 @@ def test_scaling_prints_fits_and_writes_row(tmp_path, capsys):
 
 
 def test_scaling_rejects_short_n_list(capsys):
-    code = run_cli(
-        "scaling", "--a", 6.0, "--b", 2.0, "--s", 0.35,
-        "--n-list", "200,300,400", "--trials", 1,
-    )
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    for n_list in ("200,300,400", ","):
+        code = run_cli(
+            "scaling", "--a", 6.0, "--b", 2.0, "--s", 0.35,
+            "--n-list", n_list, "--trials", 1,
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
 
 def test_regions_csv_and_summary(tmp_path, capsys):

@@ -531,6 +531,20 @@ def test_split_union_graph_degenerate_cases():
         split_union_graph(h, 0.4, 1, 0)
 
 
+@pytest.mark.parametrize("K", [2, 4, 10])
+def test_split_union_graph_equals_the_binary_search_form(K):
+    # At K = 10 the split draws 511 codes, more than a uint8 holds.
+    rng = np.random.default_rng(K)
+    edges = [(u, v) for u in range(300) for v in range(u + 1, 300) if rng.random() < 0.2]
+    h = Graph(300, edges)
+    for seed in range(4):
+        got = split_union_graph(h, 0.3, K, seed)
+        want = graph_algebra.split_union_graph(h, 0.3, K, seed)
+        assert len(got) == len(want) == K - 1
+        for g, w in zip(got, want):
+            assert np.array_equal(g.packed_keys(), w.packed_keys())
+
+
 # -- balance diagnostic -------------------------------------------------------
 
 

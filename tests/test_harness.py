@@ -1,10 +1,12 @@
 """Trial driver, grid sweeps, exponent fits, and CSV export."""
 
 import cProfile
+import dataclasses
 import hashlib
 import json
 import pstats
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -287,6 +289,40 @@ def test_config_json_round_trip():
     assert SweepConfig.from_json(cfg.to_json()) == cfg
     with pytest.raises(ValueError):
         SweepConfig.from_json('{"n_values": [100], "grid": true}')
+
+
+def test_config_to_json_bytes_are_pinned():
+    cfg = SweepConfig(
+        n_values=(200, 150), a_values=(9.0,), b_values=(1.0,), s_values=(0.35, 0.6),
+        K_values=(2, 3), k=1, eps=0.02, trials=4, master_seed=7,
+        experiments=("recover", "witness"), record_timing=True, per_trial=True,
+    )
+    assert cfg.to_json() == (
+        '{\n  "n_values": [\n    150,\n    200\n  ],\n  "a_values": [\n    9.0\n  ],'
+        '\n  "b_values": [\n    1.0\n  ],\n  "s_values": [\n    0.35,\n    0.6\n  ],'
+        '\n  "K_values": [\n    2,\n    3\n  ],\n  "k": 1,\n  "eps": 0.02,'
+        '\n  "trials": 4,\n  "master_seed": 7,'
+        '\n  "experiments": [\n    "recover",\n    "witness"\n  ],'
+        '\n  "record_timing": true,\n  "per_trial": true\n}'
+    )
+
+
+def test_config_from_json_accepts_the_readme_example():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = readme.split("A sweep config mirrors the `SweepConfig` fields:")[1]
+    payload = json.loads(text.split("```json")[1].split("```")[0])
+    assert {"eps", "record_timing"}.isdisjoint(payload)
+    want = SweepConfig(
+        n_values=(1000, 2000), a_values=(9.0,), b_values=(1.0,), s_values=(0.4, 0.6),
+        K_values=(1, 2, 3), k=1, trials=10, master_seed=0,
+        experiments=("recover", "match"), per_trial=True,
+    )
+    got = SweepConfig.from_json(json.dumps(payload))
+    assert got == want and isinstance(got.n_values, tuple)
+    assert isinstance(got.experiments, tuple)
+    del payload["experiments"]
+    got = SweepConfig.from_json(json.dumps(payload))
+    assert got == dataclasses.replace(want, experiments=("recover",))
 
 
 def test_config_json_rejects_mode():
