@@ -40,29 +40,27 @@ from .impossibility import map_failure_witness
 __all__ = ["main"]
 
 
-def _add_model_arguments(parser: argparse.ArgumentParser, with_core: bool = True) -> None:
+def _add_model_arguments(
+    parser: argparse.ArgumentParser, core: bool = True, init: bool = True
+) -> None:
+    """The model options, plus ``--k`` with ``core`` and ``--eps`` with ``init``."""
     parser.add_argument("--n", type=int, required=True, help="vertex count")
     parser.add_argument("--a", type=float, required=True, help="intra-community coefficient")
     parser.add_argument("--b", type=float, required=True, help="inter-community coefficient")
     parser.add_argument("--s", type=float, required=True, help="edge retention probability")
     parser.add_argument("--K", type=int, default=3, help="number of children (default 3)")
-    if with_core:
+    if core:
         parser.add_argument("--k", type=int, default=13, help="core order (default 13)")
+    if init:
         parser.add_argument(
             "--eps", type=float, default=0.01, help="init accuracy target (default 0.01)"
         )
 
 
 def _params_from(args: argparse.Namespace) -> Params:
-    return Params(
-        n=args.n,
-        a=args.a,
-        b=args.b,
-        s=args.s,
-        K=args.K,
-        k=getattr(args, "k", 13),
-        eps=getattr(args, "eps", 0.01),
-    )
+    """Params from the model options; ones the subcommand lacks keep Params' defaults."""
+    names = ("n", "a", "b", "s", "K", "k", "eps")
+    return Params(**{name: getattr(args, name) for name in names if hasattr(args, name)})
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -267,14 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     recover.set_defaults(func=_cmd_recover)
 
     match = sub.add_parser("match", help="run matching trials at one parameter point")
-    _add_model_arguments(match)
+    _add_model_arguments(match, init=False)
     match.add_argument("--trials", type=int, default=10)
     match.add_argument("--seed", type=int, default=0)
     match.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     match.set_defaults(func=_cmd_match)
 
     witness = sub.add_parser("witness", help="singleton sets and the failure witness")
-    _add_model_arguments(witness, with_core=False)
+    _add_model_arguments(witness, core=False, init=False)
     witness.add_argument("--trials", type=int, default=10)
     witness.add_argument("--seed", type=int, default=0)
     witness.set_defaults(func=_cmd_witness)

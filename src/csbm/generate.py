@@ -17,12 +17,13 @@ the construction yields distinct pairs of distinct vertices.
 An instance keeps the parent's edges, the permutations and one retention
 code per parent edge (bit ``j`` set = kept by child ``j``).  The codes are
 filled in chunks of whole edge rows, each chunk's retention draws ORed
-straight into them, so no per-edge float or bit matrix is held.  Every
-child is derived from them, and is built as a graph only when asked for:
-the trial pipeline works in anchor labels, where each child is a subset of
-the parent's sorted edges, and needs only the anchor itself.  Every stage
-after sampling reads one cached table, the parent edges some child keeps
-(the union edges), so none scans the parent edges no child keeps.
+straight into them, so no per-edge float or bit matrix is held.  The
+instance's views are derived from them as cached properties, each built on
+first access: the anchor child alone, all K children, and the parent edges
+some child keeps (the union edges).  The trial pipeline works in anchor
+labels, where each child is a subset of the parent's sorted edges, so it
+builds only the anchor as a graph, and every stage after sampling reads the
+union edges, so none scans the parent edges no child keeps.
 
 Two equivalent constructions are provided.  :func:`sample_instance` draws the
 per-edge retention bits directly.  :func:`sample_instance_partition` instead
@@ -39,8 +40,8 @@ edges into children according to the conditional pattern law.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -172,14 +173,15 @@ class CorrelatedInstance:
     ``parent.edges``), bit ``j`` set when child ``j`` keeps the edge; it is
     the one record of which parent edge each child keeps, stored read-only
     in the narrowest unsigned dtype with K bits (``uint8`` for K <= 8).
-    :attr:`children` is derived from it: ``children[0]`` is the anchor and
-    carries the parent's vertex labels; ``children[j]`` for ``j >= 1`` is
-    relabelled by ``pi_star[j]``, which maps anchor labels to that child's
-    labels (``pi_star[0]`` is the identity).  Each child graph is built on
-    first access, because the seeded pipeline works on the parent's edges
-    and the codes in anchor labels and needs only the anchor as a graph.
-    The stages that read edges in anchor labels read :attr:`union_edges`,
-    the parent edges kept by some child, built once on first access.
+    Every view of the children is derived from it and built once, on first
+    access.  :attr:`anchor` is child 0, which carries the parent's vertex
+    labels; the seeded pipeline works on the parent's edges and the codes
+    in anchor labels and needs only the anchor as a graph.
+    :attr:`children` is the tuple of all K graphs: ``children[0]`` is the
+    anchor and ``children[j]`` for ``j >= 1`` is relabelled by
+    ``pi_star[j]``, which maps anchor labels to that child's labels
+    (``pi_star[0]`` is the identity).  The stages that read edges in anchor
+    labels read :attr:`union_edges`, the parent edges kept by some child.
     Instances compare by identity.
     ``pair_classes`` is only present when the instance came from the
     partition construction: a condensed ``uint8`` vector over all vertex
@@ -200,9 +202,6 @@ class CorrelatedInstance:
     pi_star: list[np.ndarray]
     edge_codes: np.ndarray
     pair_classes: np.ndarray | None = None
-    _inverse_perms: list[np.ndarray | None] = field(init=False, repr=False, compare=False)
-    _children: _Children = field(init=False, repr=False, compare=False)
-    _union: UnionEdges | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, K = self.params.n, self.params.K
@@ -230,9 +229,6 @@ class CorrelatedInstance:
         # A read-only view: the caller's array keeps its own flags.
         self.edge_codes = codes.astype(dtype, copy=False).view()
         self.edge_codes.setflags(write=False)
-        self._inverse_perms = [None] * K
-        self._children = _Children(self.parent, self.edge_codes, self.pi_star)
-        self._union = None
 
     @property
     def K(self) -> int:
@@ -242,32 +238,46 @@ class CorrelatedInstance:
     def n(self) -> int:
         return self.params.n
 
-    @property
+    @cached_property
     def union_edges(self) -> UnionEdges:
         """The parent edges some child keeps (code != 0), in parent order, read-only."""
-        if self._union is None:
-            rows = np.flatnonzero(self.edge_codes != 0)
-            ends = np.divmod(self.parent.packed_keys().take(rows), np.int64(self.n))
-            parts = (*ends, self.edge_codes.take(rows))
-            for arr in parts:
-                arr.setflags(write=False)
-            self._union = UnionEdges(*parts)
-        return self._union
+        rows = np.flatnonzero(self.edge_codes != 0)
+        ends = np.divmod(self.parent.packed_keys().take(rows), np.int64(self.n))
+        parts = (*ends, self.edge_codes.take(rows))
+        for arr in parts:
+            arr.setflags(write=False)
+        return UnionEdges(*parts)
 
-    @property
-    def children(self) -> Sequence[Graph]:
-        """The K child graphs, each in its own labels, built on first access."""
-        return self._children
+    @cached_property
+    def anchor(self) -> Graph:
+        """Child 0, in the parent's labels: a sorted subset of the parent's keys."""
+        return Graph._from_keys(self.n, self.parent.packed_keys()[self._kept_rows(0)])
+
+    @cached_property
+    def children(self) -> tuple[Graph, ...]:
+        """The K child graphs, each in its own labels; the anchor comes first."""
+        n = self.n
+        graphs = [self.anchor]
+        for j in range(1, self.K):
+            # A permutation maps distinct parent keys to distinct keys.
+            u, v = np.divmod(self.parent.packed_keys().take(self._kept_rows(j)), np.int64(n))
+            graphs.append(Graph._from_keys(n, np.sort(_image_keys(n, u, v, self.pi_star[j])[1])))
+        return tuple(graphs)
+
+    def _kept_rows(self, j: int) -> np.ndarray:
+        """Indices of the parent edges child ``j`` keeps, ascending."""
+        # Index arrays from a boolean mask: numpy's nonzero scans a bool
+        # array several times faster than an integer one, and taking rows by
+        # index beats boolean-mask indexing when the mask is irregular.
+        codes = self.edge_codes
+        return np.flatnonzero((codes & codes.dtype.type(1 << j)) != 0)
 
     def inverse_pi(self, j: int) -> np.ndarray:
         """Inverse of ``pi_star[j]`` (child-j labels back to anchor labels)."""
-        cached = self._inverse_perms[j]
-        if cached is None:
-            pi = self.pi_star[j]
-            cached = np.empty_like(pi)
-            cached[pi] = np.arange(len(pi), dtype=pi.dtype)
-            self._inverse_perms[j] = cached
-        return cached
+        pi = self.pi_star[j]
+        inverse = np.empty_like(pi)
+        inverse[pi] = np.arange(len(pi), dtype=pi.dtype)
+        return inverse
 
     def true_pairwise_permutation(self, i: int, j: int) -> np.ndarray:
         """Ground-truth relabelling from child ``i``'s labels to child ``j``'s."""
@@ -300,49 +310,6 @@ def _code_dtype(K: int) -> np.dtype:
     if dtype.kind != "u":
         raise ValueError(f"retention codes hold at most 64 children, not K={K}")
     return dtype
-
-
-class _Children(Sequence):
-    """Read-only sequence of child graphs derived from (parent, codes, pi).
-
-    Child ``j`` keeps the parent edges whose code has bit ``j`` and is
-    relabelled by ``pi[j]``.  Each graph is built on its first access and
-    kept.  The view holds the arrays, not the instance, so it forms no
-    reference cycle.
-    """
-
-    def __init__(self, parent: Graph, codes: np.ndarray, perms: list[np.ndarray]):
-        self._parent = parent
-        self._codes = codes
-        self._perms = perms
-        self._graphs: list[Graph | None] = [None] * len(perms)
-
-    def __len__(self) -> int:
-        return len(self._graphs)
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return [self[i] for i in range(*j.indices(len(self)))]
-        j = range(len(self))[j]
-        g = self._graphs[j]
-        if g is None:
-            g = self._graphs[j] = self._build(j)
-        return g
-
-    def _build(self, j: int) -> Graph:
-        parent = self._parent
-        # Index arrays from a boolean mask: numpy's nonzero scans a bool
-        # array several times faster than an integer one, and taking rows by
-        # index beats boolean-mask indexing when the mask is irregular.
-        kept = np.flatnonzero((self._codes & self._codes.dtype.type(1 << j)) != 0)
-        if j == 0:
-            # The anchor's relabelling is the identity: its keys are a
-            # sorted subset of the parent's.
-            return Graph._from_keys(parent.n, parent.packed_keys()[kept])
-        # A permutation maps distinct parent keys to distinct keys.
-        u, v = np.divmod(parent.packed_keys().take(kept), np.int64(parent.n))
-        keys = _image_keys(parent.n, u, v, self._perms[j])[1]
-        return Graph._from_keys(parent.n, np.sort(keys))
 
 
 def _bernoulli_index_sample(rng: np.random.Generator, count: int, prob: float) -> np.ndarray:

@@ -2,11 +2,11 @@
 
 Vertices are 0-based integers below a fixed count ``n``.  A :class:`Graph`
 is immutable once built.  Its one canonical form is the sorted array of
-distinct packed keys ``lo * n + hi`` (``lo < hi``), from which the ``(m, 2)``
-edge array is decoded on first access; that array and the CSR adjacency are
-built lazily because bulk distribution tests create tens of thousands of
-throwaway graphs whose neighbourhoods are never queried, and a trial reads
-the parent only through its keys.
+distinct packed keys ``lo * n + hi`` (``lo < hi``).  The ``(m, 2)`` edge
+array decoded from them and the CSR adjacency are cached properties, built
+on first access, because bulk distribution tests create tens of thousands
+of throwaway graphs whose neighbourhoods are never queried, and a trial
+reads the parent only through its keys.
 
 :func:`intersection_graph` keeps the edges of one graph whose image under a
 partial matching is an edge of another; the result's ``vertices`` attribute
@@ -16,6 +16,7 @@ through matchings: it selects parent edges by their retention codes.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -148,8 +149,6 @@ class Graph:
     non-integer endpoints; duplicate and reversed pairs collapse.
     """
 
-    __slots__ = ("n", "_keys", "_edges", "_vertices", "_csr")
-
     def __init__(self, n: int, edges=None, vertices: Iterable[int] | None = None):
         if n < 0:
             raise ValueError("n must be non-negative")
@@ -190,21 +189,17 @@ class Graph:
         self.n = n
         self._keys = keys
         self._keys.setflags(write=False)
-        self._edges = None
         self._vertices = vertices
-        self._csr = None
 
     # -- basic accessors ---------------------------------------------------
 
-    @property
+    @cached_property
     def edges(self) -> np.ndarray:
         """Canonical (m, 2) edge array, read-only, decoded from the keys on first access."""
-        if self._edges is None:
-            edges = np.empty((self._keys.shape[0], 2), dtype=np.int64)
-            np.divmod(self._keys, np.int64(self.n), out=(edges[:, 0], edges[:, 1]))
-            edges.setflags(write=False)
-            self._edges = edges
-        return self._edges
+        edges = np.empty((self._keys.shape[0], 2), dtype=np.int64)
+        np.divmod(self._keys, np.int64(self.n), out=(edges[:, 0], edges[:, 1]))
+        edges.setflags(write=False)
+        return edges
 
     @property
     def edge_count(self) -> int:
@@ -222,16 +217,15 @@ class Graph:
 
     # -- adjacency ---------------------------------------------------------
 
+    @cached_property
     def _adjacency(self) -> csr_matrix:
-        """Lazily built symmetric CSR adjacency (treat as read-only)."""
-        if self._csr is None:
-            self._csr = _adjacency_csr(self.n, self.edges)
-        return self._csr
+        """Symmetric CSR adjacency, built on first access (treat as read-only)."""
+        return _adjacency_csr(self.n, self.edges)
 
     def _row(self, v: int) -> np.ndarray:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
-        csr = self._adjacency()
+        csr = self._adjacency
         return csr.indices[csr.indptr[v] : csr.indptr[v + 1]]
 
     def neighbors(self, v: int) -> set[int]:
@@ -426,7 +420,7 @@ def k_core(g: Graph, k: int) -> frozenset[int]:
     survives.
     """
     e = g.edges
-    core = _core_mask(g.n, e[:, 0], e[:, 1], k, g._adjacency)
+    core = _core_mask(g.n, e[:, 0], e[:, 1], k, lambda: g._adjacency)
     return frozenset(np.flatnonzero(core).tolist())
 
 

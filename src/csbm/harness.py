@@ -261,12 +261,19 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
-        """Parse a config; lists become tuples and omitted fields keep defaults."""
+        """Parse a config; lists become tuples and omitted fields keep defaults.
+
+        A config the constructor cannot take (a missing grid, a scalar grid,
+        a count given as a string) is a ``ValueError`` like any other bad value.
+        """
         payload = json.loads(text)
         unknown = set(payload) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**payload)
+        try:
+            return cls(**payload)
+        except TypeError as exc:
+            raise ValueError(f"malformed config: {exc}") from exc
 
 
 @dataclass

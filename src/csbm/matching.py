@@ -33,7 +33,8 @@ intersected directly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -143,7 +144,9 @@ class MatchingFamily:
     unmatched sets F_ij are the complements.  Each pair's map is the ground
     truth on its set, so it is derived: ``matchings[(i, j)]`` sends
     ``pi_star[i][v]`` to ``pi_star[j][v]`` for each masked anchor vertex
-    ``v``, built on first access and kept.  Families compare by identity.
+    ``v``.  The maps and the tables the stages read (the packed pair codes,
+    the pattern table and the good/bad split) are cached properties, each
+    built from the masks on first access.  Families compare by identity.
     """
 
     n: int
@@ -151,22 +154,16 @@ class MatchingFamily:
     k: int
     anchor_masks: dict[tuple[int, int], np.ndarray]
     pi_star: list[np.ndarray]
-    _matchings: dict[tuple[int, int], PartialMatching] | None = field(
-        default=None, init=False, repr=False
-    )
-    _pattern_table: list[_Pattern] | None = field(default=None, repr=False, compare=False)
-    _classes: VertexClass | None = field(default=None, repr=False, compare=False)
 
-    @property
+    @cached_property
     def matchings(self) -> dict[tuple[int, int], PartialMatching]:
         """Each pair's map, the ground truth restricted to its matched set."""
-        if self._matchings is None:
-            self._matchings = {}
-            for (i, j), mask in sorted(self.anchor_masks.items()):
-                arr = np.full(self.n, -1, dtype=np.int64)
-                arr[self.pi_star[i][mask]] = self.pi_star[j][mask]
-                self._matchings[(i, j)] = PartialMatching._from_array(arr)
-        return self._matchings
+        matchings = {}
+        for (i, j), mask in sorted(self.anchor_masks.items()):
+            arr = np.full(self.n, -1, dtype=np.int64)
+            arr[self.pi_star[i][mask]] = self.pi_star[j][mask]
+            matchings[(i, j)] = PartialMatching._from_array(arr)
+        return matchings
 
     def pairs(self) -> list[tuple[int, int]]:
         return sorted(self.anchor_masks)
@@ -178,6 +175,63 @@ class MatchingFamily:
     def unmatched_mask(self, i: int, j: int) -> np.ndarray:
         """Anchored boolean mask of the unmatched set F_ij."""
         return ~self.member_mask(i, j)
+
+    @cached_property
+    def _pair_codes(self) -> np.ndarray:
+        """Each vertex's matched-pair code as little-endian bytes, shape ``(bytes, n)``.
+
+        Bit ``t % 8`` of byte ``t // 8`` is set when the t-th pair of
+        :meth:`pairs` matches the vertex, so the code has one bit per pair
+        however many pairs there are.
+        """
+        pairs = self.pairs()
+        bits = np.zeros((max(len(pairs), 1), self.n), dtype=bool)
+        for t, pair in enumerate(pairs):
+            bits[t] = self.anchor_masks[pair]
+        return np.packbits(bits, axis=0, bitorder="little")
+
+    @cached_property
+    def _patterns(self) -> list[_Pattern]:
+        """The matched-pair patterns in code order, so every stage reads the same metagraphs."""
+        pairs = self.pairs()
+        packed = self._pair_codes
+        # Sorting on the last byte first orders the codes as numbers, and
+        # the stable sort keeps each pattern's vertices ascending.
+        order = np.lexsort(packed)
+        grouped = packed[:, order]
+        starts = np.ones(self.n, dtype=bool)
+        starts[1:] = (grouped[:, 1:] != grouped[:, :-1]).any(axis=0)
+        bounds = np.append(np.flatnonzero(starts), self.n).tolist()
+        table = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            members = order[lo:hi]
+            v = members[0]
+            matched = tuple(p for p in pairs if self.anchor_masks[p][v])
+            table.append(
+                _Pattern(members=members, pairs=matched, reached=_anchor_component(matched))
+            )
+        return table
+
+    @cached_property
+    def _classes(self) -> VertexClass:
+        """The good/bad split, read off the pattern table.
+
+        A pattern is good when the anchor reaches every node of its
+        metagraph; otherwise the reached nodes and the rest form its
+        bipartition.
+        """
+        good: list[int] = []
+        bad: list[int] = []
+        partitions: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
+        for pattern in self._patterns:
+            members = pattern.members.tolist()
+            if len(pattern.reached) == self.K:
+                good.extend(members)
+            else:
+                bad.extend(members)
+                split = (pattern.reached, frozenset(range(self.K)) - pattern.reached)
+                partitions.update(dict.fromkeys(members, split))
+        return VertexClass(good=frozenset(good), bad=frozenset(bad), partitions=partitions)
 
 
 def all_pairwise_matchings(inst: CorrelatedInstance, k: int) -> MatchingFamily:
@@ -217,50 +271,6 @@ class _Pattern(NamedTuple):
     reached: frozenset[int]
 
 
-def _patterns(fam: MatchingFamily) -> list[_Pattern]:
-    """The family's matched-pair patterns in code order, computed once.
-
-    A vertex's code is the number with bit t set when the t-th pair of
-    ``fam.pairs()`` matches it; it has one bit per pair however many pairs
-    there are.  The table is cached on the family, so every stage of a
-    trial reads the same metagraphs.
-    """
-    if fam._pattern_table is None:
-        pairs = fam.pairs()
-        packed = _pair_codes(fam)
-        # Sorting on the last byte first orders the codes as numbers, and
-        # the stable sort keeps each pattern's vertices ascending.
-        order = np.lexsort(packed)
-        grouped = packed[:, order]
-        starts = np.ones(fam.n, dtype=bool)
-        starts[1:] = (grouped[:, 1:] != grouped[:, :-1]).any(axis=0)
-        bounds = np.append(np.flatnonzero(starts), fam.n).tolist()
-        table = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            members = order[lo:hi]
-            v = members[0]
-            matched = tuple(p for p in pairs if fam.anchor_masks[p][v])
-            table.append(
-                _Pattern(members=members, pairs=matched, reached=_anchor_component(matched))
-            )
-        fam._pattern_table = table
-    return fam._pattern_table
-
-
-def _pair_codes(fam: MatchingFamily) -> np.ndarray:
-    """Each vertex's matched-pair code as little-endian bytes, shape ``(bytes, n)``.
-
-    Bit ``t % 8`` of byte ``t // 8`` is set when the t-th pair of
-    ``fam.pairs()`` matches the vertex, so the code has one bit per pair
-    however many pairs there are.
-    """
-    pairs = fam.pairs()
-    bits = np.zeros((max(len(pairs), 1), fam.n), dtype=bool)
-    for t, pair in enumerate(pairs):
-        bits[t] = fam.anchor_masks[pair]
-    return np.packbits(bits, axis=0, bitorder="little")
-
-
 def _anchor_component(pairs: tuple[tuple[int, int], ...]) -> frozenset[int]:
     """The metagraph nodes that ``pairs`` connect to the anchor."""
     reached = {0}
@@ -294,29 +304,7 @@ def classify_good_bad(fam: MatchingFamily) -> VertexClass:
     The split is computed once per family and cached on it, so every stage
     of a trial that needs it shares one result.
     """
-    if fam._classes is None:
-        fam._classes = _classify(fam)
     return fam._classes
-
-
-def _classify(fam: MatchingFamily) -> VertexClass:
-    """The good/bad split, read off the pattern table.
-
-    A pattern is good when the anchor reaches every node of its metagraph;
-    otherwise the reached nodes and the rest form its bipartition.
-    """
-    good: list[int] = []
-    bad: list[int] = []
-    partitions: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
-    for pattern in _patterns(fam):
-        members = pattern.members.tolist()
-        if len(pattern.reached) == fam.K:
-            good.extend(members)
-        else:
-            bad.extend(members)
-            split = (pattern.reached, frozenset(range(fam.K)) - pattern.reached)
-            partitions.update(dict.fromkeys(members, split))
-    return VertexClass(good=frozenset(good), bad=frozenset(bad), partitions=partitions)
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,6 @@ from .matching import (
     MatchingFamily,
     VertexClass,
     _check_family,
-    _pair_codes,
     all_pairwise_matchings,
     classify_good_bad,
 )
@@ -253,7 +252,7 @@ def _superset_votes(
     """
     u, v, _ = inst.union_edges
     fwd = rev = True
-    for code in _pair_codes(fam):
+    for code in fam._pair_codes:
         cu, cv = code[u], code[v]
         shared = cu & cv
         fwd = fwd & (shared == cu)
@@ -409,7 +408,7 @@ def full_recovery(
     if family is not None:
         _check_family(family, k)
     init = almost_exact_label(
-        inst.children[0],
+        inst.anchor,
         params.s * params.a,
         params.s * params.b,
         eps,

@@ -87,7 +87,11 @@ def stage(name, fn, *args, **kwargs):
     return out
 inst = stage("sample", csbm.sample_instance, params, seed)
 stage("union", lambda: inst.union_edges)
-anchor = stage("anchor", lambda: inst.children[0])
+# Child 0 alone: reading children[0] builds every child where the instance
+# has an anchor property, and child 0 only where it has none.
+anchor = stage(
+    "anchor", lambda: inst.anchor if hasattr(type(inst), "anchor") else inst.children[0]
+)
 init = stage(
     "init", csbm.almost_exact_label, anchor, s * 9.0, s * 1.0, params.eps, seed=inst.seed
 )

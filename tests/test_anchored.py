@@ -29,8 +29,6 @@ from csbm.graphs import _member
 from csbm.impossibility import singleton_sets
 from csbm.matching import (
     MatchingEstimate,
-    _pair_codes,
-    _patterns,
     all_pairwise_matchings,
     classify_good_bad,
     exact_matching_estimator,
@@ -92,7 +90,7 @@ def graph_good_step(inst, fam, init):
         return graph_good_three(inst, fam, init, est, assortative, init_values)
     good_mask = np.zeros(n, dtype=bool)
     good_mask[list(classes.good)] = True
-    for pattern in _patterns(fam):
+    for pattern in fam._patterns:
         group = pattern.members[good_mask[pattern.members]]
         if not group.size:
             continue
@@ -182,7 +180,7 @@ def graph_estimator(inst, fam):
             bad_count=len(classes.bad),
         )
     perms = [np.full(inst.n, -1, dtype=np.int64) for _ in range(inst.K - 1)]
-    for pattern in _patterns(fam):
+    for pattern in fam._patterns:
         paths = _anchor_paths(inst.K, pattern.pairs)
         for j in range(1, inst.K):
             composed = _compose_array_along_path(fam, paths[j])
@@ -230,7 +228,7 @@ def good_groups(fam):
     """Patterns holding at least one good vertex; `graph_good_step` maps one union per each."""
     good = np.zeros(fam.n, dtype=bool)
     good[list(classify_good_bad(fam).good)] = True
-    return [p for p in _patterns(fam) if good[p.members].any()]
+    return [p for p in fam._patterns if good[p.members].any()]
 
 
 @pytest.mark.parametrize("n, s, K, groups", MANY_GROUPS)
@@ -244,7 +242,7 @@ def test_good_step_with_many_groups_matches_graph_algebra(n, s, K, groups):
     if K >= 12:
         good = np.zeros(n, dtype=bool)
         good[list(classify_good_bad(fam).good)] = True
-        codes = _pair_codes(fam)
+        codes = fam._pair_codes
         assert codes.shape[0] > 8 and (codes[8:, good] != 0).any()
 
 

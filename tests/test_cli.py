@@ -163,6 +163,17 @@ def test_match_rejects_single_child(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_match_takes_no_eps(capsys):
+    # A match trial runs no initialisation, so it has no accuracy target.
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            "match", "--n", 100, "--a", 9.0, "--b", 1.0, "--s", 1.0,
+            "--trials", 1, "--eps", 0.5,
+        )
+    assert exc.value.code == 2
+    assert "--eps" in capsys.readouterr().err
+
+
 def test_witness_prints_consistent_counts(capsys):
     assert run_cli(
         "witness", "--n", 300, "--a", 9.0, "--b", 1.0, "--s", 0.2,
@@ -178,13 +189,15 @@ def test_witness_prints_consistent_counts(capsys):
         assert verdict in {"0", "1"}
 
 
+SWEEP_PAYLOAD = dict(
+    n_values=[120], a_values=[9.0], b_values=[1.0], s_values=[1.0],
+    K_values=[3], k=1, trials=2, master_seed=0,
+    experiments=["recover", "match"],
+)
+
+
 def sweep_config(tmp_path, **overrides):
-    payload = dict(
-        n_values=[120], a_values=[9.0], b_values=[1.0], s_values=[1.0],
-        K_values=[3], k=1, trials=2, master_seed=0,
-        experiments=["recover", "match"],
-    )
-    payload.update(overrides)
+    payload = {**SWEEP_PAYLOAD, **overrides}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
     return path
@@ -217,8 +230,18 @@ def test_sweep_per_trial_requires_config_flag(tmp_path, capsys):
     assert "per_trial" in capsys.readouterr().err
 
 
-def test_sweep_rejects_bad_config(tmp_path, capsys):
-    config = sweep_config(tmp_path, experiments=["mystery"])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param({**SWEEP_PAYLOAD, "experiments": ["mystery"]}, id="unknown-experiment"),
+        pytest.param({"a_values": [9.0]}, id="missing-grids"),
+        pytest.param({**SWEEP_PAYLOAD, "n_values": 5}, id="scalar-grid"),
+        pytest.param({**SWEEP_PAYLOAD, "trials": "3"}, id="string-count"),
+    ],
+)
+def test_sweep_rejects_bad_config(tmp_path, capsys, payload):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
     assert run_cli("sweep", "--config", config) == 1
     assert "error:" in capsys.readouterr().err
 

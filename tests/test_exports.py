@@ -1,6 +1,8 @@
 """Every exported name of the package resolves, and a trial needs no scipy."""
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 import subprocess
 import sys
@@ -21,6 +23,20 @@ def test_every_exported_name_resolves(module):
     exported = getattr(mod, "__all__", ())
     assert [name for name in exported if not hasattr(mod, name)] == []
     assert len(set(exported)) == len(exported)
+
+
+def test_no_dataclass_field_is_private():
+    # Derived data is a cached property of its owner, never a settable
+    # constructor field: a field named ``_x`` would be a cache slot.
+    private = [
+        f"{cls.__qualname__}.{field.name}"
+        for module in MODULES
+        for _, cls in inspect.getmembers(importlib.import_module(f"csbm.{module}"))
+        if dataclasses.is_dataclass(cls) and isinstance(cls, type)
+        for field in dataclasses.fields(cls)
+        if field.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_a_trial_loads_no_scipy():

@@ -247,17 +247,16 @@ def test_derived_children_equal_eager_construction(sampler, s, K):
 
 def test_children_are_built_on_first_access():
     inst = sample_instance(Params(n=100, a=6.0, b=2.0, s=0.5, K=4), 3)
+    assert "anchor" not in inst.__dict__ and "children" not in inst.__dict__
+    anchor = inst.anchor
+    assert "children" not in inst.__dict__
     children = inst.children
-    assert children._graphs == [None] * 4
-    third = children[2]
-    assert [g is not None for g in children._graphs] == [False, False, True, False]
-    assert children[2] is third and children[-2] is third
-    assert children[1:3] == [children[1], third]
-    assert len(children) == 4
+    assert children[0] is anchor
+    assert inst.children is children and len(children) == 4
     with pytest.raises(IndexError):
         children[4]
     with pytest.raises(TypeError):
-        children[0] = third
+        children[0] = anchor
 
 
 def packed_one_draw(params, seed, m):

@@ -13,7 +13,6 @@ from csbm.generate import Params, sample_instance
 from csbm.graphs import Graph, _adjacency_csr
 from csbm.matching import (
     MatchingFamily,
-    _patterns,
     all_pairwise_matchings,
     classify_good_bad,
     exact_matching_estimator,
@@ -232,7 +231,7 @@ def test_family_full_retention_gives_full_matchings():
 def test_family_matchings_are_built_once_from_the_masks():
     inst = sample_instance(Params(n=60, a=5.0, b=1.0, s=0.6, K=3), 4)
     fam = all_pairwise_matchings(inst, 1)
-    assert fam._matchings is None
+    assert "matchings" not in fam.__dict__
     assert fam.pairs() == [(0, 1), (0, 2), (1, 2)]
     matchings = fam.matchings
     assert fam.matchings is matchings
@@ -276,7 +275,7 @@ def three_pair_family(n, masks):
 
 
 def only_pattern(fam):
-    (pattern,) = _patterns(fam)
+    (pattern,) = fam._patterns
     return pattern
 
 
@@ -330,8 +329,8 @@ def test_metagraph_path_is_connected():
 def test_patterns_are_cached_and_in_code_order():
     inst = sample_instance(Params(n=200, a=9.0, b=1.0, s=0.3, K=4, k=1), 2)
     fam = all_pairwise_matchings(inst, 1)
-    table = _patterns(fam)
-    assert _patterns(fam) is table
+    table = fam._patterns
+    assert fam._patterns is table
     members = np.concatenate([p.members for p in table])
     assert np.array_equal(np.sort(members), np.arange(inst.n))
     pairs = fam.pairs()
@@ -350,7 +349,7 @@ def test_patterns_keep_every_pair_past_64(K):
     fam = all_pairwise_matchings(inst, 1)
     pairs = fam.pairs()
     assert len(pairs) > 64
-    table = _patterns(fam)
+    table = fam._patterns
     members = np.concatenate([p.members for p in table])
     assert np.array_equal(np.sort(members), np.arange(inst.n))
     codes = []
@@ -390,7 +389,7 @@ def test_pattern_paths_match_exhaustive_oracle(K):
     n = 1 << len(pairs)
     codes = np.arange(n)
     fam = crafted_family(n, K, {p: (codes >> t) & 1 for t, p in enumerate(pairs)})
-    table = _patterns(fam)
+    table = fam._patterns
     classes = classify_good_bad(fam)
     assert [p.members.tolist() for p in table] == [[v] for v in range(n)]
     for v, pattern in enumerate(table):
@@ -462,7 +461,7 @@ def test_path_composition_is_path_independent():
     params = Params(n=60, a=6.0, b=1.5, s=0.7, K=5, k=1)
     inst = sample_instance(params, 13)
     fam = all_pairwise_matchings(inst, 1)
-    good = [p for p in _patterns(fam) if len(p.reached) == 5]
+    good = [p for p in fam._patterns if len(p.reached) == 5]
     checked = 0
     for pattern in good[:12]:
         shortest = _anchor_paths(5, pattern.pairs)
