@@ -93,7 +93,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         "child_edges": [c.edge_count for c in inst.children],
     }
     (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-    print(f"wrote instance to {out} ({inst.parent.edge_count} parent edges)")
+    print(f"wrote instance to {out} ({inst.parent.edge_count} union edges)")
     return 0
 
 
@@ -243,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="sample one instance and write it to a directory")
+    gen = sub.add_parser(
+        "gen", help="sample one instance and write it (union graph as parent.edges) to a directory"
+    )
     _add_model_arguments(gen)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output directory")

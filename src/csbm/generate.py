@@ -8,33 +8,36 @@ parent edge independently with probability ``s`` per child; children beyond
 the first are relabelled by uniformly random permutations, while child 1
 keeps the parent's vertex labels and serves as the anchor.
 
-The parent is built from packed keys ``lo * n + hi``: each intra-community
-hit of the geometric skip sampler is placed in its triangle row by one
-search per row, inter-community hits give their keys directly, and one sort
-of all keys gives the canonical edge order, with no further checks, since
-the construction yields distinct pairs of distinct vertices.
+Block-model graphs are built from packed keys ``lo * n + hi``: each
+intra-community hit of the geometric skip sampler is placed in its triangle
+row by one search per row, inter-community hits give their keys directly,
+and one sort of all keys gives the canonical edge order, with no further
+checks, since the construction yields distinct pairs of distinct vertices.
 
-An instance keeps the parent's edges, the permutations and one retention
-code per parent edge (bit ``j`` set = kept by child ``j``).  The codes are
-filled in chunks of whole edge rows, each chunk's retention draws ORed
-straight into them, so no per-edge float or bit matrix is held.  The
-instance's views are derived from them as cached properties, each built on
-first access: the anchor child alone, all K children, and the parent edges
-some child keeps (the union edges).  The trial pipeline works in anchor
-labels, where each child is a subset of the parent's sorted edges, so it
-builds only the anchor as a graph, and every stage after sampling reads the
-union edges, so none scans the parent edges no child keeps.
+Only the union of the children is ever observed, so an instance stores the
+union graph, not the parent: ``inst.parent`` holds the pairs some child
+keeps, with one non-zero presence code per edge (bit ``j`` set = kept by
+child ``j``), and the permutations.  The instance's views are derived from
+them as cached properties, each built on first access: the anchor child
+alone, all K children, and the union edges as endpoint columns.  The trial
+pipeline works in anchor labels, where each child is a subset of the
+union's sorted edges, so it builds only the anchor as a graph.
 
-Two equivalent constructions are provided.  :func:`sample_instance` draws the
-per-edge retention bits directly.  :func:`sample_instance_partition` instead
-classifies every vertex *pair* into one of ``2**K`` presence patterns up
-front and intersects with the parent edge set; this is distributionally the
-same (the pattern marginal of a non-edge pair is never observed) but makes
-the pair classes available afterwards, which the balance diagnostic needs.
+Two equivalent constructions are provided.  :func:`sample_instance` draws
+the union directly: a pair is a union edge with probability ``p f`` inside
+a community and ``q f`` across, ``f = 1 - (1 - s)^K``, independently per
+pair, so the union is itself a block model, and each of its edges then gets
+a code from the conditional law of a non-zero code (the union construction
+of Gaudio, Rácz and Sridhar, COLT 2022).  :func:`sample_instance_partition`
+instead samples the full parent, classifies every vertex *pair* into one of
+``2**K`` presence patterns up front and keeps the parent edges of a
+non-zero class; this is distributionally the same but independent of the
+union law, and makes the pair classes available afterwards, which the
+balance diagnostic needs.
 
 The module also contains the reverse direction used by resampling tests:
 :func:`split_union_graph` consumes a realised union graph and splits its
-edges into children according to the conditional pattern law.
+edges into children with the same non-zero code draw.
 """
 
 from __future__ import annotations
@@ -80,9 +83,9 @@ _PAIR_CHUNK = 1 << 23
 # cache (1 << 19 ran about twice as fast as 1 << 23 at n = 10^4).
 _COUNT_CHUNK = 1 << 19
 
-# Parent edges per draw of retention uniforms; whole rows, so the draws
-# are those of one ``random((m, K))`` call.
-_RETENTION_CHUNK_ROWS = 1 << 16
+# Bits per group of a wide presence code; codes up to this wide are drawn
+# from one table of all their non-zero values.
+_CODE_GROUP_BITS = 4
 
 
 @dataclass(frozen=True)
@@ -167,21 +170,22 @@ class Params:
 
 @dataclass(eq=False)
 class CorrelatedInstance:
-    """One sampled instance: parent, ground truth, and the K children.
+    """One sampled instance: the union graph, ground truth, and the K children.
 
-    ``edge_codes`` has one integer per parent edge (aligned with
-    ``parent.edges``), bit ``j`` set when child ``j`` keeps the edge; it is
-    the one record of which parent edge each child keeps, stored read-only
-    in the narrowest unsigned dtype with K bits (``uint8`` for K <= 8).
-    Every view of the children is derived from it and built once, on first
-    access.  :attr:`anchor` is child 0, which carries the parent's vertex
-    labels; the seeded pipeline works on the parent's edges and the codes
-    in anchor labels and needs only the anchor as a graph.
-    :attr:`children` is the tuple of all K graphs: ``children[0]`` is the
-    anchor and ``children[j]`` for ``j >= 1`` is relabelled by
-    ``pi_star[j]``, which maps anchor labels to that child's labels
-    (``pi_star[0]`` is the identity).  The stages that read edges in anchor
-    labels read :attr:`union_edges`, the parent edges kept by some child.
+    ``parent`` is the union of the children in anchor labels: both samplers
+    store only the pairs some child keeps.  ``edge_codes`` has one integer
+    per edge of ``parent`` (aligned with ``parent.edges``), bit ``j`` set
+    when child ``j`` keeps the edge; it is the one record of which edge
+    each child keeps, stored read-only in the narrowest unsigned dtype with
+    K bits (``uint8`` for K <= 8).  Every view of the children is derived
+    from it and built once, on first access.  :attr:`anchor` is child 0,
+    which carries the parent's vertex labels; the seeded pipeline works on
+    the union's edges and the codes in anchor labels and needs only the
+    anchor as a graph.  :attr:`children` is the tuple of all K graphs:
+    ``children[0]`` is the anchor and ``children[j]`` for ``j >= 1`` is
+    relabelled by ``pi_star[j]``, which maps anchor labels to that child's
+    labels (``pi_star[0]`` is the identity).  The stages that read edges in
+    anchor labels read :attr:`union_edges`, the edges kept by some child.
     Instances compare by identity.
     ``pair_classes`` is only present when the instance came from the
     partition construction: a condensed ``uint8`` vector over all vertex
@@ -240,10 +244,17 @@ class CorrelatedInstance:
 
     @cached_property
     def union_edges(self) -> UnionEdges:
-        """The parent edges some child keeps (code != 0), in parent order, read-only."""
-        rows = np.flatnonzero(self.edge_codes != 0)
-        ends = np.divmod(self.parent.packed_keys().take(rows), np.int64(self.n))
-        parts = (*ends, self.edge_codes.take(rows))
+        """The edges some child keeps (code != 0), in key order, read-only.
+
+        These are all of ``parent``'s edges unless the instance was built
+        with code-0 edges, which are then left out.
+        """
+        keys, codes = self.parent.packed_keys(), self.edge_codes
+        if np.count_nonzero(codes) < codes.size:
+            rows = np.flatnonzero(codes)
+            keys, codes = keys.take(rows), codes.take(rows)
+        ends = np.divmod(keys, np.int64(self.n))
+        parts = (*ends, codes)
         for arr in parts:
             arr.setflags(write=False)
         return UnionEdges(*parts)
@@ -362,35 +373,49 @@ def _triangle_keys(n: int, flat: np.ndarray, members: np.ndarray) -> np.ndarray:
     return keys
 
 
-def sample_parent(params: Params, seed: int) -> tuple[Graph, np.ndarray]:
-    """Draw the parent graph and ground-truth labels.
+def _block_model_keys(
+    n: int, sigma: np.ndarray, rng: np.random.Generator, p: float, q: float
+) -> np.ndarray:
+    """Sorted packed keys of a two-block model on ``sigma``: rate ``p`` inside, ``q`` across.
 
-    Returns ``(graph, sigma)`` with ``sigma`` an int8 vector of ±1.  Labels
-    and edges come from separate seed roles, so the parent edge set is a
-    deterministic function of ``(seed, labels)``.  Every hit is a distinct
-    pair of distinct vertices, so the packed keys need only one sort.
+    Every hit is a distinct pair of distinct vertices, so the keys need
+    only one sort.
     """
-    n = params.n
-    sigma = (stream(seed, ROLE_LABELS).integers(0, 2, size=n) * 2 - 1).astype(np.int8)
-    rng = stream(seed, ROLE_PARENT_EDGES)
     plus = np.flatnonzero(sigma > 0)
     minus = np.flatnonzero(sigma < 0)
     np_, nm = len(plus), len(minus)
     # Intra-community pairs: all pairs within V+, then all pairs within V-.
     cp = np_ * (np_ - 1) // 2
     cm = nm * (nm - 1) // 2
-    hits = _bernoulli_index_sample(rng, cp + cm, params.p)
+    hits = _bernoulli_index_sample(rng, cp + cm, p)
     split = np.searchsorted(hits, cp)
     blocks = [
         _triangle_keys(n, hits[:split], plus),
         _triangle_keys(n, hits[split:] - cp, minus),
     ]
     # Inter-community pairs, plus-major lexicographic order.
-    hits = _bernoulli_index_sample(rng, np_ * nm, params.q)
+    hits = _bernoulli_index_sample(rng, np_ * nm, q)
     u, v = plus[hits // nm], minus[hits % nm]
     blocks.append(np.minimum(u, v) * np.int64(n) + np.maximum(u, v))
     keys = np.concatenate(blocks)
     keys.sort()
+    return keys
+
+
+def _draw_labels(n: int, seed: int) -> np.ndarray:
+    return (stream(seed, ROLE_LABELS).integers(0, 2, size=n) * 2 - 1).astype(np.int8)
+
+
+def sample_parent(params: Params, seed: int) -> tuple[Graph, np.ndarray]:
+    """Draw the parent graph and ground-truth labels.
+
+    Returns ``(graph, sigma)`` with ``sigma`` an int8 vector of ±1.  Labels
+    and edges come from separate seed roles, so the parent edge set is a
+    deterministic function of ``(seed, labels)``.
+    """
+    n = params.n
+    sigma = _draw_labels(n, seed)
+    keys = _block_model_keys(n, sigma, stream(seed, ROLE_PARENT_EDGES), params.p, params.q)
     return Graph._from_keys(n, keys), sigma
 
 
@@ -403,25 +428,28 @@ def _draw_permutations(n: int, K: int, seed: int) -> list[np.ndarray]:
 
 
 def sample_instance(params: Params, seed: int) -> CorrelatedInstance:
-    """Sample a full instance via per-edge retention bits."""
-    parent, sigma = sample_parent(params, seed)
-    m = parent.edge_count
-    rng = stream(seed, ROLE_SUBSAMPLE)
-    dtype = _code_dtype(params.K)
-    codes = np.zeros(m, dtype=dtype)
-    for start in range(0, m, _RETENTION_CHUNK_ROWS):
-        stop = min(start + _RETENTION_CHUNK_ROWS, m)
-        kept = rng.random((stop - start, params.K)) < params.s
-        chunk = codes[start:stop]
-        for j in range(params.K):
-            chunk |= kept[:, j].astype(dtype) << dtype.type(j)
+    """Sample an instance union-first: the union graph, then one code per union edge.
+
+    The labels are drawn as in :func:`sample_parent`.  A pair is then an
+    edge of some child with probability ``p f`` inside a community and
+    ``q f`` across, ``f = 1 - (1 - s)^K``, so the union is drawn as a block
+    model at those rates, from the parent-edge stream.  Each union edge then
+    gets a non-zero presence code from its conditional law, from the
+    subsample stream.  The permutations are drawn as in the partition
+    construction.  No pair that no child keeps is ever drawn.
+    """
+    n, K = params.n, params.K
+    sigma = _draw_labels(n, seed)
+    f = 1.0 - (1.0 - params.s) ** K
+    rng = stream(seed, ROLE_PARENT_EDGES)
+    keys = _block_model_keys(n, sigma, rng, params.p * f, params.q * f)
     return CorrelatedInstance(
         params=params,
         seed=seed,
-        parent=parent,
+        parent=Graph._from_keys(n, keys),
         sigma_star=sigma,
-        pi_star=_draw_permutations(params.n, params.K, seed),
-        edge_codes=codes,
+        pi_star=_draw_permutations(n, K, seed),
+        edge_codes=_draw_nonzero_codes(stream(seed, ROLE_SUBSAMPLE), keys.size, params.s, K),
     )
 
 
@@ -457,6 +485,54 @@ def _draw_codes(rng: np.random.Generator, count: int, weights: np.ndarray) -> np
     return out
 
 
+def _nonzero_weights(s: float, bits: int) -> list[float]:
+    """Law of a ``bits``-bit presence code given that it is non-zero, by code from 1."""
+    total = 1.0 - (1.0 - s) ** bits
+    weights = []
+    for code in range(1, 1 << bits):
+        w = code.bit_count()
+        weights.append(s**w * (1.0 - s) ** (bits - w) / total)
+    return weights
+
+
+def _draw_nonzero_codes(rng: np.random.Generator, count: int, s: float, K: int) -> np.ndarray:
+    """Draw ``count`` i.i.d. K-bit presence codes, each bit kept w.p. ``s``, given one is.
+
+    Up to ``_CODE_GROUP_BITS`` bits a code is one draw from the table of
+    all non-zero codes: one uniform and one comparison pass per table entry.
+    Wider codes go in groups of that many bits, so the cost grows linearly
+    in K: first the lowest non-zero group ``g``, with probability
+    proportional to ``(1 - s)^(4 g) (1 - (1 - s)^width)``, then that
+    group's non-zero code, then each higher group's code, zero included,
+    from its own table.  Groups below ``g`` stay zero.  The law is exact at
+    every K <= 64.  Codes come in the narrowest unsigned dtype with K bits.
+    """
+    dtype = _code_dtype(K)
+    if count == 0:
+        return np.zeros(0, dtype=dtype)
+    if K <= _CODE_GROUP_BITS:
+        codes = _draw_codes(rng, count, np.array(_nonzero_weights(s, K)))
+        codes += 1
+        return codes
+    widths = [min(_CODE_GROUP_BITS, K - lo) for lo in range(0, K, _CODE_GROUP_BITS)]
+    lowest = np.array(
+        [(1.0 - s) ** (_CODE_GROUP_BITS * g) * (1.0 - (1.0 - s) ** w) for g, w in enumerate(widths)]
+    )
+    lowest = _draw_codes(rng, count, lowest / lowest.sum())
+    codes = np.zeros(count, dtype=dtype)
+    for g, width in enumerate(widths):
+        shift = dtype.type(_CODE_GROUP_BITS * g)
+        for rows, weights, offset in (
+            (lowest == g, np.array(_nonzero_weights(s, width)), 1),
+            (lowest < g, _pattern_weights(s, width), 0),
+        ):
+            rows = np.flatnonzero(rows)
+            group = _draw_codes(rng, rows.size, weights).astype(dtype)
+            group += dtype.type(offset)
+            codes[rows] |= group << shift
+    return codes
+
+
 def _pair_index(n: int, edges: np.ndarray) -> np.ndarray:
     """Lexicographic pair index of each canonical edge (u < v)."""
     u = edges[:, 0].astype(np.int64)
@@ -470,9 +546,10 @@ def sample_instance_partition(params: Params, seed: int) -> CorrelatedInstance:
     Each of the ``n (n-1) / 2`` vertex pairs independently receives a pattern
     code in ``{0, ..., 2^K - 1}`` with probability ``s^w (1-s)^(K-w)`` for a
     code of popcount ``w``; a pair is then an edge of child ``j`` exactly
-    when it is a parent edge and bit ``j`` of its code is set.  Marginally
-    this matches :func:`sample_instance` (same parent and permutation
-    streams, different retention stream), and the full class vector is kept
+    when it is a parent edge and bit ``j`` of its code is set.  The full
+    parent is sampled, and the instance keeps its edges of non-zero class,
+    the union of the children.  In law this matches :func:`sample_instance`
+    (same label and permutation streams), and the full class vector is kept
     on the instance for the balance diagnostic.
 
     Memory is quadratic in ``n``; instances above n=20000 are refused.
@@ -490,13 +567,15 @@ def sample_instance_partition(params: Params, seed: int) -> CorrelatedInstance:
     weights = _pattern_weights(params.s, params.K)
     classes = _draw_codes(stream(seed, ROLE_PAIR_CLASSES), n_pairs, weights)
     # A pair's class is its retention code once the pair is a parent edge.
+    codes = classes[_pair_index(n, parent.edges)]
+    kept = np.flatnonzero(codes)
     return CorrelatedInstance(
         params=params,
         seed=seed,
-        parent=parent,
+        parent=Graph._from_keys(n, parent.packed_keys()[kept]),
         sigma_star=sigma,
         pi_star=_draw_permutations(n, params.K, seed),
-        edge_codes=classes[_pair_index(n, parent.edges)],
+        edge_codes=codes[kept],
         pair_classes=classes,
     )
 
@@ -512,13 +591,10 @@ def union_split_weights(s: float, num_children: int) -> dict[tuple[int, ...], fl
         raise ValueError("s must lie strictly between 0 and 1")
     if num_children < 1:
         raise ValueError("num_children must be at least 1")
-    total = 1.0 - (1.0 - s) ** num_children
-    out: dict[tuple[int, ...], float] = {}
-    for code in range(1, 1 << num_children):
-        pattern = tuple((code >> j) & 1 for j in range(num_children))
-        w = sum(pattern)
-        out[pattern] = s**w * (1.0 - s) ** (num_children - w) / total
-    return out
+    return {
+        tuple((code >> j) & 1 for j in range(num_children)): weight
+        for code, weight in enumerate(_nonzero_weights(s, num_children), start=1)
+    }
 
 
 def split_union_graph(h: Graph, s: float, K: int, seed: int) -> list[Graph]:
@@ -526,21 +602,18 @@ def split_union_graph(h: Graph, s: float, K: int, seed: int) -> list[Graph]:
 
     Models ``h`` as the union of children ``2..K`` of a correlated family
     (all in the same labelling): every edge of ``h`` independently receives
-    a non-zero presence pattern from :func:`union_split_weights` and is
-    copied into the children whose bits are set.  With ``K = 2`` the single
-    child equals ``h``.
+    a non-zero presence pattern from :func:`union_split_weights`, drawn as
+    :func:`sample_instance` draws its codes, and is copied into the
+    children whose bits are set.  With ``K = 2`` the single child equals
+    ``h``.
     """
     if K < 2:
         raise ValueError("K must be at least 2 (h is a union of K-1 children)")
-    num = K - 1
-    weights = union_split_weights(s, num)
-    # Codes 1..2^num-1 in ascending order; weight lookup by code.
-    wvec = np.array(
-        [weights[tuple((code >> j) & 1 for j in range(num))] for code in range(1, 1 << num)]
-    )
-    codes = _draw_codes(stream(seed, ROLE_UNION_SPLIT), h.edge_count, wvec) + 1
+    if not 0.0 < s < 1.0:
+        raise ValueError("s must lie strictly between 0 and 1")
+    codes = _draw_nonzero_codes(stream(seed, ROLE_UNION_SPLIT), h.edge_count, s, K - 1)
     return [
-        Graph._from_keys(h.n, h.packed_keys()[(codes >> j) & 1 == 1]) for j in range(num)
+        Graph._from_keys(h.n, h.packed_keys()[(codes >> j) & 1 == 1]) for j in range(K - 1)
     ]
 
 

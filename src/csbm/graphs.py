@@ -6,12 +6,12 @@ distinct packed keys ``lo * n + hi`` (``lo < hi``).  The ``(m, 2)`` edge
 array decoded from them and the CSR adjacency are cached properties, built
 on first access, because bulk distribution tests create tens of thousands
 of throwaway graphs whose neighbourhoods are never queried, and a trial
-reads the parent only through its keys.
+reads the union graph only through its keys.
 
 :func:`intersection_graph` keeps the edges of one graph whose image under a
 partial matching is an edge of another; the result's ``vertices`` attribute
 records the matching domain.  The trial pipeline itself never maps graphs
-through matchings: it selects parent edges by their retention codes.
+through matchings: it selects union edges by their retention codes.
 """
 
 from __future__ import annotations

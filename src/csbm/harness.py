@@ -142,7 +142,7 @@ def run_trial(
     """Sample one instance and run the requested experiments on it.
 
     Every experiment shares one seeded matching family, read from the
-    parent's edges and retention codes in anchor labels; only the anchor
+    union's edges and retention codes in anchor labels; only the anchor
     child is built as a graph.  Deterministic given ``(params, seed,
     experiments)`` in every field except wall time.  Experiments needing at
     least two children (match, witness) leave their fields None at K = 1; a

@@ -4,12 +4,12 @@ The failure argument looks at vertices whose anchor-child edges are entirely
 invisible to the other children: ``R*`` collects the vertices isolated in
 the intersection of child 1 with the union ``H`` of children 2..K (all in
 anchor labels, via the ground-truth permutations, where both are sets of
-parent edges picked out by their retention codes).  ``S*`` keeps those that
+union edges picked out by their retention codes).  ``S*`` keeps those that
 are additionally isolated within ``R*`` in child 1 and whose child-1
 neighbours stay clear of the H-neighbourhood of ``R*``; labels of ``S*``
 vertices can be permuted without changing the likelihood ordering except
 through their child-1 majorities.  Every scan here reads only the
-instance's union edges, the parent edges some child keeps, and past ``R*``
+instance's union edges, the edges some child keeps, and past ``R*``
 only those with an end in ``R*``.  A *witness* is a crossing pair: with
 ``a > b``, some plus-community vertex of ``S*`` whose majority is strictly
 smaller than that of some minus-community vertex (directions reversed for
@@ -57,16 +57,8 @@ def _marked(n: int, ends: np.ndarray, selected: np.ndarray) -> np.ndarray:
     return mask
 
 
-def singleton_sets(inst: CorrelatedInstance) -> SingletonReport:
-    """Compute ``R*`` and ``S*`` for one instance (K >= 2).
-
-    ``R*``: vertices with no child-1 edge that survives into the union of
-    the other children.  ``S*``: vertices of ``R*`` with no child-1
-    neighbour inside ``R*`` or inside the union's neighbourhood of ``R*``.
-    In anchor labels both graphs are sets of union edges: child 1 holds
-    the edges whose retention code has bit 0, the union those with any
-    higher bit.
-    """
+def _singletons(inst: CorrelatedInstance):
+    """Masks of ``R*`` and ``S*``, and the union edges ``u, v, in_g1`` with an end in ``R*``."""
     if inst.K < 2:
         raise ValueError("singleton sets need at least two children")
     n = inst.n
@@ -82,7 +74,20 @@ def singleton_sets(inst: CorrelatedInstance) -> SingletonReport:
     excluded = _marked(n, u, in_g1 & r_mask[u] & barred[v]) | _marked(
         n, v, in_g1 & r_mask[v] & barred[u]
     )
-    s_mask = r_mask & ~excluded
+    return r_mask, r_mask & ~excluded, u, v, in_g1
+
+
+def singleton_sets(inst: CorrelatedInstance) -> SingletonReport:
+    """Compute ``R*`` and ``S*`` for one instance (K >= 2).
+
+    ``R*``: vertices with no child-1 edge that survives into the union of
+    the other children.  ``S*``: vertices of ``R*`` with no child-1
+    neighbour inside ``R*`` or inside the union's neighbourhood of ``R*``.
+    In anchor labels both graphs are sets of union edges: child 1 holds
+    the edges whose retention code has bit 0, the union those with any
+    higher bit.
+    """
+    r_mask, s_mask, _, _, _ = _singletons(inst)
     return SingletonReport(
         r_star=frozenset(np.flatnonzero(r_mask).tolist()),
         s_star=frozenset(np.flatnonzero(s_mask).tolist()),
@@ -98,15 +103,14 @@ def map_failure_witness(inst: CorrelatedInstance) -> SingletonReport:
     satisfy ``maj(i) < maj(j)``; with ``a < b`` the inequality reverses.
     When ``a = b`` the verdict is undefined and stays None (majorities are
     still reported).  Ties in the extremal choice break toward the smallest
-    vertex index.
+    vertex index.  Only the child-1 edges with an end in ``S*`` are summed.
     """
-    report = singleton_sets(inst)
-    n = inst.n
-    u, v, codes = inst.union_edges
-    in_g1 = np.flatnonzero((codes & 1) != 0)
-    u, v = u.take(in_g1), v.take(in_g1)
-    maj_all = _neighbour_sums(n, u, v, inst.sigma_star.astype(np.float64)).astype(np.int64)
-    members = sorted(report.s_star)
+    r_mask, s_mask, u, v, in_g1 = _singletons(inst)
+    # S* lies inside R*, so these edges hold every child-1 edge at S*.
+    rows = np.flatnonzero(in_g1 & (s_mask[u] | s_mask[v]))
+    sigma = inst.sigma_star.astype(np.float64)
+    maj_all = _neighbour_sums(inst.n, u.take(rows), v.take(rows), sigma).astype(np.int64)
+    members = np.flatnonzero(s_mask).tolist()
     maj = {i: int(maj_all[i]) for i in members}
     a, b = inst.params.a, inst.params.b
     witness_found: bool | None = None
@@ -128,8 +132,8 @@ def map_failure_witness(inst: CorrelatedInstance) -> SingletonReport:
         else:
             witness_found = False
     return SingletonReport(
-        r_star=report.r_star,
-        s_star=report.s_star,
+        r_star=frozenset(np.flatnonzero(r_mask).tolist()),
+        s_star=frozenset(members),
         maj=maj,
         witness_found=witness_found,
         witness_pair=witness_pair,

@@ -8,7 +8,7 @@ seeded matcher; in the regime where matching is information-theoretically
 possible the two coincide with high probability, and the test suite checks
 the oracle dominates on small instances.  The seeded family never builds
 the child graphs: in anchor labels the (i, j) intersection is the set of
-union edges (parent edges kept by some child) whose retention code has bits
+union edges (the edges kept by some child) whose retention code has bits
 i and j.  Its degrees are counted there, and it is built as a graph only
 when its k-core peel can cascade.
 

@@ -19,20 +19,21 @@ good step produced.
 
 A family stores only its matched sets, and each of its maps is the
 ground-truth permutation on its set, so each child pulled back to anchor
-labels is the set of parent edges whose retention code has that child's
-bit.  The union and difference graphs are therefore parent edges selected
+labels is the set of union edges whose retention code has that child's
+bit.  The union and difference graphs are therefore union edges selected
 by retention codes and matched-set masks: both relabelling steps read the
 family's anchored masks only, never its maps.
 
-Each step makes one pass over the instance's union edges (the parent edges
-some child keeps).  In the good step a vertex v of metagraph pattern P
+Each step makes one pass over the instance's union edges (the edges some
+child keeps).  In the good step a vertex v of metagraph pattern P
 votes inside the set every pair of P matches, which holds a vertex w
 exactly when w's pattern contains P; so for K other than 3 every union arc
 v -> w is kept or dropped by comparing the two pattern codes, and one
 bincount gives every vertex's vote.  At K = 3 each vertex carries one bit
 per case, and one bincount per value of the two ends' shared case bits
-gives all three cases.  Votes are sums of ±1, exact in float64, so the
-order of summation does not change them.
+gives all three cases.  The pass goes over slices of the union edges, so
+its temporaries stay small however large the union.  Votes are sums of ±1,
+exact in float64, so the order of summation does not change them.
 
 Majorities are taken when the intra-community coefficient dominates
 (``a >= b``) and minorities otherwise; every tie keeps the incoming label.
@@ -87,6 +88,9 @@ PROVENANCE_NAMES = {
 # relative residual at which its Ritz pair counts as converged.
 _LANCZOS_BUDGET = 100
 _LANCZOS_TOL = 1e-4
+# Union arcs per vote bincount, so the good step's temporaries stay a few
+# tens of MB however large the union.
+_VOTE_CHUNK = 1 << 22
 
 
 @dataclass
@@ -240,6 +244,13 @@ def _majority_labels(votes: np.ndarray, incoming: np.ndarray, assortative: bool)
     return np.where(votes > 0, pos, np.where(votes < 0, -pos, incoming)).astype(np.int8)
 
 
+def _union_chunks(inst: CorrelatedInstance):
+    """The union edges' endpoint columns, in slices of at most ``_VOTE_CHUNK`` arcs."""
+    u, v, _ = inst.union_edges
+    for start in range(0, u.size, _VOTE_CHUNK):
+        yield u[start : start + _VOTE_CHUNK], v[start : start + _VOTE_CHUNK]
+
+
 def _superset_votes(
     inst: CorrelatedInstance, fam: MatchingFamily, values: np.ndarray
 ) -> np.ndarray:
@@ -250,16 +261,17 @@ def _superset_votes(
     v when ``code[w] & code[v] == code[v]``: one pass over the union edges,
     one byte of the packed codes at a time.
     """
-    u, v, _ = inst.union_edges
-    fwd = rev = True
-    for code in fam._pair_codes:
-        cu, cv = code[u], code[v]
-        shared = cu & cv
-        fwd = fwd & (shared == cu)
-        rev = rev & (shared == cv)
-    return np.bincount(u[fwd], weights=values[v[fwd]], minlength=inst.n) + np.bincount(
-        v[rev], weights=values[u[rev]], minlength=inst.n
-    )
+    votes = np.zeros(inst.n)
+    for u, v in _union_chunks(inst):
+        fwd = rev = True
+        for code in fam._pair_codes:
+            cu, cv = code[u], code[v]
+            shared = cu & cv
+            fwd = fwd & (shared == cu)
+            rev = rev & (shared == cv)
+        votes += np.bincount(u[fwd], weights=values[v[fwd]], minlength=inst.n)
+        votes += np.bincount(v[rev], weights=values[u[rev]], minlength=inst.n)
+    return votes
 
 
 def _case_votes(
@@ -273,11 +285,11 @@ def _case_votes(
     columns holding its bit.
     """
     n = inst.n
-    u, v, _ = inst.union_edges
-    shared = case[u] & case[v]
-    sums = np.bincount(u * 8 + shared, weights=values[v], minlength=8 * n) + np.bincount(
-        v * 8 + shared, weights=values[u], minlength=8 * n
-    )
+    sums = np.zeros(8 * n)
+    for u, v in _union_chunks(inst):
+        shared = case[u] & case[v]
+        sums += np.bincount(u * 8 + shared, weights=values[v], minlength=8 * n)
+        sums += np.bincount(v * 8 + shared, weights=values[u], minlength=8 * n)
     sums = sums.reshape(n, 8)
     return [sums[:, [x for x in range(8) if x >> c & 1]].sum(axis=1) for c in range(3)]
 
@@ -371,7 +383,7 @@ def label_bad_vertices(
     # Child j is subtracted exactly when v is matched to it, which is when
     # both ends of the arc lie in the (0, j) matched set, bit j of ``vc``.
     # The arc's image is then a child-j edge exactly when the retention code
-    # of its parent edge has bit j.
+    # of its union edge has bit j.
     dtype = codes.dtype
     vc = np.zeros(n, dtype=dtype)
     for j in range(1, inst.K):

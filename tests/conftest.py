@@ -4,14 +4,17 @@ The oracles here are written independently of the library code paths they
 check, on purpose: ``kcore_oracle`` enumerates every vertex subset instead
 of peeling, and ``erdos_renyi`` draws edges one coin at a time.  The
 ``power_init`` fixture runs the pipeline on the power-iteration init that
-the pins recorded before the Lanczos one still describe.
+the pins recorded before the Lanczos one still describe, and the
+``retained_sampler`` fixture on the retention-draw sampler that the pins
+recorded before the union-first one describe.
 """
 
 import numpy as np
 import pytest
 from graph_algebra import almost_exact_label as power_iteration_label
+from graph_algebra import sample_instance as retention_draw_sampler
 
-from csbm import recovery
+from csbm import generate, harness, recovery
 from csbm.graphs import Graph
 
 
@@ -19,6 +22,13 @@ from csbm.graphs import Graph
 def power_init(monkeypatch):
     """Swap the power-iteration init of ``graph_algebra`` into the pipeline."""
     monkeypatch.setattr(recovery, "almost_exact_label", power_iteration_label)
+
+
+@pytest.fixture
+def retained_sampler(monkeypatch):
+    """Swap the retention-draw sampler of ``graph_algebra`` into the pipeline and ``generate``."""
+    monkeypatch.setattr(harness, "sample_instance", retention_draw_sampler)
+    monkeypatch.setattr(generate, "sample_instance", retention_draw_sampler)
 
 
 def kcore_oracle(g: Graph, k: int) -> frozenset:

@@ -11,7 +11,11 @@ its triangle index, and the balance diagnostic's per-vertex pair count,
 as they were before they were vectorised, the inverse-CDF code draw as it
 was before it counted comparisons, the union split with its own binary
 search, and the power-iteration initialisation that the Lanczos one
-replaced, with which the pins recorded before it still hold.
+replaced, with which the pins recorded before it still hold.  So is the
+sampler that drew the full parent and K retention uniforms per parent edge
+before the union was drawn directly; it runs here on the pairwise-unpacking
+parent sampler above, which gives the same graph, and the pins recorded
+before the union-first sampler hold with it.
 """
 
 import math
@@ -23,8 +27,11 @@ import numpy as np
 
 from csbm.generate import (
     _PAIR_CHUNK,
+    CorrelatedInstance,
     Params,
     _bernoulli_index_sample,
+    _code_dtype,
+    _draw_permutations,
     _tri_row_starts,
     union_split_weights,
 )
@@ -47,6 +54,7 @@ from csbm.seeds import (
     ROLE_INIT_VECTOR,
     ROLE_LABELS,
     ROLE_PARENT_EDGES,
+    ROLE_SUBSAMPLE,
     ROLE_UNION_SPLIT,
     stream,
 )
@@ -192,6 +200,34 @@ def sample_parent(params: Params, seed: int) -> tuple[Graph, np.ndarray]:
         )
     edges = np.concatenate(blocks) if blocks else None
     return Graph(n, edges), sigma
+
+
+# Parent edges per draw of retention uniforms; whole rows, so the draws
+# are those of one ``random((m, K))`` call.
+_RETENTION_CHUNK_ROWS = 1 << 16
+
+
+def sample_instance(params: Params, seed: int) -> CorrelatedInstance:
+    """Sample a full instance via per-edge retention bits."""
+    parent, sigma = sample_parent(params, seed)
+    m = parent.edge_count
+    rng = stream(seed, ROLE_SUBSAMPLE)
+    dtype = _code_dtype(params.K)
+    codes = np.zeros(m, dtype=dtype)
+    for start in range(0, m, _RETENTION_CHUNK_ROWS):
+        stop = min(start + _RETENTION_CHUNK_ROWS, m)
+        kept = rng.random((stop - start, params.K)) < params.s
+        chunk = codes[start:stop]
+        for j in range(params.K):
+            chunk |= kept[:, j].astype(dtype) << dtype.type(j)
+    return CorrelatedInstance(
+        params=params,
+        seed=seed,
+        parent=parent,
+        sigma_star=sigma,
+        pi_star=_draw_permutations(params.n, params.K, seed),
+        edge_codes=codes,
+    )
 
 
 def _pair_class_counts(

@@ -51,9 +51,9 @@ GRID = [
 ]
 # (seed, core order) per grid cell; the third seed also peels deeper cores.
 SEEDS = [(0, 1), (1, 1), (2, 3)]
-# Cells whose good vertices fall into many metagraph patterns (37 and 526 at
+# Cells whose good vertices fall into many metagraph patterns (36 and 564 at
 # seed 0 for the first two), and K >= 12, where a pattern code spans bytes.
-MANY_GROUPS = [(2000, 0.25, 4, 37), (2000, 0.15, 5, 526), (300, 0.5, 12, 16), (400, 0.5, 13, 15)]
+MANY_GROUPS = [(2000, 0.25, 4, 36), (2000, 0.15, 5, 564), (300, 0.5, 12, 15), (400, 0.5, 13, 15)]
 
 
 @functools.lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ from csbm.generate import (
 )
 from csbm.graphs import Graph, _image_keys
 from csbm.matching import all_pairwise_matchings
-from csbm.seeds import ROLE_SUBSAMPLE, stream
+from csbm.seeds import ROLE_SUBSAMPLE, ROLE_UNION_SPLIT, stream
 
 
 def test_params_validation():
@@ -176,13 +176,15 @@ def test_permutations_are_valid_and_distinct():
 
 
 def test_pattern_marginal_frequency():
-    # P(pattern = (1,0,0)) = s(1-s)^2 = 0.125 at s = 0.5.
+    # Given that some child keeps an edge, P(pattern = (1,0,0)) is
+    # s(1-s)^2 / (1 - (1-s)^3) = 0.125 / 0.875 at s = 0.5.
     params = Params(n=2000, a=18.0, b=2.0, s=0.5, K=3)
     inst = sample_instance(params, 0)
     m = inst.parent.edge_count
     freq = float((inst.edge_codes == 0b001).mean())
-    se = math.sqrt(0.125 * 0.875 / m)
-    assert abs(freq - 0.125) < 3 * se
+    target = 0.125 / 0.875
+    se = math.sqrt(target * (1 - target) / m)
+    assert abs(freq - target) < 3 * se
 
 
 def test_child_marginal_intra_frequency():
@@ -266,9 +268,10 @@ def packed_one_draw(params, seed, m):
 
 
 def test_edge_codes_pack_the_retention_bits():
+    # The retention-draw sampler the pins recorded before the union-first one.
     for K, dtype in [(1, np.uint8), (3, np.uint8), (8, np.uint8), (9, np.uint16)]:
         params = Params(n=60, a=6.0, b=2.0, s=0.5, K=K)
-        inst = sample_instance(params, 2)
+        inst = graph_algebra.sample_instance(params, 2)
         codes = inst.edge_codes
         assert codes.dtype == dtype
         assert not codes.flags.writeable
@@ -277,7 +280,8 @@ def test_edge_codes_pack_the_retention_bits():
 
 @pytest.mark.parametrize("K", [1, 3, 9])
 def test_union_edges_are_the_kept_parent_rows(K):
-    inst = sample_instance(Params(n=300, a=9.0, b=1.0, s=0.3, K=K), 5)
+    # An instance holding code-0 edges, as the retention-draw sampler makes.
+    inst = graph_algebra.sample_instance(Params(n=300, a=9.0, b=1.0, s=0.3, K=K), 5)
     union = inst.union_edges
     kept = np.flatnonzero(inst.edge_codes != 0)
     assert 0 < kept.size < inst.parent.edge_count
@@ -292,6 +296,27 @@ def test_union_edges_are_the_kept_parent_rows(K):
     assert inst.union_edges is union
 
 
+@pytest.mark.parametrize(
+    "sampler, K",
+    [
+        (sample_instance, 1),
+        (sample_instance, 3),
+        (sample_instance, 9),
+        (sample_instance_partition, 3),
+    ],
+)
+def test_samplers_store_only_union_edges(sampler, K):
+    inst = sampler(Params(n=300, a=9.0, b=1.0, s=0.3, K=K), 5)
+    assert inst.edge_codes.size == inst.parent.edge_count > 0
+    assert np.count_nonzero(inst.edge_codes) == inst.edge_codes.size
+    union = inst.union_edges
+    assert union.u.tolist() == inst.parent.edges[:, 0].tolist()
+    assert union.v.tolist() == inst.parent.edges[:, 1].tolist()
+    assert union.codes.tolist() == inst.edge_codes.tolist()
+    for arr in union:
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+
+
 def test_union_edges_of_an_instance_no_child_keeps():
     union = sample_instance(Params(n=80, a=9.0, b=1.0, s=0.0, K=2), 1).union_edges
     assert [arr.size for arr in union] == [0, 0, 0]
@@ -299,9 +324,10 @@ def test_union_edges_of_an_instance_no_child_keeps():
 
 @pytest.mark.parametrize("rows, K", [(3, 3), (5, 2), (1, 4), (10**6, 3)])
 def test_retention_draw_in_row_chunks_equals_one_draw(monkeypatch, rows, K):
+    # The retention-draw sampler, whose chunked draw the old pins depend on.
     params = Params(n=200, a=9.0, b=1.0, s=0.4, K=K)
-    monkeypatch.setattr(generate, "_RETENTION_CHUNK_ROWS", rows)
-    inst = sample_instance(params, 8)
+    monkeypatch.setattr(graph_algebra, "_RETENTION_CHUNK_ROWS", rows)
+    inst = graph_algebra.sample_instance(params, 8)
     m = inst.parent.edge_count
     assert rows in (1, 10**6) or m % rows  # a ragged last chunk
     assert inst.edge_codes.dtype == np.uint8
@@ -530,9 +556,10 @@ def test_split_union_graph_degenerate_cases():
         split_union_graph(h, 0.4, 1, 0)
 
 
-@pytest.mark.parametrize("K", [2, 4, 10])
+@pytest.mark.parametrize("K", [2, 3, 4, 5])
 def test_split_union_graph_equals_the_binary_search_form(K):
-    # At K = 10 the split draws 511 codes, more than a uint8 holds.
+    # Up to four children the split draws from the table of all non-zero
+    # codes, one uniform per edge, as the binary search did.
     rng = np.random.default_rng(K)
     edges = [(u, v) for u in range(300) for v in range(u + 1, 300) if rng.random() < 0.2]
     h = Graph(300, edges)
@@ -542,6 +569,110 @@ def test_split_union_graph_equals_the_binary_search_form(K):
         assert len(got) == len(want) == K - 1
         for g, w in zip(got, want):
             assert np.array_equal(g.packed_keys(), w.packed_keys())
+
+
+# -- the non-zero code draw ---------------------------------------------------
+
+_LAW_DRAWS = 200_000
+
+
+def _tv_bound(weights, draws):
+    """Bound on the TV of ``draws`` empirical frequencies from ``weights``, failing w.p. < e^-10.
+
+    E|freq - w| <= sqrt(w (1 - w) / draws) per cell, and one draw moves
+    the TV by at most 1 / draws, so it exceeds its mean by 0.005 with
+    probability at most exp(-2 draws 0.005^2).
+    """
+    w = np.asarray(weights)
+    return 0.5 * float(np.sqrt(w * (1 - w) / draws).sum()) + 0.005
+
+
+@pytest.mark.parametrize("K, s", [(1, 0.3), (3, 0.15), (3, 0.4), (10, 0.3)])
+def test_nonzero_codes_follow_the_union_split_law(K, s):
+    codes = generate._draw_nonzero_codes(np.random.default_rng(K), _LAW_DRAWS, s, K)
+    weights = union_split_weights(s, K)
+    want = [weights[tuple((c >> j) & 1 for j in range(K))] for c in range(1, 1 << K)]
+    got = np.bincount(codes, minlength=1 << K) / _LAW_DRAWS
+    assert got[0] == 0 and got.size == 1 << K
+    tv = 0.5 * float(np.abs(got[1:] - want).sum())
+    assert tv <= _tv_bound(want, _LAW_DRAWS)
+
+
+def test_nonzero_codes_at_64_bits_have_the_lowest_bit_and_bit_laws():
+    # Given a non-zero code, its lowest set bit j has P(j) = (1 - s)^j s / f
+    # and every bit is set with probability s / f, f = 1 - (1 - s)^64.
+    s, K = 0.1, 64
+    f = 1 - (1 - s) ** K
+    codes = generate._draw_nonzero_codes(np.random.default_rng(64), _LAW_DRAWS, s, K)
+    assert codes.dtype == np.uint64 and codes.all()
+    lowest_bit = codes & (~codes + np.uint64(1))
+    lowest = np.log2(lowest_bit.astype(np.float64)).astype(np.int64)
+    assert np.array_equal(np.uint64(1) << lowest.astype(np.uint64), lowest_bit)
+    want = [(1 - s) ** j * s / f for j in range(K)]
+    got = np.bincount(lowest, minlength=K) / _LAW_DRAWS
+    assert 0.5 * float(np.abs(got - want).sum()) <= _tv_bound(want, _LAW_DRAWS)
+    bits = (codes[:, None] >> np.arange(K, dtype=np.uint64)) & np.uint64(1)
+    freq = bits.mean(axis=0)
+    se = math.sqrt(s / f * (1 - s / f) / _LAW_DRAWS)
+    # 64 bits at 4.5 standard errors each: all pass with probability > 0.999.
+    assert np.abs(freq - s / f).max() < 4.5 * se
+
+
+@pytest.mark.parametrize("K, dtype", [(8, np.uint8), (9, np.uint16), (64, np.uint64)])
+def test_nonzero_codes_come_in_the_narrowest_dtype(K, dtype):
+    codes = generate._draw_nonzero_codes(np.random.default_rng(0), _LAW_DRAWS, 0.3, K)
+    assert codes.dtype == dtype and codes.all()
+    assert K == 64 or int(codes.max()) < 1 << K
+    inst = sample_instance(Params(n=60, a=6.0, b=2.0, s=0.3, K=K), 1)
+    assert inst.edge_codes.dtype == dtype and inst.edge_codes.all()
+
+
+def test_edge_codes_are_one_nonzero_draw_per_union_edge():
+    for K in (1, 3, 6):
+        params = Params(n=300, a=9.0, b=1.0, s=0.3, K=K)
+        inst = sample_instance(params, 2)
+        m = inst.parent.edge_count
+        want = generate._draw_nonzero_codes(stream(2, ROLE_SUBSAMPLE), m, params.s, K)
+        assert not inst.edge_codes.flags.writeable
+        assert inst.edge_codes.tolist() == want.tolist()
+
+
+def test_split_union_graph_uses_the_nonzero_code_draw():
+    rng = np.random.default_rng(11)
+    edges = [(u, v) for u in range(200) for v in range(u + 1, 200) if rng.random() < 0.2]
+    h = Graph(200, edges)
+    codes = generate._draw_nonzero_codes(stream(3, ROLE_UNION_SPLIT), h.edge_count, 0.3, 10)
+    parts = split_union_graph(h, 0.3, 11, 3)
+    for j, part in enumerate(parts):
+        assert np.array_equal(part.packed_keys(), h.packed_keys()[(codes >> j) & 1 == 1])
+
+
+def test_union_edge_counts_match_the_union_rates():
+    # A pair is a union edge w.p. p f inside a community and q f across.
+    params = Params(n=2000, a=18.0, b=2.0, s=0.3, K=3)
+    f = 1 - (1 - params.s) ** params.K
+    inst = sample_instance(params, 4)
+    sigma = inst.sigma_star
+    n_plus = int((sigma > 0).sum())
+    n_minus = params.n - n_plus
+    e = inst.parent.edges
+    intra = int((sigma[e[:, 0]] == sigma[e[:, 1]]).sum())
+    for count, pairs, rate in (
+        (intra, n_plus * (n_plus - 1) // 2 + n_minus * (n_minus - 1) // 2, params.p * f),
+        (inst.parent.edge_count - intra, n_plus * n_minus, params.q * f),
+    ):
+        assert pairs >= 10**5
+        assert abs(count - pairs * rate) < 4 * math.sqrt(pairs * rate * (1 - rate))
+
+
+@pytest.mark.parametrize("K", [1, 3, 5])
+def test_union_first_sampler_keeps_labels_and_permutations(K):
+    for seed in range(3):
+        params = Params(n=500, a=9.0, b=1.0, s=0.4, K=K)
+        inst = sample_instance(params, seed)
+        ref = graph_algebra.sample_instance(params, seed)
+        assert inst.sigma_star.tolist() == ref.sigma_star.tolist()
+        assert all(np.array_equal(a, b) for a, b in zip(inst.pi_star, ref.pi_star, strict=True))
 
 
 # -- balance diagnostic -------------------------------------------------------

@@ -129,12 +129,13 @@ def _pinned_sweep_digest() -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_sweep_csv_bytes_are_pinned(power_init):
+def test_sweep_csv_bytes_are_pinned(power_init, retained_sampler):
     """Sweep CSV bytes may not drift between versions of the package.
 
     The digest was recorded before the edge-key and CSR rewrite of
-    ``csbm.graphs``, with the power-iteration init, which runs here in
-    place of the Lanczos one so that the digest still covers every other
+    ``csbm.graphs``, with the power-iteration init and the retention-draw
+    sampler, which run here in place of the Lanczos init and the
+    union-first sampler so that the digest still covers every other
     stage; criterion 10 only compares two runs of the same code.
     """
     assert _pinned_sweep_digest() == (
@@ -142,21 +143,22 @@ def test_sweep_csv_bytes_are_pinned(power_init):
     )
 
 
-def test_sweep_csv_bytes_are_pinned_with_lanczos_init():
+def test_sweep_csv_bytes_are_pinned_with_lanczos_init(retained_sampler):
     """The same sweep with the package's own init, recorded when Lanczos replaced power iteration."""
     assert _pinned_sweep_digest() == (
         "4cd633190ca0072c003ede0989b1762286ea1f55ffdec67f8d86488eb6a2548a"
     )
 
 
-def test_scaling_csv_bytes_are_pinned(power_init):
-    """Scaling CSV bytes may not drift between versions of the package.
+def test_sweep_csv_bytes_are_pinned_with_union_first_sampling():
+    """The same sweep with the package's own init and sampler, recorded union-first."""
+    assert _pinned_sweep_digest() == (
+        "c6dbf9f6159e0c35c9bb41d512621e60709ed26c67fbaf40e3d7a6a2d9c660c2"
+    )
 
-    The digest was recorded while ``scaling_experiment`` still sampled its
-    own instances; it now runs each trial through ``run_trial``.  The
-    scaling trials run no init, so it holds with either init; the older
-    one runs here like in the other pins recorded before Lanczos.
-    """
+
+def _pinned_scaling_digest() -> str:
+    """sha256 of the scaling CSV of the pinned scaling grid."""
     cfg = SweepConfig(
         n_values=(200, 400, 800, 1600),
         a_values=(6.0,),
@@ -171,8 +173,27 @@ def test_scaling_csv_bytes_are_pinned(power_init):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         text = scaling_csv(sweep(cfg))
-    assert hashlib.sha256(text.encode()).hexdigest() == (
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_scaling_csv_bytes_are_pinned(power_init, retained_sampler):
+    """Scaling CSV bytes may not drift between versions of the package.
+
+    The digest was recorded while ``scaling_experiment`` still sampled its
+    own instances; it now runs each trial through ``run_trial``.  The
+    scaling trials run no init, so it holds with either init; the older
+    one runs here like in the other pins recorded before Lanczos, and so
+    does the retention-draw sampler that the union-first one replaced.
+    """
+    assert _pinned_scaling_digest() == (
         "5f23425b3773fcb4d5080e59e071988e8c21d6641526f25c2006b1fdac10f168"
+    )
+
+
+def test_scaling_csv_bytes_are_pinned_with_union_first_sampling():
+    """The same scaling grid with the package's own sampler, recorded union-first."""
+    assert _pinned_scaling_digest() == (
+        "643f0ad7a277dc5c0913385141d9defead9fa77610f83eefe890bd3dcdd8c550"
     )
 
 

@@ -195,3 +195,22 @@ def test_witness_rates_track_retention():
     # well above it the singleton sets are empty and it never does.
     assert low >= 1
     assert high == 0
+
+
+def test_witness_majorities_equal_the_full_child1_majorities():
+    # The witness sums child-1 labels only over edges with an end in S*;
+    # a pass over every child-1 edge must give the same majorities there.
+    nonempty = 0
+    for K in (2, 3):
+        for seed in range(6):
+            inst = sample_instance(Params(n=2000, a=9.0, b=1.0, s=0.15, K=K, k=1), seed)
+            report = map_failure_witness(inst)
+            sets = singleton_sets(inst)
+            assert (report.r_star, report.s_star) == (sets.r_star, sets.s_star)
+            e = inst.anchor.edges
+            full = np.zeros(inst.n, dtype=np.int64)
+            np.add.at(full, e[:, 0], inst.sigma_star[e[:, 1]])
+            np.add.at(full, e[:, 1], inst.sigma_star[e[:, 0]])
+            assert report.maj == {i: int(full[i]) for i in sorted(report.s_star)}
+            nonempty += bool(report.s_star)
+    assert nonempty >= 10

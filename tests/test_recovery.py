@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import retention_codes
 
-from csbm import graphs, recovery
+from csbm import generate, graphs, recovery
 from csbm.generate import CorrelatedInstance, Params, sample_instance, sample_parent
 from csbm.graphs import Graph, _adjacency_csr, _neighbour_sums
 from csbm.matching import (
@@ -331,6 +331,31 @@ def test_good_step_k3_votes_on_union():
     assert good_set == frozenset({1, 2, 3})
 
 
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_votes_in_small_chunks_equal_one_shot_votes(monkeypatch, K):
+    inst = sample_instance(Params(n=400, a=9.0, b=1.0, s=0.4, K=K, k=1), 3)
+    fam = all_pairwise_matchings(inst, 1)
+    rng = np.random.default_rng(K)
+    values = rng.choice(np.array([-1.0, 1.0]), inst.n)
+    case = rng.integers(0, 8, inst.n).astype(np.uint8)
+    labels = values.astype(np.int8)
+    init = LabelEstimate(labels=labels, provenance=np.zeros(inst.n, dtype=np.uint8))
+
+    def votes():
+        if K == 3:
+            return np.stack(recovery._case_votes(inst, case, values))
+        return recovery._superset_votes(inst, fam, values)
+
+    one_shot, one_shot_est = votes(), label_good_vertices(inst, fam, init)
+    assert inst.union_edges.u.size > 50 * 7 and inst.union_edges.u.size % 7
+    monkeypatch.setattr(recovery, "_VOTE_CHUNK", 7)
+    chunked, chunked_est = votes(), label_good_vertices(inst, fam, init)
+    assert chunked.dtype == one_shot.dtype and chunked.tobytes() == one_shot.tobytes()
+    assert chunked_est.labels.tolist() == one_shot_est.labels.tolist()
+    assert chunked_est.provenance.tolist() == one_shot_est.provenance.tolist()
+    assert chunked_est.good_disagreements == one_shot_est.good_disagreements
+
+
 def test_good_step_rejects_mismatched_k():
     inst = crafted_k3_instance()
     fam = all_pairwise_matchings(inst, 1)
@@ -568,7 +593,8 @@ def _pinned_pipeline_digest() -> str:
     for K in range(1, 6):
         for s in (0.25, 0.4, 0.6):
             for seed in range(4):
-                inst = sample_instance(Params(n=600, a=9.0, b=1.0, s=s, K=K, k=1), seed)
+                params = Params(n=600, a=9.0, b=1.0, s=s, K=K, k=1)
+                inst = generate.sample_instance(params, seed)
                 fam = all_pairwise_matchings(inst, 1)
                 classes = classify_good_bad(fam)
                 final = full_recovery(inst, family=fam)
@@ -593,21 +619,28 @@ def _pinned_pipeline_digest() -> str:
     return h.hexdigest()
 
 
-def test_pipeline_outputs_are_pinned(power_init):
+def test_pipeline_outputs_are_pinned(power_init, retained_sampler):
     """Classification, recovery and estimator outputs may not drift.
 
     Recorded before the per-family pattern table replaced the per-stage
-    metagraph loops, with the power-iteration init, which runs here in
-    place of the Lanczos one so that the digest still covers every other
-    stage.
+    metagraph loops, with the power-iteration init and the retention-draw
+    sampler, which run here in place of the Lanczos init and the
+    union-first sampler so that the digest still covers every other stage.
     """
     assert _pinned_pipeline_digest() == (
         "2cbd0dc83de5db930adea2880cc6e5e12ba218ac9750049f05b5a0fe97078942"
     )
 
 
-def test_pipeline_outputs_are_pinned_with_lanczos_init():
+def test_pipeline_outputs_are_pinned_with_lanczos_init(retained_sampler):
     """The same outputs with the package's own init, recorded when Lanczos replaced power iteration."""
     assert _pinned_pipeline_digest() == (
         "d75b279f2c2d77eca24af9df848811fb226016fe33a5e7ee35d3839aeb3752e5"
+    )
+
+
+def test_pipeline_outputs_are_pinned_with_union_first_sampling():
+    """The same outputs with the package's own init and sampler, recorded union-first."""
+    assert _pinned_pipeline_digest() == (
+        "97b812e8cb1dab1bffbe24dc5018f6c23a2c00542c8ece75b9ff32e181a3913c"
     )
