@@ -43,8 +43,6 @@ from .matching import (
     all_pairwise_matchings,
     classify_good_bad,
     exact_matching_estimator,
-    kcore_matching_bruteforce,
-    kcore_matching_seeded,
 )
 from .recovery import (
     LabelEstimate,
@@ -98,8 +96,6 @@ __all__ = [
     "full_recovery",
     "intersection_graph",
     "k_core",
-    "kcore_matching_bruteforce",
-    "kcore_matching_seeded",
     "label_bad_vertices",
     "label_good_vertices",
     "map_failure_witness",

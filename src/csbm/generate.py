@@ -43,6 +43,7 @@ edges into children with the same non-zero code draw.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -88,6 +89,15 @@ _COUNT_CHUNK = 1 << 19
 _CODE_GROUP_BITS = 4
 
 
+def _require_integer(name: str, value) -> int:
+    """``value`` as an int, rejecting a value that is not a whole number, such as 1.5."""
+    if not isinstance(value, numbers.Integral) and not (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    ):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Params:
     """Model parameters; probabilities derive from ``a``, ``b`` and ``n``.
@@ -108,6 +118,8 @@ class Params:
     eps: float = 0.01
 
     def __post_init__(self):
+        for name in ("n", "K", "k"):
+            _require_integer(name, getattr(self, name))
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.a < 0 or self.b < 0:

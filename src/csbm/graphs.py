@@ -3,26 +3,24 @@
 Vertices are 0-based integers below a fixed count ``n``.  A :class:`Graph`
 is immutable once built.  Its one canonical form is the sorted array of
 distinct packed keys ``lo * n + hi`` (``lo < hi``).  The ``(m, 2)`` edge
-array decoded from them and the CSR adjacency are cached properties, built
-on first access, because bulk distribution tests create tens of thousands
-of throwaway graphs whose neighbourhoods are never queried, and a trial
-reads the union graph only through its keys.
+array decoded from them and the CSR adjacency, the sorted arc keys split
+into row pointers and column indices, are cached properties, built on first
+access, because bulk distribution tests create tens of thousands of
+throwaway graphs whose neighbourhoods are never queried, and a trial reads
+the union graph only through its keys.
 
 :func:`intersection_graph` keeps the edges of one graph whose image under a
-partial matching is an edge of another; the result's ``vertices`` attribute
-records the matching domain.  The trial pipeline itself never maps graphs
-through matchings: it selects union edges by their retention codes.
+partial matching is an edge of another.  The trial pipeline itself never
+maps graphs through matchings: it selects union edges by their retention
+codes.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 __all__ = [
     "Graph",
@@ -87,27 +85,21 @@ def _member(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return found
 
 
-def _adjacency_csr(n: int, edges: np.ndarray) -> csr_matrix:
-    """Symmetric 0/1 adjacency of an edge array as a float64 CSR matrix.
+def _adjacency_csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric adjacency of sorted distinct edge keys as int64 ``(indptr, indices)``.
 
-    The edge rows must be in key order (``lo < hi``, sorted by ``lo`` then
-    ``hi``), as :attr:`Graph.edges` and every row subset of it are.  The
-    reverse arcs then go first: scipy's stable row sort leaves each row as
-    its smaller neighbours ascending followed by its larger ones, already
-    sorted and free of duplicates, so the canonicalising passes are skipped.
-    scipy is imported here, not with the module, because only cascading
-    peels and the per-vertex queries of :class:`Graph` need a CSR.
+    Every edge gives two arcs, keyed ``row * n + col``: the edge key itself
+    and its reverse ``hi * n + lo``.  Both runs are sorted, so one stable
+    sort merges them, and the arc keys split into rows and columns.  Each
+    row lists its smaller neighbours ascending, then its larger ones.
     """
-    from scipy.sparse import csr_matrix
-
-    if len(edges) == 0:
-        return csr_matrix((n, n))
-    lo = edges[:, 0]
-    hi = edges[:, 1]
-    rows = np.concatenate([hi, lo])
-    cols = np.concatenate([lo, hi])
-    data = np.ones(len(rows), dtype=np.float64)
-    return csr_matrix((data, (rows, cols)), shape=(n, n))
+    n = np.int64(n)
+    lo, hi = np.divmod(keys, n)
+    arcs = np.sort(np.concatenate((keys, np.sort(hi * n + lo))), kind="stable")
+    rows, indices = np.divmod(arcs, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, indices
 
 
 def _neighbour_sums(
@@ -142,14 +134,12 @@ def _as_int64(values) -> np.ndarray:
 class Graph:
     """Immutable undirected simple graph on vertices ``0..n-1``.
 
-    ``vertices`` optionally restricts the vertex set (used by
-    :func:`intersection_graph` to record the matching domain); when
-    omitted the graph lives on all of ``0..n-1``.  Self-loops and endpoints
-    outside ``[0, n)`` are errors, as are edges not shaped ``(m, 2)`` and
-    non-integer endpoints; duplicate and reversed pairs collapse.
+    Self-loops and endpoints outside ``[0, n)`` are errors, as are edges not
+    shaped ``(m, 2)`` and non-integer endpoints; duplicate and reversed
+    pairs collapse.
     """
 
-    def __init__(self, n: int, edges=None, vertices: Iterable[int] | None = None):
+    def __init__(self, n: int, edges=None):
         if n < 0:
             raise ValueError("n must be non-negative")
         if n > _MAX_N:
@@ -166,30 +156,19 @@ class Graph:
             raise ValueError("edge endpoint out of range [0, n)")
         elif (arr[:, 0] == arr[:, 1]).any():
             raise ValueError("self-loops are not allowed")
-        vs = None
-        if vertices is not None:
-            vs, mask = _vertex_mask(n, vertices)
-            if not mask[arr].all():
-                raise ValueError("edge endpoint outside the declared vertex set")
-        self._set_keys(n, _sorted_unique(_pack(n, arr)), vs)
+        self._set_keys(n, _sorted_unique(_pack(n, arr)))
 
     @classmethod
-    def _from_keys(
-        cls, n: int, keys: np.ndarray, vertices: frozenset[int] | None = None
-    ) -> "Graph":
-        """Graph on already-checked keys: sorted, distinct, in range, no loops.
-
-        ``vertices``, when given, must contain every endpoint.
-        """
+    def _from_keys(cls, n: int, keys: np.ndarray) -> "Graph":
+        """Graph on already-checked keys: sorted, distinct, in range, no loops."""
         g = cls.__new__(cls)
-        g._set_keys(n, keys, vertices)
+        g._set_keys(n, keys)
         return g
 
-    def _set_keys(self, n: int, keys: np.ndarray, vertices: frozenset[int] | None) -> None:
+    def _set_keys(self, n: int, keys: np.ndarray) -> None:
         self.n = n
         self._keys = keys
         self._keys.setflags(write=False)
-        self._vertices = vertices
 
     # -- basic accessors ---------------------------------------------------
 
@@ -205,12 +184,6 @@ class Graph:
     def edge_count(self) -> int:
         return self._keys.shape[0]
 
-    @property
-    def vertices(self) -> frozenset[int]:
-        if self._vertices is None:
-            return frozenset(range(self.n))
-        return self._vertices
-
     def edge_set(self) -> set[tuple[int, int]]:
         """Edges as a set of (lo, hi) tuples; convenient in tests."""
         return {(int(u), int(v)) for u, v in self.edges}
@@ -218,15 +191,15 @@ class Graph:
     # -- adjacency ---------------------------------------------------------
 
     @cached_property
-    def _adjacency(self) -> csr_matrix:
-        """Symmetric CSR adjacency, built on first access (treat as read-only)."""
-        return _adjacency_csr(self.n, self.edges)
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``(indptr, indices)`` of the adjacency, built on first access (read-only)."""
+        return _adjacency_csr(self.n, self._keys)
 
     def _row(self, v: int) -> np.ndarray:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
-        csr = self._adjacency
-        return csr.indices[csr.indptr[v] : csr.indptr[v + 1]]
+        indptr, indices = self._adjacency
+        return indices[indptr[v] : indptr[v + 1]]
 
     def neighbors(self, v: int) -> set[int]:
         """Neighbour set of ``v``."""
@@ -270,11 +243,7 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.vertices == other.vertices
-            and np.array_equal(self._keys, other._keys)
-        )
+        return self.n == other.n and np.array_equal(self._keys, other._keys)
 
     def __hash__(self):  # pragma: no cover - graphs are not hashable
         raise TypeError("Graph is not hashable")
@@ -429,7 +398,7 @@ def _core_mask(
     lo: np.ndarray,
     hi: np.ndarray,
     k: int,
-    adjacency: Callable[[], csr_matrix] | None = None,
+    adjacency: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> np.ndarray:
     """Boolean mask of the k-core of the graph on ``0..n-1`` with edges ``(lo[i], hi[i])``.
 
@@ -437,7 +406,7 @@ def _core_mask(
     every row subset of it are.  The adjacency is needed only when a vertex
     below ``k`` has an edge, so that the peel can cascade; it then comes
     from ``adjacency`` (say, a graph's cached one) or is built from the
-    edges.
+    edge keys.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -446,8 +415,10 @@ def _core_mask(
     if not deg[removed].any():
         # Only isolated vertices go, so no degree drops and nothing cascades.
         return ~removed
-    csr = adjacency() if adjacency is not None else _adjacency_csr(n, np.column_stack((lo, hi)))
-    indptr, indices = csr.indptr, csr.indices
+    if adjacency is None:
+        indptr, indices = _adjacency_csr(n, lo * np.int64(n) + hi)
+    else:
+        indptr, indices = adjacency()
     stack = np.flatnonzero(removed).tolist()
     deg = deg.tolist()
     while stack:
@@ -458,16 +429,6 @@ def _core_mask(
                 removed[u] = True
                 stack.append(u)
     return ~removed
-
-
-def _vertex_mask(n: int, vertices: Iterable[int]) -> tuple[frozenset[int], np.ndarray]:
-    """A vertex set and its boolean mask over ``0..n-1``, range-checked."""
-    arr = _as_int64(list(vertices))
-    if arr.size and (arr.min() < 0 or arr.max() >= n):
-        raise ValueError("vertex out of range [0, n)")
-    mask = np.zeros(n, dtype=bool)
-    mask[arr] = True
-    return frozenset(arr.tolist()), mask
 
 
 # -- matched intersection --------------------------------------------------
@@ -493,13 +454,13 @@ def _map_into(mu: PartialMatching, g: Graph, h: Graph) -> np.ndarray:
 
 
 def intersection_graph(g: Graph, h: Graph, mu: PartialMatching) -> Graph:
-    """Graph on ``mu``'s domain with edges present in both ``g`` and ``h``.
+    """Graph on ``g``'s vertices with the edges present in both ``g`` and ``h``.
 
     An edge (u, v) of ``g`` survives when both endpoints are matched and
-    (mu[u], mu[v]) is an edge of ``h``.
+    (mu[u], mu[v]) is an edge of ``h``; the matched set is ``mu.domain``.
     """
     keys = _matched_intersection_keys(g, h, _map_into(mu, g, h))
-    return Graph._from_keys(g.n, keys, mu.domain)
+    return Graph._from_keys(g.n, keys)
 
 
 # -- plain-text edge-list IO -------------------------------------------------

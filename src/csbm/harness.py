@@ -24,11 +24,12 @@ import math
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from itertools import product
 
 import numpy as np
 
-from .generate import Params, sample_instance
+from .generate import Params, _require_integer, sample_instance
 from .impossibility import map_failure_witness
 from .matching import (
     all_pairwise_matchings,
@@ -154,24 +155,12 @@ def run_trial(
     start = time.perf_counter()
     inst = sample_instance(params, seed)
     result = TrialResult(params=params, seed=seed)
+    # Recovery runs before the family statistics: the classification,
+    # cached on the family as frozensets, is then first built after the
+    # init, so it is not live at the init's memory peak.
     fam = None
     if params.K >= 2 and ("recover" in experiments or "match" in experiments):
         fam = all_pairwise_matchings(inst, params.k)
-        classes = classify_good_bad(fam)
-        result.bad_vertex_count = len(classes.bad)
-        result.unmatched_sizes = {
-            pair: int(fam.unmatched_mask(*pair).sum()) for pair in fam.pairs()
-        }
-        result.intersect_sizes = {
-            (i, j): int(
-                (fam.unmatched_mask(0, i) & fam.unmatched_mask(0, j)).sum()
-            )
-            for i in range(1, params.K)
-            for j in range(i + 1, params.K)
-        }
-    if "match" in experiments and params.K >= 2:
-        estimate = exact_matching_estimator(inst, params.k, family=fam)
-        result.matching_success = estimate.success
     if "recover" in experiments:
         final = full_recovery(inst, family=fam)
         signed = int(
@@ -183,6 +172,21 @@ def run_trial(
         result.recovery_success = abs(signed) == params.n
         result.degraded = final.degraded
         result.good_disagreements = final.good_disagreements
+    if "match" in experiments and params.K >= 2:
+        estimate = exact_matching_estimator(inst, params.k, family=fam)
+        result.matching_success = estimate.success
+    if fam is not None:
+        result.bad_vertex_count = len(classify_good_bad(fam).bad)
+        result.unmatched_sizes = {
+            pair: int(fam.unmatched_mask(*pair).sum()) for pair in fam.pairs()
+        }
+        result.intersect_sizes = {
+            (i, j): int(
+                (fam.unmatched_mask(0, i) & fam.unmatched_mask(0, j)).sum()
+            )
+            for i in range(1, params.K)
+            for j in range(i + 1, params.K)
+        }
     if "witness" in experiments and params.K >= 2:
         report = map_failure_witness(inst)
         result.r_star_size = len(report.r_star)
@@ -221,11 +225,11 @@ class SweepConfig:
     per_trial: bool = False
 
     def __post_init__(self):
-        self.n_values = _sorted_unique(self.n_values, int)
+        self.n_values = _sorted_unique(self.n_values, partial(_require_integer, "n_values"))
         self.a_values = _sorted_unique(self.a_values, float)
         self.b_values = _sorted_unique(self.b_values, float)
         self.s_values = _sorted_unique(self.s_values, float)
-        self.K_values = _sorted_unique(self.K_values, int)
+        self.K_values = _sorted_unique(self.K_values, partial(_require_integer, "K_values"))
         self.experiments = tuple(self.experiments)
         for grid_name in ("n_values", "a_values", "b_values", "s_values", "K_values"):
             if not getattr(self, grid_name):
@@ -235,6 +239,8 @@ class SweepConfig:
             raise ValueError(f"unknown experiments: {sorted(bad_names)}")
         if not self.experiments:
             raise ValueError("at least one experiment is required")
+        for name in ("trials", "master_seed"):
+            _require_integer(name, getattr(self, name))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if "scaling" in self.experiments and len(self.n_values) < 4:

@@ -1,16 +1,15 @@
 """Pairwise k-core matchings and the exact graph-matching estimator.
 
-Two matchers produce a partial matching between a pair of children: an
-exhaustive oracle that tries every vertex bijection (usable up to n = 9),
-and the seeded matcher that evaluates the ground-truth permutation and keeps
-the k-core of the resulting intersection graph.  Every trial uses the
-seeded matcher; in the regime where matching is information-theoretically
-possible the two coincide with high probability, and the test suite checks
-the oracle dominates on small instances.  The seeded family never builds
-the child graphs: in anchor labels the (i, j) intersection is the set of
-union edges (the edges kept by some child) whose retention code has bits
-i and j.  Its degrees are counted there, and it is built as a graph only
-when its k-core peel can cascade.
+Each pair of children is matched by the seeded k-core matcher: it keeps
+the ground-truth permutation on the k-core of the intersection graph.  In
+the regime where matching is information-theoretically possible this
+coincides with the exhaustive maximal k-core matching with high
+probability; the test suite keeps that exhaustive oracle and checks it
+dominates on small instances.  The family never builds the child graphs:
+in anchor labels the (i, j) intersection is the set of union edges (the
+edges kept by some child) whose retention code has bits i and j.  Its
+degrees are counted there, and its adjacency is built only when its
+k-core peel can cascade.
 
 On top of the pairwise matchings sits the per-vertex metagraph: K nodes, an
 edge (i, j) when the vertex is matched by the (i, j) matching.  A vertex is
@@ -32,7 +31,6 @@ intersected directly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -40,11 +38,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .generate import CorrelatedInstance
-from .graphs import Graph, PartialMatching, _core_mask, _matched_intersection_keys
+from .graphs import PartialMatching, _core_mask
 
 __all__ = [
-    "kcore_matching_bruteforce",
-    "kcore_matching_seeded",
     "MatchingFamily",
     "all_pairwise_matchings",
     "VertexClass",
@@ -52,88 +48,6 @@ __all__ = [
     "MatchingEstimate",
     "exact_matching_estimator",
 ]
-
-_BRUTE_FORCE_MAX_N = 9
-
-
-def kcore_matching_bruteforce(g: Graph, h: Graph, k: int) -> PartialMatching:
-    """Exhaustive maximal k-core matching between ``g`` and ``h``.
-
-    Tries every bijection ``pi`` of the vertex set, forms the graph of
-    ``g``-edges whose images under ``pi`` are ``h``-edges, and keeps the
-    ``pi`` whose k-core is largest; among maximisers the lexicographically
-    smallest permutation wins.  Returns ``pi`` restricted to the winning
-    core (empty when every core is empty).
-    """
-    if g.n != h.n:
-        raise ValueError("graphs must have equal vertex counts")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    n = g.n
-    if n > _BRUTE_FORCE_MAX_N:
-        raise ValueError(
-            f"brute-force matching enumerates n! bijections; n={n} exceeds "
-            f"the guard {_BRUTE_FORCE_MAX_N}"
-        )
-    g_edges = [(int(u), int(v)) for u, v in g.edges]
-    h_adj = [0] * n
-    for u, v in h.edges:
-        h_adj[int(u)] |= 1 << int(v)
-        h_adj[int(v)] |= 1 << int(u)
-    best_size = 0
-    best_perm: tuple[int, ...] | None = None
-    best_alive = 0
-    for perm in itertools.permutations(range(n)):
-        adj = [0] * n
-        for u, v in g_edges:
-            if h_adj[perm[u]] >> perm[v] & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        alive = (1 << n) - 1
-        changed = True
-        while changed:
-            changed = False
-            rem = alive
-            while rem:
-                low = rem & -rem
-                rem ^= low
-                v = low.bit_length() - 1
-                if (adj[v] & alive).bit_count() < k:
-                    alive ^= low
-                    changed = True
-        size = alive.bit_count()
-        if size > best_size:
-            best_size = size
-            best_perm = perm
-            best_alive = alive
-            if size == n:
-                break
-    if best_perm is None:
-        return PartialMatching({})
-    return PartialMatching(
-        {v: best_perm[v] for v in range(n) if best_alive >> v & 1}
-    )
-
-
-def kcore_matching_seeded(g: Graph, h: Graph, k: int, pi_true) -> PartialMatching:
-    """Ground-truth permutation restricted to the intersection k-core.
-
-    Evaluates the known permutation ``pi_true`` (an array mapping ``g``
-    labels to ``h`` labels), forms the intersection graph of matched edges,
-    and returns ``pi_true`` restricted to its k-core.  The pipeline's
-    :func:`all_pairwise_matchings` computes the same matchings in anchor
-    labels; in the feasible regime they agree with what the exhaustive
-    search would return, with high probability.
-    """
-    if g.n != h.n:
-        raise ValueError("graphs must have equal vertex counts")
-    pi = np.asarray(pi_true, dtype=np.int64)
-    if pi.shape != (g.n,) or not np.array_equal(np.sort(pi), np.arange(g.n)):
-        raise ValueError("pi_true must be a full permutation of the vertex set")
-    lo, hi = np.divmod(_matched_intersection_keys(g, h, pi), np.int64(g.n))
-    core = _core_mask(g.n, lo, hi, k)
-    return PartialMatching._from_array(np.where(core, pi, -1))
-
 
 @dataclass(eq=False)
 class MatchingFamily:
@@ -243,9 +157,8 @@ def all_pairwise_matchings(inst: CorrelatedInstance, k: int) -> MatchingFamily:
     edges whose retention code has bits i and j, so no graph is built.
     Its degrees come from the edge endpoints directly; an adjacency is
     built only when some vertex below ``k`` has an edge, so the peel can
-    cascade.  Only the cores are stored; the maps they stand for equal
-    :func:`kcore_matching_seeded` on the two children.  K = 1 yields an
-    empty family.
+    cascade.  Only the cores are stored; the maps they stand for equal the
+    seeded matcher's on the two children.  K = 1 yields an empty family.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

@@ -38,16 +38,15 @@ def kcore_oracle(g: Graph, k: int) -> frozenset:
     vertices.  The union of two valid subsets is valid, so the union of all
     of them is the unique maximal one, which is the core.
     """
-    verts = sorted(g.vertices)
-    if len(verts) > 16:
+    n = g.n
+    if n > 16:
         raise ValueError("oracle is exponential; keep graphs small")
-    index = {v: i for i, v in enumerate(verts)}
-    nbr_bits = [0] * len(verts)
-    for u, v in g.edges:
-        nbr_bits[index[int(u)]] |= 1 << index[int(v)]
-        nbr_bits[index[int(v)]] |= 1 << index[int(u)]
+    nbr_bits = [0] * n
+    for u, v in g.edges.tolist():
+        nbr_bits[u] |= 1 << v
+        nbr_bits[v] |= 1 << u
     best = 0
-    for subset in range(1 << len(verts)):
+    for subset in range(1 << n):
         ok = True
         rest = subset
         while rest:
@@ -58,7 +57,7 @@ def kcore_oracle(g: Graph, k: int) -> frozenset:
                 break
         if ok:
             best |= subset
-    return frozenset(verts[i] for i in range(len(verts)) if best >> i & 1)
+    return frozenset(v for v in range(n) if best >> v & 1)
 
 
 def erdos_renyi(n: int, p: float, rng: np.random.Generator) -> Graph:

@@ -15,15 +15,25 @@ replaced, with which the pins recorded before it still hold.  So is the
 sampler that drew the full parent and K retention uniforms per parent edge
 before the union was drawn directly; it runs here on the pairwise-unpacking
 parent sampler above, which gives the same graph, and the pins recorded
-before the union-first sampler hold with it.
+before the union-first sampler hold with it.  The power-iteration init
+multiplies by the scipy float64 CSR matrix that ``csbm.graphs`` built
+before its CSR became a pair of int64 arrays, kept here so that its
+summation order, and so the pins, stay as they were.
+
+Last come the two matchers that only the tests call: the exhaustive
+maximal k-core matching over every vertex bijection, and the seeded matcher
+that keeps the ground-truth permutation on the k-core of two children's
+intersection graph, which the pipeline's anchored family reproduces.
 """
 
+import itertools
 import math
 import warnings
 from collections import deque
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from csbm.generate import (
     _PAIR_CHUNK,
@@ -37,8 +47,10 @@ from csbm.generate import (
 )
 from csbm.graphs import (
     Graph,
-    _adjacency_csr,
+    PartialMatching,
+    _core_mask,
     _image_keys,
+    _matched_intersection_keys,
     _member,
     _neighbour_sums,
     _sorted_unique,
@@ -65,7 +77,6 @@ def _pullback_union(
     graphs: Sequence[Graph],
     maps: Sequence[np.ndarray],
     member: np.ndarray | None = None,
-    vertices: frozenset[int] | None = None,
 ) -> Graph:
     """Union of ``graphs`` pulled back into one labelling, inside ``member``.
 
@@ -83,7 +94,7 @@ def _pullback_union(
         back[f[matched]] = matched
         e = g.edges
         blocks.append(_image_keys(n, e[:, 0], e[:, 1], back)[1])
-    return Graph._from_keys(n, _sorted_unique(np.concatenate(blocks)), vertices)
+    return Graph._from_keys(n, _sorted_unique(np.concatenate(blocks)))
 
 
 def _surviving(u: np.ndarray, v: np.ndarray, subtract) -> np.ndarray:
@@ -305,6 +316,25 @@ def split_union_graph(h: Graph, s: float, K: int, seed: int) -> list[Graph]:
 
 # -- the power-iteration initialisation --------------------------------------
 
+def _adjacency_csr(n: int, edges: np.ndarray) -> csr_matrix:
+    """Symmetric 0/1 adjacency of an edge array as a float64 CSR matrix.
+
+    The edge rows must be in key order (``lo < hi``, sorted by ``lo`` then
+    ``hi``), as :attr:`Graph.edges` and every row subset of it are.  The
+    reverse arcs then go first: scipy's stable row sort leaves each row as
+    its smaller neighbours ascending followed by its larger ones, already
+    sorted and free of duplicates, so the canonicalising passes are skipped.
+    """
+    if len(edges) == 0:
+        return csr_matrix((n, n))
+    lo = edges[:, 0]
+    hi = edges[:, 1]
+    rows = np.concatenate([hi, lo])
+    cols = np.concatenate([lo, hi])
+    data = np.ones(len(rows), dtype=np.float64)
+    return csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
 _POWER_ITERATION_BUDGET = 200
 _POWER_ITERATION_TOL = 1e-8
 
@@ -386,3 +416,85 @@ def almost_exact_label(
         provenance=np.full(n, PROVENANCE_INITIAL, dtype=np.uint8),
         degraded=False,
     )
+
+
+_BRUTE_FORCE_MAX_N = 9
+
+
+def kcore_matching_bruteforce(g: Graph, h: Graph, k: int) -> PartialMatching:
+    """Exhaustive maximal k-core matching between ``g`` and ``h``.
+
+    Tries every bijection ``pi`` of the vertex set, forms the graph of
+    ``g``-edges whose images under ``pi`` are ``h``-edges, and keeps the
+    ``pi`` whose k-core is largest; among maximisers the lexicographically
+    smallest permutation wins.  Returns ``pi`` restricted to the winning
+    core (empty when every core is empty).
+    """
+    if g.n != h.n:
+        raise ValueError("graphs must have equal vertex counts")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    n = g.n
+    if n > _BRUTE_FORCE_MAX_N:
+        raise ValueError(
+            f"brute-force matching enumerates n! bijections; n={n} exceeds "
+            f"the guard {_BRUTE_FORCE_MAX_N}"
+        )
+    g_edges = [(int(u), int(v)) for u, v in g.edges]
+    h_adj = [0] * n
+    for u, v in h.edges:
+        h_adj[int(u)] |= 1 << int(v)
+        h_adj[int(v)] |= 1 << int(u)
+    best_size = 0
+    best_perm: tuple[int, ...] | None = None
+    best_alive = 0
+    for perm in itertools.permutations(range(n)):
+        adj = [0] * n
+        for u, v in g_edges:
+            if h_adj[perm[u]] >> perm[v] & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        alive = (1 << n) - 1
+        changed = True
+        while changed:
+            changed = False
+            rem = alive
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                v = low.bit_length() - 1
+                if (adj[v] & alive).bit_count() < k:
+                    alive ^= low
+                    changed = True
+        size = alive.bit_count()
+        if size > best_size:
+            best_size = size
+            best_perm = perm
+            best_alive = alive
+            if size == n:
+                break
+    if best_perm is None:
+        return PartialMatching({})
+    return PartialMatching(
+        {v: best_perm[v] for v in range(n) if best_alive >> v & 1}
+    )
+
+
+def kcore_matching_seeded(g: Graph, h: Graph, k: int, pi_true) -> PartialMatching:
+    """Ground-truth permutation restricted to the intersection k-core.
+
+    Evaluates the known permutation ``pi_true`` (an array mapping ``g``
+    labels to ``h`` labels), forms the intersection graph of matched edges,
+    and returns ``pi_true`` restricted to its k-core.  The pipeline's
+    :func:`all_pairwise_matchings` computes the same matchings in anchor
+    labels; in the feasible regime they agree with what the exhaustive
+    search would return, with high probability.
+    """
+    if g.n != h.n:
+        raise ValueError("graphs must have equal vertex counts")
+    pi = np.asarray(pi_true, dtype=np.int64)
+    if pi.shape != (g.n,) or not np.array_equal(np.sort(pi), np.arange(g.n)):
+        raise ValueError("pi_true must be a full permutation of the vertex set")
+    lo, hi = np.divmod(_matched_intersection_keys(g, h, pi), np.int64(g.n))
+    core = _core_mask(g.n, lo, hi, k)
+    return PartialMatching._from_array(np.where(core, pi, -1))

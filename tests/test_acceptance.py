@@ -5,7 +5,7 @@ lettered parts), so ``pytest -v`` prints one pass/fail line per part.
 Every statistical check runs on fixed seeds chosen before the results
 were observed, which makes reruns deterministic.
 
-Four parts are marked ``xfail(strict=True)``: at these problem sizes the
+Three parts are marked ``xfail(strict=True)``: at these problem sizes the
 measured rates sit on the wrong side of the stated bounds, repeatably
 and by a wide margin.  The markers' reasons summarise the measurements;
 the companion tests next to criterion 5 show the same pipeline clearing
@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 from conftest import erdos_renyi, kcore_oracle
+from graph_algebra import kcore_matching_bruteforce, kcore_matching_seeded
 
 from csbm.generate import (
     Params,
@@ -35,7 +36,6 @@ from csbm.harness import (
     trials_csv,
 )
 from csbm.impossibility import map_failure_witness
-from csbm.matching import kcore_matching_bruteforce, kcore_matching_seeded
 from csbm.thresholds import (
     RegionLabel,
     ThresholdPoint,

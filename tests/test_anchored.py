@@ -21,6 +21,7 @@ from graph_algebra import (
     _compose_array_along_path,
     _pullback_union,
     _surviving,
+    kcore_matching_seeded,
     map_array,
 )
 
@@ -32,7 +33,6 @@ from csbm.matching import (
     all_pairwise_matchings,
     classify_good_bad,
     exact_matching_estimator,
-    kcore_matching_seeded,
 )
 from csbm.recovery import (
     PROVENANCE_BAD,

@@ -237,6 +237,9 @@ def test_sweep_per_trial_requires_config_flag(tmp_path, capsys):
         pytest.param({"a_values": [9.0]}, id="missing-grids"),
         pytest.param({**SWEEP_PAYLOAD, "n_values": 5}, id="scalar-grid"),
         pytest.param({**SWEEP_PAYLOAD, "trials": "3"}, id="string-count"),
+        pytest.param({**SWEEP_PAYLOAD, "trials": 2.5}, id="fractional-count"),
+        pytest.param({**SWEEP_PAYLOAD, "k": 1.5}, id="fractional-core-order"),
+        pytest.param({**SWEEP_PAYLOAD, "n_values": [120.5]}, id="fractional-grid"),
     ],
 )
 def test_sweep_rejects_bad_config(tmp_path, capsys, payload):

@@ -1,9 +1,12 @@
-"""Every exported name of the package resolves, and a trial needs no scipy."""
+"""Every exported name of the package resolves, it imports only what it declares,
+and nothing it runs loads scipy."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +15,7 @@ import pytest
 
 import csbm
 
+PACKAGE = Path(csbm.__file__).resolve().parent
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(csbm.__path__) if info.name != "__main__"
 )
@@ -39,17 +43,40 @@ def test_no_dataclass_field_is_private():
     assert private == []
 
 
+def test_imports_equal_the_declared_dependencies():
+    # Every absolute import anywhere in the package, lazy ones included,
+    # names either the standard library, the package itself, or a declared
+    # dependency; and every declared dependency is imported.
+    tomllib = pytest.importorskip("tomllib")
+    with open(PACKAGE.parent.parent / "pyproject.toml", "rb") as fh:
+        declared = {
+            re.match(r"[A-Za-z0-9_.-]+", dep).group()
+            for dep in tomllib.load(fh)["project"]["dependencies"]
+        }
+    imported = set()
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - sys.stdlib_module_names - {"csbm"} == declared
+
+
 def test_a_trial_loads_no_scipy():
-    # In a fresh interpreter: import the package and run one small trial
-    # through every experiment; only cascading peels and per-vertex graph
-    # queries import scipy.
+    # In a fresh interpreter: import the package, run small trials at k = 1
+    # and k = 2 through every experiment, peel a pendant edge at k = 2 so
+    # the peel cascades through the adjacency, and query single vertices.
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import csbm; "
-        "csbm.run_trial(csbm.Params(n=200, a=9.0, b=1.0, s=0.4, K=3, k=1), 0, "
-        "('recover', 'match', 'witness')); "
+        "[csbm.run_trial(csbm.Params(n=200, a=9.0, b=1.0, s=0.4, K=3, k=k), 0, "
+        "('recover', 'match', 'witness')) for k in (1, 2)]; "
+        "g = csbm.Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3)]); "
+        "assert csbm.k_core(g, 2) == {0, 1, 2}; "
+        "assert g.neighbors(2) == {0, 1, 3} and g.degree(3) == 1 and g.has_edge(3, 2); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    src = str(Path(csbm.__file__).resolve().parent.parent)
+    src = str(PACKAGE.parent)
     out = subprocess.run(
         [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
     )

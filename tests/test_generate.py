@@ -39,6 +39,10 @@ def test_params_validation():
         Params(n=10, a=1.0, b=1.0, s=0.5, k=0)
     with pytest.raises(ValueError):
         Params(n=10, a=1.0, b=1.0, s=0.5, eps=0.0)
+    for fractional in ({"n": 10.5}, {"K": 2.5}, {"k": 1.5}):
+        with pytest.raises(ValueError, match="integer"):
+            Params(**{"n": 10, "a": 1.0, "b": 1.0, "s": 0.5, **fractional})
+    assert Params(n=10.0, a=1.0, b=1.0, s=0.5, K=np.int64(2)).K == 2
 
 
 def test_params_rejects_probabilities_above_one():

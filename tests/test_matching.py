@@ -6,7 +6,12 @@ import networkx as nx
 import numpy as np
 import pytest
 from conftest import erdos_renyi, kcore_oracle
-from graph_algebra import _anchor_paths, _compose_array_along_path
+from graph_algebra import (
+    _anchor_paths,
+    _compose_array_along_path,
+    kcore_matching_bruteforce,
+    kcore_matching_seeded,
+)
 
 from csbm import graphs, matching
 from csbm.generate import Params, sample_instance
@@ -16,8 +21,6 @@ from csbm.matching import (
     all_pairwise_matchings,
     classify_good_bad,
     exact_matching_estimator,
-    kcore_matching_bruteforce,
-    kcore_matching_seeded,
 )
 
 
@@ -184,9 +187,9 @@ def test_family_builds_an_adjacency_only_when_the_peel_can_cascade(monkeypatch):
     inst.union_edges
     peeled = []
 
-    def counting(n, edges):
-        peeled.append(len(edges))
-        return _adjacency_csr(n, edges)
+    def counting(n, keys):
+        peeled.append(len(keys))
+        return _adjacency_csr(n, keys)
 
     def no_graph(*args):
         raise AssertionError("a graph was built")

@@ -6,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 from conftest import retention_codes
+from scipy.sparse import csr_matrix
 
 from csbm import generate, graphs, recovery
 from csbm.generate import CorrelatedInstance, Params, sample_instance, sample_parent
-from csbm.graphs import Graph, _adjacency_csr, _neighbour_sums
+from csbm.graphs import Graph, _neighbour_sums
 from csbm.matching import (
     all_pairwise_matchings,
     classify_good_bad,
@@ -125,7 +126,9 @@ def test_refinement_votes_equal_the_adjacency_matvec(n, s):
     hold = stream(inst.seed, ROLE_EDGE_HOLDOUT).random(g.edge_count) < 0.5
     refine = g.edges.take(np.flatnonzero(~hold), axis=0)
     signs = np.random.default_rng(n).choice(np.array([-1.0, 1.0]), n)
-    adj = _adjacency_csr(n, refine)
+    rows = np.concatenate([refine[:, 1], refine[:, 0]])
+    cols = np.concatenate([refine[:, 0], refine[:, 1]])
+    adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     for values in (signs, np.ones(n)):
         got = _neighbour_sums(n, refine[:, 0], refine[:, 1], values)
         want = adj @ values
@@ -139,7 +142,7 @@ def test_refinement_votes_equal_the_adjacency_matvec(n, s):
 def test_init_builds_no_adjacency(monkeypatch):
     # The matvec and the refinement read endpoint columns decoded from the
     # keys: no CSR and no (m, 2) edge array is built.
-    def refuse(n, edges):
+    def refuse(n, keys):
         raise AssertionError("the init built an adjacency")
 
     monkeypatch.setattr(graphs, "_adjacency_csr", refuse)
