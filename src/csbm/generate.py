@@ -43,14 +43,13 @@ edges into children with the same non-zero code draw.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, _image_keys
+from .graphs import Graph, _image_keys, _require_integer
 from .seeds import (
     ROLE_LABELS,
     ROLE_PAIR_CLASSES,
@@ -89,15 +88,6 @@ _COUNT_CHUNK = 1 << 19
 _CODE_GROUP_BITS = 4
 
 
-def _require_integer(name: str, value) -> int:
-    """``value`` as an int, rejecting a value that is not a whole number, such as 1.5."""
-    if not isinstance(value, numbers.Integral) and not (
-        isinstance(value, numbers.Real) and float(value).is_integer()
-    ):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class Params:
     """Model parameters; probabilities derive from ``a``, ``b`` and ``n``.
@@ -105,8 +95,8 @@ class Params:
     ``a`` and ``b`` are the intra-/inter-community coefficients of the edge
     probabilities ``a ln n / n`` and ``b ln n / n``.  ``s`` is the per-child
     edge retention probability, ``K`` the number of children.  ``k`` (core
-    order) and ``eps`` (initialisation accuracy target) are carried along as
-    the defaults for the recovery pipeline.
+    order) and ``eps`` (initialisation accuracy target) are the values the
+    recovery pipeline runs with.
     """
 
     n: int

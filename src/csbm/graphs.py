@@ -17,6 +17,7 @@ codes.
 
 from __future__ import annotations
 
+import numbers
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -33,6 +34,15 @@ __all__ = [
 
 # Largest n with n * n < 2**63, so every packed key fits in an int64.
 _MAX_N = 3_037_000_499
+
+
+def _require_integer(name: str, value) -> int:
+    """``value`` as an int, rejecting a value that is not a whole number, such as 1.5."""
+    if not isinstance(value, numbers.Integral) and not (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    ):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
 
 
 def _pack(n: int, pairs: np.ndarray) -> np.ndarray:
@@ -135,16 +145,16 @@ class Graph:
     """Immutable undirected simple graph on vertices ``0..n-1``.
 
     Self-loops and endpoints outside ``[0, n)`` are errors, as are edges not
-    shaped ``(m, 2)`` and non-integer endpoints; duplicate and reversed
-    pairs collapse.
+    shaped ``(m, 2)``, non-integer endpoints and a non-integer ``n``;
+    duplicate and reversed pairs collapse.
     """
 
     def __init__(self, n: int, edges=None):
+        n = _require_integer("n", n)
         if n < 0:
             raise ValueError("n must be non-negative")
         if n > _MAX_N:
             raise ValueError(f"n={n} exceeds {_MAX_N}; packed edge keys would overflow int64")
-        n = int(n)
         if edges is not None and not isinstance(edges, np.ndarray):
             edges = list(edges)
         arr = _as_int64(() if edges is None else edges)
@@ -388,6 +398,7 @@ def k_core(g: Graph, k: int) -> frozenset[int]:
     peeling order does not matter.  Returns the empty set when nothing
     survives.
     """
+    k = _require_integer("k", k)
     e = g.edges
     core = _core_mask(g.n, e[:, 0], e[:, 1], k, lambda: g._adjacency)
     return frozenset(np.flatnonzero(core).tolist())

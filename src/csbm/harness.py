@@ -29,14 +29,15 @@ from itertools import product
 
 import numpy as np
 
-from .generate import Params, _require_integer, sample_instance
+from .generate import Params, sample_instance
+from .graphs import _require_integer
 from .impossibility import map_failure_witness
 from .matching import (
     all_pairwise_matchings,
     classify_good_bad,
     exact_matching_estimator,
 )
-from .recovery import full_recovery
+from .recovery import full_recovery, overlap
 from .seeds import cell_key, trial_seed
 from .thresholds import RegionLabel, classify_region, connectivity_param
 
@@ -102,9 +103,9 @@ REGION_COLUMNS = ["a", "b", "region"]
 class TrialResult:
     """Everything measured in one trial; None marks a skipped experiment.
 
-    ``recovery_success`` is exact: the signed label agreement reaches ±n,
-    not merely an overlap that rounds to 1.  ``unmatched_sizes`` maps each
-    pair (i, j) to |F_ij|; ``intersect_sizes`` maps (i, j) with
+    ``recovery_success`` is exact: the overlap is 1.0 only when the signed
+    label agreement, an integer below 2**53, reaches ±n.  ``unmatched_sizes``
+    maps each pair (i, j) to |F_ij|; ``intersect_sizes`` maps (i, j) with
     1 <= i < j to |F_1i ∩ F_1j| in anchor labels.
     """
 
@@ -155,21 +156,13 @@ def run_trial(
     start = time.perf_counter()
     inst = sample_instance(params, seed)
     result = TrialResult(params=params, seed=seed)
-    # Recovery runs before the family statistics: the classification,
-    # cached on the family as frozensets, is then first built after the
-    # init, so it is not live at the init's memory peak.
     fam = None
     if params.K >= 2 and ("recover" in experiments or "match" in experiments):
         fam = all_pairwise_matchings(inst, params.k)
     if "recover" in experiments:
         final = full_recovery(inst, family=fam)
-        signed = int(
-            np.dot(
-                inst.sigma_star.astype(np.int64), final.labels.astype(np.int64)
-            )
-        )
-        result.overlap = abs(signed) / params.n
-        result.recovery_success = abs(signed) == params.n
+        result.overlap = overlap(inst.sigma_star, final)
+        result.recovery_success = result.overlap == 1.0
         result.degraded = final.degraded
         result.good_disagreements = final.good_disagreements
     if "match" in experiments and params.K >= 2:
@@ -200,6 +193,9 @@ def _sorted_unique(values, caster) -> tuple:
     return tuple(sorted({caster(v) for v in values}))
 
 
+_GRID_FIELDS = ("n_values", "a_values", "b_values", "s_values", "K_values")
+
+
 @dataclass
 class SweepConfig:
     """Grids, trial count, seed, and experiment selection for one sweep.
@@ -225,13 +221,16 @@ class SweepConfig:
     per_trial: bool = False
 
     def __post_init__(self):
+        for name in (*_GRID_FIELDS, "experiments"):
+            if isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a list, not a string")
         self.n_values = _sorted_unique(self.n_values, partial(_require_integer, "n_values"))
         self.a_values = _sorted_unique(self.a_values, float)
         self.b_values = _sorted_unique(self.b_values, float)
         self.s_values = _sorted_unique(self.s_values, float)
         self.K_values = _sorted_unique(self.K_values, partial(_require_integer, "K_values"))
         self.experiments = tuple(self.experiments)
-        for grid_name in ("n_values", "a_values", "b_values", "s_values", "K_values"):
+        for grid_name in _GRID_FIELDS:
             if not getattr(self, grid_name):
                 raise ValueError(f"{grid_name} must be non-empty")
         bad_names = set(self.experiments) - set(EXPERIMENT_NAMES)
@@ -433,7 +432,8 @@ def scaling_experiment(
     theory exponents: 1 - s^2 T_c for |F_12|, 1 - s(1-(1-s)^2) T_c for the
     pair intersection, and 1 - s(1-(1-s)^(K-1)) T_c for the singleton set.
     """
-    n_list = [int(n) for n in n_list]
+    n_list = [_require_integer("n_list", n) for n in n_list]
+    trials = _require_integer("trials", trials)
     if len(n_list) < 4:
         raise ValueError("scaling needs at least four n values")
     if any(x >= y for x, y in zip(n_list, n_list[1:])):

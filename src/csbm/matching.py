@@ -16,8 +16,9 @@ edge (i, j) when the vertex is matched by the (i, j) matching.  A vertex is
 "good" when its metagraph is connected.  Vertices matched by the same set of
 pairs share a metagraph, so it is computed once per such matched-pair
 pattern: one table per family holds each pattern's members, pairs and the
-nodes its anchor reaches, and the classification reads it; the good step
-reads the per-vertex pattern codes the table is sorted by.  The exact
+nodes its anchor reaches, which the classification writes over its members
+as one code per vertex; the good step reads the per-vertex pattern codes
+the table is sorted by.  The exact
 matching estimator abstains when some vertex is bad; otherwise it returns
 the ground-truth anchor permutations.  A family stores only its matched
 sets, and each map is the ground truth on its set, so composing matchings
@@ -37,8 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .generate import CorrelatedInstance
-from .graphs import PartialMatching, _core_mask
+from .generate import CorrelatedInstance, _code_dtype
+from .graphs import PartialMatching, _core_mask, _require_integer
 
 __all__ = [
     "MatchingFamily",
@@ -130,22 +131,17 @@ class MatchingFamily:
     def _classes(self) -> VertexClass:
         """The good/bad split, read off the pattern table.
 
-        A pattern is good when the anchor reaches every node of its
-        metagraph; otherwise the reached nodes and the rest form its
-        bipartition.
+        Each pattern's members get the code of the nodes its anchor
+        reaches; a vertex is good when that code holds all K nodes.
         """
-        good: list[int] = []
-        bad: list[int] = []
-        partitions: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
+        reached = np.zeros(self.n, dtype=_code_dtype(self.K))
         for pattern in self._patterns:
-            members = pattern.members.tolist()
-            if len(pattern.reached) == self.K:
-                good.extend(members)
-            else:
-                bad.extend(members)
-                split = (pattern.reached, frozenset(range(self.K)) - pattern.reached)
-                partitions.update(dict.fromkeys(members, split))
-        return VertexClass(good=frozenset(good), bad=frozenset(bad), partitions=partitions)
+            reached[pattern.members] = sum(1 << i for i in pattern.reached)
+        connected = reached == reached.dtype.type((1 << self.K) - 1)
+        good, bad = np.flatnonzero(connected), np.flatnonzero(~connected)
+        for arr in (good, bad, reached):
+            arr.setflags(write=False)
+        return VertexClass(good=good, bad=bad, reached=reached)
 
 
 def all_pairwise_matchings(inst: CorrelatedInstance, k: int) -> MatchingFamily:
@@ -160,6 +156,7 @@ def all_pairwise_matchings(inst: CorrelatedInstance, k: int) -> MatchingFamily:
     cascade.  Only the cores are stored; the maps they stand for equal the
     seeded matcher's on the two children.  K = 1 yields an empty family.
     """
+    k = _require_integer("k", k)
     if k < 1:
         raise ValueError("k must be at least 1")
     u, v, codes = inst.union_edges
@@ -197,18 +194,18 @@ def _anchor_component(pairs: tuple[tuple[int, int], ...]) -> frozenset[int]:
     return frozenset(reached)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexClass:
-    """Good/bad split of the vertices, with per-bad-vertex bipartitions.
+    """Sorted indices of the vertices whose metagraph is (not) connected.
 
-    A vertex is good when its metagraph is connected.  For each bad vertex,
-    ``partitions`` records the node bipartition (component of the anchor,
-    rest); no metagraph edge of that vertex crosses it.
+    Bit ``i`` of ``reached[v]`` is set when node ``i`` is in the anchor's
+    component of v's metagraph: for a bad vertex, that component and the
+    rest are a bipartition no metagraph edge of the vertex crosses.
     """
 
-    good: frozenset[int]
-    bad: frozenset[int]
-    partitions: dict[int, tuple[frozenset[int], frozenset[int]]]
+    good: np.ndarray
+    bad: np.ndarray
+    reached: np.ndarray
 
 
 def classify_good_bad(fam: MatchingFamily) -> VertexClass:
@@ -240,9 +237,9 @@ class MatchingEstimate:
         return not self.abstained and bool(self.correct)
 
 
-def _check_family(fam: MatchingFamily, k: int | None) -> None:
-    """Reject a family built with another core order ``k`` (None skips the check)."""
-    if k is not None and fam.k != k:
+def _check_family(fam: MatchingFamily, k: int) -> None:
+    """Reject a family built with another core order ``k``."""
+    if fam.k != k:
         raise ValueError(f"family was built with k={fam.k}, not k={k}")
 
 
@@ -262,13 +259,12 @@ def exact_matching_estimator(
     passed to reuse work; one built with another ``k`` is rejected with
     ``ValueError``.
     """
-    if family is not None:
-        _check_family(family, k)
     fam = family if family is not None else all_pairwise_matchings(inst, k)
+    _check_family(fam, k)
     bad = classify_good_bad(fam).bad
-    if bad:
+    if bad.size:
         return MatchingEstimate(
-            permutations=None, abstained=True, correct=None, bad_count=len(bad)
+            permutations=None, abstained=True, correct=None, bad_count=bad.size
         )
     return MatchingEstimate(
         permutations=[inst.pi_star[j].copy() for j in range(1, inst.K)],

@@ -298,7 +298,6 @@ def label_good_vertices(
     inst: CorrelatedInstance,
     fam: MatchingFamily,
     init: LabelEstimate,
-    k: int | None = None,
     classes: VertexClass | None = None,
 ) -> LabelEstimate:
     """Relabel every good vertex by union-graph majority of the init labels.
@@ -314,14 +313,13 @@ def label_good_vertices(
     each good vertex's group is its metagraph pattern, and only good
     vertices are written.  Bad vertices are never written.
     """
-    _check_family(fam, k)
     if classes is None:
         classes = classify_good_bad(fam)
     est = init.copy()
     assortative = inst.params.a >= inst.params.b
     init_values = init.labels.astype(np.float64)
     if inst.K != 3:
-        idx = np.fromiter(classes.good, dtype=np.int64, count=len(classes.good))
+        idx = classes.good
         votes = _superset_votes(inst, fam, init_values)
         est.labels[idx] = _majority_labels(votes[idx], init.labels[idx], assortative)
         est.provenance[idx] = PROVENANCE_GOOD
@@ -348,7 +346,6 @@ def label_bad_vertices(
     inst: CorrelatedInstance,
     fam: MatchingFamily,
     current: LabelEstimate,
-    k: int | None = None,
     classes: VertexClass | None = None,
 ) -> LabelEstimate:
     """Relabel every bad vertex on its difference graph.
@@ -359,15 +356,14 @@ def label_bad_vertices(
     of some child in ``phi`` is subtracted first.  Votes read the labels the
     good step produced; ties keep them.  Good vertices are never written.
     """
-    _check_family(fam, k)
     if classes is None:
         classes = classify_good_bad(fam)
     est = current.copy()
-    if not classes.bad:
+    if not classes.bad.size:
         return est
     n = inst.n
     bad = np.zeros(n, dtype=bool)
-    bad[list(classes.bad)] = True
+    bad[classes.bad] = True
     in_member = np.ones(n, dtype=bool)
     for j in range(1, inst.K):
         in_member &= fam.member_mask(0, j)
@@ -390,7 +386,7 @@ def label_bad_vertices(
         vc |= fam.member_mask(0, j).astype(dtype) << dtype.type(j)
     alive = (vc[src] & vc[dst] & np.concatenate([codes[fwd], codes[rev]])) == 0
     votes = np.bincount(src[alive], weights=current.labels[dst[alive]], minlength=n)
-    idx = np.flatnonzero(bad)
+    idx = classes.bad
     assortative = inst.params.a >= inst.params.b
     est.labels[idx] = _majority_labels(votes[idx], current.labels[idx], assortative)
     est.provenance[idx] = PROVENANCE_BAD
@@ -398,35 +394,24 @@ def label_bad_vertices(
 
 
 def full_recovery(
-    inst: CorrelatedInstance,
-    k: int | None = None,
-    eps: float | None = None,
-    family: MatchingFamily | None = None,
+    inst: CorrelatedInstance, family: MatchingFamily | None = None
 ) -> LabelEstimate:
     """Run the whole pipeline: init, match, good step, bad step.
 
-    ``k`` and ``eps`` default to the instance parameters.  A prebuilt
-    matching ``family`` may be passed to reuse work; one built with another
-    ``k`` is rejected.  With K = 1 the pipeline reduces to the initial
-    labelling plus one majority refinement on the single child.  A failed
+    The core order ``k`` and ``eps`` are the instance's parameters.  A
+    prebuilt matching ``family`` may be passed to reuse work; one built
+    with another ``k`` is rejected.  With K = 1 the pipeline reduces to the
+    initial labelling plus one majority refinement on the single child.  A failed
     initialisation degrades the run (flag set, all +1 seed labels) but still
     executes the later steps.
     """
     params = inst.params
-    if k is None:
-        k = params.k
-    if eps is None:
-        eps = params.eps
     if family is not None:
-        _check_family(family, k)
+        _check_family(family, params.k)
     init = almost_exact_label(
-        inst.anchor,
-        params.s * params.a,
-        params.s * params.b,
-        eps,
-        seed=inst.seed,
+        inst.anchor, params.s * params.a, params.s * params.b, params.eps, seed=inst.seed
     )
-    fam = family if family is not None else all_pairwise_matchings(inst, k)
+    fam = family if family is not None else all_pairwise_matchings(inst, params.k)
     classes = classify_good_bad(fam)
     good = label_good_vertices(inst, fam, init, classes=classes)
     return label_bad_vertices(inst, fam, good, classes=classes)

@@ -14,10 +14,12 @@ trial stage by stage, in the order of ``perfbench/bench.py``'s traced run
 with the union table and the anchor split out, at each of
 ``STAGE_POINTS`` (n = 10^6 at s = 0.4, and n = 3·10^5 at s = 0.15, where
 the init used to exhaust its budget) and records per stage the wall time,
-``ru_maxrss`` after the stage and the minor page faults (``ru_minflt``)
-during it, plus whether the init degraded and its overlap.  The other runs
-``FAULT_TRIALS`` whole trials at the ``above-n30k`` benchmark point,
-n = 3·10^4 and s = 0.4, and records the minor page faults of each.
+``ru_maxrss`` after the stage, the resident set size after it
+(``/proc/self/statm``) and its rise across the stage, and the minor page
+faults (``ru_minflt``) during it, plus whether the init degraded and its
+overlap.  The other runs ``FAULT_TRIALS`` whole trials at the
+``above-n30k`` benchmark point, n = 3·10^4 and s = 0.4, and records the
+minor page faults of each.
 
 Each run writes one column of ``--out`` and keeps the file's other
 columns, so a change can be put next to its parent::
@@ -66,22 +68,29 @@ print(json.dumps({
 
 STAGE_POINTS = ((10**6, 0.4), (3 * 10**5, 0.15))
 STAGE_CHILD = """
-import json, resource, sys, time, warnings
+import json, os, resource, sys, time, warnings
 sys.path.insert(0, sys.argv[1])
 warnings.simplefilter("ignore")
 import csbm
 n, s, seed = int(sys.argv[2]), float(sys.argv[3]), int(sys.argv[4])
 params = csbm.Params(n=n, a=9.0, b=1.0, s=s, K=3, k=1)
 stages = {}
+def rss_mb():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
 def stage(name, fn, *args, **kwargs):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    rss_before = rss_mb()
     start = time.perf_counter()
     out = fn(*args, **kwargs)
     wall = time.perf_counter() - start
     usage = resource.getrusage(resource.RUSAGE_SELF)
+    rss = rss_mb()
     stages[name] = {
         "wall_s": round(wall, 3),
         "maxrss_mb": round(usage.ru_maxrss / 1024, 1),
+        "rss_mb": round(rss, 1),
+        "rss_rise_mb": round(rss - rss_before, 1),
         "minflt": usage.ru_minflt - before,
     }
     return out

@@ -6,7 +6,9 @@ verbatim, as the independent reference that the anchored kernels of
 composition that ``csbm.matching`` used for the good step and the exact
 matching estimator is kept here too: shortest anchor paths over a
 metagraph's pairs, a family's matchings as dense arrays, and the walk that
-composes them.  So are the parent sampler that unpacked each pair from
+composes them; and the good/bad split as the family built it before it
+became index arrays, frozensets plus a per-bad-vertex dict of
+bipartitions.  So are the parent sampler that unpacked each pair from
 its triangle index, and the balance diagnostic's per-vertex pair count,
 as they were before they were vectorised, the inverse-CDF code draw as it
 was before it counted comparisons, the union split with its own binary
@@ -165,6 +167,33 @@ def _compose_array_along_path(fam, path: tuple[int, ...]) -> np.ndarray:
         valid = x >= 0
         x = np.where(valid, arr[np.where(valid, x, 0)], -1)
     return x
+
+
+def frozenset_classes(fam):
+    """The good/bad split as frozensets and a per-bad-vertex dict, as the family built it.
+
+    Returns ``(good, bad, partitions)``; ``partitions[v]`` is the bad
+    vertex's bipartition, the nodes its anchor reaches and the rest.
+    """
+    good: list[int] = []
+    bad: list[int] = []
+    partitions: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
+    for pattern in fam._patterns:
+        members = pattern.members.tolist()
+        if len(pattern.reached) == fam.K:
+            good.extend(members)
+        else:
+            bad.extend(members)
+            split = (pattern.reached, frozenset(range(fam.K)) - pattern.reached)
+            partitions.update(dict.fromkeys(members, split))
+    return frozenset(good), frozenset(bad), partitions
+
+
+def bipartition(classes, K: int, v: int) -> tuple[frozenset[int], frozenset[int]]:
+    """Vertex ``v``'s metagraph nodes split into the anchor's component and the rest."""
+    code = int(classes.reached[v])
+    comp = frozenset(i for i in range(K) if code >> i & 1)
+    return comp, frozenset(range(K)) - comp
 
 
 # -- the sampler and the balance count as they were before vectorising -------

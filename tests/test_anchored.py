@@ -145,7 +145,7 @@ def graph_bad_step(inst, fam, current):
     """The bad step with each subtracted child mapped as a graph."""
     classes = classify_good_bad(fam)
     est = current.copy()
-    if not classes.bad:
+    if not classes.bad.size:
         return est
     n = inst.n
     bad = np.zeros(n, dtype=bool)
@@ -172,7 +172,7 @@ def graph_bad_step(inst, fam, current):
 def graph_estimator(inst, fam):
     """The exact matching estimator composing matchings along shortest anchor paths."""
     classes = classify_good_bad(fam)
-    if classes.bad:
+    if classes.bad.size:
         return MatchingEstimate(
             permutations=None,
             abstained=True,
@@ -252,7 +252,7 @@ def test_bad_step_matches_graph_algebra(n, s, K):
     for inst, fam, init in cases:
         assert_same_estimate(label_bad_vertices(inst, fam, init), graph_bad_step(inst, fam, init))
     if s == 0.15:
-        assert any(classify_good_bad(fam).bad for _, fam, _ in cases)
+        assert any(classify_good_bad(fam).bad.size for _, fam, _ in cases)
 
 
 @pytest.mark.parametrize("n, s, K", GRID)

@@ -240,6 +240,8 @@ def test_sweep_per_trial_requires_config_flag(tmp_path, capsys):
         pytest.param({**SWEEP_PAYLOAD, "trials": 2.5}, id="fractional-count"),
         pytest.param({**SWEEP_PAYLOAD, "k": 1.5}, id="fractional-core-order"),
         pytest.param({**SWEEP_PAYLOAD, "n_values": [120.5]}, id="fractional-grid"),
+        pytest.param({**SWEEP_PAYLOAD, "a_values": "91"}, id="string-grid"),
+        pytest.param({**SWEEP_PAYLOAD, "experiments": "recover"}, id="string-experiments"),
     ],
 )
 def test_sweep_rejects_bad_config(tmp_path, capsys, payload):

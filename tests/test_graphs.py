@@ -32,6 +32,8 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph(3, [(1, 1)])
+    with pytest.raises(ValueError):
+        Graph(2.5, [(0, 1)])
 
 
 @pytest.mark.parametrize(
@@ -361,6 +363,8 @@ def test_kcore_cascade():
 def test_kcore_rejects_nonpositive_order():
     with pytest.raises(ValueError):
         k_core(Graph(5, [(0, 1)]), 0)
+    with pytest.raises(ValueError):
+        k_core(Graph(5, [(0, 1)]), 1.5)
 
 
 def test_kcore_matches_oracle_on_random_graphs():

@@ -366,6 +366,10 @@ def test_scaling_validates_inputs():
         scaling_experiment(
             Params(n=100, a=6.0, b=2.0, s=0.35, K=1, k=1), (100, 200, 400, 800), 2
         )
+    with pytest.raises(ValueError):
+        scaling_experiment(base, (100.7, 200.2, 300.9, 400.5), 1)
+    with pytest.raises(ValueError):
+        scaling_experiment(base, (100, 200, 400, 800), 1.5)
 
 
 def test_scaling_fits_track_theory():

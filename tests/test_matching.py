@@ -9,12 +9,14 @@ from conftest import erdos_renyi, kcore_oracle
 from graph_algebra import (
     _anchor_paths,
     _compose_array_along_path,
+    bipartition,
+    frozenset_classes,
     kcore_matching_bruteforce,
     kcore_matching_seeded,
 )
 
 from csbm import graphs, matching
-from csbm.generate import Params, sample_instance
+from csbm.generate import Params, _code_dtype, sample_instance
 from csbm.graphs import Graph, _adjacency_csr
 from csbm.matching import (
     MatchingFamily,
@@ -294,7 +296,7 @@ def test_metagraph_complete_when_fully_matched():
     pattern = only_pattern(fam)
     assert pattern.members.tolist() == [0, 1]
     assert pattern.pairs == ((0, 1), (0, 2), (1, 2))
-    assert classify_good_bad(fam).good == frozenset({0, 1})
+    assert classify_good_bad(fam).good.tolist() == [0, 1]
 
 
 def test_metagraph_isolated_anchor_is_disconnected():
@@ -309,8 +311,8 @@ def test_metagraph_isolated_anchor_is_disconnected():
     )
     assert only_pattern(fam).reached == frozenset({0})
     classes = classify_good_bad(fam)
-    assert classes.bad == frozenset({0})
-    assert classes.partitions[0][0] == frozenset({0})
+    assert classes.bad.tolist() == [0]
+    assert bipartition(classes, 3, 0)[0] == frozenset({0})
 
 
 def test_metagraph_path_is_connected():
@@ -326,7 +328,7 @@ def test_metagraph_path_is_connected():
     pattern = only_pattern(fam)
     assert pattern.pairs == ((0, 1), (0, 2))
     assert pattern.reached == frozenset({0, 1, 2})
-    assert classify_good_bad(fam).good == frozenset({0})
+    assert classify_good_bad(fam).good.tolist() == [0]
 
 
 def test_patterns_are_cached_and_in_code_order():
@@ -409,8 +411,8 @@ def test_classify_k2_good_iff_matched():
     fam = all_pairwise_matchings(inst, 1)
     classes = classify_good_bad(fam)
     mask = fam.member_mask(0, 1)
-    assert classes.good == frozenset(np.flatnonzero(mask).tolist())
-    assert classes.bad == frozenset(np.flatnonzero(~mask).tolist())
+    assert classes.good.tolist() == np.flatnonzero(mask).tolist()
+    assert classes.bad.tolist() == np.flatnonzero(~mask).tolist()
 
 
 def test_classify_records_bipartition():
@@ -424,9 +426,9 @@ def test_classify_records_bipartition():
         },
     )
     classes = classify_good_bad(fam)
-    assert classes.bad == frozenset({0})
-    assert classes.good == frozenset({1})
-    comp, rest = classes.partitions[0]
+    assert classes.bad.tolist() == [0]
+    assert classes.good.tolist() == [1]
+    comp, rest = bipartition(classes, 3, 0)
     assert comp == frozenset({0})
     assert rest == frozenset({1, 2})
 
@@ -450,7 +452,33 @@ def test_classify_ignores_insertion_order():
     )
     a = classify_good_bad(fam)
     b = classify_good_bad(reversed_fam)
-    assert a.good == b.good and a.bad == b.bad and a.partitions == b.partitions
+    for name in ("good", "bad", "reached"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+CLASSIFY_GRID = [
+    (K, s, n, seed)
+    for K in (1, 2, 3, 4, 5)
+    for s in (0.15, 0.4)
+    for n in (300, 2000)
+    for seed in range(4)
+] + [(12, 0.5, 300, 0)]
+
+
+@pytest.mark.parametrize("K, s, n, seed", CLASSIFY_GRID)
+def test_classify_arrays_match_frozenset_split(K, s, n, seed):
+    # The last cell is the K = 12 family of test_patterns_keep_every_pair_past_64.
+    inst = sample_instance(Params(n=n, a=9.0, b=1.0, s=s, K=K, k=1), seed)
+    fam = all_pairwise_matchings(inst, 1)
+    classes = classify_good_bad(fam)
+    good, bad, partitions = frozenset_classes(fam)
+    assert classes.good.tolist() == sorted(good)
+    assert classes.bad.tolist() == sorted(bad)
+    assert {v: bipartition(classes, K, v) for v in classes.bad.tolist()} == partitions
+    for arr in (classes.good, classes.bad, classes.reached):
+        assert not arr.flags.writeable
+    assert classes.good.dtype == classes.bad.dtype == np.int64
+    assert classes.reached.shape == (n,) and classes.reached.dtype == _code_dtype(K)
 
 
 # -- path composition ---------------------------------------------------------
@@ -541,3 +569,10 @@ def test_estimator_rejects_family_built_otherwise():
     assert exact_matching_estimator(inst, 13).bad_count == inst.n
     with pytest.raises(ValueError):
         exact_matching_estimator(inst, 13, family=fam)
+
+
+@pytest.mark.parametrize("k", [0, 1.5])
+def test_family_rejects_bad_core_order(k):
+    inst = sample_instance(Params(n=100, a=9.0, b=1.0, s=0.5, K=3), 0)
+    with pytest.raises(ValueError):
+        all_pairwise_matchings(inst, k)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import retention_codes
+from graph_algebra import bipartition
 from scipy.sparse import csr_matrix
 
 from csbm import generate, graphs, recovery
@@ -291,9 +292,9 @@ def test_crafted_k3_classification():
     inst = crafted_k3_instance()
     fam = all_pairwise_matchings(inst, 1)
     classes = classify_good_bad(fam)
-    assert classes.good == frozenset({1, 2, 3})
-    assert classes.bad == frozenset({0, 4, 5, 6})
-    assert classes.partitions[0] == (frozenset({0, 1}), frozenset({2}))
+    assert classes.good.tolist() == [1, 2, 3]
+    assert classes.bad.tolist() == [0, 4, 5, 6]
+    assert bipartition(classes, 3, 0) == (frozenset({0, 1}), frozenset({2}))
 
 
 # -- good step ----------------------------------------------------------------
@@ -357,13 +358,6 @@ def test_votes_in_small_chunks_equal_one_shot_votes(monkeypatch, K):
     assert chunked_est.labels.tolist() == one_shot_est.labels.tolist()
     assert chunked_est.provenance.tolist() == one_shot_est.provenance.tolist()
     assert chunked_est.good_disagreements == one_shot_est.good_disagreements
-
-
-def test_good_step_rejects_mismatched_k():
-    inst = crafted_k3_instance()
-    fam = all_pairwise_matchings(inst, 1)
-    with pytest.raises(ValueError):
-        label_good_vertices(inst, fam, estimate(np.ones(7)), k=2)
 
 
 # -- bad step -----------------------------------------------------------------
@@ -431,9 +425,9 @@ def test_bad_step_votes_only_on_fully_matched_core():
     assert list(inst.children) == children
     fam = all_pairwise_matchings(inst, 1)
     classes = classify_good_bad(fam)
-    assert classes.good == frozenset({1, 2, 3, 4})
-    assert classes.bad == frozenset({0, 5})
-    assert classes.partitions[5] == (frozenset({0}), frozenset({1, 2}))
+    assert classes.good.tolist() == [1, 2, 3, 4]
+    assert classes.bad.tolist() == [0, 5]
+    assert bipartition(classes, 3, 5) == (frozenset({0}), frozenset({1, 2}))
 
     prov = np.full(6, PROVENANCE_GOOD, dtype=np.uint8)
     prov[[0, 5]] = PROVENANCE_INITIAL
@@ -450,7 +444,7 @@ def test_bad_step_votes_only_on_fully_matched_core():
 def reference_bad_step(inst, fam, current, classes):
     """The per-vertex bad step the vectorised one replaced, kept verbatim."""
     est = current.copy()
-    if not classes.bad:
+    if not classes.bad.size:
         return est
     n = inst.n
     assortative = inst.params.a >= inst.params.b
@@ -535,10 +529,8 @@ def test_full_recovery_provenance_totality():
     est = full_recovery(inst, family=fam)
     assert set(np.unique(est.labels)) <= {-1, 1}
     assert not np.any(est.provenance == PROVENANCE_INITIAL)
-    good_set = frozenset(np.flatnonzero(est.provenance == PROVENANCE_GOOD).tolist())
-    bad_set = frozenset(np.flatnonzero(est.provenance == PROVENANCE_BAD).tolist())
-    assert good_set == classes.good
-    assert bad_set == classes.bad
+    assert np.flatnonzero(est.provenance == PROVENANCE_GOOD).tolist() == classes.good.tolist()
+    assert np.flatnonzero(est.provenance == PROVENANCE_BAD).tolist() == classes.bad.tolist()
 
 
 @pytest.mark.parametrize("K", [2, 3, 4])
@@ -549,7 +541,7 @@ def test_trial_stages_read_the_family_masks_only(K):
     fam = all_pairwise_matchings(inst, 1)
     init = almost_exact_label(inst.children[0], 0.25 * 9.0, 0.25 * 1.0, seed=inst.seed)
     classes = classify_good_bad(fam)
-    assert classes.bad
+    assert classes.bad.size
     good = label_good_vertices(inst, fam, init, classes=classes)
     label_bad_vertices(inst, fam, good, classes=classes)
     exact_matching_estimator(inst, 1, family=fam)
@@ -559,9 +551,9 @@ def test_trial_stages_read_the_family_masks_only(K):
 
 def test_full_recovery_rejects_family_built_otherwise():
     inst = sample_instance(Params(n=400, a=9.0, b=1.0, s=0.4, K=3, k=1), 3)
-    fam = all_pairwise_matchings(inst, 1)
+    fam = all_pairwise_matchings(inst, 2)
     with pytest.raises(ValueError):
-        full_recovery(inst, k=13, family=fam)
+        full_recovery(inst, family=fam)
 
 
 def test_full_recovery_k1_reduction():
@@ -603,12 +595,11 @@ def _pinned_pipeline_digest() -> str:
                 final = full_recovery(inst, family=fam)
                 est = exact_matching_estimator(inst, 1, family=fam)
                 perms = est.permutations
+                bad = classes.bad.tolist()
+                splits = [bipartition(classes, K, v) for v in bad]
                 record = (
-                    sorted(classes.bad),
-                    sorted(
-                        (v, sorted(comp), sorted(rest))
-                        for v, (comp, rest) in classes.partitions.items()
-                    ),
+                    bad,
+                    [(v, sorted(comp), sorted(rest)) for v, (comp, rest) in zip(bad, splits)],
                     final.labels.tolist(),
                     final.provenance.tolist(),
                     final.degraded,
