@@ -109,7 +109,7 @@ class Params:
 
     def __post_init__(self):
         for name in ("n", "K", "k"):
-            _require_integer(name, getattr(self, name))
+            object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.a < 0 or self.b < 0:

@@ -150,6 +150,8 @@ def run_trial(
     least two children (match, witness) leave their fields None at K = 1; a
     degraded recovery run is recorded like any other.
     """
+    if isinstance(experiments, str) or not experiments:
+        raise ValueError(f"experiments must be a non-empty tuple of names, not {experiments!r}")
     bad_names = set(experiments) - {"recover", "match", "witness"}
     if bad_names:
         raise ValueError(f"unknown experiments: {sorted(bad_names)}")

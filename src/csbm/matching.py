@@ -13,16 +13,13 @@ k-core peel can cascade.
 
 On top of the pairwise matchings sits the per-vertex metagraph: K nodes, an
 edge (i, j) when the vertex is matched by the (i, j) matching.  A vertex is
-"good" when its metagraph is connected.  Vertices matched by the same set of
-pairs share a metagraph, so it is computed once per such matched-pair
-pattern: one table per family holds each pattern's members, pairs and the
-nodes its anchor reaches, which the classification writes over its members
-as one code per vertex; the good step reads the per-vertex pattern codes
-the table is sorted by.  The exact
-matching estimator abstains when some vertex is bad; otherwise it returns
-the ground-truth anchor permutations.  A family stores only its matched
-sets, and each map is the ground truth on its set, so composing matchings
-along any path of a connected metagraph gives exactly those permutations.
+"good" when its metagraph is connected.  The classification groups no
+vertices: it spreads the anchor's component over the pair masks, every
+vertex at once, into one code per vertex.  The exact matching estimator
+abstains when some vertex is bad; otherwise it returns the ground-truth
+anchor permutations.  A family stores only its matched sets, and each map
+is the ground truth on its set, so composing matchings along any path of a
+connected metagraph gives exactly those permutations.
 
 All per-vertex bookkeeping here is anchored: domains are stored as boolean
 masks over the anchor graph's labels (child 1), with ground-truth
@@ -34,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +55,7 @@ class MatchingFamily:
     unmatched sets F_ij are the complements.  Each pair's map is the ground
     truth on its set, so it is derived: ``matchings[(i, j)]`` sends
     ``pi_star[i][v]`` to ``pi_star[j][v]`` for each masked anchor vertex
-    ``v``.  The maps and the tables the stages read (the packed pair codes,
-    the pattern table and the good/bad split) are cached properties, each
+    ``v``.  The maps and the good/bad split are cached properties, each
     built from the masks on first access.  Families compare by identity.
     """
 
@@ -92,52 +87,28 @@ class MatchingFamily:
         return ~self.member_mask(i, j)
 
     @cached_property
-    def _pair_codes(self) -> np.ndarray:
-        """Each vertex's matched-pair code as little-endian bytes, shape ``(bytes, n)``.
-
-        Bit ``t % 8`` of byte ``t // 8`` is set when the t-th pair of
-        :meth:`pairs` matches the vertex, so the code has one bit per pair
-        however many pairs there are.
-        """
-        pairs = self.pairs()
-        bits = np.zeros((max(len(pairs), 1), self.n), dtype=bool)
-        for t, pair in enumerate(pairs):
-            bits[t] = self.anchor_masks[pair]
-        return np.packbits(bits, axis=0, bitorder="little")
-
-    @cached_property
-    def _patterns(self) -> list[_Pattern]:
-        """The matched-pair patterns in code order, so every stage reads the same metagraphs."""
-        pairs = self.pairs()
-        packed = self._pair_codes
-        # Sorting on the last byte first orders the codes as numbers, and
-        # the stable sort keeps each pattern's vertices ascending.
-        order = np.lexsort(packed)
-        grouped = packed[:, order]
-        starts = np.ones(self.n, dtype=bool)
-        starts[1:] = (grouped[:, 1:] != grouped[:, :-1]).any(axis=0)
-        bounds = np.append(np.flatnonzero(starts), self.n).tolist()
-        table = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            members = order[lo:hi]
-            v = members[0]
-            matched = tuple(p for p in pairs if self.anchor_masks[p][v])
-            table.append(
-                _Pattern(members=members, pairs=matched, reached=_anchor_component(matched))
-            )
-        return table
-
-    @cached_property
     def _classes(self) -> VertexClass:
-        """The good/bad split, read off the pattern table.
+        """The good/bad split, propagated over the pair masks.
 
-        Each pattern's members get the code of the nodes its anchor
-        reaches; a vertex is good when that code holds all K nodes.
+        Every vertex starts with the anchor reached.  A sweep over the
+        pairs adds nodes i and j wherever the (i, j) mask holds the vertex
+        and exactly one of them is reached; sweeps repeat until one adds
+        nothing, so ``reached`` is the anchor's component of each vertex's
+        metagraph.  A vertex is good when that code holds all K nodes.
         """
-        reached = np.zeros(self.n, dtype=_code_dtype(self.K))
-        for pattern in self._patterns:
-            reached[pattern.members] = sum(1 << i for i in pattern.reached)
-        connected = reached == reached.dtype.type((1 << self.K) - 1)
+        dtype = _code_dtype(self.K)
+        reached = np.ones(self.n, dtype=dtype)
+        grew = True
+        while grew:
+            grew = False
+            for (i, j), mask in sorted(self.anchor_masks.items()):
+                both = dtype.type((1 << i) | (1 << j))
+                ends = reached & both
+                link = mask & (ends != 0) & (ends != both)
+                if link.any():
+                    np.bitwise_or(reached, both, out=reached, where=link)
+                    grew = True
+        connected = reached == dtype.type((1 << self.K) - 1)
         good, bad = np.flatnonzero(connected), np.flatnonzero(~connected)
         for arr in (good, bad, reached):
             arr.setflags(write=False)
@@ -167,31 +138,6 @@ def all_pairwise_matchings(inst: CorrelatedInstance, k: int) -> MatchingFamily:
             rows = np.flatnonzero((codes & both) == both)
             masks[(i, j)] = _core_mask(inst.n, u.take(rows), v.take(rows), k)
     return MatchingFamily(n=inst.n, K=inst.K, k=k, anchor_masks=masks, pi_star=inst.pi_star)
-
-
-class _Pattern(NamedTuple):
-    """Anchored vertices sharing one matched-pair pattern, and its metagraph.
-
-    ``pairs`` are the metagraph's edges; ``reached`` is the set of nodes
-    they connect to the anchor (the anchor included).
-    """
-
-    members: np.ndarray
-    pairs: tuple[tuple[int, int], ...]
-    reached: frozenset[int]
-
-
-def _anchor_component(pairs: tuple[tuple[int, int], ...]) -> frozenset[int]:
-    """The metagraph nodes that ``pairs`` connect to the anchor."""
-    reached = {0}
-    grew = True
-    while grew:
-        grew = False
-        for i, j in pairs:
-            if (i in reached) != (j in reached):
-                reached.update((i, j))
-                grew = True
-    return frozenset(reached)
 
 
 @dataclass(frozen=True, eq=False)

@@ -256,15 +256,20 @@ def _superset_votes(
 ) -> np.ndarray:
     """Each vertex's union vote inside the set its own pattern's pairs all match.
 
-    A vertex w lies in every matched set of v's pattern exactly when w's
-    pattern code holds every bit of v's, so each union arc v -> w counts for
-    v when ``code[w] & code[v] == code[v]``: one pass over the union edges,
-    one byte of the packed codes at a time.
+    A vertex's pattern code has bit ``t % 8`` of byte ``t // 8`` set when
+    the t-th pair of ``fam.pairs()`` matches it, so the code keeps one bit
+    per pair however many pairs there are.  A vertex w lies in every
+    matched set of v's pattern exactly when w's code holds every bit of
+    v's, so each union arc v -> w counts for v when
+    ``code[w] & code[v] == code[v]``: one pass over the union edges, one
+    byte of the packed codes at a time.
     """
+    masks = [fam.anchor_masks[pair] for pair in fam.pairs()]
+    codes = np.packbits(masks or [np.zeros(inst.n, dtype=bool)], axis=0, bitorder="little")
     votes = np.zeros(inst.n)
     for u, v in _union_chunks(inst):
         fwd = rev = True
-        for code in fam._pair_codes:
+        for code in codes:
             cu, cv = code[u], code[v]
             shared = cu & cv
             fwd = fwd & (shared == cu)

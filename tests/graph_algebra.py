@@ -6,9 +6,9 @@ verbatim, as the independent reference that the anchored kernels of
 composition that ``csbm.matching`` used for the good step and the exact
 matching estimator is kept here too: shortest anchor paths over a
 metagraph's pairs, a family's matchings as dense arrays, and the walk that
-composes them; and the good/bad split as the family built it before it
-became index arrays, frozensets plus a per-bad-vertex dict of
-bipartitions.  So are the parent sampler that unpacked each pair from
+composes them; and the good/bad split as frozensets plus a per-bad-vertex
+dict of bipartitions, from each vertex's own matched pairs, grouped one
+vertex at a time.  So are the parent sampler that unpacked each pair from
 its triangle index, and the balance diagnostic's per-vertex pair count,
 as they were before they were vectorised, the inverse-CDF code draw as it
 was before it counted comparisons, the union split with its own binary
@@ -169,8 +169,28 @@ def _compose_array_along_path(fam, path: tuple[int, ...]) -> np.ndarray:
     return x
 
 
+def mask_patterns(fam) -> dict[tuple[tuple[int, int], ...], list[int]]:
+    """The family's vertices grouped by the pairs that match them, one vertex at a time.
+
+    Each key lists a pattern's pairs in ``fam.pairs()`` order; its value
+    lists the pattern's vertices in ascending order.
+    """
+    pairs = fam.pairs()
+    columns = [fam.anchor_masks[pair].tolist() for pair in pairs]
+    groups: dict[tuple[tuple[int, int], ...], list[int]] = {}
+    for v in range(fam.n):
+        key = tuple(pair for pair, column in zip(pairs, columns) if column[v])
+        groups.setdefault(key, []).append(v)
+    return groups
+
+
+def anchor_component(K: int, pairs: tuple[tuple[int, int], ...]) -> frozenset[int]:
+    """The metagraph nodes that ``pairs`` connect to the anchor."""
+    return frozenset(j for j, path in enumerate(_anchor_paths(K, pairs)) if path is not None)
+
+
 def frozenset_classes(fam):
-    """The good/bad split as frozensets and a per-bad-vertex dict, as the family built it.
+    """The good/bad split as frozensets and a per-bad-vertex dict, from :func:`mask_patterns`.
 
     Returns ``(good, bad, partitions)``; ``partitions[v]`` is the bad
     vertex's bipartition, the nodes its anchor reaches and the rest.
@@ -178,13 +198,13 @@ def frozenset_classes(fam):
     good: list[int] = []
     bad: list[int] = []
     partitions: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
-    for pattern in fam._patterns:
-        members = pattern.members.tolist()
-        if len(pattern.reached) == fam.K:
+    for pairs, members in mask_patterns(fam).items():
+        reached = anchor_component(fam.K, pairs)
+        if len(reached) == fam.K:
             good.extend(members)
         else:
             bad.extend(members)
-            split = (pattern.reached, frozenset(range(fam.K)) - pattern.reached)
+            split = (reached, frozenset(range(fam.K)) - reached)
             partitions.update(dict.fromkeys(members, split))
     return frozenset(good), frozenset(bad), partitions
 

@@ -23,6 +23,7 @@ from graph_algebra import (
     _surviving,
     kcore_matching_seeded,
     map_array,
+    mask_patterns,
 )
 
 from csbm.generate import Params, sample_instance
@@ -90,14 +91,14 @@ def graph_good_step(inst, fam, init):
         return graph_good_three(inst, fam, init, est, assortative, init_values)
     good_mask = np.zeros(n, dtype=bool)
     good_mask[list(classes.good)] = True
-    for pattern in fam._patterns:
-        group = pattern.members[good_mask[pattern.members]]
+    for pairs, members in mask_patterns(fam).items():
+        group = np.array(members)[good_mask[members]]
         if not group.size:
             continue
         in_member = np.ones(n, dtype=bool)
-        for pair in pattern.pairs:
+        for pair in pairs:
             in_member &= fam.anchor_masks[pair]
-        paths = _anchor_paths(inst.K, pattern.pairs)
+        paths = _anchor_paths(inst.K, pairs)
         maps = [_compose_array_along_path(fam, path) for path in paths]
         votes = graph_union_votes(inst, in_member, maps, init_values)
         est.labels[group] = _majority_labels(
@@ -180,11 +181,11 @@ def graph_estimator(inst, fam):
             bad_count=len(classes.bad),
         )
     perms = [np.full(inst.n, -1, dtype=np.int64) for _ in range(inst.K - 1)]
-    for pattern in fam._patterns:
-        paths = _anchor_paths(inst.K, pattern.pairs)
+    for pairs, members in mask_patterns(fam).items():
+        paths = _anchor_paths(inst.K, pairs)
         for j in range(1, inst.K):
             composed = _compose_array_along_path(fam, paths[j])
-            perms[j - 1][pattern.members] = composed[pattern.members]
+            perms[j - 1][members] = composed[members]
     correct = all(
         np.array_equal(perms[j - 1], inst.pi_star[j]) for j in range(1, inst.K)
     )
@@ -228,7 +229,7 @@ def good_groups(fam):
     """Patterns holding at least one good vertex; `graph_good_step` maps one union per each."""
     good = np.zeros(fam.n, dtype=bool)
     good[list(classify_good_bad(fam).good)] = True
-    return [p for p in fam._patterns if good[p.members].any()]
+    return [pairs for pairs, members in mask_patterns(fam).items() if good[members].any()]
 
 
 @pytest.mark.parametrize("n, s, K, groups", MANY_GROUPS)
@@ -240,10 +241,9 @@ def test_good_step_with_many_groups_matches_graph_algebra(n, s, K, groups):
     inst, fam, _ = cases[0]
     assert len(good_groups(fam)) == groups
     if K >= 12:
-        good = np.zeros(n, dtype=bool)
-        good[list(classify_good_bad(fam).good)] = True
-        codes = fam._pair_codes
-        assert codes.shape[0] > 8 and (codes[8:, good] != 0).any()
+        # A good vertex matched by a pair past the 64th needs a ninth code byte.
+        good = classify_good_bad(fam).good
+        assert any(fam.anchor_masks[pair][good].any() for pair in fam.pairs()[64:])
 
 
 @pytest.mark.parametrize("n, s, K", GRID)

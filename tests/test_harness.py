@@ -73,6 +73,21 @@ def test_trial_rejects_unknown_experiment():
         run_trial(params, 0, experiments=("recover", "scaling"))
 
 
+@pytest.mark.parametrize("experiments", ["recover", ()], ids=["string", "empty"])
+def test_trial_rejects_a_string_or_no_experiments(experiments):
+    params = Params(n=50, a=4.0, b=1.0, s=0.5, K=3, k=1)
+    with pytest.raises(ValueError, match="^experiments must"):
+        run_trial(params, 0, experiments=experiments)
+
+
+def test_trial_accepts_whole_float_sizes():
+    # n, K and k are stored as ints, so a whole float runs like the int.
+    floats = Params(n=300.0, a=9.0, b=1.0, s=0.4, K=3.0, k=1.0)
+    ints = Params(n=300, a=9.0, b=1.0, s=0.4, K=3, k=1)
+    assert all(type(getattr(floats, name)) is int for name in ("n", "K", "k"))
+    assert run_trial(floats, 3).replay_key() == run_trial(ints, 3).replay_key()
+
+
 def test_trial_with_one_child_skips_pair_experiments():
     params = Params(n=200, a=9.0, b=1.0, s=0.8, K=1, k=1)
     result = run_trial(params, 2, experiments=("recover", "match", "witness"))

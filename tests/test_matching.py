@@ -9,10 +9,12 @@ from conftest import erdos_renyi, kcore_oracle
 from graph_algebra import (
     _anchor_paths,
     _compose_array_along_path,
+    anchor_component,
     bipartition,
     frozenset_classes,
     kcore_matching_bruteforce,
     kcore_matching_seeded,
+    mask_patterns,
 )
 
 from csbm import graphs, matching
@@ -279,11 +281,6 @@ def three_pair_family(n, masks):
     return crafted_family(n, 3, masks)
 
 
-def only_pattern(fam):
-    (pattern,) = fam._patterns
-    return pattern
-
-
 def test_metagraph_complete_when_fully_matched():
     fam = three_pair_family(
         2,
@@ -293,10 +290,9 @@ def test_metagraph_complete_when_fully_matched():
             (1, 2): [True, True],
         },
     )
-    pattern = only_pattern(fam)
-    assert pattern.members.tolist() == [0, 1]
-    assert pattern.pairs == ((0, 1), (0, 2), (1, 2))
-    assert classify_good_bad(fam).good.tolist() == [0, 1]
+    classes = classify_good_bad(fam)
+    assert classes.reached.tolist() == [0b111, 0b111]
+    assert classes.good.tolist() == [0, 1]
 
 
 def test_metagraph_isolated_anchor_is_disconnected():
@@ -309,8 +305,8 @@ def test_metagraph_isolated_anchor_is_disconnected():
             (1, 2): [True],
         },
     )
-    assert only_pattern(fam).reached == frozenset({0})
     classes = classify_good_bad(fam)
+    assert classes.reached.tolist() == [0b001]
     assert classes.bad.tolist() == [0]
     assert bipartition(classes, 3, 0)[0] == frozenset({0})
 
@@ -325,46 +321,45 @@ def test_metagraph_path_is_connected():
             (1, 2): [False],
         },
     )
-    pattern = only_pattern(fam)
-    assert pattern.pairs == ((0, 1), (0, 2))
-    assert pattern.reached == frozenset({0, 1, 2})
-    assert classify_good_bad(fam).good.tolist() == [0]
+    classes = classify_good_bad(fam)
+    assert classes.reached.tolist() == [0b111]
+    assert classes.good.tolist() == [0]
 
 
-def test_patterns_are_cached_and_in_code_order():
-    inst = sample_instance(Params(n=200, a=9.0, b=1.0, s=0.3, K=4, k=1), 2)
-    fam = all_pairwise_matchings(inst, 1)
-    table = fam._patterns
-    assert fam._patterns is table
-    members = np.concatenate([p.members for p in table])
-    assert np.array_equal(np.sort(members), np.arange(inst.n))
-    pairs = fam.pairs()
-    codes = [sum(1 << pairs.index(pair) for pair in p.pairs) for p in table]
-    assert codes == sorted(set(codes))
-    for p in table:
-        assert np.all(np.diff(p.members) > 0)
-        for pair in pairs:
-            assert (fam.anchor_masks[pair][p.members] == (pair in p.pairs)).all()
+def code(nodes):
+    return sum(1 << i for i in nodes)
 
 
 @pytest.mark.parametrize("K", [12, 13])
 def test_patterns_keep_every_pair_past_64(K):
-    # 66 and 78 pairs: more pairs than an int64 code has bits.
+    # 66 and 78 pairs: more pairs than an int64 code has bits.  Every
+    # vertex's reached code is the anchor's component over all its pairs.
     inst = sample_instance(Params(n=300, a=9.0, b=1.0, s=0.5, K=K, k=1), 0)
     fam = all_pairwise_matchings(inst, 1)
     pairs = fam.pairs()
     assert len(pairs) > 64
-    table = fam._patterns
-    members = np.concatenate([p.members for p in table])
-    assert np.array_equal(np.sort(members), np.arange(inst.n))
-    codes = []
-    for p in table:
-        assert np.all(np.diff(p.members) > 0)
-        for v in p.members.tolist():
-            assert p.pairs == tuple(pair for pair in pairs if fam.anchor_masks[pair][v])
-        codes.append(sum(1 << pairs.index(pair) for pair in p.pairs))
-    assert codes == sorted(set(codes))
-    assert any(max(pairs.index(pair) for pair in p.pairs) >= 64 for p in table if p.pairs)
+    reached = classify_good_bad(fam).reached
+    groups = mask_patterns(fam)
+    for matched, members in groups.items():
+        assert reached[members].tolist() == [code(anchor_component(K, matched))] * len(members)
+    assert any(pairs.index(pair) >= 64 for matched in groups for pair in matched)
+
+
+def test_reached_follows_a_path_against_the_pair_order():
+    # Vertex 0's metagraph is the path 0 - 12 - 11 - ... - 1.  Its links
+    # come in reverse pair order, so each sweep over the pairs reaches one
+    # more node, and (11, 12) is the last of the 78 pairs, past the 64th.
+    # Vertex 1 lacks the (5, 6) link: its anchor reaches 12 down to 6, while
+    # 1 - 2 - ... - 5 stays a separate component.
+    K = 13
+    path = [(0, 12)] + [(j - 1, j) for j in range(12, 1, -1)]
+    masks = {pair: [pair in path, pair in path and pair != (5, 6)]
+             for pair in itertools.combinations(range(K), 2)}
+    fam = crafted_family(2, K, masks)
+    assert fam.pairs().index((11, 12)) == 77
+    classes = classify_good_bad(fam)
+    assert classes.reached.tolist() == [(1 << K) - 1, code([0, *range(6, K)])]
+    assert classes.good.tolist() == [0] and classes.bad.tolist() == [1]
 
 
 def all_simple_paths(pairs, src, dst):
@@ -386,24 +381,21 @@ def all_simple_paths(pairs, src, dst):
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
 def test_pattern_paths_match_exhaustive_oracle(K):
     # One anchored vertex per edge set: vertex v is matched by the t-th pair
-    # exactly when bit t of v is set, so the table holds every metagraph on
-    # K nodes, vertex v alone in the pattern of code v.  Each pattern's
-    # reached set is the anchor's component, and its vertex is good exactly
-    # when that component spans all K nodes.
+    # exactly when bit t of v is set, so the family holds every metagraph on
+    # K nodes.  Each vertex's reached code is the anchor's component, and
+    # the vertex is good exactly when that component spans all K nodes.
     pairs = list(itertools.combinations(range(K), 2))
     n = 1 << len(pairs)
     codes = np.arange(n)
     fam = crafted_family(n, K, {p: (codes >> t) & 1 for t, p in enumerate(pairs)})
-    table = fam._patterns
     classes = classify_good_bad(fam)
-    assert [p.members.tolist() for p in table] == [[v] for v in range(n)]
-    for v, pattern in enumerate(table):
+    for v in range(n):
         edges = [p for t, p in enumerate(pairs) if v >> t & 1]
-        assert pattern.pairs == tuple(edges)
         metagraph = nx.Graph(edges)
         metagraph.add_nodes_from(range(K))
-        assert pattern.reached == frozenset(nx.node_connected_component(metagraph, 0))
-        assert (v in classes.good) == (len(pattern.reached) == K) == nx.is_connected(metagraph)
+        component = nx.node_connected_component(metagraph, 0)
+        assert int(classes.reached[v]) == code(component)
+        assert (v in classes.good) == (len(component) == K) == nx.is_connected(metagraph)
 
 
 def test_classify_k2_good_iff_matched():
@@ -492,16 +484,17 @@ def test_path_composition_is_path_independent():
     params = Params(n=60, a=6.0, b=1.5, s=0.7, K=5, k=1)
     inst = sample_instance(params, 13)
     fam = all_pairwise_matchings(inst, 1)
-    good = [p for p in fam._patterns if len(p.reached) == 5]
     checked = 0
-    for pattern in good[:12]:
-        shortest = _anchor_paths(5, pattern.pairs)
+    for pairs, members in mask_patterns(fam).items():
+        if len(anchor_component(5, pairs)) < 5:
+            continue
+        shortest = _anchor_paths(5, pairs)
         for j in range(1, 5):
-            paths = all_simple_paths(pattern.pairs, 0, j)
+            paths = all_simple_paths(pairs, 0, j)
             assert shortest[j] in paths
             for path in paths:
-                composed = _compose_array_along_path(fam, path)[pattern.members]
-                assert np.array_equal(composed, inst.pi_star[j][pattern.members])
+                composed = _compose_array_along_path(fam, path)[members]
+                assert np.array_equal(composed, inst.pi_star[j][members])
                 checked += 1
     assert checked > 0
 
