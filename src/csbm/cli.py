@@ -108,9 +108,10 @@ def _append_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
 
 def _cmd_recover(args: argparse.Namespace) -> int:
     params = _params_from(args)
+    seeds = cell_seeds(params, args.trials, args.seed)
     rows = []
     print("trial overlap success bad_vertices degraded ms")
-    for t, seed in enumerate(cell_seeds(params, args.trials, args.seed)):
+    for t, seed in enumerate(seeds):
         result = run_trial(params, seed, experiments=("recover",))
         bad = "-" if result.bad_vertex_count is None else result.bad_vertex_count
         print(
@@ -157,8 +158,9 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     params = _params_from(args)
     if params.K < 2:
         raise ValueError("the witness needs at least two children (K >= 2)")
+    seeds = cell_seeds(params, args.trials, args.seed)
     print("trial R_star S_star S_plus S_minus witness")
-    for t, seed in enumerate(cell_seeds(params, args.trials, args.seed)):
+    for t, seed in enumerate(seeds):
         inst = sample_instance(params, seed)
         report = map_failure_witness(inst)
         plus = sum(1 for i in report.s_star if inst.sigma_star[i] > 0)

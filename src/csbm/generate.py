@@ -112,16 +112,18 @@ class Params:
             object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if self.a < 0 or self.b < 0:
-            raise ValueError("a and b must be non-negative")
+        for name in ("a", "b"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, not {value}")
         if not 0.0 <= self.s <= 1.0:
             raise ValueError("s must lie in [0, 1]")
-        if self.K < 1:
-            raise ValueError("K must be at least 1")
+        if not 1 <= self.K <= 64:
+            raise ValueError(f"K must lie in [1, 64] (at most 64 children), not {self.K}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be positive, not {self.eps}")
         if self.p > 1.0 or self.q > 1.0:
             raise ValueError(
                 f"edge probabilities exceed 1 (p={self.p}, q={self.q}); "

@@ -9,17 +9,19 @@ access, because bulk distribution tests create tens of thousands of
 throwaway graphs whose neighbourhoods are never queried, and a trial reads
 the union graph only through its keys.
 
+:func:`k_core` peels the edge columns it is given and builds the CSR it
+cascades through from their keys, never a graph's cached one.
 :func:`intersection_graph` keeps the edges of one graph whose image under a
-partial matching is an edge of another.  The trial pipeline itself never
-maps graphs through matchings: it selects union edges by their retention
-codes.
+:class:`PartialMatching` is an edge of another.  The trial pipeline itself
+never maps graphs through matchings: it selects union edges by their
+retention codes.
 """
 
 from __future__ import annotations
 
 import numbers
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -265,8 +267,10 @@ class PartialMatching:
     Keys live in the source graph's labelling, values in the target's.  The
     map is stored as a dense int64 array indexed by source vertex, -1
     meaning unmatched, and trimmed after the last matched vertex so equal
-    maps have equal arrays.  Construction checks that the map is injective
-    with non-negative integer endpoints and that no vertex is matched twice.
+    maps have equal arrays.  It is built from a mapping or ``(u, v)``
+    pairs, or from a permutation, and construction checks that the map is
+    injective with non-negative integer endpoints and that no vertex is
+    matched twice.
     """
 
     __slots__ = ("_arr",)
@@ -290,25 +294,12 @@ class PartialMatching:
         self._arr.setflags(write=False)
 
     @classmethod
-    def identity(cls, vertices: Iterable[int]) -> "PartialMatching":
-        vs = np.unique(_as_int64(list(vertices)))
-        return cls._from_array(_checked_map(vs, vs))
-
-    @classmethod
-    def from_permutation(
-        cls, pi: Sequence[int], domain: Iterable[int] | None = None
-    ) -> "PartialMatching":
-        """Matching ``v -> pi[v]``, optionally restricted to ``domain``."""
+    def from_permutation(cls, pi: Sequence[int]) -> "PartialMatching":
+        """Matching ``v -> pi[v]`` for every ``v`` below ``len(pi)``."""
         pi = _as_int64(pi)
         if pi.ndim != 1:
             raise ValueError(f"pi must be one-dimensional, not shaped {pi.shape}")
-        if domain is None:
-            src = np.arange(pi.shape[0], dtype=np.int64)
-        else:
-            src = np.unique(_as_int64(list(domain)))
-            if src.size and (src[0] < 0 or src[-1] >= pi.shape[0]):
-                raise ValueError("domain vertex outside the permutation")
-        return cls._from_array(_checked_map(src, pi[src]))
+        return cls._from_array(_checked_map(np.arange(pi.shape[0], dtype=np.int64), pi))
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._arr >= 0))
@@ -340,17 +331,6 @@ class PartialMatching:
     @property
     def domain(self) -> frozenset[int]:
         return frozenset(np.flatnonzero(self._arr >= 0).tolist())
-
-    @property
-    def image(self) -> frozenset[int]:
-        return frozenset(self._arr[self._arr >= 0].tolist())
-
-    def inverse(self) -> "PartialMatching":
-        dom = np.flatnonzero(self._arr >= 0)
-        img = self._arr[dom]
-        inv = np.full(int(img.max()) + 1 if img.size else 0, -1, dtype=np.int64)
-        inv[img] = dom
-        return PartialMatching._from_array(inv)
 
     def as_array(self, n: int) -> np.ndarray:
         """Dense int64 lookup of length ``n``; unmatched entries are -1."""
@@ -400,24 +380,17 @@ def k_core(g: Graph, k: int) -> frozenset[int]:
     """
     k = _require_integer("k", k)
     e = g.edges
-    core = _core_mask(g.n, e[:, 0], e[:, 1], k, lambda: g._adjacency)
+    core = _core_mask(g.n, e[:, 0], e[:, 1], k)
     return frozenset(np.flatnonzero(core).tolist())
 
 
-def _core_mask(
-    n: int,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    k: int,
-    adjacency: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None,
-) -> np.ndarray:
+def _core_mask(n: int, lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of the k-core of the graph on ``0..n-1`` with edges ``(lo[i], hi[i])``.
 
     The edges must be distinct and in key order, as :attr:`Graph.edges` and
     every row subset of it are.  The adjacency is needed only when a vertex
-    below ``k`` has an edge, so that the peel can cascade; it then comes
-    from ``adjacency`` (say, a graph's cached one) or is built from the
-    edge keys.
+    below ``k`` has an edge, so that the peel can cascade; it is then built
+    from the edge keys.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -426,10 +399,7 @@ def _core_mask(
     if not deg[removed].any():
         # Only isolated vertices go, so no degree drops and nothing cascades.
         return ~removed
-    if adjacency is None:
-        indptr, indices = _adjacency_csr(n, lo * np.int64(n) + hi)
-    else:
-        indptr, indices = adjacency()
+    indptr, indices = _adjacency_csr(n, lo * np.int64(n) + hi)
     stack = np.flatnonzero(removed).tolist()
     deg = deg.tolist()
     while stack:
@@ -456,22 +426,16 @@ def _matched_intersection_keys(g: Graph, h: Graph, to_h: np.ndarray) -> np.ndarr
     return g.packed_keys()[np.flatnonzero(ok)[_member(h.packed_keys(), img)]]
 
 
-def _map_into(mu: PartialMatching, g: Graph, h: Graph) -> np.ndarray:
-    """``mu`` as a dense map from ``g``'s vertices into ``h``'s, range-checked."""
-    f = mu.as_array(g.n)
-    if f.max(initial=-1) >= h.n:
-        raise ValueError("matched vertex outside the target graph")
-    return f
-
-
 def intersection_graph(g: Graph, h: Graph, mu: PartialMatching) -> Graph:
     """Graph on ``g``'s vertices with the edges present in both ``g`` and ``h``.
 
     An edge (u, v) of ``g`` survives when both endpoints are matched and
     (mu[u], mu[v]) is an edge of ``h``; the matched set is ``mu.domain``.
     """
-    keys = _matched_intersection_keys(g, h, _map_into(mu, g, h))
-    return Graph._from_keys(g.n, keys)
+    to_h = mu.as_array(g.n)
+    if to_h.max(initial=-1) >= h.n:
+        raise ValueError("matched vertex outside the target graph")
+    return Graph._from_keys(g.n, _matched_intersection_keys(g, h, to_h))
 
 
 # -- plain-text edge-list IO -------------------------------------------------

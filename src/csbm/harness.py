@@ -274,6 +274,8 @@ class SweepConfig:
         a count given as a string) is a ``ValueError`` like any other bad value.
         """
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("config must be a JSON object")
         unknown = set(payload) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -334,7 +336,11 @@ def cell_seeds(params: Params, trials: int, master_seed: int) -> list[int]:
 
     A seed depends only on (master seed, cell parameters, trial index), so
     permuting cells or splitting a grid leaves every trial unchanged.
+    ``trials`` must be a whole number of at least 1.
     """
+    trials = _require_integer("trials", trials)
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     key = cell_key(params.n, params.a, params.b, params.s, params.K, params.k)
     return [trial_seed(master_seed, key, t) for t in range(trials)]
 
@@ -435,15 +441,12 @@ def scaling_experiment(
     pair intersection, and 1 - s(1-(1-s)^(K-1)) T_c for the singleton set.
     """
     n_list = [_require_integer("n_list", n) for n in n_list]
-    trials = _require_integer("trials", trials)
     if len(n_list) < 4:
         raise ValueError("scaling needs at least four n values")
     if any(x >= y for x, y in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly ascending")
     if base.K < 2:
         raise ValueError("scaling needs at least two children")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     track_intersection = base.K >= 3
     cells = [
         _cell_rows(replace(base, n=n), trials, master_seed, ("match", "witness"), False)
@@ -463,7 +466,7 @@ def scaling_experiment(
     fitted_r, _ = _fit_slope(n_list, mean_singletons, "singleton R*")
     return ScalingResult(
         n_values=tuple(n_list),
-        trials=trials,
+        trials=len(cells[0]),
         mean_unmatched=mean_unmatched,
         mean_intersection=mean_intersection if track_intersection else None,
         mean_singletons=mean_singletons,

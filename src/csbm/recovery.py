@@ -42,9 +42,7 @@ Votes never include the vertex's own label.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 import warnings
 from dataclasses import dataclass
 
@@ -66,7 +64,6 @@ __all__ = [
     "PROVENANCE_INITIAL",
     "PROVENANCE_GOOD",
     "PROVENANCE_BAD",
-    "PROVENANCE_NAMES",
     "LabelEstimate",
     "almost_exact_label",
     "label_good_vertices",
@@ -78,11 +75,6 @@ __all__ = [
 PROVENANCE_INITIAL = 0
 PROVENANCE_GOOD = 1
 PROVENANCE_BAD = 2
-PROVENANCE_NAMES = {
-    PROVENANCE_INITIAL: "initial",
-    PROVENANCE_GOOD: "good-step",
-    PROVENANCE_BAD: "bad-step",
-}
 
 # Lanczos steps (one matvec each) before the init gives up, and the
 # relative residual at which its Ritz pair counts as converged.
@@ -118,20 +110,13 @@ class LabelEstimate:
         )
 
 
-def _graph_seed(g: Graph) -> int:
-    """Deterministic seed derived from the graph itself (size + edge bytes)."""
-    h = hashlib.blake2b(digest_size=8)
-    h.update(struct.pack("<q", g.n))
-    h.update(np.ascontiguousarray(g.edges).tobytes())
-    return int.from_bytes(h.digest(), "little")
-
-
 def almost_exact_label(
     g1: Graph,
     a_eff: float,
     b_eff: float,
     eps: float = 0.01,
-    seed: int | None = None,
+    *,
+    seed: int,
 ) -> LabelEstimate:
     """Label one graph almost exactly by spectral init plus one refinement.
 
@@ -140,9 +125,8 @@ def almost_exact_label(
     and ``s * b``); they choose between majority and minority refinement and
     feed the accuracy-target sanity check on ``eps``.  Half the edges (an
     independent Bernoulli split derived from ``seed``) go to the spectral
-    stage, the other half to the refinement vote.  ``seed=None`` derives a
-    seed from the graph bytes, so the labelling is still deterministic per
-    input.
+    stage, the other half to the refinement vote.  ``seed`` also draws the
+    Lanczos start vector, so the labelling is a function of its inputs.
 
     The spectral stage runs Lanczos on the centred adjacency ``M`` of the
     spectral half (``M x = A x - d (sum(x) - x)``, ``d`` its edge density)
@@ -178,8 +162,6 @@ def almost_exact_label(
                 stacklevel=2,
             )
     n = g1.n
-    if seed is None:
-        seed = _graph_seed(g1)
     provenance = np.full(n, PROVENANCE_INITIAL, dtype=np.uint8)
     hold = stream(seed, ROLE_EDGE_HOLDOUT).random(g1.edge_count) < 0.5
     assortative = a_eff >= b_eff

@@ -48,7 +48,7 @@ def connectivity_param(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class ThresholdPoint:
-    """One point of the phase diagram (``a = b`` allowed, both positive)."""
+    """One point of the phase diagram (``a = b`` allowed, both finite and positive)."""
 
     a: float
     b: float
@@ -56,8 +56,10 @@ class ThresholdPoint:
     K: int = 3
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("a and b must be positive")
+        for name in ("a", "b"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, not {value}")
         if not 0.0 <= self.s <= 1.0:
             raise ValueError("s must lie in [0, 1]")
         if self.K < 1:

@@ -13,7 +13,8 @@ its triangle index, and the balance diagnostic's per-vertex pair count,
 as they were before they were vectorised, the inverse-CDF code draw as it
 was before it counted comparisons, the union split with its own binary
 search, and the power-iteration initialisation that the Lanczos one
-replaced, with which the pins recorded before it still hold.  So is the
+replaced, with which the pins recorded before it still hold, together with
+the graph-hash seed it falls back to when it is given none.  So is the
 sampler that drew the full parent and K retention uniforms per parent edge
 before the union was drawn directly; it runs here on the pairwise-unpacking
 parent sampler above, which gives the same graph, and the pins recorded
@@ -28,8 +29,10 @@ that keeps the ground-truth permutation on the k-core of two children's
 intersection graph, which the pipeline's anchored family reproduces.
 """
 
+import hashlib
 import itertools
 import math
+import struct
 import warnings
 from collections import deque
 from typing import Sequence
@@ -60,7 +63,6 @@ from csbm.graphs import (
 from csbm.recovery import (
     PROVENANCE_INITIAL,
     LabelEstimate,
-    _graph_seed,
     _majority_labels,
 )
 from csbm.seeds import (
@@ -151,8 +153,13 @@ def map_array(fam, i: int, j: int) -> np.ndarray:
     if i == j:
         raise ValueError("i and j must differ")
     lo, hi = (i, j) if i < j else (j, i)
-    mu = fam.matchings[(lo, hi)]
-    return (mu if (i, j) == (lo, hi) else mu.inverse()).as_array(fam.n)
+    arr = fam.matchings[(lo, hi)].as_array(fam.n)
+    if (i, j) == (lo, hi):
+        return arr
+    inv = np.full(fam.n, -1, dtype=np.int64)
+    dom = np.flatnonzero(arr >= 0)
+    inv[arr[dom]] = dom
+    return inv
 
 
 def _compose_array_along_path(fam, path: tuple[int, ...]) -> np.ndarray:
@@ -382,6 +389,14 @@ def _adjacency_csr(n: int, edges: np.ndarray) -> csr_matrix:
     cols = np.concatenate([lo, hi])
     data = np.ones(len(rows), dtype=np.float64)
     return csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
+def _graph_seed(g: Graph) -> int:
+    """Deterministic seed derived from the graph itself (size + edge bytes)."""
+    h = hashlib.blake2b(digest_size=8)
+    h.update(struct.pack("<q", g.n))
+    h.update(np.ascontiguousarray(g.edges).tobytes())
+    return int.from_bytes(h.digest(), "little")
 
 
 _POWER_ITERATION_BUDGET = 200

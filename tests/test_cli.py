@@ -251,6 +251,24 @@ def test_sweep_rejects_bad_config(tmp_path, capsys, payload):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["3", "null", "true", '"abc"', "[1, 2]"])
+def test_sweep_rejects_config_that_is_not_an_object(tmp_path, capsys, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert run_cli("sweep", "--config", config) == 1
+    assert "error: config must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+@pytest.mark.parametrize("command", ["recover", "match", "witness"])
+def test_trial_commands_reject_fewer_than_one_trial(capsys, command, trials):
+    code = run_cli(command, "--n", 100, "--a", 9.0, "--b", 1.0, "--s", 0.4, "--trials", trials)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "error: trials must be at least 1" in captured.err
+    assert captured.out == ""
+
+
 def test_scaling_prints_fits_and_writes_row(tmp_path, capsys):
     out = tmp_path / "scaling.csv"
     assert run_cli(

@@ -45,6 +45,23 @@ def test_params_validation():
     assert Params(n=10.0, a=1.0, b=1.0, s=0.5, K=np.int64(2)).K == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("a", math.nan), ("a", math.inf), ("b", math.nan), ("b", -math.inf), ("eps", math.nan)],
+)
+def test_params_rejects_non_finite_coefficients(field, value):
+    # NaN fails every comparison, so a check written as "x < 0" lets it in.
+    with pytest.raises(ValueError, match=f"^{field} "):
+        Params(**{"n": 10, "a": 1.0, "b": 1.0, "s": 0.5, field: value})
+
+
+def test_params_rejects_more_than_64_children():
+    # Retention codes hold one bit per child in at most 64 bits.
+    assert Params(n=10, a=1.0, b=1.0, s=0.5, K=64).K == 64
+    with pytest.raises(ValueError, match="64 children"):
+        Params(n=10, a=1.0, b=1.0, s=0.5, K=65)
+
+
 def test_params_rejects_probabilities_above_one():
     # p = a ln(n)/n = 10 ln(3)/3 > 1 must be a hard error, not a clamp.
     with pytest.raises(ValueError):
@@ -391,8 +408,9 @@ def test_instance_rejects_malformed_edge_codes(case):
 
 
 def test_instance_rejects_more_than_64_children():
-    params = dataclasses.replace(instance_fields()["params"], K=65)
+    # Params itself refuses K = 65, so no instance can be built with it.
     with pytest.raises(ValueError, match="64 children"):
+        params = dataclasses.replace(instance_fields()["params"], K=65)
         CorrelatedInstance(**instance_fields(params=params))
 
 

@@ -15,6 +15,7 @@ from csbm.generate import Params, sample_instance
 from csbm.harness import (
     AGGREGATE_COLUMNS,
     SweepConfig,
+    cell_seeds,
     cells_csv,
     format_csv,
     region_grid_export,
@@ -318,6 +319,21 @@ def test_config_normalises_and_validates():
         base_config(a_values=(-3.0,))
     with pytest.raises(ValueError):
         base_config(experiments=("scaling",), n_values=(100, 200, 300))
+
+
+def test_config_rejects_more_than_64_children():
+    # Refused when the config is built, before any K = 3 cell runs.
+    with pytest.raises(ValueError, match="64 children"):
+        base_config(K_values=(3, 65))
+
+
+def test_cell_seeds_take_a_whole_count_of_at_least_one():
+    params = Params(n=100, a=6.0, b=2.0, s=0.35, K=3, k=1)
+    assert cell_seeds(params, 2.0, 5) == cell_seeds(params, 2, 5)
+    assert len(cell_seeds(params, 2, 5)) == 2
+    for trials in (0, -1, 1.5):
+        with pytest.raises(ValueError, match="trials"):
+            cell_seeds(params, trials, 5)
 
 
 def test_config_json_round_trip():

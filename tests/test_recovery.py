@@ -89,22 +89,18 @@ def test_init_empty_graph_degrades():
 def test_init_validates_inputs():
     g, _ = two_cliques(4)
     with pytest.raises(ValueError):
-        almost_exact_label(g, -1.0, 0.5)
+        almost_exact_label(g, -1.0, 0.5, seed=0)
     with pytest.raises(ValueError):
-        almost_exact_label(g, 1.0, 0.5, eps=0.0)
+        almost_exact_label(g, 1.0, 0.5, eps=0.0, seed=0)
+    # The seed is required: the labelling is drawn from the trial's seed.
+    with pytest.raises(TypeError):
+        almost_exact_label(g, 4.0, 0.0)
 
 
 def test_init_warns_on_loose_eps():
     g, _ = two_cliques(4)
     with pytest.warns(UserWarning):
         almost_exact_label(g, 7.2, 0.8, eps=0.3, seed=0)
-
-
-def test_init_is_deterministic_without_seed():
-    g, _ = two_cliques(6)
-    a = almost_exact_label(g, 4.0, 0.0)
-    b = almost_exact_label(g, 4.0, 0.0)
-    assert np.array_equal(a.labels, b.labels)
 
 
 def test_init_accuracy_at_reference_point():

@@ -43,6 +43,17 @@ def test_threshold_point_validation():
         ThresholdPoint(a=1.0, b=1.0, s=0.5, K=0)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("a", math.nan), ("a", math.inf), ("b", math.nan), ("b", math.inf)]
+)
+def test_threshold_point_rejects_non_finite_coefficients(field, value):
+    point = {"a": 9.0, "b": 1.0, "s": 0.4, field: value}
+    with pytest.raises(ValueError, match=f"^{field} "):
+        ThresholdPoint(**point)
+    with pytest.raises(ValueError, match=f"^{field} "):
+        classify_region(**point)
+
+
 def test_condition_values_at_reference_point():
     cs = condition_set(ThresholdPoint(a=9.0, b=1.0, s=0.4, K=3))
     assert cs.single.value == pytest.approx(0.8, abs=1e-12)
