@@ -6,23 +6,12 @@ from the aligned union, and maps the parameter regions where each step is
 information-theoretically possible.
 """
 
-from .generate import (
-    BalanceReport,
-    CorrelatedInstance,
-    Params,
-    balance_diagnostic,
-    sample_instance,
-    sample_instance_partition,
-    sample_parent,
-    split_union_graph,
-    union_split_weights,
-)
+from .generate import CorrelatedInstance, Params, sample_instance
 from .graphs import (
     Graph,
     PartialMatching,
     intersection_graph,
     k_core,
-    read_edge_list,
     write_edge_list,
 )
 from .harness import (
@@ -35,7 +24,7 @@ from .harness import (
     scaling_experiment,
     sweep,
 )
-from .impossibility import SingletonReport, map_failure_witness, singleton_sets
+from .impossibility import SingletonReport, map_failure_witness
 from .matching import (
     MatchingEstimate,
     MatchingFamily,
@@ -66,7 +55,6 @@ from .thresholds import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BalanceReport",
     "Condition",
     "ConditionSet",
     "CorrelatedInstance",
@@ -86,7 +74,6 @@ __all__ = [
     "VertexClass",
     "all_pairwise_matchings",
     "almost_exact_label",
-    "balance_diagnostic",
     "chernoff_hellinger",
     "classify_good_bad",
     "classify_region",
@@ -100,16 +87,10 @@ __all__ = [
     "label_good_vertices",
     "map_failure_witness",
     "overlap",
-    "read_edge_list",
     "region_grid_export",
     "run_trial",
     "sample_instance",
-    "sample_instance_partition",
-    "sample_parent",
     "scaling_experiment",
-    "singleton_sets",
-    "split_union_graph",
     "sweep",
-    "union_split_weights",
     "write_edge_list",
 ]

@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .generate import Params, sample_instance, sample_instance_partition
+from .generate import Params, sample_instance
 from .graphs import write_edge_list
 from .harness import (
     SCALING_COLUMNS,
@@ -65,8 +65,7 @@ def _params_from(args: argparse.Namespace) -> Params:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    sampler = sample_instance_partition if args.partition else sample_instance
-    inst = sampler(params, args.seed)
+    inst = sample_instance(params, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_edge_list(inst.parent, out / "parent.edges")
@@ -88,7 +87,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         "k": params.k,
         "eps": params.eps,
         "seed": args.seed,
-        "construction": "partition" if args.partition else "subsample",
         "parent_edges": inst.parent.edge_count,
         "child_edges": [c.edge_count for c in inst.children],
     }
@@ -251,11 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_arguments(gen)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument(
-        "--partition",
-        action="store_true",
-        help="use the pair-class construction (records classes for balance checks)",
-    )
     gen.set_defaults(func=_cmd_gen)
 
     recover = sub.add_parser("recover", help="run recovery trials at one parameter point")

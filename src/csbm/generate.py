@@ -23,21 +23,12 @@ alone, all K children, and the union edges as endpoint columns.  The trial
 pipeline works in anchor labels, where each child is a subset of the
 union's sorted edges, so it builds only the anchor as a graph.
 
-Two equivalent constructions are provided.  :func:`sample_instance` draws
-the union directly: a pair is a union edge with probability ``p f`` inside
-a community and ``q f`` across, ``f = 1 - (1 - s)^K``, independently per
-pair, so the union is itself a block model, and each of its edges then gets
-a code from the conditional law of a non-zero code (the union construction
-of Gaudio, Rácz and Sridhar, COLT 2022).  :func:`sample_instance_partition`
-instead samples the full parent, classifies every vertex *pair* into one of
-``2**K`` presence patterns up front and keeps the parent edges of a
-non-zero class; this is distributionally the same but independent of the
-union law, and makes the pair classes available afterwards, which the
-balance diagnostic needs.
-
-The module also contains the reverse direction used by resampling tests:
-:func:`split_union_graph` consumes a realised union graph and splits its
-edges into children with the same non-zero code draw.
+The sampler, :func:`sample_instance`, draws the union directly: a pair
+is a union edge with probability ``p f`` inside a community and ``q f``
+across, ``f = 1 - (1 - s)^K``, independently per pair, so the union is
+itself a block model, and each of its edges then gets a code from the
+conditional law of a non-zero code (the union construction of Gaudio,
+Rácz and Sridhar, COLT 2022).
 """
 
 from __future__ import annotations
@@ -52,36 +43,21 @@ import numpy as np
 from .graphs import Graph, _image_keys, _require_integer
 from .seeds import (
     ROLE_LABELS,
-    ROLE_PAIR_CLASSES,
     ROLE_PARENT_EDGES,
     ROLE_PERMUTATIONS,
     ROLE_SUBSAMPLE,
-    ROLE_UNION_SPLIT,
     stream,
 )
 
 __all__ = [
     "Params",
     "CorrelatedInstance",
-    "sample_parent",
     "sample_instance",
-    "sample_instance_partition",
-    "union_split_weights",
-    "split_union_graph",
-    "BalanceReport",
-    "balance_diagnostic",
 ]
 
-# Largest n for which the pair-class construction is allowed; it stores one
-# byte per vertex pair, so this caps the record at ~200 MB.
-_PARTITION_MAX_N = 20_000
-
-# Chunk sizes for O(n^2) pair scans, chosen to bound transient allocations.
+# Most draws held at once by the edge and code samplers, chosen to bound
+# transient allocations.
 _PAIR_CHUNK = 1 << 23
-
-# Pairs per chunk of the balance count: its int64 temporaries then stay in
-# cache (1 << 19 ran about twice as fast as 1 << 23 at n = 10^4).
-_COUNT_CHUNK = 1 << 19
 
 # Bits per group of a wide presence code; codes up to this wide are drawn
 # from one table of all their non-zero values.
@@ -140,45 +116,14 @@ class Params:
         """Inter-community edge probability."""
         return self.b * math.log(self.n) / self.n if self.n > 1 else 0.0
 
-    @classmethod
-    def from_edge_probs(
-        cls,
-        n: int,
-        p: float,
-        q: float,
-        s: float,
-        K: int = 3,
-        k: int = 13,
-        eps: float = 0.01,
-    ) -> "Params":
-        """Build Params from raw edge probabilities instead of coefficients.
-
-        The coefficients are chosen so the derived ``p``/``q`` round-trip to
-        the requested values; a one-ulp downward nudge compensates when the
-        division/multiplication pair rounds up past the original.
-        """
-        if n < 2:
-            raise ValueError("n must be at least 2 to invert the scaling")
-        if not 0.0 <= p <= 1.0 or not 0.0 <= q <= 1.0:
-            raise ValueError("p and q must lie in [0, 1]")
-        scale = n / math.log(n)
-
-        def coeff(prob: float) -> float:
-            c = prob * scale
-            while c > 0 and c * math.log(n) / n > prob:
-                c = math.nextafter(c, 0.0)
-            return c
-
-        return cls(n=n, a=coeff(p), b=coeff(q), s=s, K=K, k=k, eps=eps)
-
 
 @dataclass(eq=False)
 class CorrelatedInstance:
     """One sampled instance: the union graph, ground truth, and the K children.
 
-    ``parent`` is the union of the children in anchor labels: both samplers
-    store only the pairs some child keeps.  ``edge_codes`` has one integer
-    per edge of ``parent`` (aligned with ``parent.edges``), bit ``j`` set
+    ``parent`` is the union of the children in anchor labels: it holds
+    only the pairs some child keeps.  ``edge_codes`` has one integer per
+    edge of ``parent`` (aligned with ``parent.edges``), bit ``j`` set
     when child ``j`` keeps the edge; it is the one record of which edge
     each child keeps, stored read-only in the narrowest unsigned dtype with
     K bits (``uint8`` for K <= 8).  Every view of the children is derived
@@ -191,10 +136,6 @@ class CorrelatedInstance:
     labels (``pi_star[0]`` is the identity).  The stages that read edges in
     anchor labels read :attr:`union_edges`, the edges kept by some child.
     Instances compare by identity.
-    ``pair_classes`` is only present when the instance came from the
-    partition construction: a condensed ``uint8`` vector over all vertex
-    pairs in lexicographic order, each entry the pattern code of that pair
-    (bit ``j`` set = present in child ``j`` if the pair is a parent edge).
 
     Construction rejects K > 64, ``edge_codes`` not shaped
     ``(parent.edge_count,)`` or holding anything but integers in
@@ -209,7 +150,6 @@ class CorrelatedInstance:
     sigma_star: np.ndarray
     pi_star: list[np.ndarray]
     edge_codes: np.ndarray
-    pair_classes: np.ndarray | None = None
 
     def __post_init__(self):
         n, K = self.params.n, self.params.K
@@ -406,23 +346,6 @@ def _block_model_keys(
     return keys
 
 
-def _draw_labels(n: int, seed: int) -> np.ndarray:
-    return (stream(seed, ROLE_LABELS).integers(0, 2, size=n) * 2 - 1).astype(np.int8)
-
-
-def sample_parent(params: Params, seed: int) -> tuple[Graph, np.ndarray]:
-    """Draw the parent graph and ground-truth labels.
-
-    Returns ``(graph, sigma)`` with ``sigma`` an int8 vector of ±1.  Labels
-    and edges come from separate seed roles, so the parent edge set is a
-    deterministic function of ``(seed, labels)``.
-    """
-    n = params.n
-    sigma = _draw_labels(n, seed)
-    keys = _block_model_keys(n, sigma, stream(seed, ROLE_PARENT_EDGES), params.p, params.q)
-    return Graph._from_keys(n, keys), sigma
-
-
 def _draw_permutations(n: int, K: int, seed: int) -> list[np.ndarray]:
     rng = stream(seed, ROLE_PERMUTATIONS)
     perms = [np.arange(n, dtype=np.int64)]
@@ -434,16 +357,16 @@ def _draw_permutations(n: int, K: int, seed: int) -> list[np.ndarray]:
 def sample_instance(params: Params, seed: int) -> CorrelatedInstance:
     """Sample an instance union-first: the union graph, then one code per union edge.
 
-    The labels are drawn as in :func:`sample_parent`.  A pair is then an
+    Labels and edges come from separate seed roles.  A pair is an
     edge of some child with probability ``p f`` inside a community and
     ``q f`` across, ``f = 1 - (1 - s)^K``, so the union is drawn as a block
     model at those rates, from the parent-edge stream.  Each union edge then
     gets a non-zero presence code from its conditional law, from the
-    subsample stream.  The permutations are drawn as in the partition
-    construction.  No pair that no child keeps is ever drawn.
+    subsample stream, and the permutations from their own.  No pair that
+    no child keeps is ever drawn.
     """
     n, K = params.n, params.K
-    sigma = _draw_labels(n, seed)
+    sigma = (stream(seed, ROLE_LABELS).integers(0, 2, size=n) * 2 - 1).astype(np.int8)
     f = 1.0 - (1.0 - params.s) ** K
     rng = stream(seed, ROLE_PARENT_EDGES)
     keys = _block_model_keys(n, sigma, rng, params.p * f, params.q * f)
@@ -535,194 +458,3 @@ def _draw_nonzero_codes(rng: np.random.Generator, count: int, s: float, K: int) 
             group += dtype.type(offset)
             codes[rows] |= group << shift
     return codes
-
-
-def _pair_index(n: int, edges: np.ndarray) -> np.ndarray:
-    """Lexicographic pair index of each canonical edge (u < v)."""
-    u = edges[:, 0].astype(np.int64)
-    v = edges[:, 1].astype(np.int64)
-    return u * n - u * (u + 1) // 2 + (v - u - 1)
-
-
-def sample_instance_partition(params: Params, seed: int) -> CorrelatedInstance:
-    """Sample an instance by classifying every vertex pair up front.
-
-    Each of the ``n (n-1) / 2`` vertex pairs independently receives a pattern
-    code in ``{0, ..., 2^K - 1}`` with probability ``s^w (1-s)^(K-w)`` for a
-    code of popcount ``w``; a pair is then an edge of child ``j`` exactly
-    when it is a parent edge and bit ``j`` of its code is set.  The full
-    parent is sampled, and the instance keeps its edges of non-zero class,
-    the union of the children.  In law this matches :func:`sample_instance`
-    (same label and permutation streams), and the full class vector is kept
-    on the instance for the balance diagnostic.
-
-    Memory is quadratic in ``n``; instances above n=20000 are refused.
-    """
-    if params.n > _PARTITION_MAX_N:
-        raise ValueError(
-            f"partition construction stores all vertex pairs; n={params.n} "
-            f"exceeds the supported maximum {_PARTITION_MAX_N}"
-        )
-    if params.K > 8:
-        raise ValueError("partition construction stores codes as uint8; K must be <= 8")
-    parent, sigma = sample_parent(params, seed)
-    n = params.n
-    n_pairs = n * (n - 1) // 2
-    weights = _pattern_weights(params.s, params.K)
-    classes = _draw_codes(stream(seed, ROLE_PAIR_CLASSES), n_pairs, weights)
-    # A pair's class is its retention code once the pair is a parent edge.
-    codes = classes[_pair_index(n, parent.edges)]
-    kept = np.flatnonzero(codes)
-    return CorrelatedInstance(
-        params=params,
-        seed=seed,
-        parent=Graph._from_keys(n, parent.packed_keys()[kept]),
-        sigma_star=sigma,
-        pi_star=_draw_permutations(n, params.K, seed),
-        edge_codes=codes[kept],
-        pair_classes=classes,
-    )
-
-
-def union_split_weights(s: float, num_children: int) -> dict[tuple[int, ...], float]:
-    """Conditional presence-pattern law of a union edge over its children.
-
-    Given that an edge appears in at least one of ``num_children`` children,
-    pattern ``t`` (a non-zero 0/1 tuple) has probability
-    ``s^w (1-s)^(c-w) / (1 - (1-s)^c)`` where ``w`` is the pattern weight.
-    """
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must lie strictly between 0 and 1")
-    if num_children < 1:
-        raise ValueError("num_children must be at least 1")
-    return {
-        tuple((code >> j) & 1 for j in range(num_children)): weight
-        for code, weight in enumerate(_nonzero_weights(s, num_children), start=1)
-    }
-
-
-def split_union_graph(h: Graph, s: float, K: int, seed: int) -> list[Graph]:
-    """Split a realised union graph back into ``K - 1`` children.
-
-    Models ``h`` as the union of children ``2..K`` of a correlated family
-    (all in the same labelling): every edge of ``h`` independently receives
-    a non-zero presence pattern from :func:`union_split_weights`, drawn as
-    :func:`sample_instance` draws its codes, and is copied into the
-    children whose bits are set.  With ``K = 2`` the single child equals
-    ``h``.
-    """
-    if K < 2:
-        raise ValueError("K must be at least 2 (h is a union of K-1 children)")
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must lie strictly between 0 and 1")
-    codes = _draw_nonzero_codes(stream(seed, ROLE_UNION_SPLIT), h.edge_count, s, K - 1)
-    return [
-        Graph._from_keys(h.n, h.packed_keys()[(codes >> j) & 1 == 1]) for j in range(K - 1)
-    ]
-
-
-@dataclass
-class BalanceReport:
-    """Outcome of the balance diagnostic.
-
-    ``examples`` holds at most 20 violating window checks as tuples
-    ``(vertex, class_code, side, count, lo, hi)`` where ``side`` is
-    ``"same"`` or ``"opp"`` relative to the vertex's own community.
-    """
-
-    passed: bool
-    community_ok: bool
-    community_sizes: tuple[int, int]
-    violation_count: int
-    examples: list[tuple[int, int, str, int, float, float]]
-
-
-def _pair_class_counts(
-    classes: np.ndarray, sigma: np.ndarray, n: int, num_classes: int
-) -> np.ndarray:
-    """Per-vertex pair counts by (class code, same/opposite community).
-
-    Returns an ``(n, num_classes, 2)`` int64 array; index 1 of the last axis
-    counts pairs whose other endpoint lies in the same community.  Rows of
-    the pair triangle are taken in chunks of at most ``_COUNT_CHUNK`` pairs
-    (one row at least); pair ``p`` of row ``r`` has column
-    ``p - starts[r] + r + 1``.
-    """
-    width = num_classes * 2
-    acc = np.zeros(n * width, dtype=np.int64)
-    side = (sigma > 0).astype(np.int8)
-    starts = _tri_row_starts(n)
-    i = 0
-    while i < n - 1:
-        j = int(np.searchsorted(starts, starts[i] + _COUNT_CHUNK, side="right")) - 1
-        j = min(max(j, i + 1), n - 1)
-        rows = np.arange(i, j)
-        lengths = n - 1 - rows
-        cols = np.arange(starts[i], starts[j]) - np.repeat(starts[i:j] - rows - 1, lengths)
-        cell = classes[starts[i] : starts[j]] * np.int64(2)
-        cell += np.repeat(side[rows], lengths) == side[cols]
-        keys = np.repeat(rows * width, lengths)
-        keys += cell
-        acc += np.bincount(keys, minlength=n * width)
-        cols *= width
-        cols += cell
-        acc += np.bincount(cols, minlength=n * width)
-        i = j
-    return acc.reshape(n, num_classes, 2)
-
-
-def balance_diagnostic(inst: CorrelatedInstance) -> tuple[bool, BalanceReport]:
-    """Check the regularity event used by the exact-recovery analysis.
-
-    Requires an instance from :func:`sample_instance_partition` (the pair
-    classes must be recorded).  The event holds when (i) both community
-    sizes lie within ``n/2 ± n^(3/4)`` and (ii) for every vertex ``i``,
-    every pattern class ``c`` and both community sides, the number of pairs
-    ``{i, j}`` of class ``c`` with ``j`` on that side lies within
-    ``w_c (|side| ± n^(3/4))``, where ``w_c`` is the class probability.
-    """
-    if inst.pair_classes is None:
-        raise ValueError(
-            "balance diagnostic needs the pair-class record; "
-            "use sample_instance_partition"
-        )
-    n = inst.n
-    num_classes = 1 << inst.K
-    sigma = inst.sigma_star
-    hw = n**0.75
-    n_plus = int((sigma > 0).sum())
-    n_minus = n - n_plus
-    community_ok = (
-        n / 2 - hw <= n_plus <= n / 2 + hw and n / 2 - hw <= n_minus <= n / 2 + hw
-    )
-    counts = _pair_class_counts(inst.pair_classes, sigma, n, num_classes)
-    weights = _pattern_weights(inst.params.s, inst.K)
-    size_same = np.where(sigma > 0, n_plus, n_minus).astype(np.float64)
-    size_opp = np.where(sigma > 0, n_minus, n_plus).astype(np.float64)
-    examples: list[tuple[int, int, str, int, float, float]] = []
-    violations = 0
-    for side_flag, side_name, sizes in (
-        (1, "same", size_same),
-        (0, "opp", size_opp),
-    ):
-        lo = weights[None, :] * (sizes[:, None] - hw)
-        hi = weights[None, :] * (sizes[:, None] + hw)
-        got = counts[:, :, side_flag].astype(np.float64)
-        bad = (got < lo) | (got > hi)
-        violations += int(bad.sum())
-        if len(examples) < 20 and bad.any():
-            for v, c in zip(*np.nonzero(bad)):
-                examples.append(
-                    (int(v), int(c), side_name, int(got[v, c]), float(lo[v, c]), float(hi[v, c]))
-                )
-                if len(examples) >= 20:
-                    break
-    passed = community_ok and violations == 0
-    report = BalanceReport(
-        passed=passed,
-        community_ok=community_ok,
-        community_sizes=(n_plus, n_minus),
-        violation_count=violations,
-        examples=examples,
-    )
-    return passed, report

@@ -31,7 +31,6 @@ __all__ = [
     "k_core",
     "intersection_graph",
     "write_edge_list",
-    "read_edge_list",
 ]
 
 # Largest n with n * n < 2**63, so every packed key fits in an int64.
@@ -447,22 +446,3 @@ def write_edge_list(g: Graph, path) -> None:
     lines.extend(f"{u} {v}\n" for u, v in g.edges.tolist())
     with open(path, "w", encoding="ascii") as fh:
         fh.write("".join(lines))
-
-
-def read_edge_list(path) -> Graph:
-    """Inverse of :func:`write_edge_list`."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError("edge-list header must be '<n> <m>'")
-        n, m = int(header[0]), int(header[1])
-        edges = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            u, v = line.split()
-            edges.append((int(u), int(v)))
-    if len(edges) != m:
-        raise ValueError(f"edge count mismatch: header says {m}, found {len(edges)}")
-    return Graph(n, edges)

@@ -28,24 +28,22 @@ from .graphs import _neighbour_sums
 
 __all__ = [
     "SingletonReport",
-    "singleton_sets",
     "map_failure_witness",
 ]
 
 
 @dataclass(frozen=True)
 class SingletonReport:
-    """Singleton sets plus (optionally) majorities and the witness verdict.
+    """Singleton sets, majorities over ``S*`` and the witness verdict.
 
-    ``maj`` and ``witness_found`` are None when not computed:
-    :func:`singleton_sets` fills only the two sets, and the witness verdict
-    stays None when ``a = b`` (no defined direction).  ``witness_pair`` is
-    the crossing pair (plus-side vertex, minus-side vertex) when found.
+    ``witness_found`` stays None when ``a = b`` (no defined direction).
+    ``witness_pair`` is the crossing pair (plus-side vertex, minus-side
+    vertex) when found.
     """
 
     r_star: frozenset[int]
     s_star: frozenset[int]
-    maj: dict[int, int] | None = None
+    maj: dict[int, int]
     witness_found: bool | None = None
     witness_pair: tuple[int, int] | None = None
 
@@ -75,23 +73,6 @@ def _singletons(inst: CorrelatedInstance):
         n, v, in_g1 & r_mask[v] & barred[u]
     )
     return r_mask, r_mask & ~excluded, u, v, in_g1
-
-
-def singleton_sets(inst: CorrelatedInstance) -> SingletonReport:
-    """Compute ``R*`` and ``S*`` for one instance (K >= 2).
-
-    ``R*``: vertices with no child-1 edge that survives into the union of
-    the other children.  ``S*``: vertices of ``R*`` with no child-1
-    neighbour inside ``R*`` or inside the union's neighbourhood of ``R*``.
-    In anchor labels both graphs are sets of union edges: child 1 holds
-    the edges whose retention code has bit 0, the union those with any
-    higher bit.
-    """
-    r_mask, s_mask, _, _, _ = _singletons(inst)
-    return SingletonReport(
-        r_star=frozenset(np.flatnonzero(r_mask).tolist()),
-        s_star=frozenset(np.flatnonzero(s_mask).tolist()),
-    )
 
 
 def map_failure_witness(inst: CorrelatedInstance) -> SingletonReport:

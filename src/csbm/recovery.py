@@ -58,7 +58,7 @@ from .matching import (
     classify_good_bad,
 )
 from .seeds import ROLE_EDGE_HOLDOUT, ROLE_INIT_VECTOR, stream
-from .thresholds import chernoff_hellinger
+from .thresholds import _require_coefficients, chernoff_hellinger
 
 __all__ = [
     "PROVENANCE_INITIAL",
@@ -147,10 +147,9 @@ def almost_exact_label(
     the Ritz pair converges: a numerical failure, told apart from a
     labelling that converged and is simply wrong.
     """
-    if a_eff < 0 or b_eff < 0:
-        raise ValueError("a_eff and b_eff must be non-negative")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _require_coefficients(a_eff, b_eff)
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be finite and positive, not {eps}")
     if a_eff > 0 and b_eff > 0 and a_eff != b_eff:
         bound = chernoff_hellinger(a_eff, b_eff) / (
             4.0 * abs(math.log(a_eff / b_eff))

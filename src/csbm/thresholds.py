@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .graphs import _require_integer
+
 __all__ = [
     "chernoff_hellinger",
     "connectivity_param",
@@ -32,23 +34,31 @@ __all__ = [
 ]
 
 
+def _require_coefficients(a: float, b: float) -> None:
+    # Written so that NaN, which fails every comparison, fails the check.
+    if not (a >= 0 and b >= 0 and math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"a and b must be finite and non-negative, not {a} and {b}")
+
+
 def chernoff_hellinger(a: float, b: float) -> float:
     """Divergence ``(sqrt(a) - sqrt(b))^2 / 2`` governing exact recovery."""
-    if a < 0 or b < 0:
-        raise ValueError("a and b must be non-negative")
+    _require_coefficients(a, b)
     return (math.sqrt(a) - math.sqrt(b)) ** 2 / 2.0
 
 
 def connectivity_param(a: float, b: float) -> float:
     """Average-degree coefficient ``(a + b) / 2`` governing matching."""
-    if a < 0 or b < 0:
-        raise ValueError("a and b must be non-negative")
+    _require_coefficients(a, b)
     return (a + b) / 2.0
 
 
 @dataclass(frozen=True)
 class ThresholdPoint:
-    """One point of the phase diagram (``a = b`` allowed, both finite and positive)."""
+    """One point of the phase diagram (``a = b`` allowed, both finite and positive).
+
+    ``K`` must be a whole number; one given as a float, such as 3.0, is
+    stored as the int.
+    """
 
     a: float
     b: float
@@ -62,6 +72,7 @@ class ThresholdPoint:
                 raise ValueError(f"{name} must be finite and positive, not {value}")
         if not 0.0 <= self.s <= 1.0:
             raise ValueError("s must lie in [0, 1]")
+        object.__setattr__(self, "K", _require_integer("K", self.K))
         if self.K < 1:
             raise ValueError("K must be at least 1")
 

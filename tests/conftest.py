@@ -1,4 +1,5 @@
-"""Shared test helpers: brute-force oracles, tiny random graphs and retention codes.
+"""Shared test helpers: brute-force oracles, tiny random graphs, retention codes
+and an edge-list reader.
 
 The oracles here are written independently of the library code paths they
 check, on purpose: ``kcore_oracle`` enumerates every vertex subset instead
@@ -8,6 +9,8 @@ the pins recorded before the Lanczos one still describe, and the
 ``retained_sampler`` fixture on the retention-draw sampler that the pins
 recorded before the union-first one describe.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,3 +86,12 @@ def retention_codes(parent: Graph, children) -> np.ndarray:
     for j, g in enumerate(children):
         codes |= g.contains_edges(parent.edges).astype(np.int64) << j
     return codes
+
+
+def read_edge_list(path) -> Graph:
+    """The graph in a file of ``write_edge_list``: an ``n m`` line, then ``m`` ``u v`` lines."""
+    header, *lines = Path(path).read_text(encoding="ascii").splitlines()
+    n, m = (int(x) for x in header.split())
+    edges = [tuple(int(x) for x in line.split()) for line in lines]
+    assert len(edges) == m
+    return Graph(n, edges)

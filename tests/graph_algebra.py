@@ -9,12 +9,14 @@ metagraph's pairs, a family's matchings as dense arrays, and the walk that
 composes them; and the good/bad split as frozensets plus a per-bad-vertex
 dict of bipartitions, from each vertex's own matched pairs, grouped one
 vertex at a time.  So are the parent sampler that unpacked each pair from
-its triangle index, and the balance diagnostic's per-vertex pair count,
-as they were before they were vectorised, the inverse-CDF code draw as it
-was before it counted comparisons, the union split with its own binary
-search, and the power-iteration initialisation that the Lanczos one
-replaced, with which the pins recorded before it still hold, together with
-the graph-hash seed it falls back to when it is given none.  So is the
+its triangle index, and the per-vertex pair count of the balance
+diagnostic in ``reference``, as they were before they were vectorised, the
+inverse-CDF code draw as it was before it counted comparisons, the union
+split with its own binary search over the law ``reference`` gives, which
+is the resampler acceptance criterion 4 checks the sampler against, and
+the power-iteration initialisation that the Lanczos one replaced, with
+which the pins recorded before it still hold, together with the
+graph-hash seed it falls back to when it is given none.  So is the
 sampler that drew the full parent and K retention uniforms per parent edge
 before the union was drawn directly; it runs here on the pairwise-unpacking
 parent sampler above, which gives the same graph, and the pins recorded
@@ -38,6 +40,7 @@ from collections import deque
 from typing import Sequence
 
 import numpy as np
+from reference import union_split_weights
 from scipy.sparse import csr_matrix
 
 from csbm.generate import (
@@ -48,7 +51,6 @@ from csbm.generate import (
     _code_dtype,
     _draw_permutations,
     _tri_row_starts,
-    union_split_weights,
 )
 from csbm.graphs import (
     Graph,

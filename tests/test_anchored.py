@@ -28,7 +28,7 @@ from graph_algebra import (
 
 from csbm.generate import Params, sample_instance
 from csbm.graphs import _member
-from csbm.impossibility import singleton_sets
+from csbm.impossibility import map_failure_witness
 from csbm.matching import (
     MatchingEstimate,
     all_pairwise_matchings,
@@ -312,5 +312,5 @@ def reference_singleton_sets(inst):
 @pytest.mark.parametrize("n, s, K", GRID)
 def test_singleton_sets_match_pulled_back_union(n, s, K):
     for inst, _, _ in instances(n, s, K):
-        report = singleton_sets(inst)
+        report = map_failure_witness(inst)
         assert (report.r_star, report.s_star) == reference_singleton_sets(inst)

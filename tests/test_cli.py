@@ -4,10 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from conftest import read_edge_list
 
 from csbm.cli import main
 from csbm.generate import Params, sample_instance
-from csbm.graphs import read_edge_list
 from csbm.harness import SweepConfig, run_trial, sweep, trials_csv
 from csbm.seeds import cell_key, trial_seed
 
@@ -47,20 +47,12 @@ def test_gen_writes_instance_directory(tmp_path, capsys):
     assert np.array_equal(np.array(pi2), inst.pi_star[1])
 
     meta = json.loads((out / "meta.json").read_text())
+    assert set(meta) == {
+        "n", "a", "b", "s", "K", "k", "eps", "seed", "parent_edges", "child_edges",
+    }
     assert meta["n"] == 80 and meta["seed"] == 5
-    assert meta["construction"] == "subsample"
     assert meta["parent_edges"] == inst.parent.edge_count
     assert meta["child_edges"] == [c.edge_count for c in inst.children]
-
-
-def test_gen_partition_construction(tmp_path):
-    out = tmp_path / "inst"
-    assert run_cli(
-        "gen", "--n", 40, "--a", 4.0, "--b", 1.0, "--s", 0.5,
-        "--seed", 0, "--out", out, "--partition",
-    ) == 0
-    meta = json.loads((out / "meta.json").read_text())
-    assert meta["construction"] == "partition"
 
 
 def test_gen_refuses_file_target(tmp_path, capsys):

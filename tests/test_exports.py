@@ -1,5 +1,5 @@
-"""Every exported name of the package resolves, it imports only what it declares,
-and nothing it runs loads scipy."""
+"""Every exported name of the package resolves and has a caller outside the tests,
+the package imports only what it declares, and nothing it runs loads scipy."""
 
 import ast
 import dataclasses
@@ -27,6 +27,26 @@ def test_every_exported_name_resolves(module):
     exported = getattr(mod, "__all__", ())
     assert [name for name in exported if not hasattr(mod, name)] == []
     assert len(set(exported)) == len(exported)
+
+
+def test_every_export_has_a_caller():
+    # An exported name must be read somewhere besides the tests: by another
+    # module of the package, a study or the benchmark.  A reference is a
+    # name, an attribute or an imported name; a docstring mentioning it is
+    # not one.
+    root = PACKAGE.parent.parent
+    paths = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    paths += [*(root / "studies").rglob("*.py"), *(root / "perfbench").rglob("*.py")]
+    referenced = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name.rpartition(".")[2])
+    assert sorted(set(csbm.__all__) - referenced) == []
 
 
 def test_no_dataclass_field_is_private():

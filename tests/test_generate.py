@@ -1,4 +1,5 @@
-"""Sampling: both constructions, the union split, and the balance check."""
+"""Sampling: the union-first sampler against the partition construction, the union
+split and the balance check of ``reference``."""
 
 import dataclasses
 import math
@@ -7,20 +8,19 @@ from collections import Counter
 import numpy as np
 import pytest
 import graph_algebra
+import reference
 from conftest import kept_by
-from graph_algebra import _pullback_union
-
-from csbm import generate
-from csbm.generate import (
-    CorrelatedInstance,
-    Params,
+from graph_algebra import _pullback_union, split_union_graph
+from reference import (
     balance_diagnostic,
-    sample_instance,
+    from_edge_probs,
+    parent_and_labels,
     sample_instance_partition,
-    sample_parent,
-    split_union_graph,
     union_split_weights,
 )
+
+from csbm import generate
+from csbm.generate import CorrelatedInstance, Params, sample_instance
 from csbm.graphs import Graph, _image_keys
 from csbm.matching import all_pairwise_matchings
 from csbm.seeds import ROLE_SUBSAMPLE, ROLE_UNION_SPLIT, stream
@@ -75,7 +75,7 @@ def test_params_edge_probabilities():
 
 
 def test_params_from_edge_probs_round_trip():
-    p = Params.from_edge_probs(n=40, p=0.7, q=0.3, s=0.4, K=3)
+    p = from_edge_probs(n=40, p=0.7, q=0.3, s=0.4, K=3)
     assert p.p == pytest.approx(0.7, abs=1e-12)
     assert p.q == pytest.approx(0.3, abs=1e-12)
     assert p.p <= 0.7
@@ -86,13 +86,13 @@ def test_params_from_edge_probs_round_trip():
 
 
 def test_parent_extremes():
-    empty, labels = sample_parent(Params(n=20, a=0.0, b=0.0, s=0.5), 0)
+    empty, labels = parent_and_labels(Params(n=20, a=0.0, b=0.0, s=0.5), 0)
     assert empty.edge_count == 0
     assert set(np.unique(labels)) <= {-1, 1}
 
     n = 10
     full_coef = n / math.log(n)  # makes p = q = 1
-    complete, _ = sample_parent(
+    complete, _ = parent_and_labels(
         Params(n=n, a=full_coef, b=full_coef, s=0.5), 1
     )
     assert complete.edge_count == n * (n - 1) // 2
@@ -101,7 +101,7 @@ def test_parent_extremes():
 def test_parent_intra_edge_frequency():
     # Empirical intra-community edge frequency within 3 standard errors.
     params = Params(n=10**4, a=18.0, b=2.0, s=0.5)
-    g, sigma = sample_parent(params, 0)
+    g, sigma = parent_and_labels(params, 0)
     n_plus = int((sigma > 0).sum())
     n_minus = params.n - n_plus
     intra_pairs = n_plus * (n_plus - 1) // 2 + n_minus * (n_minus - 1) // 2
@@ -112,16 +112,16 @@ def test_parent_intra_edge_frequency():
 
 
 def test_parent_label_law():
-    _, sigma = sample_parent(Params(n=4000, a=1.0, b=1.0, s=0.5), 3)
+    _, sigma = parent_and_labels(Params(n=4000, a=1.0, b=1.0, s=0.5), 3)
     # i.i.d. uniform signs: the sum is well within 4 sqrt(n).
     assert abs(int(sigma.sum())) < 4 * math.sqrt(4000)
 
 
 def test_parent_determinism():
     params = Params(n=200, a=5.0, b=1.0, s=0.5)
-    g1, s1 = sample_parent(params, 9)
-    g2, s2 = sample_parent(params, 9)
-    g3, s3 = sample_parent(params, 10)
+    g1, s1 = parent_and_labels(params, 9)
+    g2, s2 = parent_and_labels(params, 9)
+    g3, s3 = parent_and_labels(params, 10)
     assert g1 == g2 and np.array_equal(s1, s2)
     assert g1 != g3 or not np.array_equal(s1, s3)
 
@@ -134,16 +134,17 @@ def sampler_params():
             if n == 1 or max(a, b) * math.log(n) / n <= 1.0:
                 yield Params(n=n, a=a, b=b, s=0.5)
         if 2 <= n <= 301:
-            yield Params.from_edge_probs(n=n, p=0.999, q=0.97, s=0.5)
+            yield from_edge_probs(n=n, p=0.999, q=0.97, s=0.5)
 
 
 def test_parent_sampler_matches_pairwise_unpacking():
-    # The packed-key sampler against the one that unpacked each hit into a
-    # vertex pair and canonicalised them through Graph(n, edges).
+    # The packed-key sampler at full retention, where the union is the
+    # parent, against the one that unpacked each hit into a vertex pair and
+    # canonicalised them through Graph(n, edges).
     cases = 0
     for params in sampler_params():
         for seed in (0, 1):
-            g, sigma = sample_parent(params, seed)
+            g, sigma = parent_and_labels(params, seed)
             ref, ref_sigma = graph_algebra.sample_parent(params, seed)
             assert sigma.dtype == ref_sigma.dtype and sigma.tolist() == ref_sigma.tolist()
             assert g.n == ref.n and type(g.n) is int
@@ -256,7 +257,13 @@ def reference_child_graphs(parent, codes, perms):
     return children
 
 
-@pytest.mark.parametrize("sampler", [sample_instance, sample_instance_partition])
+def partition_instance(params, seed):
+    return sample_instance_partition(params, seed)[0]
+
+
+@pytest.mark.parametrize(
+    "sampler", [sample_instance, pytest.param(partition_instance, id="sample_instance_partition")]
+)
 @pytest.mark.parametrize("s, K", [(0.0, 2), (0.35, 1), (0.35, 3), (0.6, 5), (1.0, 4)])
 def test_derived_children_equal_eager_construction(sampler, s, K):
     for seed in range(3):
@@ -323,7 +330,7 @@ def test_union_edges_are_the_kept_parent_rows(K):
         (sample_instance, 1),
         (sample_instance, 3),
         (sample_instance, 9),
-        (sample_instance_partition, 3),
+        pytest.param(partition_instance, 3, id="sample_instance_partition-3"),
     ],
 )
 def test_samplers_store_only_union_edges(sampler, K):
@@ -481,21 +488,20 @@ def test_instance_takes_no_inverse_permutation_cache():
 
 def test_partition_records_classes():
     params = Params(n=30, a=3.0, b=1.0, s=0.5, K=3)
-    inst = sample_instance_partition(params, 5)
-    assert inst.pair_classes is not None
-    assert inst.pair_classes.shape == (30 * 29 // 2,)
+    inst, classes = sample_instance_partition(params, 5)
+    assert classes.shape == (30 * 29 // 2,)
     # Each parent edge's retention code is its recorded pair class.
     e = inst.parent.edges
     idx = e[:, 0] * 30 - e[:, 0] * (e[:, 0] + 1) // 2 + (e[:, 1] - e[:, 0] - 1)
     assert inst.edge_codes.dtype == np.uint8
-    assert np.array_equal(inst.edge_codes, inst.pair_classes[idx])
+    assert np.array_equal(inst.edge_codes, classes[idx])
 
 
 def test_partition_full_retention_uses_single_class():
-    inst = sample_instance_partition(Params(n=20, a=2.0, b=1.0, s=1.0, K=3), 1)
-    assert set(np.unique(inst.pair_classes)) == {7}
-    inst0 = sample_instance_partition(Params(n=20, a=2.0, b=1.0, s=0.0, K=3), 1)
-    assert set(np.unique(inst0.pair_classes)) == {0}
+    _, classes = sample_instance_partition(Params(n=20, a=2.0, b=1.0, s=1.0, K=3), 1)
+    assert set(np.unique(classes)) == {7}
+    _, classes0 = sample_instance_partition(Params(n=20, a=2.0, b=1.0, s=0.0, K=3), 1)
+    assert set(np.unique(classes0)) == {0}
 
 
 def test_constructions_agree_on_pair_law():
@@ -517,7 +523,7 @@ def test_constructions_agree_on_pair_law():
     draws = 4000
     subsample = Counter(observe(sample_instance(params, seed)) for seed in range(draws))
     partition = Counter(
-        observe(sample_instance_partition(params, 10**6 + seed))
+        observe(partition_instance(params, 10**6 + seed))
         for seed in range(draws)
     )
     keys = set(subsample) | set(partition)
@@ -580,17 +586,20 @@ def test_split_union_graph_degenerate_cases():
 
 @pytest.mark.parametrize("K", [2, 3, 4, 5])
 def test_split_union_graph_equals_the_binary_search_form(K):
-    # Up to four children the split draws from the table of all non-zero
-    # codes, one uniform per edge, as the binary search did.
+    # Up to four bits the sampler's non-zero code draw takes one uniform per
+    # edge from the table of all non-zero codes, as the split's binary
+    # search does.
     rng = np.random.default_rng(K)
     edges = [(u, v) for u in range(300) for v in range(u + 1, 300) if rng.random() < 0.2]
     h = Graph(300, edges)
     for seed in range(4):
-        got = split_union_graph(h, 0.3, K, seed)
-        want = graph_algebra.split_union_graph(h, 0.3, K, seed)
-        assert len(got) == len(want) == K - 1
-        for g, w in zip(got, want):
-            assert np.array_equal(g.packed_keys(), w.packed_keys())
+        codes = generate._draw_nonzero_codes(
+            stream(seed, ROLE_UNION_SPLIT), h.edge_count, 0.3, K - 1
+        )
+        want = split_union_graph(h, 0.3, K, seed)
+        assert len(want) == K - 1
+        for j, w in enumerate(want):
+            assert np.array_equal(h.packed_keys()[(codes >> j) & 1 == 1], w.packed_keys())
 
 
 # -- the non-zero code draw ---------------------------------------------------
@@ -659,16 +668,6 @@ def test_edge_codes_are_one_nonzero_draw_per_union_edge():
         assert inst.edge_codes.tolist() == want.tolist()
 
 
-def test_split_union_graph_uses_the_nonzero_code_draw():
-    rng = np.random.default_rng(11)
-    edges = [(u, v) for u in range(200) for v in range(u + 1, 200) if rng.random() < 0.2]
-    h = Graph(200, edges)
-    codes = generate._draw_nonzero_codes(stream(3, ROLE_UNION_SPLIT), h.edge_count, 0.3, 10)
-    parts = split_union_graph(h, 0.3, 11, 3)
-    for j, part in enumerate(parts):
-        assert np.array_equal(part.packed_keys(), h.packed_keys()[(codes >> j) & 1 == 1])
-
-
 def test_union_edge_counts_match_the_union_rates():
     # A pair is a union edge w.p. p f inside a community and q f across.
     params = Params(n=2000, a=18.0, b=2.0, s=0.3, K=3)
@@ -700,19 +699,13 @@ def test_union_first_sampler_keeps_labels_and_permutations(K):
 # -- balance diagnostic -------------------------------------------------------
 
 
-def test_balance_requires_partition_record():
-    inst = sample_instance(Params(n=20, a=2.0, b=1.0, s=0.5, K=3), 0)
-    with pytest.raises(ValueError):
-        balance_diagnostic(inst)
-
-
 def test_balance_small_instance_passes():
     # Four vertices, split labels, retention small enough that every pair
     # falls in the all-absent class whose window is wide.
     params = Params(n=4, a=0.5, b=0.5, s=0.1, K=3, k=1)
-    inst = sample_instance_partition(params, 18)
+    inst, classes = sample_instance_partition(params, 18)
     assert sorted(inst.sigma_star.tolist()) == [-1, -1, 1, 1]
-    ok, report = balance_diagnostic(inst)
+    ok, report = balance_diagnostic(inst, classes)
     assert ok
     assert report.passed and report.community_ok
     assert report.violation_count == 0
@@ -720,11 +713,11 @@ def test_balance_small_instance_passes():
 
 def test_balance_detects_unbalanced_communities():
     params = Params(n=100, a=0.0, b=0.0, s=0.5, K=3)
-    inst = sample_instance_partition(params, 0)
+    inst, classes = sample_instance_partition(params, 0)
     doctored = dataclasses.replace(
         inst, sigma_star=np.ones(100, dtype=np.int8)
     )
-    ok, report = balance_diagnostic(doctored)
+    ok, report = balance_diagnostic(doctored, classes)
     assert not ok
     assert not report.community_ok
     assert report.community_sizes == (100, 0)
@@ -732,14 +725,14 @@ def test_balance_detects_unbalanced_communities():
 
 def test_balance_detects_pair_count_violations():
     params = Params(n=100, a=0.0, b=0.0, s=0.5, K=3)
-    inst = sample_instance_partition(params, 0)
+    inst, classes = sample_instance_partition(params, 0)
     # Force every pair containing vertex 0 into the all-present class: the
     # count 99 blows past the window w_7 (|side| + n^(3/4)) ~ 9.
-    classes = np.zeros_like(inst.pair_classes)
+    classes = np.zeros_like(classes)
     classes[:99] = 7
     sigma = np.array([1, -1] * 50, dtype=np.int8)
-    doctored = dataclasses.replace(inst, sigma_star=sigma, pair_classes=classes)
-    ok, report = balance_diagnostic(doctored)
+    doctored = dataclasses.replace(inst, sigma_star=sigma)
+    ok, report = balance_diagnostic(doctored, classes)
     assert not ok
     assert report.community_ok
     assert report.violation_count > 0
@@ -757,11 +750,11 @@ def test_pair_class_counts_match_reference(monkeypatch, n, K, chunk):
     # The vectorised count against the per-row loop it replaced, also with
     # chunks cut mid-triangle.
     if chunk is not None:
-        monkeypatch.setattr(generate, "_COUNT_CHUNK", chunk)
+        monkeypatch.setattr(reference, "_COUNT_CHUNK", chunk)
     rng = np.random.default_rng(n * 10 + K)
     classes = rng.integers(0, 1 << K, size=n * (n - 1) // 2).astype(np.uint8)
     sigma = rng.choice(np.array([-1, 1], dtype=np.int8), n)
-    got = generate._pair_class_counts(classes, sigma, n, 1 << K)
+    got = reference._pair_class_counts(classes, sigma, n, 1 << K)
     want = graph_algebra._pair_class_counts(classes, sigma, n, 1 << K)
     assert got.dtype == np.int64 and got.shape == (n, 1 << K, 2)
     assert np.array_equal(got, want)
@@ -805,6 +798,6 @@ def test_balance_typical_instances_pass():
     params = Params(n=10**4, a=0.5, b=0.5, s=0.5, K=3)
     passes = 0
     for seed in range(5):
-        ok, _ = balance_diagnostic(sample_instance_partition(params, seed))
+        ok, _ = balance_diagnostic(*sample_instance_partition(params, seed))
         passes += int(ok)
     assert passes == 5

@@ -3,7 +3,7 @@
 import networkx as nx
 import numpy as np
 import pytest
-from conftest import erdos_renyi, kcore_oracle
+from conftest import erdos_renyi, kcore_oracle, read_edge_list
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
@@ -15,7 +15,6 @@ from csbm.graphs import (
     _adjacency_csr,
     intersection_graph,
     k_core,
-    read_edge_list,
     write_edge_list,
 )
 

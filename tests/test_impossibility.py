@@ -6,7 +6,7 @@ from conftest import kept_by, retention_codes
 
 from csbm.generate import CorrelatedInstance, Params, sample_instance
 from csbm.graphs import Graph
-from csbm.impossibility import map_failure_witness, singleton_sets
+from csbm.impossibility import map_failure_witness
 
 
 def crafted(children, a, b, sigma):
@@ -53,8 +53,6 @@ def singleton_oracle(inst):
 
 def test_rejects_single_graph():
     inst = sample_instance(Params(n=30, a=4.0, b=1.0, s=0.5, K=1, k=1), 0)
-    with pytest.raises(ValueError):
-        singleton_sets(inst)
     with pytest.raises(ValueError):
         map_failure_witness(inst)
 
@@ -134,7 +132,7 @@ def test_one_sided_set_gives_no_witness():
 
 def test_empty_anchor_keeps_every_vertex():
     inst = crafted([Graph(5), Graph(5, [(0, 1), (2, 3)])], 2.0, 1.0, [1] * 5)
-    rep = singleton_sets(inst)
+    rep = map_failure_witness(inst)
     assert rep.r_star == frozenset(range(5))
     assert rep.s_star == frozenset(range(5))
 
@@ -143,7 +141,7 @@ def test_full_retention_has_no_singletons():
     # With all edges shared, the intersection is the parent, which is
     # connected at these intensities.
     inst = sample_instance(Params(n=500, a=9.0, b=1.0, s=1.0, K=3, k=13), 0)
-    rep = singleton_sets(inst)
+    rep = map_failure_witness(inst)
     assert rep.r_star == frozenset()
     assert rep.s_star == frozenset()
 
@@ -151,7 +149,7 @@ def test_full_retention_has_no_singletons():
 def test_sets_match_definition_oracle():
     for seed in range(25):
         inst = sample_instance(Params(n=60, a=3.0, b=1.0, s=0.3, K=3, k=1), seed)
-        rep = singleton_sets(inst)
+        rep = map_failure_witness(inst)
         r_ref, s_ref = singleton_oracle(inst)
         assert rep.r_star == r_ref, seed
         assert rep.s_star == s_ref, seed
@@ -205,8 +203,6 @@ def test_witness_majorities_equal_the_full_child1_majorities():
         for seed in range(6):
             inst = sample_instance(Params(n=2000, a=9.0, b=1.0, s=0.15, K=K, k=1), seed)
             report = map_failure_witness(inst)
-            sets = singleton_sets(inst)
-            assert (report.r_star, report.s_star) == (sets.r_star, sets.s_star)
             e = inst.anchor.edges
             full = np.zeros(inst.n, dtype=np.int64)
             np.add.at(full, e[:, 0], inst.sigma_star[e[:, 1]])

@@ -1,16 +1,18 @@
 """Initial labelling, good/bad refinement steps, and overlap scoring."""
 
 import hashlib
+import math
 import warnings
 
 import numpy as np
 import pytest
 from conftest import retention_codes
 from graph_algebra import bipartition
+from reference import parent_and_labels
 from scipy.sparse import csr_matrix
 
 from csbm import generate, graphs, recovery
-from csbm.generate import CorrelatedInstance, Params, sample_instance, sample_parent
+from csbm.generate import CorrelatedInstance, Params, sample_instance
 from csbm.graphs import Graph, _neighbour_sums
 from csbm.matching import (
     all_pairwise_matchings,
@@ -29,6 +31,7 @@ from csbm.recovery import (
     overlap,
 )
 from csbm.seeds import ROLE_EDGE_HOLDOUT, stream
+from csbm.thresholds import chernoff_hellinger, connectivity_param
 
 
 def two_cliques(half: int) -> tuple[Graph, np.ndarray]:
@@ -97,6 +100,32 @@ def test_init_validates_inputs():
         almost_exact_label(g, 4.0, 0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda x: chernoff_hellinger(x, 1.0), id="chernoff_hellinger-a"),
+        pytest.param(lambda x: chernoff_hellinger(1.0, x), id="chernoff_hellinger-b"),
+        pytest.param(lambda x: connectivity_param(x, 1.0), id="connectivity_param-a"),
+        pytest.param(lambda x: connectivity_param(1.0, x), id="connectivity_param-b"),
+        pytest.param(
+            lambda x: almost_exact_label(two_cliques(3)[0], x, 1.0, seed=0), id="init-a_eff"
+        ),
+        pytest.param(
+            lambda x: almost_exact_label(two_cliques(3)[0], 1.0, x, seed=0), id="init-b_eff"
+        ),
+        pytest.param(
+            lambda x: almost_exact_label(two_cliques(3)[0], 9.0, 1.0, eps=x, seed=0),
+            id="init-eps",
+        ),
+    ],
+)
+def test_non_finite_coefficients_are_rejected(call, value):
+    # NaN fails every comparison, so a check written as "x < 0" lets it in.
+    with pytest.raises(ValueError, match="finite"):
+        call(value)
+
+
 def test_init_warns_on_loose_eps():
     g, _ = two_cliques(4)
     with pytest.warns(UserWarning):
@@ -108,7 +137,7 @@ def test_init_accuracy_at_reference_point():
     # the labelling should be nearly exact.
     overlaps = []
     for seed in range(20):
-        g, sigma = sample_parent(Params(n=4000, a=7.2, b=0.8, s=1.0), seed)
+        g, sigma = parent_and_labels(Params(n=4000, a=7.2, b=0.8, s=1.0), seed)
         est = almost_exact_label(g, 7.2, 0.8, seed=seed)
         overlaps.append(overlap(sigma, est))
     assert float(np.mean(overlaps)) >= 0.95
@@ -144,7 +173,7 @@ def test_init_builds_no_adjacency(monkeypatch):
 
     monkeypatch.setattr(graphs, "_adjacency_csr", refuse)
     assert not hasattr(recovery, "_adjacency_csr")
-    g, sigma = sample_parent(Params(n=2000, a=7.2, b=0.8, s=1.0), 3)
+    g, sigma = parent_and_labels(Params(n=2000, a=7.2, b=0.8, s=1.0), 3)
     est = almost_exact_label(g, 7.2, 0.8, seed=3)
     assert not est.degraded and overlap(sigma, est) > 0.9
     assert "_adjacency" not in g.__dict__ and "edges" not in g.__dict__
@@ -177,7 +206,7 @@ def test_init_takes_the_extreme_eigenvalue_on_the_community_side():
 
 
 def test_init_degrades_when_the_budget_is_spent(monkeypatch):
-    g, _ = sample_parent(Params(n=2000, a=7.2, b=0.8, s=1.0), 3)
+    g, _ = parent_and_labels(Params(n=2000, a=7.2, b=0.8, s=1.0), 3)
     assert not almost_exact_label(g, 7.2, 0.8, seed=3).degraded
     monkeypatch.setattr(recovery, "_LANCZOS_BUDGET", 2)
     est = almost_exact_label(g, 7.2, 0.8, seed=3)

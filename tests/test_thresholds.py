@@ -43,6 +43,18 @@ def test_threshold_point_validation():
         ThresholdPoint(a=1.0, b=1.0, s=0.5, K=0)
 
 
+def test_threshold_point_rejects_fractional_children():
+    # (1 - s)^(K - 1) would be evaluated at K = 2.5 and give rec_all = 1.442.
+    with pytest.raises(ValueError, match="integer"):
+        ThresholdPoint(a=9.0, b=1.0, s=0.4, K=2.5)
+
+
+def test_threshold_point_stores_whole_float_children_as_int():
+    point = ThresholdPoint(a=9.0, b=1.0, s=0.4, K=3.0)
+    assert type(point.K) is int and point.K == 3
+    assert condition_set(point) == condition_set(ThresholdPoint(a=9.0, b=1.0, s=0.4, K=3))
+
+
 @pytest.mark.parametrize(
     "field, value", [("a", math.nan), ("a", math.inf), ("b", math.nan), ("b", math.inf)]
 )
