@@ -36,7 +36,6 @@ from .matching import (
 from .recovery import (
     LabelEstimate,
     almost_exact_label,
-    full_recovery,
     label_bad_vertices,
     label_good_vertices,
     overlap,
@@ -80,7 +79,6 @@ __all__ = [
     "condition_set",
     "connectivity_param",
     "exact_matching_estimator",
-    "full_recovery",
     "intersection_graph",
     "k_core",
     "label_bad_vertices",

@@ -16,6 +16,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .generate import Params, sample_instance
 from .graphs import write_edge_list
 from .harness import (
@@ -161,7 +163,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     for t, seed in enumerate(seeds):
         inst = sample_instance(params, seed)
         report = map_failure_witness(inst)
-        plus = sum(1 for i in report.s_star if inst.sigma_star[i] > 0)
+        plus = int(np.count_nonzero(inst.sigma_star[report.s_star] > 0))
         minus = len(report.s_star) - plus
         verdict = "-" if report.witness_found is None else int(report.witness_found)
         print(

@@ -98,8 +98,8 @@ class Params:
             raise ValueError(f"K must lie in [1, 64] (at most 64 children), not {self.K}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, not {self.eps}")
+        if not (self.eps > 0 and math.isfinite(self.eps)):
+            raise ValueError(f"eps must be finite and positive, not {self.eps}")
         if self.p > 1.0 or self.q > 1.0:
             raise ValueError(
                 f"edge probabilities exceed 1 (p={self.p}, q={self.q}); "

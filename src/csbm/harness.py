@@ -1,14 +1,14 @@
 """Monte Carlo experiment driver.
 
-``run_trial`` orchestrates one end-to-end experiment on one sampled
-instance: pairwise matching, the recovery pipeline, and (optionally) the
-below-threshold witness, with every statistic recorded in a
-:class:`TrialResult`.  ``sweep`` runs trials over a parameter grid with
-per-trial seeds derived deterministically from (master seed, cell identity,
-trial index), so cell order and parallelism cannot change any result, and
-aggregates one CSV row per cell.  ``scaling_experiment`` fits log-log slopes
-of the unmatched-set sizes against theory, and ``region_grid_export``
-rasterises the phase diagram.
+``run_trial`` runs one end-to-end experiment on one sampled instance as
+one ordered list of stages (sample, match, init, classify, good, bad,
+exact, witness), recording every statistic in a :class:`TrialResult`.
+``sweep`` runs trials over a parameter grid with per-trial seeds derived
+deterministically from (master seed, cell identity, trial index), so cell
+order and parallelism cannot change any result, and aggregates one CSV row
+per cell.  ``scaling_experiment`` fits log-log slopes of the unmatched-set
+sizes against theory, and ``region_grid_export`` rasterises the phase
+diagram.
 
 CSV output is deterministic byte-for-byte for a fixed config: rows are
 sorted by parameter key, floats are written with ``repr``, and fields whose
@@ -32,12 +32,8 @@ import numpy as np
 from .generate import Params, sample_instance
 from .graphs import _require_integer
 from .impossibility import map_failure_witness
-from .matching import (
-    all_pairwise_matchings,
-    classify_good_bad,
-    exact_matching_estimator,
-)
-from .recovery import full_recovery, overlap
+from .matching import all_pairwise_matchings, classify_good_bad, exact_matching_estimator
+from .recovery import almost_exact_label, label_bad_vertices, label_good_vertices, overlap
 from .seeds import cell_key, trial_seed
 from .thresholds import RegionLabel, classify_region, connectivity_param
 
@@ -143,35 +139,45 @@ def run_trial(
 ) -> TrialResult:
     """Sample one instance and run the requested experiments on it.
 
-    Every experiment shares one seeded matching family, read from the
-    union's edges and retention codes in anchor labels; only the anchor
-    child is built as a graph.  Deterministic given ``(params, seed,
-    experiments)`` in every field except wall time.  Experiments needing at
-    least two children (match, witness) leave their fields None at K = 1; a
-    degraded recovery run is recorded like any other.
+    The one place that orders a trial's stages, each run at most once:
+    sample, match (all pairwise matchings, for recover or match; empty at
+    K = 1), init (the anchor child's spectral labels, for recover),
+    classify (whenever there is a family), good and bad (for recover),
+    exact (for match) and witness.  Every stage reads the one family, built
+    from the union's edges and retention codes in anchor labels; only the
+    anchor child is built as a graph.  Deterministic given ``(params, seed,
+    experiments)`` in every field except wall time.  Match, witness and the
+    family's counts leave their fields None at K = 1; a degraded recovery
+    run is recorded like any other.
     """
     if isinstance(experiments, str) or not experiments:
         raise ValueError(f"experiments must be a non-empty tuple of names, not {experiments!r}")
     bad_names = set(experiments) - {"recover", "match", "witness"}
     if bad_names:
         raise ValueError(f"unknown experiments: {sorted(bad_names)}")
+    recover = "recover" in experiments
+    matched = recover or "match" in experiments
+    several = params.K >= 2
     start = time.perf_counter()
     inst = sample_instance(params, seed)
     result = TrialResult(params=params, seed=seed)
-    fam = None
-    if params.K >= 2 and ("recover" in experiments or "match" in experiments):
-        fam = all_pairwise_matchings(inst, params.k)
-    if "recover" in experiments:
-        final = full_recovery(inst, family=fam)
+    fam = all_pairwise_matchings(inst, params.k) if matched else None
+    if recover:
+        init = almost_exact_label(
+            inst.anchor, params.s * params.a, params.s * params.b, params.eps, seed=seed
+        )
+    classes = classify_good_bad(fam) if matched else None
+    if recover:
+        good = label_good_vertices(inst, fam, init, classes=classes)
+        final = label_bad_vertices(inst, fam, good, classes=classes)
         result.overlap = overlap(inst.sigma_star, final)
         result.recovery_success = result.overlap == 1.0
         result.degraded = final.degraded
         result.good_disagreements = final.good_disagreements
-    if "match" in experiments and params.K >= 2:
-        estimate = exact_matching_estimator(inst, params.k, family=fam)
-        result.matching_success = estimate.success
-    if fam is not None:
-        result.bad_vertex_count = len(classify_good_bad(fam).bad)
+    if "match" in experiments and several:
+        result.matching_success = exact_matching_estimator(inst, params.k, fam).success
+    if matched and several:
+        result.bad_vertex_count = len(classes.bad)
         result.unmatched_sizes = {
             pair: int(fam.unmatched_mask(*pair).sum()) for pair in fam.pairs()
         }
@@ -182,7 +188,7 @@ def run_trial(
             for i in range(1, params.K)
             for j in range(i + 1, params.K)
         }
-    if "witness" in experiments and params.K >= 2:
+    if "witness" in experiments and several:
         report = map_failure_witness(inst)
         result.r_star_size = len(report.r_star)
         result.s_star_size = len(report.s_star)
@@ -515,8 +521,9 @@ def region_grid_export(
     Classification runs at strict tolerance (no Boundary rows); the summary
     counts grid cells per region label in a fixed label order.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    for name, value in (("a_max", a_max), ("b_max", b_max), ("step", step)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be finite and positive, not {value}")
     a_values = _grid_values(step, a_max)
     b_values = _grid_values(step, b_max)
     if not a_values or not b_values:

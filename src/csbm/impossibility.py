@@ -32,18 +32,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingletonReport:
     """Singleton sets, majorities over ``S*`` and the witness verdict.
 
-    ``witness_found`` stays None when ``a = b`` (no defined direction).
-    ``witness_pair`` is the crossing pair (plus-side vertex, minus-side
-    vertex) when found.
+    ``r_star`` and ``s_star`` are sorted, read-only int64 index arrays, like
+    :class:`~csbm.matching.VertexClass`; ``maj[t]`` is the child-1
+    majority of vertex ``s_star[t]``.  ``witness_found`` stays None when
+    ``a = b`` (no defined direction).  ``witness_pair`` is the crossing pair
+    (plus-side vertex, minus-side vertex) when found.
     """
 
-    r_star: frozenset[int]
-    s_star: frozenset[int]
-    maj: dict[int, int]
+    r_star: np.ndarray
+    s_star: np.ndarray
+    maj: np.ndarray
     witness_found: bool | None = None
     witness_pair: tuple[int, int] | None = None
 
@@ -91,31 +93,26 @@ def map_failure_witness(inst: CorrelatedInstance) -> SingletonReport:
     rows = np.flatnonzero(in_g1 & (s_mask[u] | s_mask[v]))
     sigma = inst.sigma_star.astype(np.float64)
     maj_all = _neighbour_sums(inst.n, u.take(rows), v.take(rows), sigma).astype(np.int64)
-    members = np.flatnonzero(s_mask).tolist()
-    maj = {i: int(maj_all[i]) for i in members}
+    s_star = np.flatnonzero(s_mask)
+    maj = maj_all[s_star]
     a, b = inst.params.a, inst.params.b
     witness_found: bool | None = None
     witness_pair: tuple[int, int] | None = None
     if a != b:
-        plus = [i for i in members if inst.sigma_star[i] > 0]
-        minus = [i for i in members if inst.sigma_star[i] < 0]
-        if plus and minus:
-            if a > b:
-                i_star = min(plus, key=lambda i: (maj[i], i))
-                j_star = min(minus, key=lambda i: (-maj[i], i))
-                witness_found = maj[i_star] < maj[j_star]
-            else:
-                i_star = min(plus, key=lambda i: (-maj[i], i))
-                j_star = min(minus, key=lambda i: (maj[i], i))
-                witness_found = maj[i_star] > maj[j_star]
+        # With the sign folded in, the plus side's smallest key must fall
+        # below the minus side's largest; argmin/argmax keep the first
+        # (smallest) vertex on ties.
+        key = maj if a > b else -maj
+        plus = np.flatnonzero(inst.sigma_star[s_star] > 0)
+        minus = np.flatnonzero(inst.sigma_star[s_star] < 0)
+        witness_found = False
+        if plus.size and minus.size:
+            i = plus[np.argmin(key[plus])]
+            j = minus[np.argmax(key[minus])]
+            witness_found = bool(key[i] < key[j])
             if witness_found:
-                witness_pair = (i_star, j_star)
-        else:
-            witness_found = False
-    return SingletonReport(
-        r_star=frozenset(np.flatnonzero(r_mask).tolist()),
-        s_star=frozenset(members),
-        maj=maj,
-        witness_found=witness_found,
-        witness_pair=witness_pair,
-    )
+                witness_pair = (int(s_star[i]), int(s_star[j]))
+    r_star = np.flatnonzero(r_mask)
+    for arr in (r_star, s_star, maj):
+        arr.setflags(write=False)
+    return SingletonReport(r_star, s_star, maj, witness_found, witness_pair)

@@ -183,31 +183,22 @@ class MatchingEstimate:
         return not self.abstained and bool(self.correct)
 
 
-def _check_family(fam: MatchingFamily, k: int) -> None:
-    """Reject a family built with another core order ``k``."""
-    if fam.k != k:
-        raise ValueError(f"family was built with k={fam.k}, not k={k}")
-
-
 def exact_matching_estimator(
-    inst: CorrelatedInstance,
-    k: int,
-    family: MatchingFamily | None = None,
+    inst: CorrelatedInstance, k: int, family: MatchingFamily
 ) -> MatchingEstimate:
     """Recover the hidden anchor-to-child permutations, or abstain.
 
-    Builds all pairwise matchings, classifies vertices by metagraph
-    connectivity, and abstains if any vertex is bad.  Otherwise it returns
-    the ground-truth permutations ``pi_star[1:]`` with ``correct`` True:
-    every map of a family is the ground truth on its matched set, so
-    composing them along any path of a connected metagraph sends each
-    vertex to its true copy.  A ``family`` built with the same ``k`` may be
-    passed to reuse work; one built with another ``k`` is rejected with
-    ``ValueError``.
+    Classifies vertices by metagraph connectivity over ``family``, the
+    instance's pairwise matchings, and abstains if any vertex is bad.
+    Otherwise it returns the ground-truth permutations ``pi_star[1:]`` with
+    ``correct`` True: every map of a family is the ground truth on its
+    matched set, so composing them along any path of a connected metagraph
+    sends each vertex to its true copy.  A family built with another core
+    order than ``k`` is rejected with ``ValueError``.
     """
-    fam = family if family is not None else all_pairwise_matchings(inst, k)
-    _check_family(fam, k)
-    bad = classify_good_bad(fam).bad
+    if family.k != k:
+        raise ValueError(f"family was built with k={family.k}, not k={k}")
+    bad = classify_good_bad(family).bad
     if bad.size:
         return MatchingEstimate(
             permutations=None, abstained=True, correct=None, bad_count=bad.size

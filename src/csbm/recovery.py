@@ -50,13 +50,7 @@ import numpy as np
 
 from .generate import CorrelatedInstance
 from .graphs import Graph, _neighbour_sums
-from .matching import (
-    MatchingFamily,
-    VertexClass,
-    _check_family,
-    all_pairwise_matchings,
-    classify_good_bad,
-)
+from .matching import MatchingFamily, VertexClass, classify_good_bad
 from .seeds import ROLE_EDGE_HOLDOUT, ROLE_INIT_VECTOR, stream
 from .thresholds import _require_coefficients, chernoff_hellinger
 
@@ -68,7 +62,6 @@ __all__ = [
     "almost_exact_label",
     "label_good_vertices",
     "label_bad_vertices",
-    "full_recovery",
     "overlap",
 ]
 
@@ -377,30 +370,6 @@ def label_bad_vertices(
     est.labels[idx] = _majority_labels(votes[idx], current.labels[idx], assortative)
     est.provenance[idx] = PROVENANCE_BAD
     return est
-
-
-def full_recovery(
-    inst: CorrelatedInstance, family: MatchingFamily | None = None
-) -> LabelEstimate:
-    """Run the whole pipeline: init, match, good step, bad step.
-
-    The core order ``k`` and ``eps`` are the instance's parameters.  A
-    prebuilt matching ``family`` may be passed to reuse work; one built
-    with another ``k`` is rejected.  With K = 1 the pipeline reduces to the
-    initial labelling plus one majority refinement on the single child.  A failed
-    initialisation degrades the run (flag set, all +1 seed labels) but still
-    executes the later steps.
-    """
-    params = inst.params
-    if family is not None:
-        _check_family(family, params.k)
-    init = almost_exact_label(
-        inst.anchor, params.s * params.a, params.s * params.b, params.eps, seed=inst.seed
-    )
-    fam = family if family is not None else all_pairwise_matchings(inst, params.k)
-    classes = classify_good_bad(fam)
-    good = label_good_vertices(inst, fam, init, classes=classes)
-    return label_bad_vertices(inst, fam, good, classes=classes)
 
 
 def overlap(sigma_star: np.ndarray, estimate) -> float:

@@ -199,8 +199,8 @@ def classify_region(a: float, b: float, s: float, tol: float = 1e-9) -> RegionLa
     float noise.  ``tol=0`` disables the guard (used when exporting dense
     grids, where strict comparisons are taken at face value).
     """
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    if not tol >= 0:
+        raise ValueError(f"tol must be non-negative, not {tol}")
     if tol > 0:
         cs = condition_set(ThresholdPoint(a=a, b=b, s=s, K=3))
         if any(abs(c.value - 1.0) <= tol for c in cs.as_dict().values()):

@@ -23,7 +23,8 @@ from csbm.graphs import Graph
 
 @pytest.fixture
 def power_init(monkeypatch):
-    """Swap the power-iteration init of ``graph_algebra`` into the pipeline."""
+    """Swap the power-iteration init of ``graph_algebra`` into the pipeline and ``recovery``."""
+    monkeypatch.setattr(harness, "almost_exact_label", power_iteration_label)
     monkeypatch.setattr(recovery, "almost_exact_label", power_iteration_label)
 
 

@@ -23,7 +23,9 @@ parent sampler above, which gives the same graph, and the pins recorded
 before the union-first sampler hold with it.  The power-iteration init
 multiplies by the scipy float64 CSR matrix that ``csbm.graphs`` built
 before its CSR became a pair of int64 arrays, kept here so that its
-summation order, and so the pins, stay as they were.
+summation order, and so the pins, stay as they were.  So is the witness's
+crossing-pair pick over Python lists of ``S*`` with keyed ``min`` calls,
+which the ``argmin``/``argmax`` pick over index arrays replaced.
 
 Last come the two matchers that only the tests call: the exhaustive
 maximal k-core matching over every vertex bijection, and the seeded matcher
@@ -485,6 +487,34 @@ def almost_exact_label(
 
 
 _BRUTE_FORCE_MAX_N = 9
+
+
+def witness_pick(
+    inst: CorrelatedInstance, report
+) -> tuple[bool | None, tuple[int, int] | None]:
+    """``(witness_found, witness_pair)`` picked over Python lists of ``S*``, as before index arrays."""
+    members = report.s_star.tolist()
+    maj = dict(zip(members, report.maj.tolist()))
+    a, b = inst.params.a, inst.params.b
+    witness_found: bool | None = None
+    witness_pair: tuple[int, int] | None = None
+    if a != b:
+        plus = [i for i in members if inst.sigma_star[i] > 0]
+        minus = [i for i in members if inst.sigma_star[i] < 0]
+        if plus and minus:
+            if a > b:
+                i_star = min(plus, key=lambda i: (maj[i], i))
+                j_star = min(minus, key=lambda i: (-maj[i], i))
+                witness_found = maj[i_star] < maj[j_star]
+            else:
+                i_star = min(plus, key=lambda i: (-maj[i], i))
+                j_star = min(minus, key=lambda i: (maj[i], i))
+                witness_found = maj[i_star] > maj[j_star]
+            if witness_found:
+                witness_pair = (i_star, j_star)
+        else:
+            witness_found = False
+    return witness_found, witness_pair
 
 
 def kcore_matching_bruteforce(g: Graph, h: Graph, k: int) -> PartialMatching:

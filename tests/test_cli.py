@@ -261,6 +261,43 @@ def test_trial_commands_reject_fewer_than_one_trial(capsys, command, trials):
     assert captured.out == ""
 
 
+MODEL = ["--a", 9.0, "--b", 1.0, "--s", 0.5]
+TRIALS = ["--n", 50, "--k", 1, "--trials", 1]
+FLOAT_OPTIONS = {
+    "gen": ([*MODEL, "--n", 50, "--eps", 0.01], ["--a", "--b", "--s", "--eps"]),
+    "recover": ([*MODEL, *TRIALS, "--eps", 0.01], ["--a", "--b", "--s", "--eps"]),
+    "match": ([*MODEL, *TRIALS], ["--a", "--b", "--s"]),
+    "witness": ([*MODEL, "--n", 50, "--trials", 1], ["--a", "--b", "--s"]),
+    "scaling": (
+        [*MODEL, "--k", 1, "--n-list", "50,60,70,80", "--trials", 1], ["--a", "--b", "--s"]
+    ),
+    "regions": (
+        ["--s", 0.5, "--amax", 2.0, "--bmax", 2.0, "--step", 0.5],
+        ["--s", "--amax", "--bmax", "--step"],
+    ),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command, option",
+    [(command, option) for command, (_, opts) in FLOAT_OPTIONS.items() for option in opts],
+)
+def test_float_options_reject_non_finite_values(tmp_path, capsys, command, option, value):
+    # Each is one clean "error:" line before any output: no traceback, no
+    # header printed first, no instance or metadata written.
+    argv = list(FLOAT_OPTIONS[command][0])
+    argv[argv.index(option) + 1] = value
+    if command == "gen":
+        argv += ["--out", tmp_path / "inst"]
+    assert run_cli(command, *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "inst").exists()
+
+
 def test_scaling_prints_fits_and_writes_row(tmp_path, capsys):
     out = tmp_path / "scaling.csv"
     assert run_cli(

@@ -47,7 +47,10 @@ def test_params_validation():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("a", math.nan), ("a", math.inf), ("b", math.nan), ("b", -math.inf), ("eps", math.nan)],
+    [
+        ("a", math.nan), ("a", math.inf), ("b", math.nan), ("b", -math.inf),
+        ("eps", math.nan), ("eps", math.inf),
+    ],
 )
 def test_params_rejects_non_finite_coefficients(field, value):
     # NaN fails every comparison, so a check written as "x < 0" lets it in.

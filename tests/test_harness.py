@@ -4,6 +4,7 @@ import cProfile
 import dataclasses
 import hashlib
 import json
+import math
 import pstats
 import warnings
 from pathlib import Path
@@ -453,6 +454,14 @@ def test_region_grid_export_known_cells():
         region_grid_export(0.4, 10.0, 2.0, 0.0)
     with pytest.raises(ValueError):
         region_grid_export(0.4, 0.5, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["a_max", "b_max", "step"])
+def test_region_grid_export_rejects_non_finite_or_non_positive_ranges(name, value):
+    args = {"a_max": 10.0, "b_max": 2.0, "step": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} "):
+        region_grid_export(0.4, **args)
 
 
 def test_csv_formatting_rules():

@@ -513,7 +513,7 @@ def find_seed(params, predicate, limit=200):
 def test_estimator_full_retention_recovers_truth():
     params = Params(n=25, a=5.0, b=2.0, s=1.0, K=3)
     inst = find_seed(params, lambda i: int(i.parent.degrees().min()) >= 1)
-    est = exact_matching_estimator(inst, 1)
+    est = exact_matching_estimator(inst, 1, all_pairwise_matchings(inst, 1))
     assert not est.abstained
     assert est.success
     assert est.bad_count == 0
@@ -527,7 +527,7 @@ def test_estimator_abstains_on_bad_vertices():
         params,
         lambda i: len(classify_good_bad(all_pairwise_matchings(i, 1)).bad) > 0,
     )
-    est = exact_matching_estimator(inst, 1)
+    est = exact_matching_estimator(inst, 1, all_pairwise_matchings(inst, 1))
     assert est.abstained
     assert est.permutations is None
     assert est.correct is None
@@ -537,21 +537,9 @@ def test_estimator_abstains_on_bad_vertices():
 
 def test_estimator_k1_trivially_succeeds():
     inst = sample_instance(Params(n=10, a=2.0, b=1.0, s=0.5, K=1), 0)
-    est = exact_matching_estimator(inst, 1)
+    est = exact_matching_estimator(inst, 1, all_pairwise_matchings(inst, 1))
     assert est.success
     assert est.permutations == []
-
-
-def test_estimator_accepts_prebuilt_family():
-    params = Params(n=30, a=5.0, b=1.0, s=0.9, K=3)
-    inst = sample_instance(params, 21)
-    fam = all_pairwise_matchings(inst, 1)
-    a = exact_matching_estimator(inst, 1)
-    b = exact_matching_estimator(inst, 1, family=fam)
-    assert a.abstained == b.abstained and a.bad_count == b.bad_count
-    if not a.abstained:
-        for x, y in zip(a.permutations, b.permutations):
-            assert np.array_equal(x, y)
 
 
 def test_estimator_rejects_family_built_otherwise():
@@ -559,7 +547,8 @@ def test_estimator_rejects_family_built_otherwise():
     # would report a perfect match instead.
     inst = sample_instance(Params(n=3000, a=9.0, b=1.0, s=0.4, K=3), 0)
     fam = all_pairwise_matchings(inst, 1)
-    assert exact_matching_estimator(inst, 13).bad_count == inst.n
+    own = exact_matching_estimator(inst, 13, all_pairwise_matchings(inst, 13))
+    assert own.bad_count == inst.n
     with pytest.raises(ValueError):
         exact_matching_estimator(inst, 13, family=fam)
 

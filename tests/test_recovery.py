@@ -14,6 +14,7 @@ from scipy.sparse import csr_matrix
 from csbm import generate, graphs, recovery
 from csbm.generate import CorrelatedInstance, Params, sample_instance
 from csbm.graphs import Graph, _neighbour_sums
+from csbm.harness import run_trial
 from csbm.matching import (
     all_pairwise_matchings,
     classify_good_bad,
@@ -25,7 +26,6 @@ from csbm.recovery import (
     PROVENANCE_INITIAL,
     LabelEstimate,
     almost_exact_label,
-    full_recovery,
     label_bad_vertices,
     label_good_vertices,
     overlap,
@@ -527,12 +527,22 @@ def test_bad_step_matches_per_vertex_reference(n, s, K):
 # -- full pipeline ------------------------------------------------------------
 
 
+def recover_by_stages(inst: CorrelatedInstance, fam) -> LabelEstimate:
+    """Init, classify, good and bad in run_trial's order, through ``recovery.almost_exact_label``."""
+    params = inst.params
+    init = recovery.almost_exact_label(
+        inst.anchor, params.s * params.a, params.s * params.b, params.eps, seed=inst.seed
+    )
+    classes = classify_good_bad(fam)
+    good = label_good_vertices(inst, fam, init, classes=classes)
+    return label_bad_vertices(inst, fam, good, classes=classes)
+
+
 def test_full_recovery_success_at_full_retention():
+    params = Params(n=300, a=18.0, b=2.0, s=1.0, K=3, k=13)
     succ = 0
     for seed in range(10):
-        inst = sample_instance(Params(n=300, a=18.0, b=2.0, s=1.0, K=3, k=13), seed)
-        est = full_recovery(inst)
-        succ += int(overlap(inst.sigma_star, est) == 1.0)
+        succ += int(run_trial(params, seed, ("recover",)).overlap == 1.0)
     assert succ >= 9
 
 
@@ -541,9 +551,8 @@ def test_full_recovery_disassortative_mirror():
     for a, b in [(18.0, 2.0), (2.0, 18.0)]:
         succ = 0
         for seed in range(5):
-            inst = sample_instance(Params(n=500, a=a, b=b, s=1.0, K=3, k=13), seed)
-            est = full_recovery(inst)
-            succ += int(overlap(inst.sigma_star, est) == 1.0)
+            params = Params(n=500, a=a, b=b, s=1.0, K=3, k=13)
+            succ += int(run_trial(params, seed, ("recover",)).overlap == 1.0)
         assert succ >= 4, (a, b)
 
 
@@ -551,7 +560,7 @@ def test_full_recovery_provenance_totality():
     inst = sample_instance(Params(n=400, a=9.0, b=1.0, s=0.4, K=3, k=1), 3)
     fam = all_pairwise_matchings(inst, 1)
     classes = classify_good_bad(fam)
-    est = full_recovery(inst, family=fam)
+    est = recover_by_stages(inst, fam)
     assert set(np.unique(est.labels)) <= {-1, 1}
     assert not np.any(est.provenance == PROVENANCE_INITIAL)
     assert np.flatnonzero(est.provenance == PROVENANCE_GOOD).tolist() == classes.good.tolist()
@@ -570,33 +579,29 @@ def test_trial_stages_read_the_family_masks_only(K):
     good = label_good_vertices(inst, fam, init, classes=classes)
     label_bad_vertices(inst, fam, good, classes=classes)
     exact_matching_estimator(inst, 1, family=fam)
-    full_recovery(inst, family=fam)
     assert "matchings" not in fam.__dict__
 
 
-def test_full_recovery_rejects_family_built_otherwise():
-    inst = sample_instance(Params(n=400, a=9.0, b=1.0, s=0.4, K=3, k=1), 3)
-    fam = all_pairwise_matchings(inst, 2)
-    with pytest.raises(ValueError):
-        full_recovery(inst, family=fam)
-
-
 def test_full_recovery_k1_reduction():
+    # At K = 1 the family is empty, every vertex is good and the bad step
+    # writes nothing: the trial is the init plus one refinement on the child.
     params = Params(n=300, a=9.0, b=1.0, s=0.8, K=1, k=1)
     inst = sample_instance(params, 7)
-    est = full_recovery(inst)
+    fam = all_pairwise_matchings(inst, 1)
+    assert classify_good_bad(fam).bad.size == 0
     init = almost_exact_label(
         inst.children[0], 0.8 * 9.0, 0.8 * 1.0, params.eps, seed=inst.seed
     )
-    fam = all_pairwise_matchings(inst, 1)
     manual = label_good_vertices(inst, fam, init)
+    est = recover_by_stages(inst, fam)
     assert np.array_equal(est.labels, manual.labels)
+    assert run_trial(params, 7, ("recover",)).overlap == overlap(inst.sigma_star, est)
     assert overlap(inst.sigma_star, est) > 0.9
 
 
 def test_full_recovery_degraded_instance():
     inst = sample_instance(Params(n=30, a=0.0, b=0.0, s=0.5, K=3, k=1), 0)
-    est = full_recovery(inst)
+    est = recover_by_stages(inst, all_pairwise_matchings(inst, 1))
     assert est.degraded
     assert np.all(est.labels == 1)
     assert np.all(est.provenance == PROVENANCE_BAD)
@@ -617,7 +622,7 @@ def _pinned_pipeline_digest() -> str:
                 inst = generate.sample_instance(params, seed)
                 fam = all_pairwise_matchings(inst, 1)
                 classes = classify_good_bad(fam)
-                final = full_recovery(inst, family=fam)
+                final = recover_by_stages(inst, fam)
                 est = exact_matching_estimator(inst, 1, family=fam)
                 perms = est.permutations
                 bad = classes.bad.tolist()

@@ -217,3 +217,6 @@ def test_classification_matches_condition_flags():
 def test_boundary_requires_positive_tolerance():
     with pytest.raises(ValueError):
         classify_region(9.0, 1.0, 0.4, tol=-1e-3)
+    # NaN fails "tol < 0" and "tol > 0" alike, which switched the guard off.
+    with pytest.raises(ValueError, match="tol"):
+        classify_region(9.0, 1.0, 0.4, tol=math.nan)
