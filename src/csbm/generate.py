@@ -55,9 +55,14 @@ __all__ = [
     "sample_instance",
 ]
 
-# Most draws held at once by the edge and code samplers, chosen to bound
-# transient allocations.
+# Most gaps held at once by the edge sampler, chosen to bound transient
+# allocations.  Its last batch overshoots, and that overshoot decides where
+# the next draws start in the shared stream, so changing it changes samples.
 _PAIR_CHUNK = 1 << 23
+
+# Uniforms per chunk of a code draw: small enough that each chunk stays in
+# cache across the comparison passes.  Chunking does not change the draws.
+_CODE_CHUNK = 1 << 16
 
 # Bits per group of a wide presence code; codes up to this wide are drawn
 # from one table of all their non-zero values.
@@ -282,7 +287,7 @@ def _bernoulli_index_sample(rng: np.random.Generator, count: int, prob: float) -
     pos = -1
     batch = min(max(int(count * prob * 1.1) + 16, 64), _PAIR_CHUNK)
     while True:
-        gaps = rng.geometric(prob, size=batch).astype(np.int64)
+        gaps = rng.geometric(prob, size=batch).astype(np.int64, copy=False)
         positions = pos + np.cumsum(gaps)
         if positions[-1] >= count:
             chunks.append(positions[positions < count])
@@ -400,9 +405,9 @@ def _draw_codes(rng: np.random.Generator, count: int, weights: np.ndarray) -> np
     """
     cum = np.cumsum(weights)
     out = np.empty(count, dtype=np.min_scalar_type(len(weights) - 1))
-    hit = np.empty(min(count, _PAIR_CHUNK), dtype=bool)
-    for start in range(0, count, _PAIR_CHUNK):
-        stop = min(start + _PAIR_CHUNK, count)
+    hit = np.empty(min(count, _CODE_CHUNK), dtype=bool)
+    for start in range(0, count, _CODE_CHUNK):
+        stop = min(start + _CODE_CHUNK, count)
         u = rng.random(stop - start)
         codes = out[start:stop]
         codes[:] = 0

@@ -195,10 +195,6 @@ class Graph:
     def edge_count(self) -> int:
         return self._keys.shape[0]
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        """Edges as a set of (lo, hi) tuples; convenient in tests."""
-        return {(int(u), int(v)) for u, v in self.edges}
-
     # -- adjacency ---------------------------------------------------------
 
     @cached_property
@@ -206,45 +202,16 @@ class Graph:
         """CSR ``(indptr, indices)`` of the adjacency, built on first access (read-only)."""
         return _adjacency_csr(self.n, self._keys)
 
-    def _row(self, v: int) -> np.ndarray:
+    def neighbors(self, v: int) -> set[int]:
+        """Neighbour set of ``v``."""
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
         indptr, indices = self._adjacency
-        return indices[indptr[v] : indptr[v + 1]]
-
-    def neighbors(self, v: int) -> set[int]:
-        """Neighbour set of ``v``."""
-        return set(self._row(v).tolist())
-
-    def degree(self, v: int) -> int:
-        return len(self._row(v))
-
-    def degrees(self) -> np.ndarray:
-        """Degree of every vertex as an int64 array."""
-        e = self.edges
-        return _neighbour_sums(self.n, e[:, 0], e[:, 1])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self._row(u)
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range [0, {self.n})")
-        return bool((row == v).any())
+        return set(indices[indptr[v] : indptr[v + 1]].tolist())
 
     def packed_keys(self) -> np.ndarray:
         """Sorted distinct int64 keys ``lo * n + hi``, read-only."""
         return self._keys
-
-    def contains_edges(self, pairs: np.ndarray) -> np.ndarray:
-        """Vectorised membership for an (m, 2) array of candidate pairs.
-
-        Pairs need not be ordered; rows with equal endpoints test False.
-        Endpoints outside ``[0, n)`` are an error.
-        """
-        if pairs.size == 0:
-            return np.zeros(0, dtype=bool)
-        if pairs.min() < 0 or pairs.max() >= self.n:
-            raise ValueError("pair endpoint out of range [0, n)")
-        return _member(self._keys, _pack(self.n, pairs))
 
     # -- dunder ------------------------------------------------------------
 

@@ -212,7 +212,8 @@ class SweepConfig:
     cell is validated eagerly through Params.  The ``scaling`` experiment
     needs at least four strictly ascending n values; the other experiments
     run per cell.  ``record_timing`` opts into the wall-clock columns (off
-    by default so sweep CSVs are byte-reproducible).
+    by default so sweep CSVs are byte-reproducible); it and ``per_trial``
+    must be booleans.  ``trials`` and ``master_seed`` are stored as ints.
     """
 
     n_values: tuple[int, ...]
@@ -247,7 +248,10 @@ class SweepConfig:
         if not self.experiments:
             raise ValueError("at least one experiment is required")
         for name in ("trials", "master_seed"):
-            _require_integer(name, getattr(self, name))
+            setattr(self, name, _require_integer(name, getattr(self, name)))
+        for name in ("record_timing", "per_trial"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, not {getattr(self, name)!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if "scaling" in self.experiments and len(self.n_values) < 4:

@@ -16,10 +16,10 @@ edge (i, j) when the vertex is matched by the (i, j) matching.  A vertex is
 "good" when its metagraph is connected.  The classification groups no
 vertices: it spreads the anchor's component over the pair masks, every
 vertex at once, into one code per vertex.  The exact matching estimator
-abstains when some vertex is bad; otherwise it returns the ground-truth
-anchor permutations.  A family stores only its matched sets, and each map
-is the ground truth on its set, so composing matchings along any path of a
-connected metagraph gives exactly those permutations.
+abstains when some vertex is bad and otherwise succeeds: a family stores
+only its matched sets, and each map is the ground truth on its set, so
+composing matchings along any path of a connected metagraph gives exactly
+the ground-truth anchor permutations.
 
 All per-vertex bookkeeping here is anchored: domains are stored as boolean
 masks over the anchor graph's labels (child 1), with ground-truth
@@ -165,22 +165,17 @@ def classify_good_bad(fam: MatchingFamily) -> VertexClass:
 
 @dataclass(frozen=True)
 class MatchingEstimate:
-    """Output of the exact matching estimator.
+    """Output of the exact matching estimator: it abstains when bad vertices exist.
 
-    ``permutations[j]`` maps anchor labels into child ``j + 2``'s labels
-    (None when the estimator abstained because bad vertices exist); when
-    it does not abstain these are ``pi_star[1:]`` and ``correct`` is True,
-    otherwise ``correct`` is None.
+    When it does not abstain, the recovered permutations are the ground
+    truth ``pi_star[1:]``, so ``success`` is exactly "did not abstain".
     """
 
-    permutations: list[np.ndarray] | None
     abstained: bool
-    correct: bool | None
-    bad_count: int
 
     @property
     def success(self) -> bool:
-        return not self.abstained and bool(self.correct)
+        return not self.abstained
 
 
 def exact_matching_estimator(
@@ -190,22 +185,12 @@ def exact_matching_estimator(
 
     Classifies vertices by metagraph connectivity over ``family``, the
     instance's pairwise matchings, and abstains if any vertex is bad.
-    Otherwise it returns the ground-truth permutations ``pi_star[1:]`` with
-    ``correct`` True: every map of a family is the ground truth on its
+    Otherwise the recovered permutations are the ground truth
+    ``pi_star[1:]``: every map of a family is the ground truth on its
     matched set, so composing them along any path of a connected metagraph
     sends each vertex to its true copy.  A family built with another core
     order than ``k`` is rejected with ``ValueError``.
     """
     if family.k != k:
         raise ValueError(f"family was built with k={family.k}, not k={k}")
-    bad = classify_good_bad(family).bad
-    if bad.size:
-        return MatchingEstimate(
-            permutations=None, abstained=True, correct=None, bad_count=bad.size
-        )
-    return MatchingEstimate(
-        permutations=[inst.pi_star[j].copy() for j in range(1, inst.K)],
-        abstained=False,
-        correct=True,
-        bad_count=0,
-    )
+    return MatchingEstimate(abstained=bool(classify_good_bad(family).bad.size))

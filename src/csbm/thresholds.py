@@ -101,7 +101,6 @@ class ConditionSet:
     ``rec_all``    recovery from all K children via matching then union.
     """
 
-    point: ThresholdPoint
     single: Condition
     pair_match: Condition
     union_two: Condition
@@ -130,7 +129,6 @@ def condition_set(point: ThresholdPoint) -> ConditionSet:
     keep_all = 1.0 - (1.0 - s) ** K
     keep_rest = 1.0 - (1.0 - s) ** (K - 1)
     return ConditionSet(
-        point=point,
         single=Condition(s * dp),
         pair_match=Condition(s * s * tc),
         union_two=Condition((1.0 - (1.0 - s) ** 2) * dp),

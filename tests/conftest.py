@@ -18,7 +18,7 @@ from graph_algebra import almost_exact_label as power_iteration_label
 from graph_algebra import sample_instance as retention_draw_sampler
 
 from csbm import generate, harness, recovery
-from csbm.graphs import Graph
+from csbm.graphs import Graph, _member
 
 
 @pytest.fixture
@@ -85,8 +85,13 @@ def retention_codes(parent: Graph, children) -> np.ndarray:
     """Retention code per parent edge of children drawn in the parent's labels."""
     codes = np.zeros(parent.edge_count, dtype=np.int64)
     for j, g in enumerate(children):
-        codes |= g.contains_edges(parent.edges).astype(np.int64) << j
+        codes |= _member(g.packed_keys(), parent.packed_keys()).astype(np.int64) << j
     return codes
+
+
+def edge_set(g: Graph) -> set[tuple[int, int]]:
+    """Edges of ``g`` as a set of ``(lo, hi)`` tuples."""
+    return set(map(tuple, g.edges.tolist()))
 
 
 def read_edge_list(path) -> Graph:

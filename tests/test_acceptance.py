@@ -21,7 +21,7 @@ from graph_algebra import kcore_matching_bruteforce, kcore_matching_seeded, spli
 from reference import from_edge_probs, sample_instance_partition
 
 from csbm.generate import Params, sample_instance
-from csbm.graphs import Graph, k_core
+from csbm.graphs import Graph, _member, k_core
 from csbm.harness import (
     SweepConfig,
     cells_csv,
@@ -109,7 +109,7 @@ def _intersection_degrees(g, h, matching):
     deg = {u: 0 for u in dom}
     for u, v in g.edges:
         u, v = int(u), int(v)
-        if u in dom and v in dom and h.has_edge(matching[u], matching[v]):
+        if u in dom and v in dom and matching[v] in h.neighbors(matching[u]):
             deg[u] += 1
             deg[v] += 1
     return deg
@@ -234,8 +234,9 @@ def _triple_frequencies_resplit(instances):
         g2, g3 = split_union_graph(
             union, inst.params.s, inst.params.K, seed=inst.seed + 50_000
         )
-        bit2 = g2.contains_edges(edges).astype(np.int64)
-        bit3 = g3.contains_edges(edges).astype(np.int64)
+        keys = inst.parent.packed_keys()
+        bit2 = _member(g2.packed_keys(), keys).astype(np.int64)
+        bit3 = _member(g3.packed_keys(), keys).astype(np.int64)
         codes = (inst.edge_codes & 1) + 2 * bit2 + 4 * bit3
         counts[0] += np.bincount(codes[intra], minlength=8)
         counts[1] += np.bincount(codes[~intra], minlength=8)

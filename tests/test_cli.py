@@ -234,13 +234,21 @@ def test_sweep_per_trial_requires_config_flag(tmp_path, capsys):
         pytest.param({**SWEEP_PAYLOAD, "n_values": [120.5]}, id="fractional-grid"),
         pytest.param({**SWEEP_PAYLOAD, "a_values": "91"}, id="string-grid"),
         pytest.param({**SWEEP_PAYLOAD, "experiments": "recover"}, id="string-experiments"),
+        pytest.param({**SWEEP_PAYLOAD, "record_timing": "false"}, id="string-record-timing"),
+        pytest.param({**SWEEP_PAYLOAD, "per_trial": "no"}, id="string-per-trial"),
+        pytest.param({**SWEEP_PAYLOAD, "record_timing": 1}, id="int-record-timing"),
+        pytest.param({**SWEEP_PAYLOAD, "per_trial": 1}, id="int-per-trial"),
     ],
 )
 def test_sweep_rejects_bad_config(tmp_path, capsys, payload):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(payload))
     assert run_cli("sweep", "--config", config) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    for flag in ("record_timing", "per_trial"):
+        if not isinstance(payload.get(flag, False), bool):
+            assert flag in err
 
 
 @pytest.mark.parametrize("text", ["3", "null", "true", '"abc"', "[1, 2]"])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import graph_algebra
 import reference
-from conftest import kept_by
+from conftest import edge_set, kept_by
 from graph_algebra import _pullback_union, split_union_graph
 from reference import (
     balance_diagnostic,
@@ -185,7 +185,7 @@ def test_children_are_masked_relabelled_parent():
         pi = inst.pi_star[j]
         mapped = np.sort(pi[kept], axis=1)
         expected = {(int(u), int(v)) for u, v in mapped}
-        assert inst.children[j].edge_set() == expected
+        assert edge_set(inst.children[j]) == expected
 
 
 def test_permutations_are_valid_and_distinct():
@@ -520,7 +520,7 @@ def test_constructions_agree_on_pair_law():
         bits = []
         for j in range(3):
             pj = inst.pi_star[j]
-            bits.append(int(inst.children[j].has_edge(int(pj[0]), int(pj[1]))))
+            bits.append(int(int(pj[1]) in inst.children[j].neighbors(int(pj[0]))))
         return tuple(bits)
 
     draws = 4000
@@ -563,13 +563,13 @@ def test_split_union_graph_partitions_edges():
     assert len(parts) == 2
     covered = set()
     for part in parts:
-        assert part.edge_set() <= h.edge_set()
-        covered |= part.edge_set()
-    assert covered == h.edge_set()
+        assert edge_set(part) <= edge_set(h)
+        covered |= edge_set(part)
+    assert covered == edge_set(h)
     # Pattern frequencies: each of (1,0), (0,1), (1,1) has weight 1/3.
-    in2, in3 = parts[0].edge_set(), parts[1].edge_set()
+    in2, in3 = edge_set(parts[0]), edge_set(parts[1])
     counts = Counter(
-        (int(e in in2), int(e in in3)) for e in h.edge_set()
+        (int(e in in2), int(e in in3)) for e in edge_set(h)
     )
     se = math.sqrt((1 / 3) * (2 / 3) / h.edge_count)
     for key in [(1, 0), (0, 1), (1, 1)]:
@@ -580,7 +580,7 @@ def test_split_union_graph_degenerate_cases():
     h = Graph(10, [(0, 1), (2, 3)])
     only = split_union_graph(h, 0.4, 2, 0)
     assert len(only) == 1
-    assert only[0].edge_set() == h.edge_set()
+    assert edge_set(only[0]) == edge_set(h)
     empty = split_union_graph(Graph(10), 0.4, 4, 0)
     assert all(part.edge_count == 0 for part in empty)
     with pytest.raises(ValueError):
@@ -781,7 +781,7 @@ def test_draw_codes_equal_the_binary_search_form(monkeypatch, s, K):
     weights = generate._pattern_weights(s, K)
     # A seeded stream drawn across several chunks, then uniforms placed on
     # every inner edge of the cumulative table and one ulp either side.
-    monkeypatch.setattr(generate, "_PAIR_CHUNK", 1000)
+    monkeypatch.setattr(generate, "_CODE_CHUNK", 1000)
     got = generate._draw_codes(np.random.default_rng(K), 4567, weights)
     want = graph_algebra._draw_codes(np.random.default_rng(K), 4567, weights)
     assert got.dtype == np.uint8 and np.array_equal(got, want)
@@ -793,6 +793,23 @@ def test_draw_codes_equal_the_binary_search_form(monkeypatch, s, K):
     want = graph_algebra._draw_codes(_FixedUniforms(u), u.size, weights)
     assert np.array_equal(got, want)
     assert got.max() == (1 << K) - 1
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+@pytest.mark.parametrize("table", ["nonzero", "full"])
+def test_chunked_code_draws_equal_one_search_over_one_stream(monkeypatch, table, K):
+    # Chunks of 1000 uniforms, the last one partial, give the codes of one
+    # binary search over the whole stream, drawn again from the same seed.
+    s = 0.35
+    if table == "nonzero":
+        weights = np.array(generate._nonzero_weights(s, K))
+    else:
+        weights = generate._pattern_weights(s, K)
+    monkeypatch.setattr(generate, "_CODE_CHUNK", 1000)
+    got = generate._draw_codes(stream(K, ROLE_UNION_SPLIT), 2503, weights)
+    u = stream(K, ROLE_UNION_SPLIT).random(2503)
+    want = np.searchsorted(np.cumsum(weights)[:-1], u, side="right")
+    assert np.array_equal(got, want)
 
 
 def test_balance_typical_instances_pass():

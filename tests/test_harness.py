@@ -310,6 +310,9 @@ def test_config_normalises_and_validates():
     cfg = base_config(n_values=(200, 150, 200), a_values=(18.0, 12.0))
     assert cfg.n_values == (150, 200)
     assert cfg.a_values == (12.0, 18.0)
+    whole = base_config(trials=2.0, master_seed=3.0)
+    assert (whole.trials, whole.master_seed) == (2, 3)
+    assert type(whole.trials) is int and type(whole.master_seed) is int
     with pytest.raises(ValueError):
         base_config(n_values=())
     with pytest.raises(ValueError):

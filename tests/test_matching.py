@@ -5,7 +5,7 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
-from conftest import erdos_renyi, kcore_oracle
+from conftest import edge_set, erdos_renyi, kcore_oracle
 from graph_algebra import (
     _anchor_paths,
     _compose_array_along_path,
@@ -33,13 +33,14 @@ def bruteforce_oracle(g: Graph, h: Graph, k: int):
     best_size = -1
     best_perm = None
     best_core = None
+    h_edges = edge_set(h)
     for perm in itertools.permutations(range(g.n)):
         inter = Graph(
             g.n,
             [
                 (u, v)
-                for u, v in g.edge_set()
-                if h.has_edge(perm[u], perm[v])
+                for u, v in g.edges.tolist()
+                if (min(perm[u], perm[v]), max(perm[u], perm[v])) in h_edges
             ],
         )
         core = kcore_oracle(inter, k)
@@ -51,7 +52,7 @@ def bruteforce_oracle(g: Graph, h: Graph, k: int):
 
 
 def relabel(g: Graph, pi) -> Graph:
-    return Graph(g.n, [(int(pi[u]), int(pi[v])) for u, v in g.edge_set()])
+    return Graph(g.n, [(int(pi[u]), int(pi[v])) for u, v in g.edges.tolist()])
 
 
 # -- brute-force matcher ------------------------------------------------------
@@ -150,10 +151,10 @@ def test_seeded_matches_networkx_core_of_set_intersection(k, s):
     inst = sample_instance(Params(n=2000, a=9.0, b=1.0, s=s, K=3, k=k), 40 + k)
     for i, j in itertools.combinations(range(3), 2):
         pi = inst.true_pairwise_permutation(i, j).tolist()
-        target = inst.children[j].edge_set()
+        target = edge_set(inst.children[j])
         inter = [
             (u, v)
-            for u, v in inst.children[i].edge_set()
+            for u, v in edge_set(inst.children[i])
             if (min(pi[u], pi[v]), max(pi[u], pi[v])) in target
         ]
         ref = nx.Graph()
@@ -222,7 +223,7 @@ def test_family_full_retention_gives_full_matchings():
     inst = None
     for seed in range(50):
         cand = sample_instance(params, seed)
-        if int(cand.parent.degrees().min()) >= 1:
+        if np.unique(cand.parent.edges).size == cand.n:
             inst = cand
             break
     assert inst is not None
@@ -512,13 +513,16 @@ def find_seed(params, predicate, limit=200):
 
 def test_estimator_full_retention_recovers_truth():
     params = Params(n=25, a=5.0, b=2.0, s=1.0, K=3)
-    inst = find_seed(params, lambda i: int(i.parent.degrees().min()) >= 1)
-    est = exact_matching_estimator(inst, 1, all_pairwise_matchings(inst, 1))
+    inst = find_seed(params, lambda i: np.unique(i.parent.edges).size == i.n)
+    fam = all_pairwise_matchings(inst, 1)
+    est = exact_matching_estimator(inst, 1, fam)
     assert not est.abstained
     assert est.success
-    assert est.bad_count == 0
+    assert len(classify_good_bad(fam).bad) == 0
+    # The family's anchor maps send every vertex to its true copy.
     for j in range(1, 3):
-        assert np.array_equal(est.permutations[j - 1], inst.pi_star[j])
+        to_j = fam.matchings[(0, j)].as_array(inst.n)
+        assert np.array_equal(to_j[inst.pi_star[0]], inst.pi_star[j])
 
 
 def test_estimator_abstains_on_bad_vertices():
@@ -529,17 +533,14 @@ def test_estimator_abstains_on_bad_vertices():
     )
     est = exact_matching_estimator(inst, 1, all_pairwise_matchings(inst, 1))
     assert est.abstained
-    assert est.permutations is None
-    assert est.correct is None
     assert not est.success
-    assert est.bad_count > 0
 
 
 def test_estimator_k1_trivially_succeeds():
     inst = sample_instance(Params(n=10, a=2.0, b=1.0, s=0.5, K=1), 0)
     est = exact_matching_estimator(inst, 1, all_pairwise_matchings(inst, 1))
+    assert not est.abstained
     assert est.success
-    assert est.permutations == []
 
 
 def test_estimator_rejects_family_built_otherwise():
@@ -547,8 +548,9 @@ def test_estimator_rejects_family_built_otherwise():
     # would report a perfect match instead.
     inst = sample_instance(Params(n=3000, a=9.0, b=1.0, s=0.4, K=3), 0)
     fam = all_pairwise_matchings(inst, 1)
-    own = exact_matching_estimator(inst, 13, all_pairwise_matchings(inst, 13))
-    assert own.bad_count == inst.n
+    own = all_pairwise_matchings(inst, 13)
+    assert exact_matching_estimator(inst, 13, own).abstained
+    assert len(classify_good_bad(own).bad) == inst.n
     with pytest.raises(ValueError):
         exact_matching_estimator(inst, 13, family=fam)
 

