@@ -17,11 +17,12 @@ checks, since the construction yields distinct pairs of distinct vertices.
 Only the union of the children is ever observed, so an instance stores the
 union graph, not the parent: ``inst.parent`` holds the pairs some child
 keeps, with one non-zero presence code per edge (bit ``j`` set = kept by
-child ``j``), and the permutations.  The instance's views are derived from
-them as cached properties, each built on first access: the anchor child
-alone, all K children, and the union edges as endpoint columns.  The trial
-pipeline works in anchor labels, where each child is a subset of the
-union's sorted edges, so it builds only the anchor as a graph.
+child ``j``), and the permutations.  The children are derived from them
+as cached properties, each built on first access: the anchor child alone,
+and all K children.  The trial pipeline works in anchor labels, where each
+child is a subset of the union's sorted edges: its stages read the union's
+endpoint columns ``inst.parent.edges.T`` beside the codes, and it builds
+only the anchor as a graph.
 
 The sampler, :func:`sample_instance`, draws the union directly: a pair
 is a union edge with probability ``p f`` inside a community and ``q f``
@@ -36,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -138,15 +138,16 @@ class CorrelatedInstance:
     anchor as a graph.  :attr:`children` is the tuple of all K graphs:
     ``children[0]`` is the anchor and ``children[j]`` for ``j >= 1`` is
     relabelled by ``pi_star[j]``, which maps anchor labels to that child's
-    labels (``pi_star[0]`` is the identity).  The stages that read edges in
-    anchor labels read :attr:`union_edges`, the edges kept by some child.
-    Instances compare by identity.
+    labels (``pi_star[0]`` is the identity).  The stages read the union's
+    edges in anchor labels as ``u, v = parent.edges.T``, row for row with
+    ``edge_codes``.  Instances compare by identity.
 
     Construction rejects K > 64, ``edge_codes`` not shaped
     ``(parent.edge_count,)`` or holding anything but integers in
-    ``[0, 2**K)``, ``pi_star`` that is not K permutations of ``range(n)``
-    starting with the identity, and ``sigma_star`` that is not n labels in
-    {-1, +1}.  Each ``pi_star`` entry is stored as an int64 array.
+    ``[1, 2**K)`` (an edge no child keeps is not in the union),
+    ``pi_star`` that is not K permutations of ``range(n)`` starting with
+    the identity, and ``sigma_star`` that is not n labels in {-1, +1}.
+    Each ``pi_star`` entry is stored as an int64 array.
     """
 
     params: Params
@@ -165,9 +166,9 @@ class CorrelatedInstance:
                 f"edge_codes must have shape ({self.parent.edge_count},), not {codes.shape}"
             )
         if not np.issubdtype(codes.dtype, np.integer) or (
-            codes.size and (int(codes.min()) < 0 or int(codes.max()) >= 1 << K)
+            codes.size and (int(codes.min()) < 1 or int(codes.max()) >= 1 << K)
         ):
-            raise ValueError(f"edge_codes must hold integers in [0, 2**{K})")
+            raise ValueError(f"edge_codes must hold integers in [1, 2**{K})")
         if len(self.pi_star) != K:
             raise ValueError(f"pi_star must hold K={K} permutations, not {len(self.pi_star)}")
         for pi in self.pi_star:
@@ -192,23 +193,6 @@ class CorrelatedInstance:
         return self.params.n
 
     @cached_property
-    def union_edges(self) -> UnionEdges:
-        """The edges some child keeps (code != 0), in key order, read-only.
-
-        These are all of ``parent``'s edges unless the instance was built
-        with code-0 edges, which are then left out.
-        """
-        keys, codes = self.parent.packed_keys(), self.edge_codes
-        if np.count_nonzero(codes) < codes.size:
-            rows = np.flatnonzero(codes)
-            keys, codes = keys.take(rows), codes.take(rows)
-        ends = np.divmod(keys, np.int64(self.n))
-        parts = (*ends, codes)
-        for arr in parts:
-            arr.setflags(write=False)
-        return UnionEdges(*parts)
-
-    @cached_property
     def anchor(self) -> Graph:
         """Child 0, in the parent's labels: a sorted subset of the parent's keys."""
         return Graph._from_keys(self.n, self.parent.packed_keys()[self._kept_rows(0)])
@@ -217,11 +201,13 @@ class CorrelatedInstance:
     def children(self) -> tuple[Graph, ...]:
         """The K child graphs, each in its own labels; the anchor comes first."""
         n = self.n
+        u, v = self.parent.edges.T
         graphs = [self.anchor]
         for j in range(1, self.K):
             # A permutation maps distinct parent keys to distinct keys.
-            u, v = np.divmod(self.parent.packed_keys().take(self._kept_rows(j)), np.int64(n))
-            graphs.append(Graph._from_keys(n, np.sort(_image_keys(n, u, v, self.pi_star[j])[1])))
+            rows = self._kept_rows(j)
+            keys = _image_keys(n, u.take(rows), v.take(rows), self.pi_star[j])[1]
+            graphs.append(Graph._from_keys(n, np.sort(keys)))
         return tuple(graphs)
 
     def _kept_rows(self, j: int) -> np.ndarray:
@@ -242,14 +228,6 @@ class CorrelatedInstance:
     def true_pairwise_permutation(self, i: int, j: int) -> np.ndarray:
         """Ground-truth relabelling from child ``i``'s labels to child ``j``'s."""
         return self.pi_star[j][self.inverse_pi(i)]
-
-
-class UnionEdges(NamedTuple):
-    """Contiguous endpoints ``u < v`` and retention codes of the union edges."""
-
-    u: np.ndarray
-    v: np.ndarray
-    codes: np.ndarray
 
 
 def _is_permutation(pi: np.ndarray, n: int) -> bool:

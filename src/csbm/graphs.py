@@ -6,8 +6,9 @@ distinct packed keys ``lo * n + hi`` (``lo < hi``).  The ``(m, 2)`` edge
 array decoded from them and the CSR adjacency, the sorted arc keys split
 into row pointers and column indices, are cached properties, built on first
 access, because bulk distribution tests create tens of thousands of
-throwaway graphs whose neighbourhoods are never queried, and a trial reads
-the union graph only through its keys.
+throwaway graphs whose neighbourhoods are never queried.  The edge array
+is stored column by column, and the trial stages read the union graph's
+edges as its two contiguous columns.
 
 :func:`k_core` peels the edge columns it is given and builds the CSR it
 cascades through from their keys, never a graph's cached one.
@@ -185,8 +186,13 @@ class Graph:
 
     @cached_property
     def edges(self) -> np.ndarray:
-        """Canonical (m, 2) edge array, read-only, decoded from the keys on first access."""
-        edges = np.empty((self._keys.shape[0], 2), dtype=np.int64)
+        """Canonical (m, 2) edge array, read-only, decoded from the keys on first access.
+
+        It is stored in Fortran order, so each endpoint column is contiguous
+        and ``u, v = g.edges.T`` gives two contiguous rows of a read-only
+        ``(2, m)`` view, which bincounts and gathers read without a copy.
+        """
+        edges = np.empty((self._keys.shape[0], 2), dtype=np.int64, order="F")
         np.divmod(self._keys, np.int64(self.n), out=(edges[:, 0], edges[:, 1]))
         edges.setflags(write=False)
         return edges
@@ -345,8 +351,7 @@ def k_core(g: Graph, k: int) -> frozenset[int]:
     survives.
     """
     k = _require_integer("k", k)
-    e = g.edges
-    core = _core_mask(g.n, e[:, 0], e[:, 1], k)
+    core = _core_mask(g.n, *g.edges.T, k)
     return frozenset(np.flatnonzero(core).tolist())
 
 
@@ -387,8 +392,7 @@ def _matched_intersection_keys(g: Graph, h: Graph, to_h: np.ndarray) -> np.ndarr
     ``to_h`` is a dense lookup (g-label -> h-label, -1 for unmatched).  The
     result is a sorted subset of ``g``'s keys.
     """
-    e = g.edges
-    ok, img = _image_keys(h.n, e[:, 0], e[:, 1], to_h)
+    ok, img = _image_keys(h.n, *g.edges.T, to_h)
     return g.packed_keys()[np.flatnonzero(ok)[_member(h.packed_keys(), img)]]
 
 

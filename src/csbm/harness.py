@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -201,6 +202,13 @@ def _sorted_unique(values, caster) -> tuple:
     return tuple(sorted({caster(v) for v in values}))
 
 
+def _require_real(name: str, value) -> float:
+    """``value`` as a float, rejecting anything but a real number, such as a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    return float(value)
+
+
 _GRID_FIELDS = ("n_values", "a_values", "b_values", "s_values", "K_values")
 
 
@@ -213,7 +221,9 @@ class SweepConfig:
     needs at least four strictly ascending n values; the other experiments
     run per cell.  ``record_timing`` opts into the wall-clock columns (off
     by default so sweep CSVs are byte-reproducible); it and ``per_trial``
-    must be booleans.  ``trials`` and ``master_seed`` are stored as ints.
+    must be booleans.  ``k``, ``trials`` and ``master_seed`` are stored as
+    ints; ``eps`` and each ``a``, ``b`` and ``s`` grid value must be a real
+    number, not a bool, and are stored as floats.
     """
 
     n_values: tuple[int, ...]
@@ -234,9 +244,8 @@ class SweepConfig:
             if isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a list, not a string")
         self.n_values = _sorted_unique(self.n_values, partial(_require_integer, "n_values"))
-        self.a_values = _sorted_unique(self.a_values, float)
-        self.b_values = _sorted_unique(self.b_values, float)
-        self.s_values = _sorted_unique(self.s_values, float)
+        for name in ("a_values", "b_values", "s_values"):
+            setattr(self, name, _sorted_unique(getattr(self, name), partial(_require_real, name)))
         self.K_values = _sorted_unique(self.K_values, partial(_require_integer, "K_values"))
         self.experiments = tuple(self.experiments)
         for grid_name in _GRID_FIELDS:
@@ -247,8 +256,9 @@ class SweepConfig:
             raise ValueError(f"unknown experiments: {sorted(bad_names)}")
         if not self.experiments:
             raise ValueError("at least one experiment is required")
-        for name in ("trials", "master_seed"):
+        for name in ("k", "trials", "master_seed"):
             setattr(self, name, _require_integer(name, getattr(self, name)))
+        self.eps = _require_real("eps", self.eps)
         for name in ("record_timing", "per_trial"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, not {getattr(self, name)!r}")

@@ -9,12 +9,13 @@ are additionally isolated within ``R*`` in child 1 and whose child-1
 neighbours stay clear of the H-neighbourhood of ``R*``; labels of ``S*``
 vertices can be permuted without changing the likelihood ordering except
 through their child-1 majorities.  Every scan here reads only the
-instance's union edges, the edges some child keeps, and past ``R*``
-only those with an end in ``R*``.  A *witness* is a crossing pair: with
-``a > b``, some plus-community vertex of ``S*`` whose majority is strictly
-smaller than that of some minus-community vertex (directions reversed for
-``a < b``).  Whenever such a pair exists, the optimal estimator must
-misclassify at least one vertex, so exact recovery fails.
+instance's union edges (the edges some child keeps, ``inst.parent``) with
+their retention codes, and past ``R*`` only those with an end in ``R*``.
+A *witness* is a crossing pair: with ``a > b``, some plus-community
+vertex of ``S*`` whose majority is strictly smaller than that of some
+minus-community vertex (directions reversed for ``a < b``).  Whenever
+such a pair exists, the optimal estimator must misclassify at least one
+vertex, so exact recovery fails.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ def _singletons(inst: CorrelatedInstance):
     if inst.K < 2:
         raise ValueError("singleton sets need at least two children")
     n = inst.n
-    u, v, codes = inst.union_edges
+    u, v = inst.parent.edges.T
+    codes = inst.edge_codes
     in_g1 = (codes & 1) != 0
     in_h = (codes >> 1) != 0
     shared = in_g1 & in_h

@@ -130,7 +130,8 @@ def all_pairwise_matchings(inst: CorrelatedInstance, k: int) -> MatchingFamily:
     k = _require_integer("k", k)
     if k < 1:
         raise ValueError("k must be at least 1")
-    u, v, codes = inst.union_edges
+    u, v = inst.parent.edges.T
+    codes = inst.edge_codes
     masks = {}
     for i in range(inst.K):
         for j in range(i + 1, inst.K):

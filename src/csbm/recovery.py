@@ -25,11 +25,12 @@ by retention codes and matched-set masks: both relabelling steps read the
 family's anchored masks only, never its maps.
 
 Each step makes one pass over the instance's union edges (the edges some
-child keeps).  In the good step a vertex v of metagraph pattern P
-votes inside the set every pair of P matches, which holds a vertex w
-exactly when w's pattern contains P; so for K other than 3 every union arc
-v -> w is kept or dropped by comparing the two pattern codes, and one
-bincount gives every vertex's vote.  At K = 3 each vertex carries one bit
+child keeps), read as the endpoint columns ``inst.parent.edges.T`` beside
+their retention codes ``inst.edge_codes``.  In the good step a vertex v
+of metagraph pattern P votes inside the set every pair of P matches,
+which holds a vertex w exactly when w's pattern contains P; so for K
+other than 3 every union arc v -> w is kept or dropped by comparing the
+two pattern codes, and one bincount gives every vertex's vote.  At K = 3 each vertex carries one bit
 per case, and one bincount per value of the two ends' shared case bits
 gives all three cases.  The pass goes over slices of the union edges, so
 its temporaries stay small however large the union.  Votes are sums of ±1,
@@ -37,14 +38,17 @@ exact in float64, so the order of summation does not change them.
 
 Majorities are taken when the intra-community coefficient dominates
 (``a >= b``) and minorities otherwise; every tie keeps the incoming label.
-Votes never include the vertex's own label.
+Votes never include the vertex's own label.  No per-vertex record of the
+step that wrote a label is kept: after the bad step it is the family's
+good/bad split, the good step having written the good vertices and the bad
+step the bad ones.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,19 +59,12 @@ from .seeds import ROLE_EDGE_HOLDOUT, ROLE_INIT_VECTOR, stream
 from .thresholds import _require_coefficients, chernoff_hellinger
 
 __all__ = [
-    "PROVENANCE_INITIAL",
-    "PROVENANCE_GOOD",
-    "PROVENANCE_BAD",
     "LabelEstimate",
     "almost_exact_label",
     "label_good_vertices",
     "label_bad_vertices",
     "overlap",
 ]
-
-PROVENANCE_INITIAL = 0
-PROVENANCE_GOOD = 1
-PROVENANCE_BAD = 2
 
 # Lanczos steps (one matvec each) before the init gives up, and the
 # relative residual at which its Ritz pair counts as converged.
@@ -80,27 +77,20 @@ _VOTE_CHUNK = 1 << 22
 
 @dataclass
 class LabelEstimate:
-    """A ±1 labelling with per-vertex provenance.
+    """A ±1 labelling and the diagnostics of the stages that wrote it.
 
-    ``provenance`` holds one of the PROVENANCE_* codes per vertex, recording
-    which stage last assigned the label.  ``degraded`` marks runs where the
-    spectral initialisation failed and fell back to all +1.
-    ``good_disagreements`` is a diagnostic filled by the good step at K = 3:
-    the number of triple-matched vertices whose three case votes disagree.
+    ``degraded`` marks runs where the spectral initialisation failed and
+    fell back to all +1.  ``good_disagreements`` is a diagnostic filled by
+    the good step at K = 3: the number of triple-matched vertices whose
+    three case votes disagree.  :meth:`copy` copies the labels.
     """
 
     labels: np.ndarray
-    provenance: np.ndarray
     degraded: bool = False
     good_disagreements: int = 0
 
     def copy(self) -> "LabelEstimate":
-        return LabelEstimate(
-            labels=self.labels.copy(),
-            provenance=self.provenance.copy(),
-            degraded=self.degraded,
-            good_disagreements=self.good_disagreements,
-        )
+        return replace(self, labels=self.labels.copy())
 
 
 def almost_exact_label(
@@ -154,16 +144,15 @@ def almost_exact_label(
                 stacklevel=2,
             )
     n = g1.n
-    provenance = np.full(n, PROVENANCE_INITIAL, dtype=np.uint8)
     hold = stream(seed, ROLE_EDGE_HOLDOUT).random(g1.edge_count) < 0.5
     assortative = a_eff >= b_eff
     x = _lanczos_top_vector(n, *_edge_columns(g1, hold), seed, assortative)
     if x is None:
-        return LabelEstimate(np.ones(n, dtype=np.int8), provenance, degraded=True)
+        return LabelEstimate(np.ones(n, dtype=np.int8), degraded=True)
     init = np.where(x >= 0, 1.0, -1.0)
     lo, hi = _edge_columns(g1, ~hold)
     labels = _majority_labels(_neighbour_sums(n, lo, hi, init), init, assortative)
-    return LabelEstimate(labels, provenance)
+    return LabelEstimate(labels)
 
 
 def _edge_columns(g: Graph, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +209,7 @@ def _majority_labels(votes: np.ndarray, incoming: np.ndarray, assortative: bool)
 
 def _union_chunks(inst: CorrelatedInstance):
     """The union edges' endpoint columns, in slices of at most ``_VOTE_CHUNK`` arcs."""
-    u, v, _ = inst.union_edges
+    u, v = inst.parent.edges.T
     for start in range(0, u.size, _VOTE_CHUNK):
         yield u[start : start + _VOTE_CHUNK], v[start : start + _VOTE_CHUNK]
 
@@ -301,7 +290,6 @@ def label_good_vertices(
         idx = classes.good
         votes = _superset_votes(inst, fam, init_values)
         est.labels[idx] = _majority_labels(votes[idx], init.labels[idx], assortative)
-        est.provenance[idx] = PROVENANCE_GOOD
         return est
     m01, m02, m12 = fam.member_mask(0, 1), fam.member_mask(0, 2), fam.member_mask(1, 2)
     # Via child 3, via child 2, then matched directly to both.
@@ -313,7 +301,6 @@ def label_good_vertices(
     for c, votes in enumerate(_case_votes(inst, case, init_values)):
         idx = np.flatnonzero(case & (1 << c))
         est.labels[idx] = _majority_labels(votes[idx], init.labels[idx], assortative)
-        est.provenance[idx] = PROVENANCE_GOOD
         case_labels.append(_majority_labels(votes[triple], init.labels[triple], assortative))
     if triple.size:
         cases = np.stack(case_labels)
@@ -349,7 +336,8 @@ def label_bad_vertices(
     # Orient each anchor edge (a union edge with code bit 0) from its bad
     # end to its fully matched end.  A fully matched vertex is good, so no
     # edge qualifies both ways round.
-    lo, hi, codes = inst.union_edges
+    lo, hi = inst.parent.edges.T
+    codes = inst.edge_codes
     in_anchor = (codes & 1) != 0
     fwd = in_anchor & bad[lo] & in_member[hi]
     rev = in_anchor & bad[hi] & in_member[lo]
@@ -368,7 +356,6 @@ def label_bad_vertices(
     idx = classes.bad
     assortative = inst.params.a >= inst.params.b
     est.labels[idx] = _majority_labels(votes[idx], current.labels[idx], assortative)
-    est.provenance[idx] = PROVENANCE_BAD
     return est
 
 

@@ -155,23 +155,19 @@ class RegionLabel(str, Enum):
     BOUNDARY = "Boundary"
 
 
-def _region_flags(a: float, b: float, s: float) -> dict[RegionLabel, bool]:
+def _region_flags(holds: dict[str, bool]) -> dict[RegionLabel, bool]:
     """Truth value of each of the ten region predicates, independently.
 
-    The predicates are mutually exclusive and exhaustive away from exact
-    threshold boundaries; this is a consequence of the condition
-    implications (single => union_two and rec_two; pair_match => rec_two
-    and match_all; union_two => union_all; rec_two => rec_all;
-    match_all => rec_all) and is itself exercised by the test suite.
+    ``holds`` has the seven condition verdicts, keyed like
+    :meth:`ConditionSet.as_dict`.  The predicates are mutually exclusive and
+    exhaustive away from exact threshold boundaries; this is a consequence
+    of the condition implications (single => union_two and rec_two;
+    pair_match => rec_two and match_all; union_two => union_all; rec_two =>
+    rec_all; match_all => rec_all) and is itself exercised by the test
+    suite.
     """
-    cs = condition_set(ThresholdPoint(a=a, b=b, s=s, K=3))
-    sg = cs.single.holds
-    pm = cs.pair_match.holds
-    u2 = cs.union_two.holds
-    r2 = cs.rec_two.holds
-    uk = cs.union_all.holds
-    mk = cs.match_all.holds
-    rk = cs.rec_all.holds
+    sg, pm, u2, r2 = holds["single"], holds["pair_match"], holds["union_two"], holds["rec_two"]
+    uk, mk, rk = holds["union_all"], holds["match_all"], holds["rec_all"]
     two = u2 and r2
     allk = uk and rk
     return {
@@ -199,11 +195,10 @@ def classify_region(a: float, b: float, s: float, tol: float = 1e-9) -> RegionLa
     """
     if not tol >= 0:
         raise ValueError(f"tol must be non-negative, not {tol}")
-    if tol > 0:
-        cs = condition_set(ThresholdPoint(a=a, b=b, s=s, K=3))
-        if any(abs(c.value - 1.0) <= tol for c in cs.as_dict().values()):
-            return RegionLabel.BOUNDARY
-    flags = _region_flags(a, b, s)
+    conditions = condition_set(ThresholdPoint(a=a, b=b, s=s, K=3)).as_dict()
+    if tol > 0 and any(abs(c.value - 1.0) <= tol for c in conditions.values()):
+        return RegionLabel.BOUNDARY
+    flags = _region_flags({name: c.holds for name, c in conditions.items()})
     for label, hit in flags.items():
         if hit:
             return label

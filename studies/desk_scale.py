@@ -11,7 +11,8 @@ runs go one after another, never at once.
 
 Two more fresh processes per column look inside a trial.  One runs the
 trial stage by stage, in the order of ``perfbench/bench.py``'s traced run
-with the union table and the anchor split out, at each of
+with the union's edge decode (``inst.parent.edges``, which older trees
+have too) and the anchor split out, at each of
 ``STAGE_POINTS`` (n = 10^6 at s = 0.4, and n = 3·10^5 at s = 0.15, where
 the init used to exhaust its budget) and records per stage the wall time,
 ``ru_maxrss`` after the stage, the resident set size after it
@@ -95,7 +96,7 @@ def stage(name, fn, *args, **kwargs):
     }
     return out
 inst = stage("sample", csbm.sample_instance, params, seed)
-stage("union", lambda: inst.union_edges)
+stage("union", lambda: inst.parent.edges)
 # Child 0 alone: reading children[0] builds every child where the instance
 # has an anchor property, and child 0 only where it has none.
 anchor = stage(

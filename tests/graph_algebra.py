@@ -18,12 +18,13 @@ the power-iteration initialisation that the Lanczos one replaced, with
 which the pins recorded before it still hold, together with the
 graph-hash seed it falls back to when it is given none.  So is the
 sampler that drew the full parent and K retention uniforms per parent edge
-before the union was drawn directly; it runs here on the pairwise-unpacking
-parent sampler above, which gives the same graph, and the pins recorded
-before the union-first sampler hold with it.  The power-iteration init
-multiplies by the scipy float64 CSR matrix that ``csbm.graphs`` built
-before its CSR became a pair of int64 arrays, kept here so that its
-summation order, and so the pins, stay as they were.  So is the witness's
+before the union was drawn directly, keeping the edges some child keeps;
+it runs here on the pairwise-unpacking parent sampler above, which gives
+the same graph, and the pins recorded before the union-first sampler hold
+with it.  The power-iteration init multiplies by the scipy float64 CSR
+matrix that ``csbm.graphs`` built before its CSR became a pair of int64
+arrays, kept here so that its summation order, and so the pins, stay as
+they were.  So is the witness's
 crossing-pair pick over Python lists of ``S*`` with keyed ``min`` calls,
 which the ``argmin``/``argmax`` pick over index arrays replaced.
 
@@ -64,11 +65,7 @@ from csbm.graphs import (
     _neighbour_sums,
     _sorted_unique,
 )
-from csbm.recovery import (
-    PROVENANCE_INITIAL,
-    LabelEstimate,
-    _majority_labels,
-)
+from csbm.recovery import LabelEstimate, _majority_labels
 from csbm.seeds import (
     ROLE_EDGE_HOLDOUT,
     ROLE_INIT_VECTOR,
@@ -278,8 +275,11 @@ def sample_parent(params: Params, seed: int) -> tuple[Graph, np.ndarray]:
 _RETENTION_CHUNK_ROWS = 1 << 16
 
 
-def sample_instance(params: Params, seed: int) -> CorrelatedInstance:
-    """Sample a full instance via per-edge retention bits."""
+def retention_draw(params: Params, seed: int) -> tuple[Graph, np.ndarray, np.ndarray]:
+    """The full parent, its labels and the retention code drawn for each parent edge.
+
+    Codes of 0, edges no child keeps, are included.
+    """
     parent, sigma = sample_parent(params, seed)
     m = parent.edge_count
     rng = stream(seed, ROLE_SUBSAMPLE)
@@ -291,13 +291,20 @@ def sample_instance(params: Params, seed: int) -> CorrelatedInstance:
         chunk = codes[start:stop]
         for j in range(params.K):
             chunk |= kept[:, j].astype(dtype) << dtype.type(j)
+    return parent, sigma, codes
+
+
+def sample_instance(params: Params, seed: int) -> CorrelatedInstance:
+    """Sample an instance via per-edge retention bits: the parent edges some child keeps."""
+    parent, sigma, codes = retention_draw(params, seed)
+    kept = np.flatnonzero(codes)
     return CorrelatedInstance(
         params=params,
         seed=seed,
-        parent=parent,
+        parent=Graph._from_keys(params.n, parent.packed_keys()[kept]),
         sigma_star=sigma,
         pi_star=_draw_permutations(params.n, params.K, seed),
-        edge_codes=codes,
+        edge_codes=codes[kept],
     )
 
 
@@ -443,11 +450,7 @@ def almost_exact_label(
     n = g1.n
     if seed is None:
         seed = _graph_seed(g1)
-    degraded = LabelEstimate(
-        labels=np.ones(n, dtype=np.int8),
-        provenance=np.full(n, PROVENANCE_INITIAL, dtype=np.uint8),
-        degraded=True,
-    )
+    degraded = LabelEstimate(labels=np.ones(n, dtype=np.int8), degraded=True)
     if g1.edge_count == 0:
         return degraded
     hold = stream(seed, ROLE_EDGE_HOLDOUT).random(g1.edge_count) < 0.5
@@ -479,11 +482,7 @@ def almost_exact_label(
     init = np.where(x >= 0, 1, -1).astype(np.int8)
     votes = _neighbour_sums(n, refine_edges[:, 0], refine_edges[:, 1], init.astype(np.float64))
     labels = _majority_labels(votes, init, a_eff >= b_eff)
-    return LabelEstimate(
-        labels=labels,
-        provenance=np.full(n, PROVENANCE_INITIAL, dtype=np.uint8),
-        degraded=False,
-    )
+    return LabelEstimate(labels=labels)
 
 
 _BRUTE_FORCE_MAX_N = 9

@@ -35,8 +35,6 @@ from csbm.matching import (
     exact_matching_estimator,
 )
 from csbm.recovery import (
-    PROVENANCE_BAD,
-    PROVENANCE_GOOD,
     LabelEstimate,
     _majority_labels,
     label_bad_vertices,
@@ -64,9 +62,7 @@ def instances(n, s, K):
         fam = all_pairwise_matchings(inst, k)
         labels = np.random.default_rng(seed).choice(np.array([-1, 1], dtype=np.int8), n)
         # The good step overwrites this count only when some vertex is triple-matched.
-        init = LabelEstimate(
-            labels=labels, provenance=np.zeros(n, dtype=np.uint8), good_disagreements=-1
-        )
+        init = LabelEstimate(labels=labels, good_disagreements=-1)
         out.append((inst, fam, init))
     return out
 
@@ -103,7 +99,6 @@ def graph_good_step(inst, fam, init):
         est.labels[group] = _majority_labels(
             votes[group], init.labels[group], assortative
         )
-        est.provenance[group] = PROVENANCE_GOOD
     return est
 
 
@@ -130,7 +125,6 @@ def graph_good_three(inst, fam, init, est, assortative, init_values):
         idx = np.flatnonzero(in_member)
         labels = _majority_labels(votes[idx], init.labels[idx], assortative)
         est.labels[idx] = labels
-        est.provenance[idx] = PROVENANCE_GOOD
         full = np.zeros(n, dtype=np.int8)
         full[idx] = labels
         case_assignments.append(full)
@@ -165,7 +159,6 @@ def graph_bad_step(inst, fam, current):
     idx = np.flatnonzero(bad)
     assortative = inst.params.a >= inst.params.b
     est.labels[idx] = _majority_labels(votes[idx], current.labels[idx], assortative)
-    est.provenance[idx] = PROVENANCE_BAD
     return est
 
 
@@ -188,7 +181,6 @@ def graph_estimator(inst, fam):
 
 def assert_same_estimate(a, b):
     assert a.labels.tolist() == b.labels.tolist()
-    assert a.provenance.tolist() == b.provenance.tolist()
     assert a.good_disagreements == b.good_disagreements
 
 

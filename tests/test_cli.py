@@ -238,6 +238,10 @@ def test_sweep_per_trial_requires_config_flag(tmp_path, capsys):
         pytest.param({**SWEEP_PAYLOAD, "per_trial": "no"}, id="string-per-trial"),
         pytest.param({**SWEEP_PAYLOAD, "record_timing": 1}, id="int-record-timing"),
         pytest.param({**SWEEP_PAYLOAD, "per_trial": 1}, id="int-per-trial"),
+        pytest.param({**SWEEP_PAYLOAD, "a_values": ["9"]}, id="string-in-a-grid"),
+        pytest.param({**SWEEP_PAYLOAD, "b_values": [True]}, id="bool-in-b-grid"),
+        pytest.param({**SWEEP_PAYLOAD, "s_values": ["0.4"]}, id="string-in-s-grid"),
+        pytest.param({**SWEEP_PAYLOAD, "eps": True}, id="bool-eps"),
     ],
 )
 def test_sweep_rejects_bad_config(tmp_path, capsys, payload):
@@ -249,6 +253,13 @@ def test_sweep_rejects_bad_config(tmp_path, capsys, payload):
     for flag in ("record_timing", "per_trial"):
         if not isinstance(payload.get(flag, False), bool):
             assert flag in err
+    # A value that is not a real number is named by its field.
+    for field in ("a_values", "b_values", "s_values"):
+        values = payload.get(field)
+        if isinstance(values, list) and any(isinstance(x, (bool, str)) for x in values):
+            assert f"{field} must be a number" in err
+    if isinstance(payload.get("eps"), bool):
+        assert "eps must be a number" in err
 
 
 @pytest.mark.parametrize("text", ["3", "null", "true", '"abc"', "[1, 2]"])

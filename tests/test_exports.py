@@ -1,6 +1,7 @@
 """Every exported name of the package resolves and has a caller outside the tests,
 so does every public member of an exported class, the package imports only
-what it declares, and nothing it runs loads scipy."""
+what it declares and reads every name it imports, and nothing it runs loads
+scipy."""
 
 import ast
 import dataclasses
@@ -132,6 +133,28 @@ def test_imports_equal_the_declared_dependencies():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported - sys.stdlib_module_names - {"csbm"} == declared
+
+
+def test_every_import_is_used():
+    # Each name a module of the package binds by an import is read in that
+    # module, as a name or as the base of an attribute (``np`` in
+    # ``np.zeros``).  ``__init__.py`` imports to re-export, and a
+    # ``__future__`` import is a compiler directive, so neither counts.
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert unused == []
 
 
 def test_a_trial_loads_no_scipy():

@@ -302,29 +302,26 @@ def test_edge_codes_pack_the_retention_bits():
     # The retention-draw sampler the pins recorded before the union-first one.
     for K, dtype in [(1, np.uint8), (3, np.uint8), (8, np.uint8), (9, np.uint16)]:
         params = Params(n=60, a=6.0, b=2.0, s=0.5, K=K)
-        inst = graph_algebra.sample_instance(params, 2)
-        codes = inst.edge_codes
+        parent, _, codes = graph_algebra.retention_draw(params, 2)
         assert codes.dtype == dtype
-        assert not codes.flags.writeable
-        assert codes.tolist() == packed_one_draw(params, 2, inst.parent.edge_count).tolist()
+        assert codes.tolist() == packed_one_draw(params, 2, parent.edge_count).tolist()
+        inst = graph_algebra.sample_instance(params, 2)
+        assert inst.edge_codes.dtype == dtype
+        assert not inst.edge_codes.flags.writeable
 
 
 @pytest.mark.parametrize("K", [1, 3, 9])
 def test_union_edges_are_the_kept_parent_rows(K):
-    # An instance holding code-0 edges, as the retention-draw sampler makes.
-    inst = graph_algebra.sample_instance(Params(n=300, a=9.0, b=1.0, s=0.3, K=K), 5)
-    union = inst.union_edges
-    kept = np.flatnonzero(inst.edge_codes != 0)
-    assert 0 < kept.size < inst.parent.edge_count
-    assert union.u.tolist() == inst.parent.edges[kept, 0].tolist()
-    assert union.v.tolist() == inst.parent.edges[kept, 1].tolist()
-    assert union.codes.dtype == inst.edge_codes.dtype
-    assert union.codes.tolist() == inst.edge_codes[kept].tolist()
-    for arr in union:
-        assert arr.flags.c_contiguous and not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0
-    assert inst.union_edges is union
+    # The retention draw gives code 0 to the parent edges no child keeps;
+    # its instance holds exactly the other rows, with their codes.
+    params = Params(n=300, a=9.0, b=1.0, s=0.3, K=K)
+    parent, _, codes = graph_algebra.retention_draw(params, 5)
+    kept = np.flatnonzero(codes != 0)
+    assert 0 < kept.size < parent.edge_count
+    inst = graph_algebra.sample_instance(params, 5)
+    assert inst.parent.edges.tolist() == parent.edges[kept].tolist()
+    assert inst.edge_codes.dtype == codes.dtype
+    assert inst.edge_codes.tolist() == codes[kept].tolist()
 
 
 @pytest.mark.parametrize(
@@ -340,17 +337,21 @@ def test_samplers_store_only_union_edges(sampler, K):
     inst = sampler(Params(n=300, a=9.0, b=1.0, s=0.3, K=K), 5)
     assert inst.edge_codes.size == inst.parent.edge_count > 0
     assert np.count_nonzero(inst.edge_codes) == inst.edge_codes.size
-    union = inst.union_edges
-    assert union.u.tolist() == inst.parent.edges[:, 0].tolist()
-    assert union.v.tolist() == inst.parent.edges[:, 1].tolist()
-    assert union.codes.tolist() == inst.edge_codes.tolist()
-    for arr in union:
+    # The stages read these endpoint rows beside the codes, one row per edge.
+    u, v = inst.parent.edges.T
+    assert u.tolist() == inst.parent.edges[:, 0].tolist()
+    assert v.tolist() == inst.parent.edges[:, 1].tolist()
+    assert (u < v).all()
+    for arr in (u, v):
         assert arr.flags.c_contiguous and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_union_edges_of_an_instance_no_child_keeps():
-    union = sample_instance(Params(n=80, a=9.0, b=1.0, s=0.0, K=2), 1).union_edges
-    assert [arr.size for arr in union] == [0, 0, 0]
+    inst = sample_instance(Params(n=80, a=9.0, b=1.0, s=0.0, K=2), 1)
+    u, v = inst.parent.edges.T
+    assert [u.size, v.size, inst.edge_codes.size] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("rows, K", [(3, 3), (5, 2), (1, 4), (10**6, 3)])
@@ -358,11 +359,11 @@ def test_retention_draw_in_row_chunks_equals_one_draw(monkeypatch, rows, K):
     # The retention-draw sampler, whose chunked draw the old pins depend on.
     params = Params(n=200, a=9.0, b=1.0, s=0.4, K=K)
     monkeypatch.setattr(graph_algebra, "_RETENTION_CHUNK_ROWS", rows)
-    inst = graph_algebra.sample_instance(params, 8)
-    m = inst.parent.edge_count
+    parent, _, codes = graph_algebra.retention_draw(params, 8)
+    m = parent.edge_count
     assert rows in (1, 10**6) or m % rows  # a ragged last chunk
-    assert inst.edge_codes.dtype == np.uint8
-    assert inst.edge_codes.tolist() == packed_one_draw(params, 8, m).tolist()
+    assert codes.dtype == np.uint8
+    assert codes.tolist() == packed_one_draw(params, 8, m).tolist()
 
 
 def test_instances_and_families_compare_by_identity():
@@ -402,7 +403,9 @@ def test_instance_stores_narrow_read_only_codes_and_leaves_the_input_alone():
     assert codes.flags.writeable
 
 
-@pytest.mark.parametrize("case", ["short", "column", "float", "negative", "two-to-the-K"])
+@pytest.mark.parametrize(
+    "case", ["short", "column", "float", "negative", "zero", "two-to-the-K"]
+)
 def test_instance_rejects_malformed_edge_codes(case):
     codes = instance_fields()["edge_codes"].astype(np.int64)
     first = np.arange(codes.size) == 0
@@ -411,6 +414,8 @@ def test_instance_rejects_malformed_edge_codes(case):
         "column": codes.reshape(-1, 1),
         "float": codes.astype(np.float64),
         "negative": np.where(first, -1, codes),
+        # An edge no child keeps is not in the union.
+        "zero": np.where(first, 0, codes),
         "two-to-the-K": np.where(first, 1 << 3, codes),
     }[case]
     with pytest.raises(ValueError, match="shape" if case in ("short", "column") else "integers"):

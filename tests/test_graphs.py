@@ -86,7 +86,9 @@ def test_edges_match_numpy_canonical_form(case):
     raw = np.array(pairs + [(v, u) for u, v in pairs], dtype=np.int64).reshape(-1, 2)
     expected = np.unique(np.sort(raw, axis=1), axis=0).reshape(-1, 2)
     g = Graph(n, raw)
-    assert g.edges.dtype == np.int64 and g.edges.flags.c_contiguous
+    # Column-major, so the stages read each endpoint column without a copy.
+    assert g.edges.dtype == np.int64 and g.edges.flags.f_contiguous
+    assert all(col.flags.c_contiguous and not col.flags.writeable for col in g.edges.T)
     assert g.edges.tobytes() == expected.tobytes()
     assert g.packed_keys().tolist() == [u * n + v for u, v in expected.tolist()]
 

@@ -313,6 +313,12 @@ def test_config_normalises_and_validates():
     whole = base_config(trials=2.0, master_seed=3.0)
     assert (whole.trials, whole.master_seed) == (2, 3)
     assert type(whole.trials) is int and type(whole.master_seed) is int
+    # Equal configs serialise to equal bytes, whatever numeric types they were given.
+    given_loosely = base_config(a_values=(18, 12), b_values=(2,), s_values=(1,), k=1.0, eps=1)
+    given_exactly = base_config(k=1, eps=1.0)
+    assert given_loosely == given_exactly
+    assert given_loosely.to_json() == given_exactly.to_json()
+    assert type(given_loosely.k) is int and type(given_loosely.eps) is float
     with pytest.raises(ValueError):
         base_config(n_values=())
     with pytest.raises(ValueError):

@@ -189,7 +189,7 @@ def test_family_k2_equals_single_pairwise_call():
 
 def test_family_builds_an_adjacency_only_when_the_peel_can_cascade(monkeypatch):
     inst = sample_instance(Params(n=400, a=9.0, b=1.0, s=0.5, K=3), 2)
-    inst.union_edges
+    inst.parent.edges
     peeled = []
 
     def counting(n, keys):

@@ -21,9 +21,6 @@ from csbm.matching import (
     exact_matching_estimator,
 )
 from csbm.recovery import (
-    PROVENANCE_BAD,
-    PROVENANCE_GOOD,
-    PROVENANCE_INITIAL,
     LabelEstimate,
     almost_exact_label,
     label_bad_vertices,
@@ -41,14 +38,8 @@ def two_cliques(half: int) -> tuple[Graph, np.ndarray]:
     return Graph(n, edges), np.array([1] * half + [-1] * half, dtype=np.int8)
 
 
-def estimate(labels, provenance=None):
-    arr = np.asarray(labels, dtype=np.int8)
-    prov = (
-        np.full(arr.size, PROVENANCE_INITIAL, dtype=np.uint8)
-        if provenance is None
-        else np.asarray(provenance, dtype=np.uint8)
-    )
-    return LabelEstimate(labels=arr, provenance=prov)
+def estimate(labels):
+    return LabelEstimate(labels=np.asarray(labels, dtype=np.int8))
 
 
 # -- overlap ------------------------------------------------------------------
@@ -212,7 +203,6 @@ def test_init_degrades_when_the_budget_is_spent(monkeypatch):
     est = almost_exact_label(g, 7.2, 0.8, seed=3)
     assert est.degraded
     assert np.all(est.labels == 1)
-    assert np.all(est.provenance == PROVENANCE_INITIAL)
 
 
 def test_init_degrades_without_spectral_edges():
@@ -333,7 +323,7 @@ def test_good_step_k1_simultaneous_majority():
     # 0 and 1 vote on each other's *initial* labels and swap; the isolated
     # vertices tie and keep their initial labels.
     assert out.labels.tolist() == [-1, 1, 1, -1]
-    assert np.all(out.provenance == PROVENANCE_GOOD)
+    assert classify_good_bad(fam).good.tolist() == [0, 1, 2, 3]
 
 
 def test_good_step_k1_minority_rule():
@@ -354,10 +344,10 @@ def test_good_step_k3_votes_on_union():
     assert out.labels[1] == -1
     assert out.labels[2] == -1 and out.labels[3] == -1
     assert out.good_disagreements == 0
-    # Bad vertices are untouched, in labels and in provenance.
-    assert out.labels[0] == 1 and out.labels[4] == 1
-    good_set = frozenset(np.flatnonzero(out.provenance == PROVENANCE_GOOD).tolist())
-    assert good_set == frozenset({1, 2, 3})
+    # The good vertices are the matched triangle; the bad ones are untouched.
+    classes = classify_good_bad(fam)
+    assert classes.good.tolist() == [1, 2, 3]
+    assert out.labels[classes.bad].tolist() == init.labels[classes.bad].tolist()
 
 
 @pytest.mark.parametrize("K", [2, 3, 4])
@@ -368,7 +358,7 @@ def test_votes_in_small_chunks_equal_one_shot_votes(monkeypatch, K):
     values = rng.choice(np.array([-1.0, 1.0]), inst.n)
     case = rng.integers(0, 8, inst.n).astype(np.uint8)
     labels = values.astype(np.int8)
-    init = LabelEstimate(labels=labels, provenance=np.zeros(inst.n, dtype=np.uint8))
+    init = LabelEstimate(labels=labels)
 
     def votes():
         if K == 3:
@@ -376,12 +366,11 @@ def test_votes_in_small_chunks_equal_one_shot_votes(monkeypatch, K):
         return recovery._superset_votes(inst, fam, values)
 
     one_shot, one_shot_est = votes(), label_good_vertices(inst, fam, init)
-    assert inst.union_edges.u.size > 50 * 7 and inst.union_edges.u.size % 7
+    assert inst.parent.edge_count > 50 * 7 and inst.parent.edge_count % 7
     monkeypatch.setattr(recovery, "_VOTE_CHUNK", 7)
     chunked, chunked_est = votes(), label_good_vertices(inst, fam, init)
     assert chunked.dtype == one_shot.dtype and chunked.tobytes() == one_shot.tobytes()
     assert chunked_est.labels.tolist() == one_shot_est.labels.tolist()
-    assert chunked_est.provenance.tolist() == one_shot_est.provenance.tolist()
     assert chunked_est.good_disagreements == one_shot_est.good_disagreements
 
 
@@ -391,9 +380,7 @@ def test_votes_in_small_chunks_equal_one_shot_votes(monkeypatch, K):
 def test_bad_step_difference_graph_cases():
     inst = crafted_k3_instance()
     fam = all_pairwise_matchings(inst, 1)
-    prov = np.full(7, PROVENANCE_INITIAL, dtype=np.uint8)
-    prov[[1, 2, 3]] = PROVENANCE_GOOD
-    current = estimate([1, 1, 1, -1, 1, -1, -1], prov)
+    current = estimate([1, 1, 1, -1, 1, -1, -1])
     out = label_bad_vertices(inst, fam, current)
 
     # Vertex 0 is matched to child 2 only, so exactly that child is
@@ -407,10 +394,9 @@ def test_bad_step_difference_graph_cases():
     assert out.labels[4] == 1 and out.labels[5] == -1
     # Good vertices are never rewritten.
     assert out.labels[1] == 1 and out.labels[2] == 1 and out.labels[3] == -1
-    bad_set = frozenset(np.flatnonzero(out.provenance == PROVENANCE_BAD).tolist())
-    assert bad_set == frozenset({0, 4, 5, 6})
-    good_set = frozenset(np.flatnonzero(out.provenance == PROVENANCE_GOOD).tolist())
-    assert good_set == frozenset({1, 2, 3})
+    classes = classify_good_bad(fam)
+    assert classes.bad.tolist() == [0, 4, 5, 6]
+    assert classes.good.tolist() == [1, 2, 3]
 
 
 def test_bad_step_minority_rule():
@@ -454,16 +440,12 @@ def test_bad_step_votes_only_on_fully_matched_core():
     assert classes.bad.tolist() == [0, 5]
     assert bipartition(classes, 3, 5) == (frozenset({0}), frozenset({1, 2}))
 
-    prov = np.full(6, PROVENANCE_GOOD, dtype=np.uint8)
-    prov[[0, 5]] = PROVENANCE_INITIAL
-    current = estimate([-1, 1, 1, 1, -1, -1], prov)
+    current = estimate([-1, 1, 1, 1, -1, -1])
     out = label_bad_vertices(inst, fam, current)
     assert out.labels[5] == 1
     # Vertex 0's only neighbour is outside the matched core: tie, keep.
     assert out.labels[0] == -1
     assert out.labels.tolist() == [-1, 1, 1, 1, -1, 1]
-    bad_set = frozenset(np.flatnonzero(out.provenance == PROVENANCE_BAD).tolist())
-    assert bad_set == frozenset({0, 5})
 
 
 def reference_bad_step(inst, fam, current, classes):
@@ -501,7 +483,6 @@ def reference_bad_step(inst, fam, current, classes):
         else:
             label = int(current_labels[v])
         est.labels[v] = label
-        est.provenance[v] = PROVENANCE_BAD
     return est
 
 
@@ -519,7 +500,7 @@ def test_bad_step_matches_per_vertex_reference(n, s, K):
         out = label_bad_vertices(inst, fam, current, classes=classes)
         ref = reference_bad_step(inst, fam, current, classes)
         assert out.labels.tolist() == ref.labels.tolist()
-        assert out.provenance.tolist() == ref.provenance.tolist()
+        assert out.labels[classes.good].tolist() == labels[classes.good].tolist()
         bad_total += len(classes.bad)
     assert bad_total > 0
 
@@ -557,14 +538,19 @@ def test_full_recovery_disassortative_mirror():
 
 
 def test_full_recovery_provenance_totality():
+    # Every vertex is relabelled by exactly one step: the good step writes
+    # the good vertices (at K = 3 its three case sets, which together are
+    # exactly the good vertices) and the bad step the bad ones.
     inst = sample_instance(Params(n=400, a=9.0, b=1.0, s=0.4, K=3, k=1), 3)
     fam = all_pairwise_matchings(inst, 1)
     classes = classify_good_bad(fam)
     est = recover_by_stages(inst, fam)
     assert set(np.unique(est.labels)) <= {-1, 1}
-    assert not np.any(est.provenance == PROVENANCE_INITIAL)
-    assert np.flatnonzero(est.provenance == PROVENANCE_GOOD).tolist() == classes.good.tolist()
-    assert np.flatnonzero(est.provenance == PROVENANCE_BAD).tolist() == classes.bad.tolist()
+    assert np.union1d(classes.good, classes.bad).tolist() == list(range(inst.n))
+    assert np.intersect1d(classes.good, classes.bad).size == 0
+    m01, m02, m12 = fam.member_mask(0, 1), fam.member_mask(0, 2), fam.member_mask(1, 2)
+    cases = (m02 & m12) | (m01 & m12) | (m01 & m02)
+    assert np.flatnonzero(cases).tolist() == classes.good.tolist()
 
 
 @pytest.mark.parametrize("K", [2, 3, 4])
@@ -601,21 +587,25 @@ def test_full_recovery_k1_reduction():
 
 def test_full_recovery_degraded_instance():
     inst = sample_instance(Params(n=30, a=0.0, b=0.0, s=0.5, K=3, k=1), 0)
-    est = recover_by_stages(inst, all_pairwise_matchings(inst, 1))
+    fam = all_pairwise_matchings(inst, 1)
+    est = recover_by_stages(inst, fam)
     assert est.degraded
     assert np.all(est.labels == 1)
-    assert np.all(est.provenance == PROVENANCE_BAD)
+    assert classify_good_bad(fam).bad.tolist() == list(range(inst.n))
 
 
 def _pinned_pipeline_digest() -> str:
     """sha256 over the pipeline outputs of K = 1..5, both regimes and four seeds per cell.
 
-    It covers the bad set, the bipartitions, the final labels with their
-    provenance and diagnostics, and the estimator verdict with its
-    permutations.  The estimator now returns only the verdict, so the
-    record's other estimator fields are rebuilt as the estimator once
-    filled them: the true permutations and ``correct`` True when it does
-    not abstain, and the bad-vertex count.
+    It covers the bad set, the bipartitions, the final labels with the
+    step that wrote each and the diagnostics, and the estimator verdict
+    with its permutations.  The estimate keeps no per-vertex record of the
+    writing step, so the record's one (1 for the good step, 2 for the bad
+    step) is rebuilt from the good/bad split, which it always equalled.
+    The estimator now returns only the verdict, so the record's other
+    estimator fields are rebuilt as the estimator once filled them: the
+    true permutations and ``correct`` True when it does not abstain, and
+    the bad-vertex count.
     """
     h = hashlib.sha256()
     for K in range(1, 6):
@@ -630,11 +620,14 @@ def _pinned_pipeline_digest() -> str:
                 perms = None if est.abstained else inst.pi_star[1:]
                 bad = classes.bad.tolist()
                 splits = [bipartition(classes, K, v) for v in bad]
+                written_by = np.zeros(inst.n, dtype=np.uint8)
+                written_by[classes.good] = 1
+                written_by[classes.bad] = 2
                 record = (
                     bad,
                     [(v, sorted(comp), sorted(rest)) for v, (comp, rest) in zip(bad, splits)],
                     final.labels.tolist(),
-                    final.provenance.tolist(),
+                    written_by.tolist(),
                     final.degraded,
                     final.good_disagreements,
                     est.abstained,
