@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, _image_keys, _require_integer
+from .graphs import Graph, _image_keys, _require_integer, _require_real
 from .seeds import (
     ROLE_LABELS,
     ROLE_PARENT_EDGES,
@@ -77,7 +77,9 @@ class Params:
     probabilities ``a ln n / n`` and ``b ln n / n``.  ``s`` is the per-child
     edge retention probability, ``K`` the number of children.  ``k`` (core
     order) and ``eps`` (initialisation accuracy target) are the values the
-    recovery pipeline runs with.
+    recovery pipeline runs with.  ``n``, ``K`` and ``k`` are stored as ints
+    and ``a``, ``b``, ``s`` and ``eps`` as floats; a bool or a string is
+    rejected.
     """
 
     n: int
@@ -91,6 +93,8 @@ class Params:
     def __post_init__(self):
         for name in ("n", "K", "k"):
             object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
+        for name in ("a", "b", "s", "eps"):
+            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
         if self.n < 1:
             raise ValueError("n must be at least 1")
         for name in ("a", "b"):

@@ -10,8 +10,8 @@ throwaway graphs whose neighbourhoods are never queried.  The edge array
 is stored column by column, and the trial stages read the union graph's
 edges as its two contiguous columns.
 
-:func:`k_core` peels the edge columns it is given and builds the CSR it
-cascades through from their keys, never a graph's cached one.
+:func:`k_core` peels the edge columns it is given in rounds of whole-array
+degree counts, and builds no adjacency.
 :func:`intersection_graph` keeps the edges of one graph whose image under a
 :class:`PartialMatching` is an edge of another.  The trial pipeline itself
 never maps graphs through matchings: it selects union edges by their
@@ -39,12 +39,20 @@ _MAX_N = 3_037_000_499
 
 
 def _require_integer(name: str, value) -> int:
-    """``value`` as an int, rejecting a value that is not a whole number, such as 1.5."""
-    if not isinstance(value, numbers.Integral) and not (
-        isinstance(value, numbers.Real) and float(value).is_integer()
+    """``value`` as an int, rejecting a bool or a value that is not a whole number, such as 1.5."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and float(value).is_integer())
     ):
         raise ValueError(f"{name} must be an integer, not {value!r}")
     return int(value)
+
+
+def _require_real(name: str, value) -> float:
+    """``value`` as a float, rejecting anything but a real number, such as a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    return float(value)
 
 
 def _pack(n: int, pairs: np.ndarray) -> np.ndarray:
@@ -345,10 +353,9 @@ def _checked_map(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 def k_core(g: Graph, k: int) -> frozenset[int]:
     """Vertex set of the maximal induced subgraph with minimum degree >= k.
 
-    Peels every vertex of degree below ``k``, cascading the degree loss to
-    its neighbours through the CSR adjacency.  The core is unique, so the
-    peeling order does not matter.  Returns the empty set when nothing
-    survives.
+    Peels, round by round, every vertex of degree below ``k`` together with
+    its edges.  The core is unique, so the peeling order does not matter.
+    Returns the empty set when nothing survives.
     """
     k = _require_integer("k", k)
     core = _core_mask(g.n, *g.edges.T, k)
@@ -358,29 +365,23 @@ def k_core(g: Graph, k: int) -> frozenset[int]:
 def _core_mask(n: int, lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of the k-core of the graph on ``0..n-1`` with edges ``(lo[i], hi[i])``.
 
-    The edges must be distinct and in key order, as :attr:`Graph.edges` and
-    every row subset of it are.  The adjacency is needed only when a vertex
-    below ``k`` has an edge, so that the peel can cascade; it is then built
-    from the edge keys.
+    The edges must be distinct, in any order.  Each round counts the
+    degrees over the edges left and keeps only the edges whose ends both
+    reach ``k``.  The peel stops once no vertex below ``k`` has an edge; the
+    vertices at or above ``k`` are then the core.  At k = 1 that holds
+    after the first count.  A round costs O(m + n), and sparse random
+    graphs peel in a few dozen rounds, but a long chain is the worst case:
+    a path at k = 2 loses only its two ends per round.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    deg = _neighbour_sums(n, lo, hi)
-    removed = deg < k
-    if not deg[removed].any():
-        # Only isolated vertices go, so no degree drops and nothing cascades.
-        return ~removed
-    indptr, indices = _adjacency_csr(n, lo * np.int64(n) + hi)
-    stack = np.flatnonzero(removed).tolist()
-    deg = deg.tolist()
-    while stack:
-        v = stack.pop()
-        for u in indices[indptr[v] : indptr[v + 1]].tolist():
-            deg[u] -= 1
-            if deg[u] < k and not removed[u]:
-                removed[u] = True
-                stack.append(u)
-    return ~removed
+    while True:
+        deg = _neighbour_sums(n, lo, hi)
+        core = deg >= k
+        if not deg[~core].any():
+            return core
+        keep = core[lo] & core[hi]
+        lo, hi = lo[keep], hi[keep]
 
 
 # -- matched intersection --------------------------------------------------

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -31,7 +30,7 @@ from itertools import product
 import numpy as np
 
 from .generate import Params, sample_instance
-from .graphs import _require_integer
+from .graphs import _require_integer, _require_real
 from .impossibility import map_failure_witness
 from .matching import all_pairwise_matchings, classify_good_bad, exact_matching_estimator
 from .recovery import almost_exact_label, label_bad_vertices, label_good_vertices, overlap
@@ -200,13 +199,6 @@ def run_trial(
 
 def _sorted_unique(values, caster) -> tuple:
     return tuple(sorted({caster(v) for v in values}))
-
-
-def _require_real(name: str, value) -> float:
-    """``value`` as a float, rejecting anything but a real number, such as a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, not {value!r}")
-    return float(value)
 
 
 _GRID_FIELDS = ("n_values", "a_values", "b_values", "s_values", "K_values")

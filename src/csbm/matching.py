@@ -8,8 +8,7 @@ probability; the test suite keeps that exhaustive oracle and checks it
 dominates on small instances.  The family never builds the child graphs:
 in anchor labels the (i, j) intersection is the set of union edges (the
 edges kept by some child) whose retention code has bits i and j.  Its
-degrees are counted there, and its adjacency is built only when its
-k-core peel can cascade.
+k-core is peeled there, in rounds of degree counts over those edges.
 
 On top of the pairwise matchings sits the per-vertex metagraph: K nodes, an
 edge (i, j) when the vertex is matched by the (i, j) matching.  A vertex is
@@ -122,10 +121,10 @@ def all_pairwise_matchings(inst: CorrelatedInstance, k: int) -> MatchingFamily:
     ``pi_j o pi_i^(-1)`` on the k-core of its intersection graph, which is
     peeled in anchor labels: the (i, j) intersection is the set of union
     edges whose retention code has bits i and j, so no graph is built.
-    Its degrees come from the edge endpoints directly; an adjacency is
-    built only when some vertex below ``k`` has an edge, so the peel can
-    cascade.  Only the cores are stored; the maps they stand for equal the
-    seeded matcher's on the two children.  K = 1 yields an empty family.
+    Each peel round counts degrees from the edge endpoints directly; no
+    adjacency is built.  Only the cores are stored; the maps they stand
+    for equal the seeded matcher's on the two children.  K = 1 yields an
+    empty family.
     """
     k = _require_integer("k", k)
     if k < 1:

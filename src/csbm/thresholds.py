@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import _require_integer
+from .graphs import _require_integer, _require_real
 
 __all__ = [
     "chernoff_hellinger",
@@ -57,7 +57,8 @@ class ThresholdPoint:
     """One point of the phase diagram (``a = b`` allowed, both finite and positive).
 
     ``K`` must be a whole number; one given as a float, such as 3.0, is
-    stored as the int.
+    stored as the int.  ``a``, ``b`` and ``s`` are stored as floats; a bool
+    or a string is rejected.
     """
 
     a: float
@@ -66,6 +67,8 @@ class ThresholdPoint:
     K: int = 3
 
     def __post_init__(self):
+        for name in ("a", "b", "s"):
+            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
         for name in ("a", "b"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

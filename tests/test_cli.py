@@ -242,6 +242,9 @@ def test_sweep_per_trial_requires_config_flag(tmp_path, capsys):
         pytest.param({**SWEEP_PAYLOAD, "b_values": [True]}, id="bool-in-b-grid"),
         pytest.param({**SWEEP_PAYLOAD, "s_values": ["0.4"]}, id="string-in-s-grid"),
         pytest.param({**SWEEP_PAYLOAD, "eps": True}, id="bool-eps"),
+        pytest.param({**SWEEP_PAYLOAD, "n_values": [True, 100]}, id="bool-in-n-grid"),
+        pytest.param({**SWEEP_PAYLOAD, "k": True}, id="bool-core-order"),
+        pytest.param({**SWEEP_PAYLOAD, "trials": True}, id="bool-count"),
     ],
 )
 def test_sweep_rejects_bad_config(tmp_path, capsys, payload):
@@ -260,6 +263,13 @@ def test_sweep_rejects_bad_config(tmp_path, capsys, payload):
             assert f"{field} must be a number" in err
     if isinstance(payload.get("eps"), bool):
         assert "eps must be a number" in err
+    # A bool in an integer field is a typo, not the count 1.
+    for field in ("n_values", "k", "trials"):
+        values = payload.get(field)
+        if isinstance(values, bool) or (
+            isinstance(values, list) and any(isinstance(x, bool) for x in values)
+        ):
+            assert f"{field} must be an integer" in err
 
 
 @pytest.mark.parametrize("text", ["3", "null", "true", '"abc"', "[1, 2]"])

@@ -159,8 +159,8 @@ def test_every_import_is_used():
 
 def test_a_trial_loads_no_scipy():
     # In a fresh interpreter: import the package, run small trials at k = 1
-    # and k = 2 through every experiment, peel a pendant edge at k = 2 so
-    # the peel cascades through the adjacency, and query single vertices.
+    # and k = 2 through every experiment, peel a pendant edge at k = 2 over
+    # two rounds, and query single vertices.
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import csbm; "
         "[csbm.run_trial(csbm.Params(n=200, a=9.0, b=1.0, s=0.4, K=3, k=k), 0, "

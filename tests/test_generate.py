@@ -39,7 +39,7 @@ def test_params_validation():
         Params(n=10, a=1.0, b=1.0, s=0.5, k=0)
     with pytest.raises(ValueError):
         Params(n=10, a=1.0, b=1.0, s=0.5, eps=0.0)
-    for fractional in ({"n": 10.5}, {"K": 2.5}, {"k": 1.5}):
+    for fractional in ({"n": 10.5}, {"K": 2.5}, {"k": 1.5}, {"K": True}, {"k": True}):
         with pytest.raises(ValueError, match="integer"):
             Params(**{"n": 10, "a": 1.0, "b": 1.0, "s": 0.5, **fractional})
     assert Params(n=10.0, a=1.0, b=1.0, s=0.5, K=np.int64(2)).K == 2
@@ -50,6 +50,7 @@ def test_params_validation():
     [
         ("a", math.nan), ("a", math.inf), ("b", math.nan), ("b", -math.inf),
         ("eps", math.nan), ("eps", math.inf),
+        ("a", True), ("s", True), ("eps", True), ("a", "9"), ("s", "0.4"),
     ],
 )
 def test_params_rejects_non_finite_coefficients(field, value):

@@ -13,6 +13,7 @@ from csbm.graphs import (
     Graph,
     PartialMatching,
     _adjacency_csr,
+    _neighbour_sums,
     intersection_graph,
     k_core,
     write_edge_list,
@@ -354,7 +355,7 @@ def test_kcore_matches_oracle_on_random_graphs():
             assert k_core(g, k) == kcore_oracle(g, k)
 
 
-@pytest.mark.parametrize("k", [1, 3, 6])
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 13])
 def test_kcore_matches_networkx(k):
     rng = np.random.default_rng(1000 + k)
     # Mean degrees of about 4, 8 and 12: cores from empty to nearly everything.
@@ -368,23 +369,40 @@ def test_kcore_matches_networkx(k):
         assert k_core(g, k) == frozenset(nx.k_core(ref, k).nodes)
 
 
-def test_kcore_without_cascade_builds_no_adjacency(monkeypatch):
-    built = []
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("clique", [5, 0])
+def test_kcore_matches_networkx_on_long_paths(monkeypatch, clique, k):
+    # A 1000-vertex path, bare or hanging off a 5-clique: at k = 2 each
+    # round peels only its loose end or ends, so the rounds number hundreds.
+    n = clique + 1000
+    edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
+    edges += [(v, v + 1) for v in range(max(clique - 1, 0), n - 1)]
+    g = Graph(n, edges)
+    ref = nx.Graph()
+    ref.add_nodes_from(range(n))
+    ref.add_edges_from(edges)
+    rounds = []
 
-    def counting(n, keys):
-        built.append(len(keys))
-        return _adjacency_csr(n, keys)
+    def counting(n, lo, hi):
+        rounds.append(lo.size)
+        return _neighbour_sums(n, lo, hi)
 
-    monkeypatch.setattr(graphs, "_adjacency_csr", counting)
-    # Below k = 1 only isolated vertices go, so the peel needs no neighbours.
+    monkeypatch.setattr(graphs, "_neighbour_sums", counting)
+    assert k_core(g, k) == frozenset(nx.k_core(ref, k).nodes)
+    assert len(rounds) > (400 if k == 2 else 1)
+
+
+def test_kcore_builds_no_adjacency(monkeypatch):
+    def no_adjacency(n, keys):
+        raise AssertionError("an adjacency was built")
+
+    monkeypatch.setattr(graphs, "_adjacency_csr", no_adjacency)
+    # The peel counts degrees over the edges left, round by round, at any k.
     g = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4)])
     assert k_core(g, 1) == frozenset(range(5))
     assert k_core(Graph(4), 3) == frozenset()
-    assert built == []
-    # At k = 2 the pendant edge (3, 4) must be peeled through an adjacency
-    # of the edges themselves.
     assert k_core(g, 2) == frozenset({0, 1, 2})
-    assert built == [4]
+    assert k_core(g, 3) == frozenset()
 
 
 # -- intersection graph ------------------------------------------------------

@@ -9,12 +9,14 @@ import pstats
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from csbm import harness
 from csbm.generate import Params, sample_instance
 from csbm.harness import (
     AGGREGATE_COLUMNS,
+    TRIAL_COLUMNS,
     SweepConfig,
     cell_seeds,
     cells_csv,
@@ -24,6 +26,7 @@ from csbm.harness import (
     scaling_csv,
     scaling_experiment,
     sweep,
+    trial_row,
     trials_csv,
 )
 from csbm.seeds import cell_key, trial_seed
@@ -88,6 +91,19 @@ def test_trial_accepts_whole_float_sizes():
     ints = Params(n=300, a=9.0, b=1.0, s=0.4, K=3, k=1)
     assert all(type(getattr(floats, name)) is int for name in ("n", "K", "k"))
     assert run_trial(floats, 3).replay_key() == run_trial(ints, 3).replay_key()
+
+
+def test_numpy_scalar_params_write_the_same_csv_bytes():
+    # a, b, s and eps are stored as Python floats, so no CSV cell reads
+    # "np.float64(9.0)".
+    scalars = Params(n=200, a=np.float64(9.0), b=1.0, s=np.float64(0.4), K=3, k=1)
+    floats = Params(n=200, a=9.0, b=1.0, s=0.4, K=3, k=1)
+    assert all(type(getattr(scalars, name)) is float for name in ("a", "b", "s", "eps"))
+    texts = [
+        format_csv(TRIAL_COLUMNS, [trial_row(p, 0, run_trial(p, 5), False)])
+        for p in (scalars, floats)
+    ]
+    assert texts[0] == texts[1]
 
 
 def test_trial_with_one_child_skips_pair_experiments():

@@ -19,7 +19,7 @@ from graph_algebra import (
 
 from csbm import graphs, matching
 from csbm.generate import Params, _code_dtype, sample_instance
-from csbm.graphs import Graph, _adjacency_csr
+from csbm.graphs import Graph
 from csbm.matching import (
     MatchingFamily,
     all_pairwise_matchings,
@@ -187,35 +187,28 @@ def test_family_k2_equals_single_pairwise_call():
     assert fam.matchings[(0, 1)] == direct
 
 
-def test_family_builds_an_adjacency_only_when_the_peel_can_cascade(monkeypatch):
+def test_family_builds_no_graph_and_no_adjacency(monkeypatch):
     inst = sample_instance(Params(n=400, a=9.0, b=1.0, s=0.5, K=3), 2)
     inst.parent.edges
-    peeled = []
 
-    def counting(n, keys):
-        peeled.append(len(keys))
-        return _adjacency_csr(n, keys)
+    def no_adjacency(*args):
+        raise AssertionError("an adjacency was built")
 
     def no_graph(*args):
         raise AssertionError("a graph was built")
 
-    monkeypatch.setattr(graphs, "_adjacency_csr", counting)
+    monkeypatch.setattr(graphs, "_adjacency_csr", no_adjacency)
     monkeypatch.setattr(Graph, "_set_keys", no_graph)
-    # No graph is built at any k.  At k = 1 only isolated vertices fall
-    # below k, so no adjacency is built either.
-    one = all_pairwise_matchings(inst, 1)
-    assert peeled == []
-    # At k = 3 low-degree vertices with edges cascade; the peel then walks
-    # the adjacency of the intersection itself.
-    three = all_pairwise_matchings(inst, 3)
-    assert len(peeled) == 3
+    # The peel counts degrees over the intersection's edges, round by
+    # round, at any k.
+    one, two, three = (all_pairwise_matchings(inst, k) for k in (1, 2, 3))
     monkeypatch.undo()
     for (i, j), mask in three.anchor_masks.items():
         mu = kcore_matching_seeded(
             inst.children[i], inst.children[j], 3, inst.true_pairwise_permutation(i, j)
         )
         assert three.matchings[(i, j)] == mu
-        assert mask.sum() < one.anchor_masks[(i, j)].sum()
+        assert mask.sum() < two.anchor_masks[(i, j)].sum() <= one.anchor_masks[(i, j)].sum()
 
 
 def test_family_full_retention_gives_full_matchings():

@@ -56,7 +56,11 @@ def test_threshold_point_stores_whole_float_children_as_int():
 
 
 @pytest.mark.parametrize(
-    "field, value", [("a", math.nan), ("a", math.inf), ("b", math.nan), ("b", math.inf)]
+    "field, value",
+    [
+        ("a", math.nan), ("a", math.inf), ("b", math.nan), ("b", math.inf),
+        ("a", True), ("b", "1"), ("s", True),
+    ],
 )
 def test_threshold_point_rejects_non_finite_coefficients(field, value):
     point = {"a": 9.0, "b": 1.0, "s": 0.4, field: value}
