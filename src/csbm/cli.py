@@ -118,7 +118,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             f"{t} {result.overlap:.6f} {int(result.recovery_success)} "
             f"{bad} {int(result.degraded)} {result.wall_ms:.1f}"
         )
-        rows.append(trial_row(params, t, result, record_timing=args.timing))
+        rows.append(trial_row(result, t, record_timing=args.timing))
     if args.csv:
         _append_csv(Path(args.csv), TRIAL_COLUMNS, rows)
     return 0

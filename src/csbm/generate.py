@@ -77,9 +77,10 @@ class Params:
     probabilities ``a ln n / n`` and ``b ln n / n``.  ``s`` is the per-child
     edge retention probability, ``K`` the number of children.  ``k`` (core
     order) and ``eps`` (initialisation accuracy target) are the values the
-    recovery pipeline runs with.  ``n``, ``K`` and ``k`` are stored as ints
-    and ``a``, ``b``, ``s`` and ``eps`` as floats; a bool or a string is
-    rejected.
+    recovery pipeline runs with.  ``n``, ``K`` and ``k`` are whole numbers
+    of at least 1, stored as ints, with ``K`` at most 64; ``a`` and ``b``
+    are finite and non-negative, ``s`` lies in [0, 1] and ``eps`` is finite
+    and positive, all stored as floats.  A bool or a string is rejected.
     """
 
     n: int
@@ -92,23 +93,12 @@ class Params:
 
     def __post_init__(self):
         for name in ("n", "K", "k"):
-            object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
-        for name in ("a", "b", "s", "eps"):
-            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+            object.__setattr__(self, name, _require_integer(name, getattr(self, name), 1))
+        _code_dtype(self.K)  # refuses K > 64
         for name in ("a", "b"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, not {value}")
-        if not 0.0 <= self.s <= 1.0:
-            raise ValueError("s must lie in [0, 1]")
-        if not 1 <= self.K <= 64:
-            raise ValueError(f"K must lie in [1, 64] (at most 64 children), not {self.K}")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if not (self.eps > 0 and math.isfinite(self.eps)):
-            raise ValueError(f"eps must be finite and positive, not {self.eps}")
+            object.__setattr__(self, name, _require_real(name, getattr(self, name), 0))
+        object.__setattr__(self, "s", _require_real("s", self.s, 0, 1))
+        object.__setattr__(self, "eps", _require_real("eps", self.eps, positive=True))
         if self.p > 1.0 or self.q > 1.0:
             raise ValueError(
                 f"edge probabilities exceed 1 (p={self.p}, q={self.q}); "
@@ -250,7 +240,9 @@ def _code_dtype(K: int) -> np.dtype:
     """The narrowest unsigned integer dtype with a bit per child."""
     dtype = np.min_scalar_type((1 << K) - 1)
     if dtype.kind != "u":
-        raise ValueError(f"retention codes hold at most 64 children, not K={K}")
+        raise ValueError(
+            f"K must be at most 64, not {K} (retention codes hold at most 64 children)"
+        )
     return dtype
 
 

@@ -20,6 +20,7 @@ retention codes.
 
 from __future__ import annotations
 
+import math
 import numbers
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -38,21 +39,40 @@ __all__ = [
 _MAX_N = 3_037_000_499
 
 
-def _require_integer(name: str, value) -> int:
-    """``value`` as an int, rejecting a bool or a value that is not a whole number, such as 1.5."""
+def _require_integer(name: str, value, low: int | None = None) -> int:
+    """``value`` as an int of at least ``low``; a bool or anything not a whole number fails."""
     if isinstance(value, bool) or not (
         isinstance(value, numbers.Integral)
         or (isinstance(value, numbers.Real) and float(value).is_integer())
     ):
         raise ValueError(f"{name} must be an integer, not {value!r}")
-    return int(value)
+    value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, not {value}")
+    return value
 
 
-def _require_real(name: str, value) -> float:
-    """``value`` as a float, rejecting anything but a real number, such as a bool or a string."""
+def _require_real(
+    name: str, value, low: float | None = None, high: float | None = None, *, positive=False
+) -> float:
+    """``value`` as a finite float in ``[low, high]``, and above 0 when ``positive``.
+
+    Anything but a real number, such as a bool or a string, is rejected, as
+    are NaN and the infinities.  Here and in :func:`_require_integer` every
+    rejection is a ``ValueError`` whose message starts with ``name``.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, not {value!r}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, not {value}")
+    if positive and value <= 0:
+        raise ValueError(f"{name} must be positive, not {value}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, not {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}, not {value}")
+    return value
 
 
 def _pack(n: int, pairs: np.ndarray) -> np.ndarray:
@@ -160,9 +180,7 @@ class Graph:
     """
 
     def __init__(self, n: int, edges=None):
-        n = _require_integer("n", n)
-        if n < 0:
-            raise ValueError("n must be non-negative")
+        n = _require_integer("n", n, 0)
         if n > _MAX_N:
             raise ValueError(f"n={n} exceeds {_MAX_N}; packed edge keys would overflow int64")
         if edges is not None and not isinstance(edges, np.ndarray):
@@ -355,9 +373,10 @@ def k_core(g: Graph, k: int) -> frozenset[int]:
 
     Peels, round by round, every vertex of degree below ``k`` together with
     its edges.  The core is unique, so the peeling order does not matter.
-    Returns the empty set when nothing survives.
+    Returns the empty set when nothing survives.  ``k`` must be a whole
+    number of at least 1.
     """
-    k = _require_integer("k", k)
+    k = _require_integer("k", k, 1)
     core = _core_mask(g.n, *g.edges.T, k)
     return frozenset(np.flatnonzero(core).tolist())
 
@@ -365,16 +384,15 @@ def k_core(g: Graph, k: int) -> frozenset[int]:
 def _core_mask(n: int, lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of the k-core of the graph on ``0..n-1`` with edges ``(lo[i], hi[i])``.
 
-    The edges must be distinct, in any order.  Each round counts the
-    degrees over the edges left and keeps only the edges whose ends both
-    reach ``k``.  The peel stops once no vertex below ``k`` has an edge; the
-    vertices at or above ``k`` are then the core.  At k = 1 that holds
-    after the first count.  A round costs O(m + n), and sparse random
-    graphs peel in a few dozen rounds, but a long chain is the worst case:
-    a path at k = 2 loses only its two ends per round.
+    The edges must be distinct, in any order, and ``k`` at least 1, as both
+    callers check.  Each round counts the degrees over the edges left and
+    keeps only the edges whose ends both reach ``k``.  The peel stops once
+    no vertex below ``k`` has an edge; the vertices at or above ``k`` are
+    then the core.  At k = 1 that holds after the first count.  A round
+    costs O(m + n), and sparse random graphs peel in a few dozen rounds,
+    but a long chain is the worst case: a path at k = 2 loses only its two
+    ends per round.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
     while True:
         deg = _neighbour_sums(n, lo, hi)
         core = deg >= k

@@ -213,9 +213,10 @@ class SweepConfig:
     needs at least four strictly ascending n values; the other experiments
     run per cell.  ``record_timing`` opts into the wall-clock columns (off
     by default so sweep CSVs are byte-reproducible); it and ``per_trial``
-    must be booleans.  ``k``, ``trials`` and ``master_seed`` are stored as
-    ints; ``eps`` and each ``a``, ``b`` and ``s`` grid value must be a real
-    number, not a bool, and are stored as floats.
+    must be booleans.  ``k`` and ``trials`` are whole numbers of at least
+    1 and ``master_seed`` any whole number, all stored as ints; ``eps`` is
+    finite and positive, and each ``a``, ``b`` and ``s`` grid value finite,
+    all stored as floats.  A bool or a string is rejected.
     """
 
     n_values: tuple[int, ...]
@@ -248,32 +249,27 @@ class SweepConfig:
             raise ValueError(f"unknown experiments: {sorted(bad_names)}")
         if not self.experiments:
             raise ValueError("at least one experiment is required")
-        for name in ("k", "trials", "master_seed"):
-            setattr(self, name, _require_integer(name, getattr(self, name)))
-        self.eps = _require_real("eps", self.eps)
+        self.k = _require_integer("k", self.k, 1)
+        self.trials = _require_integer("trials", self.trials, 1)
+        self.master_seed = _require_integer("master_seed", self.master_seed)
+        self.eps = _require_real("eps", self.eps, positive=True)
         for name in ("record_timing", "per_trial"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, not {getattr(self, name)!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
         if "scaling" in self.experiments and len(self.n_values) < 4:
             raise ValueError("the scaling experiment needs at least 4 distinct n values")
-        for cell in self.cells():
-            self.cell_params(cell)
+        self.cells()
 
-    def cells(self) -> list[tuple]:
+    def cells(self) -> list[Params]:
+        """The Params of every grid cell, in sorted parameter order."""
         return [
-            (n, a, b, s, K)
+            Params(n=n, a=a, b=b, s=s, K=K, k=self.k, eps=self.eps)
             for n in self.n_values
             for a in self.a_values
             for b in self.b_values
             for s in self.s_values
             for K in self.K_values
         ]
-
-    def cell_params(self, cell: tuple) -> Params:
-        n, a, b, s, K = cell
-        return Params(n=n, a=a, b=b, s=s, K=K, k=self.k, eps=self.eps)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -322,10 +318,10 @@ def _aggregate_row(rows: list[dict]) -> dict:
     return row
 
 
-def trial_row(params: Params, index: int, r: TrialResult, record_timing: bool) -> dict:
+def trial_row(r: TrialResult, index: int, record_timing: bool) -> dict:
     """One TRIAL_COLUMNS row; ``wall_ms`` stays empty unless ``record_timing``."""
     return {
-        **{c: getattr(params, c) for c in _CELL_COLUMNS},
+        **{c: getattr(r.params, c) for c in _CELL_COLUMNS},
         "trial": index,
         "seed": r.seed,
         "overlap": r.overlap,
@@ -348,11 +344,11 @@ def cell_seeds(params: Params, trials: int, master_seed: int) -> list[int]:
 
     A seed depends only on (master seed, cell parameters, trial index), so
     permuting cells or splitting a grid leaves every trial unchanged.
-    ``trials`` must be a whole number of at least 1.
+    ``trials`` must be a whole number of at least 1 and ``master_seed`` a
+    whole number.
     """
-    trials = _require_integer("trials", trials)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _require_integer("trials", trials, 1)
+    master_seed = _require_integer("master_seed", master_seed)
     key = cell_key(params.n, params.a, params.b, params.s, params.K, params.k)
     return [trial_seed(master_seed, key, t) for t in range(trials)]
 
@@ -366,7 +362,7 @@ def _cell_rows(
 ) -> list[dict]:
     """Run a cell's trials and return their TRIAL_COLUMNS rows."""
     return [
-        trial_row(params, t, run_trial(params, seed, experiments=experiments), record_timing)
+        trial_row(run_trial(params, seed, experiments=experiments), t, record_timing)
         for t, seed in enumerate(cell_seeds(params, trials, master_seed))
     ]
 
@@ -379,10 +375,9 @@ def sweep(cfg: SweepConfig) -> SweepResult:
     trial_experiments = tuple(e for e in cfg.experiments if e != "scaling")
     result = SweepResult(cell_rows=[])
     if trial_experiments:
-        for cell in cfg.cells():
+        for params in cfg.cells():
             rows = _cell_rows(
-                cfg.cell_params(cell), cfg.trials, cfg.master_seed,
-                trial_experiments, cfg.record_timing,
+                params, cfg.trials, cfg.master_seed, trial_experiments, cfg.record_timing
             )
             result.cell_rows.append(_aggregate_row(rows))
             if cfg.per_trial:
@@ -524,12 +519,15 @@ def region_grid_export(
     """Rasterise the K=3 phase diagram at fixed ``s``.
 
     The grid runs over multiples of ``step`` in (0, a_max] x (0, b_max].
+    ``s`` lies in [0, 1]; ``step`` is finite and positive, and so are
+    ``a_max`` and ``b_max``, each at least ``step``.  Grid values are floats.
     Classification runs at strict tolerance (no Boundary rows); the summary
     counts grid cells per region label in a fixed label order.
     """
-    for name, value in (("a_max", a_max), ("b_max", b_max), ("step", step)):
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be finite and positive, not {value}")
+    s = _require_real("s", s, 0, 1)
+    a_max = _require_real("a_max", a_max, positive=True)
+    b_max = _require_real("b_max", b_max, positive=True)
+    step = _require_real("step", step, positive=True)
     a_values = _grid_values(step, a_max)
     b_values = _grid_values(step, b_max)
     if not a_values or not b_values:

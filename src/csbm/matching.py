@@ -124,11 +124,9 @@ def all_pairwise_matchings(inst: CorrelatedInstance, k: int) -> MatchingFamily:
     Each peel round counts degrees from the edge endpoints directly; no
     adjacency is built.  Only the cores are stored; the maps they stand
     for equal the seeded matcher's on the two children.  K = 1 yields an
-    empty family.
+    empty family.  ``k`` must be a whole number of at least 1.
     """
-    k = _require_integer("k", k)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = _require_integer("k", k, 1)
     u, v = inst.parent.edges.T
     codes = inst.edge_codes
     masks = {}

@@ -53,10 +53,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .generate import CorrelatedInstance
-from .graphs import Graph, _neighbour_sums
+from .graphs import Graph, _neighbour_sums, _require_real
 from .matching import MatchingFamily, VertexClass, classify_good_bad
 from .seeds import ROLE_EDGE_HOLDOUT, ROLE_INIT_VECTOR, stream
-from .thresholds import _require_coefficients, chernoff_hellinger
+from .thresholds import chernoff_hellinger
 
 __all__ = [
     "LabelEstimate",
@@ -106,7 +106,8 @@ def almost_exact_label(
     ``a_eff`` and ``b_eff`` are the effective intra/inter coefficients of
     the graph being labelled (for a child of the correlated model, ``s * a``
     and ``s * b``); they choose between majority and minority refinement and
-    feed the accuracy-target sanity check on ``eps``.  Half the edges (an
+    feed the accuracy-target sanity check on ``eps``.  Both are finite and
+    non-negative, and ``eps`` is finite and positive.  Half the edges (an
     independent Bernoulli split derived from ``seed``) go to the spectral
     stage, the other half to the refinement vote.  ``seed`` also draws the
     Lanczos start vector, so the labelling is a function of its inputs.
@@ -130,9 +131,8 @@ def almost_exact_label(
     the Ritz pair converges: a numerical failure, told apart from a
     labelling that converged and is simply wrong.
     """
-    _require_coefficients(a_eff, b_eff)
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be finite and positive, not {eps}")
+    a_eff, b_eff = _require_real("a_eff", a_eff, 0), _require_real("b_eff", b_eff, 0)
+    eps = _require_real("eps", eps, positive=True)
     if a_eff > 0 and b_eff > 0 and a_eff != b_eff:
         bound = chernoff_hellinger(a_eff, b_eff) / (
             4.0 * abs(math.log(a_eff / b_eff))

@@ -18,6 +18,8 @@ import struct
 
 import numpy as np
 
+from .graphs import _require_integer
+
 # Role codes for the per-purpose streams.  Frozen: changing any of these
 # changes every sampled instance.
 ROLE_LABELS = 0
@@ -36,11 +38,10 @@ def stream(seed: int, role: int) -> np.random.Generator:
     """Return the generator for one ``(seed, role)`` pair.
 
     Streams for distinct roles under the same seed are statistically
-    independent; the same pair always yields the same stream.
+    independent; the same pair always yields the same stream.  ``seed``
+    must be a whole number of at least 0.
     """
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    seq = np.random.SeedSequence((int(seed), int(role)))
+    seq = np.random.SeedSequence((_require_integer("seed", seed, 0), int(role)))
     return np.random.Generator(np.random.Philox(seq))
 
 

@@ -34,31 +34,26 @@ __all__ = [
 ]
 
 
-def _require_coefficients(a: float, b: float) -> None:
-    # Written so that NaN, which fails every comparison, fails the check.
-    if not (a >= 0 and b >= 0 and math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"a and b must be finite and non-negative, not {a} and {b}")
-
-
 def chernoff_hellinger(a: float, b: float) -> float:
-    """Divergence ``(sqrt(a) - sqrt(b))^2 / 2`` governing exact recovery."""
-    _require_coefficients(a, b)
+    """Divergence ``(sqrt(a) - sqrt(b))^2 / 2`` governing exact recovery; ``a, b >= 0``."""
+    a, b = _require_real("a", a, 0), _require_real("b", b, 0)
     return (math.sqrt(a) - math.sqrt(b)) ** 2 / 2.0
 
 
 def connectivity_param(a: float, b: float) -> float:
-    """Average-degree coefficient ``(a + b) / 2`` governing matching."""
-    _require_coefficients(a, b)
+    """Average-degree coefficient ``(a + b) / 2`` governing matching; ``a, b >= 0``."""
+    a, b = _require_real("a", a, 0), _require_real("b", b, 0)
     return (a + b) / 2.0
 
 
 @dataclass(frozen=True)
 class ThresholdPoint:
-    """One point of the phase diagram (``a = b`` allowed, both finite and positive).
+    """One point of the phase diagram.
 
-    ``K`` must be a whole number; one given as a float, such as 3.0, is
-    stored as the int.  ``a``, ``b`` and ``s`` are stored as floats; a bool
-    or a string is rejected.
+    ``a`` and ``b`` are finite and positive (``a = b`` allowed) and ``s``
+    lies in [0, 1], all stored as floats; a bool or a string is rejected.
+    ``K`` is a whole number of at least 1; one given as a float, such as
+    3.0, is stored as the int.
     """
 
     a: float
@@ -67,17 +62,10 @@ class ThresholdPoint:
     K: int = 3
 
     def __post_init__(self):
-        for name in ("a", "b", "s"):
-            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
         for name in ("a", "b"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, not {value}")
-        if not 0.0 <= self.s <= 1.0:
-            raise ValueError("s must lie in [0, 1]")
-        object.__setattr__(self, "K", _require_integer("K", self.K))
-        if self.K < 1:
-            raise ValueError("K must be at least 1")
+            object.__setattr__(self, name, _require_real(name, getattr(self, name), positive=True))
+        object.__setattr__(self, "s", _require_real("s", self.s, 0, 1))
+        object.__setattr__(self, "K", _require_integer("K", self.K, 1))
 
 
 @dataclass(frozen=True)
@@ -194,10 +182,10 @@ def classify_region(a: float, b: float, s: float, tol: float = 1e-9) -> RegionLa
     is positive and any condition value comes within ``tol`` of 1, the point
     is labelled ``Boundary`` instead, since the region call would hinge on
     float noise.  ``tol=0`` disables the guard (used when exporting dense
-    grids, where strict comparisons are taken at face value).
+    grids, where strict comparisons are taken at face value).  ``tol`` must
+    be finite and non-negative.
     """
-    if not tol >= 0:
-        raise ValueError(f"tol must be non-negative, not {tol}")
+    tol = _require_real("tol", tol, 0)
     conditions = condition_set(ThresholdPoint(a=a, b=b, s=s, K=3)).as_dict()
     if tol > 0 and any(abs(c.value - 1.0) <= tol for c in conditions.values()):
         return RegionLabel.BOUNDARY

@@ -157,6 +157,22 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def test_scalar_checks_live_in_graphs_only():
+    # "A real number, not a bool, finite, in range" is written once, in
+    # csbm.graphs' _require_integer and _require_real.  An isfinite call in
+    # another module, or a checker of its own, is a second copy of the rule.
+    copies = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "_require_coefficients":
+                copies.append(f"{path.stem}: defines _require_coefficients")
+            elif isinstance(node, ast.Call) and path.name != "graphs.py":
+                func = node.func
+                if getattr(func, "attr", getattr(func, "id", None)) == "isfinite":
+                    copies.append(f"{path.stem}: calls isfinite")
+    assert copies == []
+
+
 def test_a_trial_loads_no_scipy():
     # In a fresh interpreter: import the package, run small trials at k = 1
     # and k = 2 through every experiment, peel a pendant edge at k = 2 over

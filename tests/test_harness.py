@@ -22,6 +22,7 @@ from csbm.harness import (
     cells_csv,
     format_csv,
     region_grid_export,
+    regions_csv,
     run_trial,
     scaling_csv,
     scaling_experiment,
@@ -100,7 +101,7 @@ def test_numpy_scalar_params_write_the_same_csv_bytes():
     floats = Params(n=200, a=9.0, b=1.0, s=0.4, K=3, k=1)
     assert all(type(getattr(scalars, name)) is float for name in ("a", "b", "s", "eps"))
     texts = [
-        format_csv(TRIAL_COLUMNS, [trial_row(p, 0, run_trial(p, 5), False)])
+        format_csv(TRIAL_COLUMNS, [trial_row(run_trial(p, 5), 0, False)])
         for p in (scalars, floats)
     ]
     assert texts[0] == texts[1]
@@ -286,7 +287,7 @@ def base_config(**overrides):
 def test_sweep_matches_manual_trials():
     cfg = base_config(n_values=(150,), a_values=(12.0,))
     row = sweep(cfg).cell_rows[0]
-    params = cfg.cell_params(cfg.cells()[0])
+    params = cfg.cells()[0]
     key = cell_key(params.n, params.a, params.b, params.s, params.K, params.k)
     manual = [
         run_trial(params, trial_seed(cfg.master_seed, key, t), experiments=cfg.experiments)
@@ -360,6 +361,22 @@ def test_cell_seeds_take_a_whole_count_of_at_least_one():
     for trials in (0, -1, 1.5):
         with pytest.raises(ValueError, match="trials"):
             cell_seeds(params, trials, 5)
+
+
+def test_seeds_must_be_whole_numbers():
+    # A fractional seed used to run the truncated seed's trial and write the
+    # fraction in the CSV; a bool seed used to run as 0 or 1.
+    params = Params(n=100, a=6.0, b=2.0, s=0.35, K=3, k=1)
+    for seed in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="^seed "):
+            run_trial(params, seed)
+        with pytest.raises(ValueError, match="^seed "):
+            sample_instance(params, seed)
+        with pytest.raises(ValueError, match="^master_seed "):
+            cell_seeds(params, 2, seed)
+    assert cell_seeds(params, 2, np.int64(1)) == cell_seeds(params, 2, 1)
+    assert cell_seeds(params, 2, 2.0) == cell_seeds(params, 2, 2)
+    assert len(set(cell_seeds(params, 2, -3))) == 2
 
 
 def test_config_json_round_trip():
@@ -481,12 +498,22 @@ def test_region_grid_export_known_cells():
         region_grid_export(0.4, 0.5, 2.0, 1.0)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0, True, "2"])
 @pytest.mark.parametrize("name", ["a_max", "b_max", "step"])
 def test_region_grid_export_rejects_non_finite_or_non_positive_ranges(name, value):
     args = {"a_max": 10.0, "b_max": 2.0, "step": 1.0, name: value}
     with pytest.raises(ValueError, match=f"^{name} "):
         region_grid_export(0.4, **args)
+
+
+def test_region_grid_export_writes_floats_whatever_the_number_type():
+    # Before the arguments were cast, numpy scalars gave "np.float64(1.0)"
+    # cells and an int step gave "1" cells.
+    floats = regions_csv(region_grid_export(0.4, 2.0, 2.0, 1.0)[0])
+    scalars = region_grid_export(np.float64(0.4), np.float64(2.0), 2.0, np.float64(1.0))[0]
+    assert regions_csv(scalars) == floats
+    assert regions_csv(region_grid_export(0.4, 2, 2, 1)[0]) == floats
+    assert floats.splitlines()[1].startswith("1.0,1.0,")
 
 
 def test_csv_formatting_rules():

@@ -117,6 +117,35 @@ def test_non_finite_coefficients_are_rejected(call, value):
         call(value)
 
 
+@pytest.mark.parametrize("value", [True, "2"])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        pytest.param("a", lambda x: chernoff_hellinger(x, 0.0), id="chernoff_hellinger-a"),
+        pytest.param("b", lambda x: chernoff_hellinger(1.0, x), id="chernoff_hellinger-b"),
+        pytest.param("a", lambda x: connectivity_param(x, 1.0), id="connectivity_param-a"),
+        pytest.param("b", lambda x: connectivity_param(1.0, x), id="connectivity_param-b"),
+        pytest.param(
+            "a_eff", lambda x: almost_exact_label(two_cliques(3)[0], x, 0.5, seed=0),
+            id="init-a_eff",
+        ),
+        pytest.param(
+            "b_eff", lambda x: almost_exact_label(two_cliques(3)[0], 1.0, x, seed=0),
+            id="init-b_eff",
+        ),
+        pytest.param(
+            "eps", lambda x: almost_exact_label(two_cliques(3)[0], 1.0, 0.5, x, seed=0),
+            id="init-eps",
+        ),
+    ],
+)
+def test_bool_or_string_coefficients_are_rejected_by_name(name, call, value):
+    # A bool used to count as 0 or 1: chernoff_hellinger(True, 0.0) gave 0.5,
+    # and eps=True only warned.  A string raised TypeError.
+    with pytest.raises(ValueError, match=f"^{name} "):
+        call(value)
+
+
 def test_init_warns_on_loose_eps():
     g, _ = two_cliques(4)
     with pytest.warns(UserWarning):

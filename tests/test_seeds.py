@@ -64,6 +64,12 @@ def test_stream_rejects_negative_seed():
         stream(-1, ROLE_LABELS)
 
 
+@pytest.mark.parametrize("seed", [1.5, True, "1"])
+def test_stream_rejects_a_seed_that_is_not_a_whole_number(seed):
+    with pytest.raises(ValueError, match="^seed "):
+        stream(seed, ROLE_LABELS)
+
+
 def test_fold_bytes_sensitive_to_order():
     h0 = splitmix64(0)
     assert fold_bytes(h0, b"abcdefgh" + b"12345678") != fold_bytes(

@@ -218,6 +218,13 @@ def test_classification_matches_condition_flags():
             assert cs.pair_match.holds
 
 
+@pytest.mark.parametrize("tol", [True, "0", math.inf])
+def test_tolerance_must_be_a_finite_number(tol):
+    # tol=True used to switch the guard on with a tolerance of 1.
+    with pytest.raises(ValueError, match="^tol "):
+        classify_region(9, 1, 0.4, tol=tol)
+
+
 def test_boundary_requires_positive_tolerance():
     with pytest.raises(ValueError):
         classify_region(9.0, 1.0, 0.4, tol=-1e-3)
