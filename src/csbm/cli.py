@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,19 +51,25 @@ def _add_model_arguments(
     parser.add_argument("--a", type=float, required=True, help="intra-community coefficient")
     parser.add_argument("--b", type=float, required=True, help="inter-community coefficient")
     parser.add_argument("--s", type=float, required=True, help="edge retention probability")
-    parser.add_argument("--K", type=int, default=3, help="number of children (default 3)")
+    parser.add_argument(
+        "--K", type=int, default=Params.K, help="number of children (default %(default)s)"
+    )
     if core:
-        parser.add_argument("--k", type=int, default=13, help="core order (default 13)")
+        parser.add_argument(
+            "--k", type=int, default=Params.k, help="core order (default %(default)s)"
+        )
     if init:
         parser.add_argument(
-            "--eps", type=float, default=0.01, help="init accuracy target (default 0.01)"
+            "--eps", type=float, default=Params.eps,
+            help="init accuracy target (default %(default)s)",
         )
 
 
 def _params_from(args: argparse.Namespace) -> Params:
     """Params from the model options; ones the subcommand lacks keep Params' defaults."""
-    names = ("n", "a", "b", "s", "K", "k", "eps")
-    return Params(**{name: getattr(args, name) for name in names if hasattr(args, name)})
+    return Params(
+        **{f.name: getattr(args, f.name) for f in fields(Params) if hasattr(args, f.name)}
+    )
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -81,13 +88,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             "\n".join(str(int(v)) for v in inst.pi_star[j]) + "\n"
         )
     meta = {
-        "n": params.n,
-        "a": params.a,
-        "b": params.b,
-        "s": params.s,
-        "K": params.K,
-        "k": params.k,
-        "eps": params.eps,
+        **asdict(params),
         "seed": args.seed,
         "parent_edges": inst.parent.edge_count,
         "child_edges": [c.edge_count for c in inst.children],
@@ -98,12 +99,20 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _append_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
-    text = format_csv(columns, rows)
-    lines = text.splitlines(keepends=True)
-    if path.exists() and path.stat().st_size > 0:
-        lines = lines[1:]
+    """Append ``rows``, with the header only when the file is new or empty.
+
+    A non-empty file must start with the header line and end in a newline;
+    any other file is refused and left untouched.
+    """
+    header, body = format_csv(columns, rows).split("\n", 1)
+    old = path.read_text() if path.exists() else ""
+    if old and (old.split("\n", 1)[0] != header or not old.endswith("\n")):
+        raise ValueError(
+            f"cannot append to {path}: its first line is not the {columns[0]},... header "
+            "or it does not end in a newline"
+        )
     with path.open("a") as fh:
-        fh.writelines(lines)
+        fh.write(body if old else f"{header}\n{body}")
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
@@ -287,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     scaling.add_argument("--a", type=float, required=True)
     scaling.add_argument("--b", type=float, required=True)
     scaling.add_argument("--s", type=float, required=True)
-    scaling.add_argument("--K", type=int, default=3)
-    scaling.add_argument("--k", type=int, default=13)
+    scaling.add_argument("--K", type=int, default=Params.K)
+    scaling.add_argument("--k", type=int, default=Params.k)
     scaling.add_argument(
         "--n-list", required=True, help="comma-separated ascending sizes, at least four"
     )

@@ -235,8 +235,9 @@ class Graph:
         return _adjacency_csr(self.n, self._keys)
 
     def neighbors(self, v: int) -> set[int]:
-        """Neighbour set of ``v``."""
-        if not 0 <= v < self.n:
+        """Neighbour set of ``v``, a whole number in ``[0, n)``."""
+        v = _require_integer("v", v, 0)
+        if v >= self.n:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
         indptr, indices = self._adjacency
         return set(indices[indptr[v] : indptr[v + 1]].tolist())

@@ -23,16 +23,15 @@ import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
-from itertools import product
 
 import numpy as np
 
 from .generate import Params, sample_instance
 from .graphs import _require_integer, _require_real
 from .impossibility import map_failure_witness
-from .matching import all_pairwise_matchings, classify_good_bad, exact_matching_estimator
+from .matching import all_pairwise_matchings, classify_good_bad
 from .recovery import almost_exact_label, label_bad_vertices, label_good_vertices, overlap
 from .seeds import cell_key, trial_seed
 from .thresholds import RegionLabel, classify_region, connectivity_param
@@ -60,9 +59,14 @@ __all__ = [
     "regions_csv",
 ]
 
-EXPERIMENT_NAMES = ("recover", "match", "witness", "scaling")
+_TRIAL_EXPERIMENTS = ("recover", "match", "witness")
+
+EXPERIMENT_NAMES = (*_TRIAL_EXPERIMENTS, "scaling")
 
 _CELL_COLUMNS = ["n", "a", "b", "s", "K", "k"]
+
+# What a scaling fit holds fixed: a cell's columns less n.
+_BASE_COLUMNS = _CELL_COLUMNS[1:]
 
 # Each aggregate column after "trials" is the mean of one TRIAL_COLUMNS column.
 _TRIAL_COLUMN_OF = {
@@ -86,7 +90,7 @@ TRIAL_COLUMNS = [
 ]
 
 SCALING_COLUMNS = [
-    "a", "b", "s", "K", "k", "trials", "points_used",
+    *_BASE_COLUMNS, "trials", "points_used",
     "fitted_F12", "theory_F12",
     "fitted_F12capF13", "theory_F12capF13",
     "fitted_Rstar", "theory_Rstar",
@@ -121,14 +125,10 @@ class TrialResult:
     wall_ms: float = 0.0
 
     def replay_key(self) -> tuple:
-        """All reproducible fields (everything except wall time)."""
-        return (
-            self.params, self.seed, self.overlap, self.recovery_success,
-            self.degraded, self.good_disagreements, self.matching_success,
-            self.bad_vertex_count,
-            tuple(sorted(self.unmatched_sizes.items())) if self.unmatched_sizes else None,
-            tuple(sorted(self.intersect_sizes.items())) if self.intersect_sizes else None,
-            self.r_star_size, self.s_star_size, self.witness_found,
+        """Every field but wall time, in field order; a dict as its sorted items, None if empty."""
+        values = (getattr(self, f.name) for f in fields(self) if f.name != "wall_ms")
+        return tuple(
+            (tuple(sorted(v.items())) or None) if isinstance(v, dict) else v for v in values
         )
 
 
@@ -143,16 +143,17 @@ def run_trial(
     sample, match (all pairwise matchings, for recover or match; empty at
     K = 1), init (the anchor child's spectral labels, for recover),
     classify (whenever there is a family), good and bad (for recover),
-    exact (for match) and witness.  Every stage reads the one family, built
-    from the union's edges and retention codes in anchor labels; only the
-    anchor child is built as a graph.  Deterministic given ``(params, seed,
-    experiments)`` in every field except wall time.  Match, witness and the
-    family's counts leave their fields None at K = 1; a degraded recovery
-    run is recorded like any other.
+    exact (for match: success when the split has no bad vertex) and
+    witness.  Every stage reads the one family, built from the union's
+    edges and retention codes in anchor labels; only the anchor child is
+    built as a graph.  Deterministic given ``(params, seed, experiments)``
+    in every field except wall time.  Match, witness and the family's
+    counts leave their fields None at K = 1; a degraded recovery run is
+    recorded like any other.
     """
     if isinstance(experiments, str) or not experiments:
         raise ValueError(f"experiments must be a non-empty tuple of names, not {experiments!r}")
-    bad_names = set(experiments) - {"recover", "match", "witness"}
+    bad_names = set(experiments) - set(_TRIAL_EXPERIMENTS)
     if bad_names:
         raise ValueError(f"unknown experiments: {sorted(bad_names)}")
     recover = "recover" in experiments
@@ -175,7 +176,7 @@ def run_trial(
         result.degraded = final.degraded
         result.good_disagreements = final.good_disagreements
     if "match" in experiments and several:
-        result.matching_success = exact_matching_estimator(inst, params.k, fam).success
+        result.matching_success = not classes.bad.size
     if matched and several:
         result.bad_vertex_count = len(classes.bad)
         result.unmatched_sizes = {
@@ -223,9 +224,9 @@ class SweepConfig:
     a_values: tuple[float, ...]
     b_values: tuple[float, ...]
     s_values: tuple[float, ...]
-    K_values: tuple[int, ...] = (3,)
-    k: int = 13
-    eps: float = 0.01
+    K_values: tuple[int, ...] = (Params.K,)
+    k: int = Params.k
+    eps: float = Params.eps
     trials: int = 10
     master_seed: int = 0
     experiments: tuple[str, ...] = ("recover",)
@@ -383,13 +384,10 @@ def sweep(cfg: SweepConfig) -> SweepResult:
             if cfg.per_trial:
                 result.trial_rows.extend(rows)
     if "scaling" in cfg.experiments:
-        for a, b, s, K in product(cfg.a_values, cfg.b_values, cfg.s_values, cfg.K_values):
-            if K < 2:
-                warnings.warn(f"scaling skipped at K={K}: needs at least two children")
+        for base in (p for p in cfg.cells() if p.n == cfg.n_values[0]):
+            if base.K < 2:
+                warnings.warn(f"scaling skipped at K={base.K}: needs at least two children")
                 continue
-            base = Params(
-                n=cfg.n_values[0], a=a, b=b, s=s, K=K, k=cfg.k, eps=cfg.eps
-            )
             fit = scaling_experiment(base, cfg.n_values, cfg.trials, cfg.master_seed)
             result.scaling_rows.append(scaling_row(base, fit))
     return result
@@ -492,11 +490,7 @@ def scaling_experiment(
 def scaling_row(base: Params, fit: ScalingResult) -> dict:
     """One SCALING_COLUMNS row for a fit made at the parameters of ``base``."""
     return {
-        "a": base.a,
-        "b": base.b,
-        "s": base.s,
-        "K": base.K,
-        "k": base.k,
+        **{c: getattr(base, c) for c in _BASE_COLUMNS},
         "trials": fit.trials,
         "points_used": fit.points_used,
         "fitted_F12": fit.fitted_unmatched,
@@ -575,9 +569,7 @@ def trials_csv(result: SweepResult) -> str:
 
 def scaling_csv(result: SweepResult) -> str:
     """Exponent-fit CSV for a sweep run with the scaling experiment."""
-    return format_csv(
-        SCALING_COLUMNS, result.scaling_rows, sort_by=["a", "b", "s", "K", "k"]
-    )
+    return format_csv(SCALING_COLUMNS, result.scaling_rows, sort_by=_BASE_COLUMNS)
 
 
 def regions_csv(rows: list[tuple[float, float, str]]) -> str:

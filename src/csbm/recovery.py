@@ -52,7 +52,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .generate import CorrelatedInstance
+from .generate import CorrelatedInstance, Params
 from .graphs import Graph, _neighbour_sums, _require_real
 from .matching import MatchingFamily, VertexClass, classify_good_bad
 from .seeds import ROLE_EDGE_HOLDOUT, ROLE_INIT_VECTOR, stream
@@ -97,7 +97,7 @@ def almost_exact_label(
     g1: Graph,
     a_eff: float,
     b_eff: float,
-    eps: float = 0.01,
+    eps: float = Params.eps,
     *,
     seed: int,
 ) -> LabelEstimate:
@@ -360,7 +360,11 @@ def label_bad_vertices(
 
 
 def overlap(sigma_star: np.ndarray, estimate) -> float:
-    """Agreement score ``|sum sigma*(i) sigma_hat(i)| / n`` in [0, 1]."""
+    """Agreement score ``|sum sigma*(i) sigma_hat(i)| / n`` in [0, 1].
+
+    Both label vectors have the same non-zero length and hold only -1 and
+    +1; a bool entry is refused.
+    """
     labels = estimate.labels if isinstance(estimate, LabelEstimate) else np.asarray(estimate)
     truth = np.asarray(sigma_star)
     if truth.shape != labels.shape:
@@ -368,5 +372,8 @@ def overlap(sigma_star: np.ndarray, estimate) -> float:
     n = len(truth)
     if n == 0:
         raise ValueError("empty label vectors")
+    for name, values in (("sigma_star", truth), ("estimate", labels)):
+        if values.dtype == bool or not ((values == 1) | (values == -1)).all():
+            raise ValueError(f"{name} must hold only -1 and +1")
     total = int(np.dot(truth.astype(np.int64), labels.astype(np.int64)))
     return abs(total) / n

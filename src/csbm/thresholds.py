@@ -36,13 +36,19 @@ __all__ = [
 
 def chernoff_hellinger(a: float, b: float) -> float:
     """Divergence ``(sqrt(a) - sqrt(b))^2 / 2`` governing exact recovery; ``a, b >= 0``."""
-    a, b = _require_real("a", a, 0), _require_real("b", b, 0)
+    return _chernoff_hellinger(_require_real("a", a, 0), _require_real("b", b, 0))
+
+
+def _chernoff_hellinger(a: float, b: float) -> float:
     return (math.sqrt(a) - math.sqrt(b)) ** 2 / 2.0
 
 
 def connectivity_param(a: float, b: float) -> float:
     """Average-degree coefficient ``(a + b) / 2`` governing matching; ``a, b >= 0``."""
-    a, b = _require_real("a", a, 0), _require_real("b", b, 0)
+    return _connectivity_param(_require_real("a", a, 0), _require_real("b", b, 0))
+
+
+def _connectivity_param(a: float, b: float) -> float:
     return (a + b) / 2.0
 
 
@@ -115,8 +121,9 @@ class ConditionSet:
 def condition_set(point: ThresholdPoint) -> ConditionSet:
     """Evaluate all seven threshold expressions at ``point``."""
     a, b, s, K = point.a, point.b, point.s, point.K
-    dp = chernoff_hellinger(a, b)
-    tc = connectivity_param(a, b)
+    # The point has checked a and b already.
+    dp = _chernoff_hellinger(a, b)
+    tc = _connectivity_param(a, b)
     keep_all = 1.0 - (1.0 - s) ** K
     keep_rest = 1.0 - (1.0 - s) ** (K - 1)
     return ConditionSet(

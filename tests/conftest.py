@@ -72,10 +72,6 @@ def erdos_renyi(n: int, p: float, rng: np.random.Generator) -> Graph:
     return Graph(n, edges)
 
 
-def random_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.permutation(n).astype(np.int64)
-
-
 def kept_by(inst, j: int) -> np.ndarray:
     """Boolean per parent edge: bit ``j`` of its retention code, kept by child ``j``."""
     return (inst.edge_codes >> j) & 1 == 1

@@ -6,14 +6,30 @@ import numpy as np
 import pytest
 from conftest import read_edge_list
 
-from csbm.cli import main
+from csbm.cli import build_parser, main
 from csbm.generate import Params, sample_instance
-from csbm.harness import SweepConfig, run_trial, sweep, trials_csv
+from csbm.harness import TRIAL_COLUMNS, SweepConfig, run_trial, sweep, trials_csv
 from csbm.seeds import cell_key, trial_seed
 
 
 def run_cli(*argv):
     return main([str(x) for x in argv])
+
+
+def test_model_defaults_are_the_params_defaults():
+    cfg = SweepConfig(n_values=[100], a_values=[9.0], b_values=[1.0], s_values=[0.4])
+    assert (cfg.K_values, cfg.k, cfg.eps) == ((Params.K,), Params.k, Params.eps)
+    model = ["--a", "9", "--b", "1", "--s", "0.4"]
+    for argv in (
+        ["gen", "--n", "100", *model, "--out", "unused"],
+        ["recover", "--n", "100", *model],
+        ["match", "--n", "100", *model],
+        ["witness", "--n", "100", *model],
+        ["scaling", "--n-list", "1,2,3,4", *model],
+    ):
+        args = build_parser().parse_args(argv)
+        defaults = {name: getattr(args, name) for name in ("K", "k", "eps") if hasattr(args, name)}
+        assert defaults == {name: getattr(Params, name) for name in defaults}, argv[0]
 
 
 def test_gen_writes_instance_directory(tmp_path, capsys):
@@ -97,6 +113,23 @@ def test_recover_appends_csv(tmp_path):
     assert lines[1] == lines[3]
     # Without --timing the wall-clock column stays empty.
     assert lines[1].endswith(",")
+
+
+@pytest.mark.parametrize(
+    "existing",
+    ["a,b,region\n9.0,1.0,Red\n", "n,a", ",".join(TRIAL_COLUMNS)],
+    ids=["other-header", "cut-header", "no-final-newline"],
+)
+def test_recover_refuses_to_append_to_another_csv(tmp_path, capsys, existing):
+    csv_path = tmp_path / "other.csv"
+    csv_path.write_text(existing)
+    code = run_cli(
+        "recover", "--n", 100, "--a", 9.0, "--b", 1.0, "--s", 1.0,
+        "--k", 1, "--trials", 1, "--csv", csv_path,
+    )
+    assert code == 1
+    assert f"error: cannot append to {csv_path}" in capsys.readouterr().err
+    assert csv_path.read_text() == existing
 
 
 def test_recover_csv_equals_the_sweep_trial_rows(tmp_path):

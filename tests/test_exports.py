@@ -1,7 +1,7 @@
 """Every exported name of the package resolves and has a caller outside the tests,
 so does every public member of an exported class, the package imports only
-what it declares and reads every name it imports, and nothing it runs loads
-scipy."""
+what it declares and reads every name it imports, every shared test helper
+has a caller, and nothing it runs loads scipy."""
 
 import ast
 import dataclasses
@@ -171,6 +171,43 @@ def test_scalar_checks_live_in_graphs_only():
                 if getattr(func, "attr", getattr(func, "id", None)) == "isfinite":
                     copies.append(f"{path.stem}: calls isfinite")
     assert copies == []
+
+
+def _references(tree) -> set[str]:
+    """Names, attributes, imported names and parameter names (fixtures) in ``tree``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.arg):
+            found.add(node.arg)
+    return found
+
+
+@pytest.mark.parametrize("helper", ["conftest.py", "reference.py", "graph_algebra.py"])
+def test_every_test_helper_has_a_caller(helper):
+    # A module-level function of a shared test module is referenced from
+    # another test file or the benchmark; a private one may be referenced
+    # from its own module instead.  A test naming a fixture as a parameter
+    # references it.
+    root = PACKAGE.parent.parent
+    paths = [*(root / "tests").glob("*.py"), *(root / "perfbench").rglob("*.py")]
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in paths}
+    own = trees.pop(helper)
+    elsewhere = set().union(*map(_references, trees.values()))
+    inside = _references(own)
+    unread = [
+        node.name
+        for node in own.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name not in elsewhere
+        and not (node.name.startswith("_") and node.name in inside)
+    ]
+    assert unread == []
 
 
 def test_a_trial_loads_no_scipy():

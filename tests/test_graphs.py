@@ -96,8 +96,9 @@ def test_edges_match_numpy_canonical_form(case):
 
 def test_vertex_queries_reject_out_of_range():
     h = Graph(3, [(2, 0)])
-    # A negative index would wrap round to vertex 2.
-    for v in (3, -1):
+    # A negative index would wrap round to vertex 2; a fraction, a string or
+    # a bool is not a vertex.
+    for v in (3, -1, 1.5, "1", True):
         with pytest.raises(ValueError):
             h.neighbors(v)
 

@@ -40,6 +40,24 @@ def test_trial_is_reproducible():
     assert first.replay_key() == second.replay_key()
 
 
+def _another(value):
+    """A value of the same kind as ``value`` that differs from it."""
+    if isinstance(value, Params):
+        return dataclasses.replace(value, n=value.n + 1)
+    if isinstance(value, dict):
+        return {**value, (9, 9): 1}
+    if value is None or isinstance(value, bool):
+        return not value
+    return value + 1
+
+
+def test_replay_key_changes_with_every_field_but_wall_time():
+    r = run_trial(Params(n=150, a=9.0, b=1.0, s=0.6, K=3, k=1), 11, ("recover", "match", "witness"))
+    for f in dataclasses.fields(r):
+        changed = dataclasses.replace(r, **{f.name: _another(getattr(r, f.name))})
+        assert (changed.replay_key() == r.replay_key()) == (f.name == "wall_ms"), f.name
+
+
 def test_trial_classifies_vertices_once():
     params = Params(n=300, a=9.0, b=1.0, s=0.4, K=3, k=1)
     profiler = cProfile.Profile()

@@ -64,6 +64,23 @@ def test_overlap_rejects_bad_shapes():
         overlap(np.array([]), np.array([]))
 
 
+@pytest.mark.parametrize(
+    "truth, labels, name",
+    [
+        ([1, 1], [3, 3], "estimate"),
+        ([1, -1], [True, False], "estimate"),
+        ([1, -1], [1, 0], "estimate"),
+        ([2, -1], [1, -1], "sigma_star"),
+        ([True, True], [1, 1], "sigma_star"),
+    ],
+)
+def test_overlap_rejects_entries_other_than_signs(truth, labels, name):
+    # Any other entry could push the score outside [0, 1]: [1, 1] against
+    # [3, 3] would score 3.0.
+    with pytest.raises(ValueError, match=f"^{name} "):
+        overlap(np.array(truth), labels)
+
+
 # -- initial labelling --------------------------------------------------------
 
 

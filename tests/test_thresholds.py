@@ -1,6 +1,7 @@
 """Threshold functionals, the seven conditions, and region classification."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from csbm.thresholds import (
     RegionLabel,
     ThresholdPoint,
+    _region_flags,
     chernoff_hellinger,
     classify_region,
     condition_set,
@@ -143,6 +145,22 @@ def test_regions_are_exclusive_and_exhaustive():
     assert RegionLabel.GREEN in labels
     assert RegionLabel.RED in labels
     assert len(labels) >= 7
+
+
+def test_exactly_one_region_predicate_holds():
+    # classify_region stops at the first predicate that holds, so only the
+    # flags themselves show two regions claiming one point.
+    rng = np.random.default_rng(7)
+    count = 50000
+    points = zip(
+        rng.uniform(0.05, 50.0, count), rng.uniform(0.05, 50.0, count), rng.uniform(0.0, 1.0, count)
+    )
+    hits = Counter()
+    for a, b, s in points:
+        conditions = condition_set(ThresholdPoint(float(a), float(b), float(s), K=3)).as_dict()
+        flags = _region_flags({name: c.holds for name, c in conditions.items()})
+        hits[sum(flags.values())] += 1
+    assert hits == {1: count}
 
 
 def test_every_label_is_reachable():
