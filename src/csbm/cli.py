@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,33 +43,49 @@ from .impossibility import map_failure_witness
 __all__ = ["main"]
 
 
+# Type and help of each ``Params`` field's option.
+_MODEL_OPTIONS = {
+    "n": (int, "vertex count"),
+    "a": (float, "intra-community coefficient"),
+    "b": (float, "inter-community coefficient"),
+    "s": (float, "edge retention probability"),
+    "K": (int, "number of children"),
+    "k": (int, "core order"),
+    "eps": (float, "accuracy target the init warns against; it changes no label"),
+}
+
+
 def _add_model_arguments(
-    parser: argparse.ArgumentParser, core: bool = True, init: bool = True
+    parser: argparse.ArgumentParser, omit: frozenset[str] = frozenset()
 ) -> None:
-    """The model options, plus ``--k`` with ``core`` and ``--eps`` with ``init``."""
-    parser.add_argument("--n", type=int, required=True, help="vertex count")
-    parser.add_argument("--a", type=float, required=True, help="intra-community coefficient")
-    parser.add_argument("--b", type=float, required=True, help="inter-community coefficient")
-    parser.add_argument("--s", type=float, required=True, help="edge retention probability")
+    """One option per ``Params`` field not in ``omit``; a field without a default is required."""
+    for f in fields(Params):
+        if f.name in omit:
+            continue
+        kind, text = _MODEL_OPTIONS[f.name]
+        if f.default is MISSING:
+            parser.add_argument(f"--{f.name}", type=kind, required=True, help=text)
+        else:
+            parser.add_argument(
+                f"--{f.name}", type=kind, default=f.default, help=f"{text} (default %(default)s)"
+            )
+
+
+def _add_trial_arguments(parser: argparse.ArgumentParser, trials: int) -> None:
+    """``--trials`` and the master ``--seed`` every trial's seed derives from."""
     parser.add_argument(
-        "--K", type=int, default=Params.K, help="number of children (default %(default)s)"
+        "--trials", type=int, default=trials,
+        help="trials per parameter point (default %(default)s)",
     )
-    if core:
-        parser.add_argument(
-            "--k", type=int, default=Params.k, help="core order (default %(default)s)"
-        )
-    if init:
-        parser.add_argument(
-            "--eps", type=float, default=Params.eps,
-            help="init accuracy target (default %(default)s)",
-        )
+    parser.add_argument(
+        "--seed", type=int, default=0, help="master seed of the trials (default %(default)s)"
+    )
 
 
-def _params_from(args: argparse.Namespace) -> Params:
-    """Params from the model options; ones the subcommand lacks keep Params' defaults."""
-    return Params(
-        **{f.name: getattr(args, f.name) for f in fields(Params) if hasattr(args, f.name)}
-    )
+def _params_from(args: argparse.Namespace, **given) -> Params:
+    """Params from the model options and ``given``; fields absent from both keep their defaults."""
+    options = {f.name: getattr(args, f.name) for f in fields(Params) if hasattr(args, f.name)}
+    return Params(**options, **given)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -98,26 +114,37 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _append_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
-    """Append ``rows``, with the header only when the file is new or empty.
+def _check_csv(path: Path, columns: list[str]) -> bool:
+    """Whether ``path`` has content to append to; a file that cannot take rows is refused.
 
-    A non-empty file must start with the header line and end in a newline;
-    any other file is refused and left untouched.
+    A non-empty file must start with the header line of ``columns`` and end
+    in a newline.
     """
-    header, body = format_csv(columns, rows).split("\n", 1)
     old = path.read_text() if path.exists() else ""
-    if old and (old.split("\n", 1)[0] != header or not old.endswith("\n")):
+    if old and (old.split("\n", 1)[0] != ",".join(columns) or not old.endswith("\n")):
         raise ValueError(
             f"cannot append to {path}: its first line is not the {columns[0]},... header "
             "or it does not end in a newline"
         )
+    return bool(old)
+
+
+def _append_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
+    """Append ``rows``, with the header only when the file is new or empty.
+
+    A file :func:`_check_csv` refuses is left untouched.
+    """
+    header, body = format_csv(columns, rows).split("\n", 1)
+    with_header = not _check_csv(path, columns)
     with path.open("a") as fh:
-        fh.write(body if old else f"{header}\n{body}")
+        fh.write(f"{header}\n{body}" if with_header else body)
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
     params = _params_from(args)
     seeds = cell_seeds(params, args.trials, args.seed)
+    if args.csv:
+        _check_csv(Path(args.csv), TRIAL_COLUMNS)
     rows = []
     print("trial overlap success bad_vertices degraded ms")
     for t, seed in enumerate(seeds):
@@ -183,6 +210,10 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = SweepConfig.from_json(Path(args.config).read_text())
+    if args.per_trial_out and not cfg.per_trial:
+        raise ValueError("config must set per_trial=true to export per-trial rows")
+    if args.scaling_out and "scaling" not in cfg.experiments:
+        raise ValueError("config must include the scaling experiment")
     result = sweep(cfg)
     cells_text = cells_csv(result)
     if args.out:
@@ -191,13 +222,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(cells_text)
     if args.per_trial_out:
-        if not cfg.per_trial:
-            raise ValueError("config must set per_trial=true to export per-trial rows")
         Path(args.per_trial_out).write_text(trials_csv(result))
         print(f"wrote {len(result.trial_rows)} trial rows to {args.per_trial_out}")
     if args.scaling_out:
-        if "scaling" not in cfg.experiments:
-            raise ValueError("config must include the scaling experiment")
         Path(args.scaling_out).write_text(scaling_csv(result))
         print(f"wrote {len(result.scaling_rows)} scaling rows to {args.scaling_out}")
     return 0
@@ -207,9 +234,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
     if not n_list:
         raise ValueError("scaling needs at least four n values")
-    base = Params(
-        n=n_list[0], a=args.a, b=args.b, s=args.s, K=args.K, k=args.k
-    )
+    base = _params_from(args, n=n_list[0])
     fit = scaling_experiment(base, n_list, args.trials, args.seed)
     for name, ns, means in (
         ("F12", fit.n_values, fit.mean_unmatched),
@@ -258,14 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
         "gen", help="sample one instance and write it (union graph as parent.edges) to a directory"
     )
     _add_model_arguments(gen)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, default=0, help="instance seed (default %(default)s)")
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(func=_cmd_gen)
 
     recover = sub.add_parser("recover", help="run recovery trials at one parameter point")
     _add_model_arguments(recover)
-    recover.add_argument("--trials", type=int, default=10)
-    recover.add_argument("--seed", type=int, default=0)
+    _add_trial_arguments(recover, 10)
     recover.add_argument("--csv", help="append per-trial rows to this CSV")
     recover.add_argument(
         "--timing", action="store_true", help="fill the wall_ms column in --csv output"
@@ -273,16 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     recover.set_defaults(func=_cmd_recover)
 
     match = sub.add_parser("match", help="run matching trials at one parameter point")
-    _add_model_arguments(match, init=False)
-    match.add_argument("--trials", type=int, default=10)
-    match.add_argument("--seed", type=int, default=0)
+    _add_model_arguments(match, omit=frozenset({"eps"}))
+    _add_trial_arguments(match, 10)
     match.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     match.set_defaults(func=_cmd_match)
 
     witness = sub.add_parser("witness", help="singleton sets and the failure witness")
-    _add_model_arguments(witness, core=False, init=False)
-    witness.add_argument("--trials", type=int, default=10)
-    witness.add_argument("--seed", type=int, default=0)
+    _add_model_arguments(witness, omit=frozenset({"k", "eps"}))
+    _add_trial_arguments(witness, 10)
     witness.set_defaults(func=_cmd_witness)
 
     sweep_cmd = sub.add_parser("sweep", help="run a JSON-configured parameter sweep")
@@ -293,24 +315,19 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.set_defaults(func=_cmd_sweep)
 
     scaling = sub.add_parser("scaling", help="fit unmatched-set scaling exponents")
-    scaling.add_argument("--a", type=float, required=True)
-    scaling.add_argument("--b", type=float, required=True)
-    scaling.add_argument("--s", type=float, required=True)
-    scaling.add_argument("--K", type=int, default=Params.K)
-    scaling.add_argument("--k", type=int, default=Params.k)
+    _add_model_arguments(scaling, omit=frozenset({"n", "eps"}))
     scaling.add_argument(
         "--n-list", required=True, help="comma-separated ascending sizes, at least four"
     )
-    scaling.add_argument("--trials", type=int, default=20)
-    scaling.add_argument("--seed", type=int, default=0)
+    _add_trial_arguments(scaling, 20)
     scaling.add_argument("--out", help="write one CSV row of fits here")
     scaling.set_defaults(func=_cmd_scaling)
 
     regions = sub.add_parser("regions", help="rasterise the phase diagram at fixed s")
-    regions.add_argument("--s", type=float, required=True)
-    regions.add_argument("--amax", type=float, required=True)
-    regions.add_argument("--bmax", type=float, required=True)
-    regions.add_argument("--step", type=float, required=True)
+    regions.add_argument("--s", type=float, required=True, help="edge retention probability")
+    regions.add_argument("--amax", type=float, required=True, help="largest a on the grid")
+    regions.add_argument("--bmax", type=float, required=True, help="largest b on the grid")
+    regions.add_argument("--step", type=float, required=True, help="grid spacing in a and b")
     regions.add_argument("--out", help="write the CSV here (default stdout)")
     regions.add_argument("--summary", action="store_true", help="print per-region counts")
     regions.set_defaults(func=_cmd_regions)

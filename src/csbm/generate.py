@@ -75,12 +75,14 @@ class Params:
 
     ``a`` and ``b`` are the intra-/inter-community coefficients of the edge
     probabilities ``a ln n / n`` and ``b ln n / n``.  ``s`` is the per-child
-    edge retention probability, ``K`` the number of children.  ``k`` (core
-    order) and ``eps`` (initialisation accuracy target) are the values the
-    recovery pipeline runs with.  ``n``, ``K`` and ``k`` are whole numbers
-    of at least 1, stored as ints, with ``K`` at most 64; ``a`` and ``b``
-    are finite and non-negative, ``s`` lies in [0, 1] and ``eps`` is finite
-    and positive, all stored as floats.  A bool or a string is rejected.
+    edge retention probability, ``K`` the number of children.  ``k`` is the
+    core order the recovery pipeline runs with.  ``eps`` is the accuracy
+    target the initialisation warns against when it exceeds the bound its
+    guarantee covers; no label depends on it.  ``n``, ``K`` and ``k`` are
+    whole numbers of at least 1, stored as ints, with ``K`` at most 64;
+    ``a`` and ``b`` are finite and non-negative, ``s`` lies in [0, 1] and
+    ``eps`` is finite and positive, all stored as floats.  A bool or a
+    string is rejected.
     """
 
     n: int
@@ -212,16 +214,15 @@ class CorrelatedInstance:
         codes = self.edge_codes
         return np.flatnonzero((codes & codes.dtype.type(1 << j)) != 0)
 
-    def inverse_pi(self, j: int) -> np.ndarray:
-        """Inverse of ``pi_star[j]`` (child-j labels back to anchor labels)."""
-        pi = self.pi_star[j]
-        inverse = np.empty_like(pi)
-        inverse[pi] = np.arange(len(pi), dtype=pi.dtype)
-        return inverse
-
     def true_pairwise_permutation(self, i: int, j: int) -> np.ndarray:
-        """Ground-truth relabelling from child ``i``'s labels to child ``j``'s."""
-        return self.pi_star[j][self.inverse_pi(i)]
+        """Ground-truth relabelling from child ``i``'s labels to child ``j``'s.
+
+        Anchor vertex ``x`` is ``pi_star[i][x]`` in child ``i`` and
+        ``pi_star[j][x]`` in child ``j``; ``(j, 0)`` inverts ``pi_star[j]``.
+        """
+        out = np.empty_like(self.pi_star[j])
+        out[self.pi_star[i]] = self.pi_star[j]
+        return out
 
 
 def _is_permutation(pi: np.ndarray, n: int) -> bool:

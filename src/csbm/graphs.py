@@ -1,14 +1,13 @@
 """Undirected simple graphs, partial matchings and k-core peeling.
 
 Vertices are 0-based integers below a fixed count ``n``.  A :class:`Graph`
-is immutable once built.  Its one canonical form is the sorted array of
-distinct packed keys ``lo * n + hi`` (``lo < hi``).  The ``(m, 2)`` edge
-array decoded from them and the CSR adjacency, the sorted arc keys split
-into row pointers and column indices, are cached properties, built on first
-access, because bulk distribution tests create tens of thousands of
-throwaway graphs whose neighbourhoods are never queried.  The edge array
-is stored column by column, and the trial stages read the union graph's
-edges as its two contiguous columns.
+is immutable once built.  Its one stored form is the sorted array of
+distinct packed keys ``lo * n + hi`` (``lo < hi``).  Its one cached view
+is the ``(m, 2)`` edge array decoded from them, built on first access
+because bulk distribution tests create tens of thousands of throwaway
+graphs whose edges are never read.  The edge array is stored column by
+column, and the trial stages read the union graph's edges as its two
+contiguous columns.
 
 :func:`k_core` peels the edge columns it is given in rounds of whole-array
 degree counts, and builds no adjacency.
@@ -107,41 +106,6 @@ def _image_keys(
     return ok, np.minimum(fu, fv) * np.int64(n) + np.maximum(fu, fv)
 
 
-def _member(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Mask of ``queries`` present in the sorted key array ``keys``.
-
-    The binary searches run in sorted query order, so consecutive probes
-    walk ``keys`` forwards instead of jumping across it at random; on key
-    arrays larger than the cache that is several times faster.
-    """
-    found = np.zeros(queries.shape[0], dtype=bool)
-    if keys.size == 0:
-        return found
-    order = np.argsort(queries)
-    q = queries[order]
-    pos = np.searchsorted(keys, q)
-    np.minimum(pos, keys.shape[0] - 1, out=pos)
-    found[order] = keys[pos] == q
-    return found
-
-
-def _adjacency_csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric adjacency of sorted distinct edge keys as int64 ``(indptr, indices)``.
-
-    Every edge gives two arcs, keyed ``row * n + col``: the edge key itself
-    and its reverse ``hi * n + lo``.  Both runs are sorted, so one stable
-    sort merges them, and the arc keys split into rows and columns.  Each
-    row lists its smaller neighbours ascending, then its larger ones.
-    """
-    n = np.int64(n)
-    lo, hi = np.divmod(keys, n)
-    arcs = np.sort(np.concatenate((keys, np.sort(hi * n + lo))), kind="stable")
-    rows, indices = np.divmod(arcs, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, indices
-
-
 def _neighbour_sums(
     n: int, lo: np.ndarray, hi: np.ndarray, values: np.ndarray | None = None
 ) -> np.ndarray:
@@ -227,20 +191,17 @@ class Graph:
     def edge_count(self) -> int:
         return self._keys.shape[0]
 
-    # -- adjacency ---------------------------------------------------------
-
-    @cached_property
-    def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR ``(indptr, indices)`` of the adjacency, built on first access (read-only)."""
-        return _adjacency_csr(self.n, self._keys)
-
     def neighbors(self, v: int) -> set[int]:
-        """Neighbour set of ``v``, a whole number in ``[0, n)``."""
+        """Neighbour set of ``v``, a whole number in ``[0, n)``.
+
+        Each call scans both edge columns, so it costs O(m); nothing is
+        cached beyond :attr:`edges`.
+        """
         v = _require_integer("v", v, 0)
         if v >= self.n:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
-        indptr, indices = self._adjacency
-        return set(indices[indptr[v] : indptr[v + 1]].tolist())
+        lo, hi = self.edges.T
+        return set(hi[lo == v].tolist()) | set(lo[hi == v].tolist())
 
     def packed_keys(self) -> np.ndarray:
         """Sorted distinct int64 keys ``lo * n + hi``, read-only."""
@@ -413,7 +374,7 @@ def _matched_intersection_keys(g: Graph, h: Graph, to_h: np.ndarray) -> np.ndarr
     result is a sorted subset of ``g``'s keys.
     """
     ok, img = _image_keys(h.n, *g.edges.T, to_h)
-    return g.packed_keys()[np.flatnonzero(ok)[_member(h.packed_keys(), img)]]
+    return g.packed_keys()[np.flatnonzero(ok)[np.isin(img, h.packed_keys())]]
 
 
 def intersection_graph(g: Graph, h: Graph, mu: PartialMatching) -> Graph:

@@ -330,28 +330,29 @@ def label_bad_vertices(
     n = inst.n
     bad = np.zeros(n, dtype=bool)
     bad[classes.bad] = True
-    in_member = np.ones(n, dtype=bool)
+    # Bit j of ``vc`` marks the (0, j) matched set; a vertex in all of them
+    # is fully matched.
+    codes = inst.edge_codes
+    dtype = codes.dtype
+    vc = np.zeros(n, dtype=dtype)
     for j in range(1, inst.K):
-        in_member &= fam.member_mask(0, j)
+        vc |= fam.member_mask(0, j).astype(dtype) << dtype.type(j)
+    in_member = vc == dtype.type((1 << inst.K) - 2)
     # Orient each anchor edge (a union edge with code bit 0) from its bad
     # end to its fully matched end.  A fully matched vertex is good, so no
     # edge qualifies both ways round.
     lo, hi = inst.parent.edges.T
-    codes = inst.edge_codes
     in_anchor = (codes & 1) != 0
     fwd = in_anchor & bad[lo] & in_member[hi]
     rev = in_anchor & bad[hi] & in_member[lo]
     src = np.concatenate([lo[fwd], hi[rev]])
     dst = np.concatenate([hi[fwd], lo[rev]])
     # Child j is subtracted exactly when v is matched to it, which is when
-    # both ends of the arc lie in the (0, j) matched set, bit j of ``vc``.
-    # The arc's image is then a child-j edge exactly when the retention code
-    # of its union edge has bit j.
-    dtype = codes.dtype
-    vc = np.zeros(n, dtype=dtype)
-    for j in range(1, inst.K):
-        vc |= fam.member_mask(0, j).astype(dtype) << dtype.type(j)
-    alive = (vc[src] & vc[dst] & np.concatenate([codes[fwd], codes[rev]])) == 0
+    # both ends of the arc lie in the (0, j) matched set.  ``dst`` is fully
+    # matched, so that is bit j of ``vc[src]``.  The arc's image is then a
+    # child-j edge exactly when the retention code of its union edge has
+    # bit j.
+    alive = (vc[src] & np.concatenate([codes[fwd], codes[rev]])) == 0
     votes = np.bincount(src[alive], weights=current.labels[dst[alive]], minlength=n)
     idx = classes.bad
     assortative = inst.params.a >= inst.params.b

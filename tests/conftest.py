@@ -18,7 +18,7 @@ from graph_algebra import almost_exact_label as power_iteration_label
 from graph_algebra import sample_instance as retention_draw_sampler
 
 from csbm import generate, harness, recovery
-from csbm.graphs import Graph, _member
+from csbm.graphs import Graph
 
 
 @pytest.fixture
@@ -81,7 +81,7 @@ def retention_codes(parent: Graph, children) -> np.ndarray:
     """Retention code per parent edge of children drawn in the parent's labels."""
     codes = np.zeros(parent.edge_count, dtype=np.int64)
     for j, g in enumerate(children):
-        codes |= _member(g.packed_keys(), parent.packed_keys()).astype(np.int64) << j
+        codes |= np.isin(parent.packed_keys(), g.packed_keys()).astype(np.int64) << j
     return codes
 
 

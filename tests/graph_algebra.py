@@ -1,8 +1,9 @@
 """The mapped-graph kernels the trial pipeline ran before it read retention codes.
 
 They map whole child graphs through dense matching arrays and are kept here,
-verbatim, as the independent reference that the anchored kernels of
-``csbm.recovery`` and ``csbm.generate`` are compared against.  The path
+verbatim but for the key search (now ``np.isin``), as the independent
+reference that the anchored kernels of ``csbm.recovery`` and
+``csbm.generate`` are compared against.  The path
 composition that ``csbm.matching`` used for the good step and the exact
 matching estimator is kept here too: shortest anchor paths over a
 metagraph's pairs, a family's matchings as dense arrays, and the walk that
@@ -61,7 +62,6 @@ from csbm.graphs import (
     _core_mask,
     _image_keys,
     _matched_intersection_keys,
-    _member,
     _neighbour_sums,
     _sorted_unique,
 )
@@ -112,7 +112,7 @@ def _surviving(u: np.ndarray, v: np.ndarray, subtract) -> np.ndarray:
     alive = np.ones(u.shape[0], dtype=bool)
     for h, to_h in subtract:
         ok, img = _image_keys(h.n, u, v, to_h)
-        alive[np.flatnonzero(ok)[_member(h.packed_keys(), img)]] = False
+        alive[np.flatnonzero(ok)[np.isin(img, h.packed_keys())]] = False
     return alive
 
 

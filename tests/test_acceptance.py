@@ -21,7 +21,7 @@ from graph_algebra import kcore_matching_bruteforce, kcore_matching_seeded, spli
 from reference import from_edge_probs, sample_instance_partition
 
 from csbm.generate import Params, sample_instance
-from csbm.graphs import Graph, _member, k_core
+from csbm.graphs import Graph, k_core
 from csbm.harness import (
     SweepConfig,
     cells_csv,
@@ -235,8 +235,8 @@ def _triple_frequencies_resplit(instances):
             union, inst.params.s, inst.params.K, seed=inst.seed + 50_000
         )
         keys = inst.parent.packed_keys()
-        bit2 = _member(g2.packed_keys(), keys).astype(np.int64)
-        bit3 = _member(g3.packed_keys(), keys).astype(np.int64)
+        bit2 = np.isin(keys, g2.packed_keys()).astype(np.int64)
+        bit3 = np.isin(keys, g3.packed_keys()).astype(np.int64)
         codes = (inst.edge_codes & 1) + 2 * bit2 + 4 * bit3
         counts[0] += np.bincount(codes[intra], minlength=8)
         counts[1] += np.bincount(codes[~intra], minlength=8)

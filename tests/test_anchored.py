@@ -27,7 +27,6 @@ from graph_algebra import (
 )
 
 from csbm.generate import Params, sample_instance
-from csbm.graphs import _member
 from csbm.impossibility import map_failure_witness
 from csbm.matching import (
     all_pairwise_matchings,
@@ -261,7 +260,7 @@ def reference_singleton_sets(inst):
     h = _pullback_union(inst.children[1:], inst.pi_star[1:])
     touched = np.zeros(n, dtype=bool)
     if g1.edge_count:
-        shared = g1.edges[_member(h.packed_keys(), g1.packed_keys())]
+        shared = g1.edges[np.isin(g1.packed_keys(), h.packed_keys())]
         if shared.size:
             touched[shared[:, 0]] = True
             touched[shared[:, 1]] = True

@@ -1,11 +1,13 @@
 """End-to-end command-line behaviour."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 from conftest import read_edge_list
 
+from csbm import cli, harness
 from csbm.cli import build_parser, main
 from csbm.generate import Params, sample_instance
 from csbm.harness import TRIAL_COLUMNS, SweepConfig, run_trial, sweep, trials_csv
@@ -120,15 +122,20 @@ def test_recover_appends_csv(tmp_path):
     ["a,b,region\n9.0,1.0,Red\n", "n,a", ",".join(TRIAL_COLUMNS)],
     ids=["other-header", "cut-header", "no-final-newline"],
 )
-def test_recover_refuses_to_append_to_another_csv(tmp_path, capsys, existing):
+def test_recover_refuses_to_append_to_another_csv(tmp_path, capsys, monkeypatch, existing):
     csv_path = tmp_path / "other.csv"
     csv_path.write_text(existing)
+    calls = []
+    monkeypatch.setattr(cli, "run_trial", lambda *args, **kw: calls.append(args))
     code = run_cli(
         "recover", "--n", 100, "--a", 9.0, "--b", 1.0, "--s", 1.0,
-        "--k", 1, "--trials", 1, "--csv", csv_path,
+        "--k", 1, "--trials", 2, "--csv", csv_path,
     )
     assert code == 1
-    assert f"error: cannot append to {csv_path}" in capsys.readouterr().err
+    # The file is refused before the header line and the first trial.
+    captured = capsys.readouterr()
+    assert f"error: cannot append to {csv_path}" in captured.err
+    assert captured.out == "" and calls == []
     assert csv_path.read_text() == existing
 
 
@@ -248,11 +255,29 @@ def test_sweep_stdout_and_per_trial(tmp_path, capsys):
     assert trials_out.read_text().count("\n") == 3
 
 
-def test_sweep_per_trial_requires_config_flag(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "option, message",
+    [("--per-trial-out", "per_trial=true"), ("--scaling-out", "scaling experiment")],
+)
+def test_sweep_refuses_output_flags_before_any_trial(
+    tmp_path, capsys, monkeypatch, option, message
+):
     config = sweep_config(tmp_path)
-    code = run_cli("sweep", "--config", config, "--per-trial-out", tmp_path / "t.csv")
-    assert code == 1
-    assert "per_trial" in capsys.readouterr().err
+    calls = []
+    monkeypatch.setattr(harness, "run_trial", lambda *args, **kw: calls.append(args))
+    out, extra = tmp_path / "cells.csv", tmp_path / "extra.csv"
+    assert run_cli("sweep", "--config", config, "--out", out, option, extra) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert calls == [] and not out.exists() and not extra.exists()
+
+
+def test_every_option_has_help_text():
+    parser = build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in subcommands.choices.items():
+        for action in sub._actions:
+            assert action.help, (name, action.option_strings)
 
 
 @pytest.mark.parametrize(

@@ -194,11 +194,11 @@ def test_permutations_are_valid_and_distinct():
     inst = sample_instance(params, 2)
     for j in range(1, 4):
         assert sorted(inst.pi_star[j].tolist()) == list(range(50))
-        inv = inst.inverse_pi(j)
+        inv = inst.true_pairwise_permutation(j, 0)
         assert np.array_equal(inv[inst.pi_star[j]], np.arange(50))
     assert not np.array_equal(inst.pi_star[1], inst.pi_star[2])
     mu12 = inst.true_pairwise_permutation(1, 2)
-    assert np.array_equal(mu12, inst.pi_star[2][inst.inverse_pi(1)])
+    assert np.array_equal(mu12, inst.pi_star[2][inst.true_pairwise_permutation(1, 0)])
 
 
 def test_pattern_marginal_frequency():
@@ -465,7 +465,8 @@ def test_instance_stores_list_permutations_as_int64_arrays():
     for pair, mask in ref_fam.anchor_masks.items():
         assert fam.anchor_masks[pair].tolist() == mask.tolist()
     for j in range(inst.K):
-        assert inst.inverse_pi(j).tolist() == reference.inverse_pi(j).tolist()
+        inverse = inst.true_pairwise_permutation(j, 0)
+        assert inverse.tolist() == reference.true_pairwise_permutation(j, 0).tolist()
 
 
 def test_instance_rejects_malformed_sigma_star():
@@ -489,7 +490,7 @@ def test_instance_takes_no_inverse_permutation_cache():
         CorrelatedInstance(**fields, _inverse_perms=[None, None, fields["pi_star"][2]])
     inst = CorrelatedInstance(**fields)
     for j, pi in enumerate(fields["pi_star"]):
-        assert inst.inverse_pi(j)[pi].tolist() == list(range(inst.n))
+        assert inst.true_pairwise_permutation(j, 0)[pi].tolist() == list(range(inst.n))
 
 
 # -- partition construction ---------------------------------------------------

@@ -17,7 +17,6 @@ from graph_algebra import (
     mask_patterns,
 )
 
-from csbm import graphs, matching
 from csbm.generate import Params, _code_dtype, sample_instance
 from csbm.graphs import Graph
 from csbm.matching import (
@@ -191,13 +190,9 @@ def test_family_builds_no_graph_and_no_adjacency(monkeypatch):
     inst = sample_instance(Params(n=400, a=9.0, b=1.0, s=0.5, K=3), 2)
     inst.parent.edges
 
-    def no_adjacency(*args):
-        raise AssertionError("an adjacency was built")
-
     def no_graph(*args):
         raise AssertionError("a graph was built")
 
-    monkeypatch.setattr(graphs, "_adjacency_csr", no_adjacency)
     monkeypatch.setattr(Graph, "_set_keys", no_graph)
     # The peel counts degrees over the intersection's edges, round by
     # round, at any k.
