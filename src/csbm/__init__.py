@@ -41,10 +41,7 @@ from .recovery import (
     overlap,
 )
 from .thresholds import (
-    Condition,
-    ConditionSet,
     RegionLabel,
-    ThresholdPoint,
     chernoff_hellinger,
     classify_region,
     condition_set,
@@ -54,8 +51,6 @@ from .thresholds import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Condition",
-    "ConditionSet",
     "CorrelatedInstance",
     "Graph",
     "LabelEstimate",
@@ -68,7 +63,6 @@ __all__ = [
     "SingletonReport",
     "SweepConfig",
     "SweepResult",
-    "ThresholdPoint",
     "TrialResult",
     "VertexClass",
     "all_pairwise_matchings",

@@ -208,6 +208,11 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     return 0
 
 
+def _notes(out: str | None):
+    """Stream for status lines: stdout when the CSV goes to the file ``out``, else stderr."""
+    return sys.stdout if out else sys.stderr
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = SweepConfig.from_json(Path(args.config).read_text())
     if args.per_trial_out and not cfg.per_trial:
@@ -215,18 +220,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.scaling_out and "scaling" not in cfg.experiments:
         raise ValueError("config must include the scaling experiment")
     result = sweep(cfg)
+    notes = _notes(args.out)
     cells_text = cells_csv(result)
     if args.out:
         Path(args.out).write_text(cells_text)
-        print(f"wrote {len(result.cell_rows)} cell rows to {args.out}")
+        print(f"wrote {len(result.cell_rows)} cell rows to {args.out}", file=notes)
     else:
         sys.stdout.write(cells_text)
     if args.per_trial_out:
         Path(args.per_trial_out).write_text(trials_csv(result))
-        print(f"wrote {len(result.trial_rows)} trial rows to {args.per_trial_out}")
+        print(f"wrote {len(result.trial_rows)} trial rows to {args.per_trial_out}", file=notes)
     if args.scaling_out:
         Path(args.scaling_out).write_text(scaling_csv(result))
-        print(f"wrote {len(result.scaling_rows)} scaling rows to {args.scaling_out}")
+        print(f"wrote {len(result.scaling_rows)} scaling rows to {args.scaling_out}", file=notes)
     return 0
 
 
@@ -259,16 +265,17 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
 def _cmd_regions(args: argparse.Namespace) -> int:
     rows, counts = region_grid_export(args.s, args.amax, args.bmax, args.step)
+    notes = _notes(args.out)
     text = regions_csv(rows)
     if args.out:
         Path(args.out).write_text(text)
-        print(f"wrote {len(rows)} region rows to {args.out}")
+        print(f"wrote {len(rows)} region rows to {args.out}", file=notes)
     else:
         sys.stdout.write(text)
     if args.summary:
         for label, count in counts.items():
             if count:
-                print(f"{label}: {count}")
+                print(f"{label}: {count}", file=notes)
     return 0
 
 

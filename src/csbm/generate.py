@@ -142,8 +142,9 @@ class CorrelatedInstance:
     ``(parent.edge_count,)`` or holding anything but integers in
     ``[1, 2**K)`` (an edge no child keeps is not in the union),
     ``pi_star`` that is not K permutations of ``range(n)`` starting with
-    the identity, and ``sigma_star`` that is not n labels in {-1, +1}.
-    Each ``pi_star`` entry is stored as an int64 array.
+    the identity, and ``sigma_star`` that is not n labels in {-1, +1} (a
+    bool array is refused).  Each ``pi_star`` entry is stored as an int64
+    array and ``sigma_star`` as a read-only int8 array.
     """
 
     params: Params
@@ -174,9 +175,11 @@ class CorrelatedInstance:
         if not np.array_equal(self.pi_star[0], np.arange(n)):
             raise ValueError("pi_star[0] must be the identity")
         sigma = np.asarray(self.sigma_star)
-        if sigma.shape != (n,) or not ((sigma == 1) | (sigma == -1)).all():
+        if sigma.shape != (n,) or sigma.dtype == bool or not ((sigma == 1) | (sigma == -1)).all():
             raise ValueError(f"sigma_star must hold n={n} labels, each -1 or +1")
-        # A read-only view: the caller's array keeps its own flags.
+        # Read-only views: the caller's arrays keep their own flags.
+        self.sigma_star = sigma.astype(np.int8, copy=False).view()
+        self.sigma_star.setflags(write=False)
         self.edge_codes = codes.astype(dtype, copy=False).view()
         self.edge_codes.setflags(write=False)
 

@@ -20,7 +20,6 @@ non-reproducible measurement.
 from __future__ import annotations
 
 import json
-import math
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -47,6 +46,7 @@ __all__ = [
     "scaling_experiment",
     "scaling_row",
     "region_grid_export",
+    "MAX_GRID_CELLS",
     "AGGREGATE_COLUMNS",
     "TRIAL_COLUMNS",
     "SCALING_COLUMNS",
@@ -400,7 +400,12 @@ class ScalingResult:
     ``mean_*`` hold the per-n averages in n order.  Fits are least-squares
     slopes over the points with positive mean (zero-mean points are dropped
     with a warning); a fit is None when fewer than two points remain.
-    Intersection fields are None when K < 3.
+    ``points_used`` counts the points of the |F_12| fit only.  Intersection
+    fields are None when K < 3.  The theory exponents are one minus a value
+    of :func:`csbm.thresholds.condition_set`, bit for bit: ``pair_match`` at
+    K for |F_12|, ``match_all`` at K = 3 for |F_12 ∩ F_13|, and
+    ``match_all`` at K for |R*|.  They are computed here because ``Params``
+    admits a = 0 or b = 0, which ``condition_set`` refuses.
     """
 
     n_values: tuple[int, ...]
@@ -502,9 +507,17 @@ def scaling_row(base: Params, fit: ScalingResult) -> dict:
     }
 
 
-def _grid_values(step: float, upper: float) -> list[float]:
-    count = int(math.floor(upper / step + 1e-9))
-    return [round(i * step, 10) for i in range(1, count + 1)]
+# The most cells region_grid_export rasterises: 10^6 rows, about 20 MB of CSV.
+MAX_GRID_CELLS = 10**6
+
+
+def _grid_count(step: float, upper: float) -> float:
+    """How many multiples of ``step`` lie in (0, upper], as a whole float (inf on overflow)."""
+    return float(np.floor(upper / step + 1e-9))
+
+
+def _grid_values(step: float, count: float) -> list[float]:
+    return [round(i * step, 10) for i in range(1, int(count) + 1)]
 
 
 def region_grid_export(
@@ -514,18 +527,25 @@ def region_grid_export(
 
     The grid runs over multiples of ``step`` in (0, a_max] x (0, b_max].
     ``s`` lies in [0, 1]; ``step`` is finite and positive, and so are
-    ``a_max`` and ``b_max``, each at least ``step``.  Grid values are floats.
-    Classification runs at strict tolerance (no Boundary rows); the summary
-    counts grid cells per region label in a fixed label order.
+    ``a_max`` and ``b_max``, each at least ``step``.  A grid of more than
+    ``MAX_GRID_CELLS`` cells is refused before any value is built.  Grid
+    values are floats.  Classification runs at strict tolerance (no Boundary
+    rows); the summary counts grid cells per region label in a fixed label
+    order.
     """
     s = _require_real("s", s, 0, 1)
     a_max = _require_real("a_max", a_max, positive=True)
     b_max = _require_real("b_max", b_max, positive=True)
     step = _require_real("step", step, positive=True)
-    a_values = _grid_values(step, a_max)
-    b_values = _grid_values(step, b_max)
-    if not a_values or not b_values:
+    count_a, count_b = _grid_count(step, a_max), _grid_count(step, b_max)
+    if not count_a or not count_b:
         raise ValueError("ranges must contain at least one grid point")
+    if count_a * count_b > MAX_GRID_CELLS:
+        raise ValueError(
+            f"the grid has {count_a * count_b:.0f} cells, more than the cap of {MAX_GRID_CELLS}"
+        )
+    a_values = _grid_values(step, count_a)
+    b_values = _grid_values(step, count_b)
     rows = []
     counts = {label.value: 0 for label in RegionLabel if label is not RegionLabel.BOUNDARY}
     for a in a_values:

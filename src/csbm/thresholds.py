@@ -17,7 +17,6 @@ those tasks are possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .graphs import _require_integer, _require_real
@@ -25,9 +24,6 @@ from .graphs import _require_integer, _require_real
 __all__ = [
     "chernoff_hellinger",
     "connectivity_param",
-    "ThresholdPoint",
-    "Condition",
-    "ConditionSet",
     "condition_set",
     "RegionLabel",
     "classify_region",
@@ -52,42 +48,10 @@ def _connectivity_param(a: float, b: float) -> float:
     return (a + b) / 2.0
 
 
-@dataclass(frozen=True)
-class ThresholdPoint:
-    """One point of the phase diagram.
+def condition_set(a: float, b: float, s: float, K: int = 3) -> dict[str, float]:
+    """The seven threshold values at ``(a, b, s, K)``, keyed in this order.
 
-    ``a`` and ``b`` are finite and positive (``a = b`` allowed) and ``s``
-    lies in [0, 1], all stored as floats; a bool or a string is rejected.
-    ``K`` is a whole number of at least 1; one given as a float, such as
-    3.0, is stored as the int.
-    """
-
-    a: float
-    b: float
-    s: float
-    K: int = 3
-
-    def __post_init__(self):
-        for name in ("a", "b"):
-            object.__setattr__(self, name, _require_real(name, getattr(self, name), positive=True))
-        object.__setattr__(self, "s", _require_real("s", self.s, 0, 1))
-        object.__setattr__(self, "K", _require_integer("K", self.K, 1))
-
-
-@dataclass(frozen=True)
-class Condition:
-    """A threshold expression and whether it strictly exceeds 1."""
-
-    value: float
-
-    @property
-    def holds(self) -> bool:
-        return self.value > 1.0
-
-
-@dataclass(frozen=True)
-class ConditionSet:
-    """The seven threshold conditions evaluated at one parameter point.
+    A condition holds when its value exceeds 1.
 
     ``single``     recovery from one child alone: s * D+(a, b).
     ``pair_match`` exact matching of a pair of children: s^2 * Tc(a, b).
@@ -96,45 +60,28 @@ class ConditionSet:
     ``union_all``  recovery from the aligned union of all K children.
     ``match_all``  exact matching of all K children (anchor-centred).
     ``rec_all``    recovery from all K children via matching then union.
+
+    ``a`` and ``b`` are finite and positive (``a = b`` allowed) and ``s``
+    lies in [0, 1]; a bool or a string is refused.  ``K`` is a whole number
+    of at least 1; one given as a float, such as 3.0, counts as the int.
     """
-
-    single: Condition
-    pair_match: Condition
-    union_two: Condition
-    rec_two: Condition
-    union_all: Condition
-    match_all: Condition
-    rec_all: Condition
-
-    def as_dict(self) -> dict[str, Condition]:
-        return {
-            "single": self.single,
-            "pair_match": self.pair_match,
-            "union_two": self.union_two,
-            "rec_two": self.rec_two,
-            "union_all": self.union_all,
-            "match_all": self.match_all,
-            "rec_all": self.rec_all,
-        }
-
-
-def condition_set(point: ThresholdPoint) -> ConditionSet:
-    """Evaluate all seven threshold expressions at ``point``."""
-    a, b, s, K = point.a, point.b, point.s, point.K
-    # The point has checked a and b already.
+    a = _require_real("a", a, positive=True)
+    b = _require_real("b", b, positive=True)
+    s = _require_real("s", s, 0, 1)
+    K = _require_integer("K", K, 1)
     dp = _chernoff_hellinger(a, b)
     tc = _connectivity_param(a, b)
     keep_all = 1.0 - (1.0 - s) ** K
     keep_rest = 1.0 - (1.0 - s) ** (K - 1)
-    return ConditionSet(
-        single=Condition(s * dp),
-        pair_match=Condition(s * s * tc),
-        union_two=Condition((1.0 - (1.0 - s) ** 2) * dp),
-        rec_two=Condition(s * s * tc + s * (1.0 - s) * dp),
-        union_all=Condition(keep_all * dp),
-        match_all=Condition(s * keep_rest * tc),
-        rec_all=Condition(s * keep_rest * tc + s * (1.0 - s) ** (K - 1) * dp),
-    )
+    return {
+        "single": s * dp,
+        "pair_match": s * s * tc,
+        "union_two": (1.0 - (1.0 - s) ** 2) * dp,
+        "rec_two": s * s * tc + s * (1.0 - s) * dp,
+        "union_all": keep_all * dp,
+        "match_all": s * keep_rest * tc,
+        "rec_all": s * keep_rest * tc + s * (1.0 - s) ** (K - 1) * dp,
+    }
 
 
 class RegionLabel(str, Enum):
@@ -157,7 +104,7 @@ def _region_flags(holds: dict[str, bool]) -> dict[RegionLabel, bool]:
     """Truth value of each of the ten region predicates, independently.
 
     ``holds`` has the seven condition verdicts, keyed like
-    :meth:`ConditionSet.as_dict`.  The predicates are mutually exclusive and
+    :func:`condition_set`.  The predicates are mutually exclusive and
     exhaustive away from exact threshold boundaries; this is a consequence
     of the condition implications (single => union_two and rec_two;
     pair_match => rec_two and match_all; union_two => union_all; rec_two =>
@@ -193,10 +140,10 @@ def classify_region(a: float, b: float, s: float, tol: float = 1e-9) -> RegionLa
     be finite and non-negative.
     """
     tol = _require_real("tol", tol, 0)
-    conditions = condition_set(ThresholdPoint(a=a, b=b, s=s, K=3)).as_dict()
-    if tol > 0 and any(abs(c.value - 1.0) <= tol for c in conditions.values()):
+    values = condition_set(a, b, s, K=3)
+    if tol > 0 and any(abs(value - 1.0) <= tol for value in values.values()):
         return RegionLabel.BOUNDARY
-    flags = _region_flags({name: c.holds for name, c in conditions.items()})
+    flags = _region_flags({name: value > 1.0 for name, value in values.items()})
     for label, hit in flags.items():
         if hit:
             return label

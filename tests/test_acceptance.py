@@ -34,7 +34,6 @@ from csbm.harness import (
 from csbm.impossibility import map_failure_witness
 from csbm.thresholds import (
     RegionLabel,
-    ThresholdPoint,
     chernoff_hellinger,
     classify_region,
     condition_set,
@@ -428,16 +427,16 @@ def test_criterion_09_threshold_algebra_and_region_classifier():
     # onto the single-graph divergence or the pairwise connectivity
     # parameter: unions add no edges and matchings include everything.
     for a, b in ((9.0, 1.0), (18.0, 2.0), (5.0, 4.0)):
-        cs = condition_set(ThresholdPoint(a, b, 1.0, 3))
+        cs = condition_set(a, b, 1.0, 3)
         dp = chernoff_hellinger(a, b)
         tc = connectivity_param(a, b)
-        assert cs.single.value == pytest.approx(dp)
-        assert cs.union_two.value == pytest.approx(dp)
-        assert cs.union_all.value == pytest.approx(dp)
-        assert cs.pair_match.value == pytest.approx(tc)
-        assert cs.match_all.value == pytest.approx(tc)
-        assert cs.rec_two.value == pytest.approx(tc)
-        assert cs.rec_all.value == pytest.approx(tc)
+        assert cs["single"] == pytest.approx(dp)
+        assert cs["union_two"] == pytest.approx(dp)
+        assert cs["union_all"] == pytest.approx(dp)
+        assert cs["pair_match"] == pytest.approx(tc)
+        assert cs["match_all"] == pytest.approx(tc)
+        assert cs["rec_two"] == pytest.approx(tc)
+        assert cs["rec_all"] == pytest.approx(tc)
     # Exclusivity and exhaustiveness: at zero tolerance every sampled
     # point receives exactly one of the ten real labels, never the
     # boundary guard, and the sampler reaches most of the diagram.

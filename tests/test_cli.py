@@ -10,7 +10,16 @@ from conftest import read_edge_list
 from csbm import cli, harness
 from csbm.cli import build_parser, main
 from csbm.generate import Params, sample_instance
-from csbm.harness import TRIAL_COLUMNS, SweepConfig, run_trial, sweep, trials_csv
+from csbm.harness import (
+    TRIAL_COLUMNS,
+    SweepConfig,
+    cells_csv,
+    region_grid_export,
+    regions_csv,
+    run_trial,
+    sweep,
+    trials_csv,
+)
 from csbm.seeds import cell_key, trial_seed
 
 
@@ -247,11 +256,13 @@ def test_sweep_writes_deterministic_csv(tmp_path, capsys):
 
 
 def test_sweep_stdout_and_per_trial(tmp_path, capsys):
+    # Without --out stdout is the cells CSV alone; the status line goes to stderr.
     config = sweep_config(tmp_path, per_trial=True)
     trials_out = tmp_path / "trials.csv"
     assert run_cli("sweep", "--config", config, "--per-trial-out", trials_out) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("n,a,b,s,K,k,trials,")
+    captured = capsys.readouterr()
+    assert captured.out == cells_csv(sweep(SweepConfig(**SWEEP_PAYLOAD, per_trial=True)))
+    assert captured.err == f"wrote 2 trial rows to {trials_out}\n"
     assert trials_out.read_text().count("\n") == 3
 
 
@@ -428,3 +439,26 @@ def test_regions_csv_and_summary(tmp_path, capsys):
         if ": " in line
     )
     assert counted == 20
+
+
+def test_regions_stdout_is_the_csv(capsys):
+    # Without --out the summary goes to stderr, so "> regions.csv" keeps a clean CSV.
+    assert run_cli(
+        "regions", "--s", 0.25, "--amax", 3, "--bmax", 1, "--step", 1, "--summary"
+    ) == 0
+    captured = capsys.readouterr()
+    assert captured.out == regions_csv(region_grid_export(0.25, 3, 1, 1)[0])
+    assert captured.err == "Red: 3\n"
+
+
+def test_regions_refuses_a_grid_over_the_cap(capsys, monkeypatch):
+    def classify(*args, **kwargs):
+        raise AssertionError("a cell was classified")
+
+    monkeypatch.setattr(harness, "classify_region", classify)
+    assert run_cli("regions", "--s", 0.4, "--amax", 1e4, "--bmax", 1e3, "--step", 1) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the grid has 10000000 cells, more than the cap of 1000000\n"
+    )

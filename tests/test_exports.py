@@ -1,7 +1,8 @@
 """Every exported name of the package resolves and has a caller outside the tests,
 so does every public member of an exported class, the package imports only
 what it declares and reads every name it imports, every shared test helper
-has a caller, and nothing it runs loads scipy."""
+has a caller, nothing it runs loads scipy, and the README's library example
+runs."""
 
 import ast
 import dataclasses
@@ -228,3 +229,13 @@ def test_a_trial_loads_no_scipy():
         [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    code = readme.split("## Library use")[1].split("```python")[1].split("```")[0]
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    # The staged trial and run_trial's one call report the same overlap.
+    assert lines[0].split()[0] == lines[1]
+    assert [line.split()[0] for line in lines[2:]] == list(csbm.condition_set(9.0, 1.0, 0.4))

@@ -22,6 +22,7 @@ from reference import (
 from csbm import generate
 from csbm.generate import CorrelatedInstance, Params, sample_instance
 from csbm.graphs import Graph, _image_keys
+from csbm.impossibility import map_failure_witness
 from csbm.matching import all_pairwise_matchings
 from csbm.seeds import ROLE_SUBSAMPLE, ROLE_UNION_SPLIT, stream
 
@@ -477,11 +478,20 @@ def test_instance_rejects_malformed_sigma_star():
         sigma * 0.5,
         np.zeros_like(sigma),
         np.where(sigma > 0, 2, -1),
+        np.ones(sigma.shape, dtype=bool),
     ):
         with pytest.raises(ValueError, match="sigma_star"):
             CorrelatedInstance(**instance_fields(sigma_star=bad))
+    # A list of floats is stored as int8, so the witness can read it.
     inst = CorrelatedInstance(**instance_fields(sigma_star=sigma.astype(np.float64).tolist()))
     assert inst.n == sigma.shape[0]
+    assert inst.sigma_star.dtype == np.int8 and not inst.sigma_star.flags.writeable
+    assert inst.sigma_star.tolist() == sigma.tolist()
+    got, want = map_failure_witness(inst), map_failure_witness(CorrelatedInstance(**instance_fields()))
+    assert got.maj.tolist() == want.maj.tolist() and got.witness_found == want.witness_found
+    mine = sigma.astype(np.int8)
+    assert CorrelatedInstance(**instance_fields(sigma_star=mine)).sigma_star.base is mine
+    assert mine.flags.writeable
 
 
 def test_instance_takes_no_inverse_permutation_cache():

@@ -31,6 +31,7 @@ from csbm.harness import (
     trials_csv,
 )
 from csbm.seeds import cell_key, trial_seed
+from csbm.thresholds import condition_set
 
 
 def test_trial_is_reproducible():
@@ -474,6 +475,21 @@ def test_scaling_fits_track_theory():
     assert abs(fit.fitted_singletons - fit.theory_singletons) < 0.15
 
 
+@pytest.mark.filterwarnings("ignore:.*zero-mean")
+@pytest.mark.parametrize(
+    "a, b, s, K", [(6.0, 2.0, 0.35, 3), (9.0, 1.0, 0.4, 2), (5.0, 4.0, 0.6, 4), (3.3, 0.7, 0.15, 5)]
+)
+def test_scaling_theory_exponents_are_condition_values(a, b, s, K):
+    fit = scaling_experiment(Params(n=60, a=a, b=b, s=s, K=K), [60, 70, 80, 90], 1)
+    values = condition_set(a, b, s, K)
+    assert fit.theory_unmatched == 1.0 - values["pair_match"]
+    assert fit.theory_singletons == 1.0 - values["match_all"]
+    if K >= 3:
+        assert fit.theory_intersection == 1.0 - condition_set(a, b, s, 3)["match_all"]
+    else:
+        assert fit.theory_intersection is None
+
+
 def test_scaling_drops_zero_mean_points():
     base = Params(n=100, a=18.0, b=2.0, s=1.0, K=3, k=13)
     with pytest.warns(UserWarning):
@@ -522,6 +538,24 @@ def test_region_grid_export_rejects_non_finite_or_non_positive_ranges(name, valu
     args = {"a_max": 10.0, "b_max": 2.0, "step": 1.0, name: value}
     with pytest.raises(ValueError, match=f"^{name} "):
         region_grid_export(0.4, **args)
+
+
+def test_region_grid_export_refuses_a_grid_over_the_cap(monkeypatch):
+    # The cell count is checked before any grid value is built: a cell that
+    # reached the classifier would fail the test.
+    def classify(*args, **kwargs):
+        raise AssertionError("a cell was classified")
+
+    monkeypatch.setattr(harness, "classify_region", classify)
+    with pytest.raises(ValueError, match="has 10000000 cells, more than the cap of 1000000"):
+        region_grid_export(0.4, 1e4, 1e3, 1.0)
+    with pytest.raises(ValueError, match="has inf cells"):
+        region_grid_export(0.4, 1e300, 1.0, 1e-300)
+    monkeypatch.undo()
+    monkeypatch.setattr(harness, "MAX_GRID_CELLS", 20)
+    assert len(region_grid_export(0.4, 10.0, 2.0, 1.0)[0]) == 20
+    with pytest.raises(ValueError, match="has 21 cells, more than the cap of 20"):
+        region_grid_export(0.4, 7.0, 3.0, 1.0)
 
 
 def test_region_grid_export_writes_floats_whatever_the_number_type():

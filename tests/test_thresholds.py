@@ -8,7 +8,6 @@ import pytest
 
 from csbm.thresholds import (
     RegionLabel,
-    ThresholdPoint,
     _region_flags,
     chernoff_hellinger,
     classify_region,
@@ -37,24 +36,24 @@ def test_functionals_reject_negative_inputs():
 
 
 def test_threshold_point_validation():
-    with pytest.raises(ValueError):
-        ThresholdPoint(a=0.0, b=1.0, s=0.5)
-    with pytest.raises(ValueError):
-        ThresholdPoint(a=1.0, b=1.0, s=1.5)
-    with pytest.raises(ValueError):
-        ThresholdPoint(a=1.0, b=1.0, s=0.5, K=0)
+    # condition_set checks the point (a, b, s, K); each refusal names its argument.
+    for point, name in (
+        ((0.0, 1.0, 0.5), "a"), ((1.0, 0.0, 0.5), "b"), ((1.0, 1.0, 1.5), "s"),
+        ((1.0, 1.0, 0.5, 0), "K"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            condition_set(*point)
 
 
 def test_threshold_point_rejects_fractional_children():
     # (1 - s)^(K - 1) would be evaluated at K = 2.5 and give rec_all = 1.442.
-    with pytest.raises(ValueError, match="integer"):
-        ThresholdPoint(a=9.0, b=1.0, s=0.4, K=2.5)
+    with pytest.raises(ValueError, match="^K must be an integer"):
+        condition_set(9.0, 1.0, 0.4, K=2.5)
 
 
 def test_threshold_point_stores_whole_float_children_as_int():
-    point = ThresholdPoint(a=9.0, b=1.0, s=0.4, K=3.0)
-    assert type(point.K) is int and point.K == 3
-    assert condition_set(point) == condition_set(ThresholdPoint(a=9.0, b=1.0, s=0.4, K=3))
+    assert condition_set(9.0, 1.0, 0.4, K=3.0) == condition_set(9.0, 1.0, 0.4, K=3)
+    assert condition_set(9.0, 1.0, 0.4, K=4.0) == condition_set(9.0, 1.0, 0.4, K=4)
 
 
 @pytest.mark.parametrize(
@@ -67,55 +66,53 @@ def test_threshold_point_stores_whole_float_children_as_int():
 def test_threshold_point_rejects_non_finite_coefficients(field, value):
     point = {"a": 9.0, "b": 1.0, "s": 0.4, field: value}
     with pytest.raises(ValueError, match=f"^{field} "):
-        ThresholdPoint(**point)
+        condition_set(**point)
     with pytest.raises(ValueError, match=f"^{field} "):
         classify_region(**point)
 
 
 def test_condition_values_at_reference_point():
-    cs = condition_set(ThresholdPoint(a=9.0, b=1.0, s=0.4, K=3))
-    assert cs.single.value == pytest.approx(0.8, abs=1e-12)
-    assert cs.pair_match.value == pytest.approx(0.8, abs=1e-12)
-    assert cs.union_two.value == pytest.approx(1.28, abs=1e-12)
-    assert cs.rec_two.value == pytest.approx(1.28, abs=1e-12)
-    assert cs.union_all.value == pytest.approx(1.568, abs=1e-12)
-    assert cs.match_all.value == pytest.approx(1.28, abs=1e-12)
-    assert cs.rec_all.value == pytest.approx(1.568, abs=1e-12)
-    assert not cs.single.holds
-    assert cs.union_two.holds
-    assert set(cs.as_dict()) == {
-        "single",
-        "pair_match",
-        "union_two",
-        "rec_two",
-        "union_all",
-        "match_all",
-        "rec_all",
-    }
+    cs = condition_set(9.0, 1.0, 0.4, K=3)
+    assert cs == pytest.approx(
+        {
+            "single": 0.8,
+            "pair_match": 0.8,
+            "union_two": 1.28,
+            "rec_two": 1.28,
+            "union_all": 1.568,
+            "match_all": 1.28,
+            "rec_all": 1.568,
+        },
+        abs=1e-12,
+    )
+    assert list(cs) == [
+        "single", "pair_match", "union_two", "rec_two", "union_all", "match_all", "rec_all"
+    ]
+    assert all(type(value) is float for value in cs.values())
 
 
 def test_conditions_collapse_at_full_retention():
     # At s = 1 every union equals the single graph and every matching is a
     # pair matching, so the seven values collapse onto two.
     for a, b, K in [(9.0, 1.0, 3), (18.0, 2.0, 5), (5.0, 2.0, 2)]:
-        cs = condition_set(ThresholdPoint(a=a, b=b, s=1.0, K=K))
+        cs = condition_set(a, b, 1.0, K=K)
         dp = chernoff_hellinger(a, b)
         tc = connectivity_param(a, b)
         for name in ("single", "union_two", "union_all"):
-            assert cs.as_dict()[name].value == pytest.approx(dp, abs=1e-12)
+            assert cs[name] == pytest.approx(dp, abs=1e-12)
         for name in ("pair_match", "rec_two", "match_all", "rec_all"):
-            assert cs.as_dict()[name].value == pytest.approx(tc, abs=1e-12)
+            assert cs[name] == pytest.approx(tc, abs=1e-12)
 
 
 def test_condition_monotone_in_children():
     # Adding children can only help: union_all and rec_all grow with K.
     prev_union = prev_rec = 0.0
     for K in range(2, 8):
-        cs = condition_set(ThresholdPoint(a=6.0, b=2.0, s=0.3, K=K))
-        assert cs.union_all.value >= prev_union
-        assert cs.rec_all.value >= prev_rec
-        prev_union = cs.union_all.value
-        prev_rec = cs.rec_all.value
+        cs = condition_set(6.0, 2.0, 0.3, K=K)
+        assert cs["union_all"] >= prev_union
+        assert cs["rec_all"] >= prev_rec
+        prev_union = cs["union_all"]
+        prev_rec = cs["rec_all"]
 
 
 def test_region_reference_traces():
@@ -157,8 +154,8 @@ def test_exactly_one_region_predicate_holds():
     )
     hits = Counter()
     for a, b, s in points:
-        conditions = condition_set(ThresholdPoint(float(a), float(b), float(s), K=3)).as_dict()
-        flags = _region_flags({name: c.holds for name, c in conditions.items()})
+        values = condition_set(float(a), float(b), float(s), K=3)
+        flags = _region_flags({name: value > 1.0 for name, value in values.items()})
         hits[sum(flags.values())] += 1
     assert hits == {1: count}
 
@@ -205,11 +202,11 @@ def test_small_s_is_always_red():
 
 
 def test_condition_set_respects_custom_k():
-    cs2 = condition_set(ThresholdPoint(a=9.0, b=1.0, s=0.4, K=2))
+    cs2 = condition_set(9.0, 1.0, 0.4, K=2)
     # With K = 2 the all-children conditions coincide with the pair ones.
-    assert cs2.union_all.value == pytest.approx(cs2.union_two.value, abs=1e-12)
-    assert cs2.rec_all.value == pytest.approx(cs2.rec_two.value, abs=1e-12)
-    assert cs2.match_all.value == pytest.approx(cs2.pair_match.value, abs=1e-12)
+    assert cs2["union_all"] == pytest.approx(cs2["union_two"], abs=1e-12)
+    assert cs2["rec_all"] == pytest.approx(cs2["rec_two"], abs=1e-12)
+    assert cs2["match_all"] == pytest.approx(cs2["pair_match"], abs=1e-12)
 
 
 def test_classification_matches_condition_flags():
@@ -219,21 +216,21 @@ def test_classification_matches_condition_flags():
         a = float(rng.uniform(0.1, 40.0))
         b = float(rng.uniform(0.1, 40.0))
         s = float(rng.uniform(0.01, 0.99))
-        cs = condition_set(ThresholdPoint(a=a, b=b, s=s, K=3))
+        holds = {name: value > 1.0 for name, value in condition_set(a, b, s, K=3).items()}
         label = classify_region(a, b, s, tol=0.0)
         if label is RegionLabel.GREEN:
-            assert cs.single.holds
+            assert holds["single"]
         else:
-            assert not cs.single.holds
+            assert not holds["single"]
         if label is RegionLabel.RED:
-            assert not cs.union_all.holds
-        if cs.union_all.holds:
+            assert not holds["union_all"]
+        if holds["union_all"]:
             assert label is not RegionLabel.RED
-        two = cs.union_two.holds and cs.rec_two.holds
+        two = holds["union_two"] and holds["rec_two"]
         if label in (RegionLabel.CYAN, RegionLabel.DARK_BLUE):
             assert two
         if label is RegionLabel.CYAN:
-            assert cs.pair_match.holds
+            assert holds["pair_match"]
 
 
 @pytest.mark.parametrize("tol", [True, "0", math.inf])
