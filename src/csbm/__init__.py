@@ -15,7 +15,6 @@ from .graphs import (
     write_edge_list,
 )
 from .harness import (
-    ScalingResult,
     SweepConfig,
     SweepResult,
     TrialResult,
@@ -59,7 +58,6 @@ __all__ = [
     "Params",
     "PartialMatching",
     "RegionLabel",
-    "ScalingResult",
     "SingletonReport",
     "SweepConfig",
     "SweepResult",

@@ -33,7 +33,6 @@ from .harness import (
     run_trial,
     scaling_csv,
     scaling_experiment,
-    scaling_row,
     sweep,
     trial_row,
     trials_csv,
@@ -241,24 +240,15 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     if not n_list:
         raise ValueError("scaling needs at least four n values")
     base = _params_from(args, n=n_list[0])
-    fit = scaling_experiment(base, n_list, args.trials, args.seed)
-    for name, ns, means in (
-        ("F12", fit.n_values, fit.mean_unmatched),
-        ("F12capF13", fit.n_values, fit.mean_intersection),
-        ("Rstar", fit.n_values, fit.mean_singletons),
-    ):
-        if means is None:
-            continue
-        print(f"{name} means: " + " ".join(f"{n}:{m:.2f}" for n, m in zip(ns, means)))
-    print(f"fitted F12 exponent: {fit.fitted_unmatched} (theory {fit.theory_unmatched})")
-    if fit.fitted_intersection is not None or fit.theory_intersection is not None:
-        print(
-            f"fitted F12capF13 exponent: {fit.fitted_intersection} "
-            f"(theory {fit.theory_intersection})"
-        )
-    print(f"fitted Rstar exponent: {fit.fitted_singletons} (theory {fit.theory_singletons})")
+    row = scaling_experiment(base, n_list, args.trials, args.seed)
+    names = [name for name in ("F12", "F12capF13", "Rstar") if row[f"mean_{name}"] is not None]
+    for name in names:
+        means = row[f"mean_{name}"]
+        print(f"{name} means: " + " ".join(f"{n}:{m:.2f}" for n, m in zip(n_list, means)))
+    for name in names:
+        print(f"fitted {name} exponent: {row[f'fitted_{name}']} (theory {row[f'theory_{name}']})")
     if args.out:
-        Path(args.out).write_text(format_csv(SCALING_COLUMNS, [scaling_row(base, fit)]))
+        Path(args.out).write_text(format_csv(SCALING_COLUMNS, [row]))
         print(f"wrote scaling row to {args.out}")
     return 0
 

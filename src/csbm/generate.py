@@ -50,6 +50,7 @@ from .seeds import (
 )
 
 __all__ = [
+    "MAX_UNION_EDGES",
     "Params",
     "CorrelatedInstance",
     "sample_instance",
@@ -63,6 +64,11 @@ _PAIR_CHUNK = 1 << 23
 # Uniforms per chunk of a code draw: small enough that each chunk stays in
 # cache across the comparison passes.  Chunking does not change the draws.
 _CODE_CHUNK = 1 << 16
+
+# Most union edges an instance may expect.  A trial peaks at about 42 bytes
+# per union edge (1148 MB for 2.7e7 edges at n = 10^6), so the cap stands
+# for about 5.6 GB; n = 3e6 at (9, 1, 0.4, K = 3) expects 8.8e7 edges.
+MAX_UNION_EDGES = 1 << 27
 
 # Bits per group of a wide presence code; codes up to this wide are drawn
 # from one table of all their non-zero values.
@@ -329,6 +335,23 @@ def _block_model_keys(
     return keys
 
 
+def _require_union_size(params: Params) -> float:
+    """The expected union edge count of ``params``, refused above ``MAX_UNION_EDGES``.
+
+    A pair is a union edge with probability ``p f`` inside a community and
+    ``q f`` across, and each class averages ``n (n - 1) / 4`` pairs over
+    the labels, so the mean is ``f (p + q) n (n - 1) / 4`` exactly.
+    """
+    f = 1.0 - (1.0 - params.s) ** params.K
+    expected = f * (params.p + params.q) * params.n * (params.n - 1) / 4
+    if expected > MAX_UNION_EDGES:
+        raise ValueError(
+            f"n={params.n} expects {expected:.3g} union edges, more than the cap of "
+            f"{MAX_UNION_EDGES} (MAX_UNION_EDGES)"
+        )
+    return expected
+
+
 def _draw_permutations(n: int, K: int, seed: int) -> list[np.ndarray]:
     rng = stream(seed, ROLE_PERMUTATIONS)
     perms = [np.arange(n, dtype=np.int64)]
@@ -346,8 +369,10 @@ def sample_instance(params: Params, seed: int) -> CorrelatedInstance:
     model at those rates, from the parent-edge stream.  Each union edge then
     gets a non-zero presence code from its conditional law, from the
     subsample stream, and the permutations from their own.  No pair that
-    no child keeps is ever drawn.
+    no child keeps is ever drawn.  Parameters that expect more than
+    ``MAX_UNION_EDGES`` union edges are refused before the first draw.
     """
+    _require_union_size(params)
     n, K = params.n, params.K
     sigma = (stream(seed, ROLE_LABELS).integers(0, 2, size=n) * 2 - 1).astype(np.int8)
     f = 1.0 - (1.0 - params.s) ** K

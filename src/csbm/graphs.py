@@ -124,8 +124,17 @@ def _neighbour_sums(
 
 
 def _as_int64(values) -> np.ndarray:
-    """``values`` as an int64 array, rejecting entries the cast would change."""
+    """``values`` as an int64 array, rejecting bools and entries the cast would change.
+
+    An int64 array passes through uncopied.  Other input is scanned for bool
+    entries, since ``np.asarray`` would turn ``[True, 2]`` into ints.
+    """
     raw = np.asarray(values)
+    if raw.dtype == bool or (
+        not isinstance(values, np.ndarray)
+        and any(isinstance(x, (bool, np.bool_)) for x in np.asarray(values, dtype=object).flat)
+    ):
+        raise ValueError("vertex labels must be integers, not bools")
     if raw.dtype == np.int64:
         return raw
     with np.errstate(invalid="ignore"):
@@ -139,8 +148,8 @@ class Graph:
     """Immutable undirected simple graph on vertices ``0..n-1``.
 
     Self-loops and endpoints outside ``[0, n)`` are errors, as are edges not
-    shaped ``(m, 2)``, non-integer endpoints and a non-integer ``n``;
-    duplicate and reversed pairs collapse.
+    shaped ``(m, 2)``, non-integer or bool endpoints and a non-integer
+    ``n``; duplicate and reversed pairs collapse.
     """
 
     def __init__(self, n: int, edges=None):
@@ -229,8 +238,8 @@ class PartialMatching:
     meaning unmatched, and trimmed after the last matched vertex so equal
     maps have equal arrays.  It is built from a mapping or ``(u, v)``
     pairs, or from a permutation, and construction checks that the map is
-    injective with non-negative integer endpoints and that no vertex is
-    matched twice.
+    injective with non-negative integer endpoints, none of them a bool, and
+    that no vertex is matched twice.
     """
 
     __slots__ = ("_arr",)
@@ -265,7 +274,9 @@ class PartialMatching:
         return int(np.count_nonzero(self._arr >= 0))
 
     def get(self, v: int, default=None):
-        """``mu[v]``, or ``default`` when ``v`` is not a matched integer label."""
+        """``mu[v]``, or ``default`` when ``v`` is a bool or not a matched integer label."""
+        if isinstance(v, (bool, np.bool_)):
+            return default
         try:
             i = int(v)
         except (TypeError, ValueError, OverflowError):

@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .generate import Params, sample_instance
+from .generate import Params, _require_union_size, sample_instance
 from .graphs import _require_integer, _require_real
 from .impossibility import map_failure_witness
 from .matching import all_pairwise_matchings, classify_good_bad
@@ -42,9 +42,7 @@ __all__ = [
     "SweepConfig",
     "SweepResult",
     "sweep",
-    "ScalingResult",
     "scaling_experiment",
-    "scaling_row",
     "region_grid_export",
     "MAX_GRID_CELLS",
     "AGGREGATE_COLUMNS",
@@ -210,9 +208,11 @@ class SweepConfig:
     """Grids, trial count, seed, and experiment selection for one sweep.
 
     Grid values are deduplicated and sorted on construction, and every grid
-    cell is validated eagerly through Params.  The ``scaling`` experiment
-    needs at least four strictly ascending n values; the other experiments
-    run per cell.  ``record_timing`` opts into the wall-clock columns (off
+    cell is validated eagerly through Params and against the union ceiling
+    ``MAX_UNION_EDGES`` of :mod:`csbm.generate`, so an oversized grid is
+    refused before its first trial.  The ``scaling`` experiment needs at
+    least four strictly ascending n values; the other experiments run per
+    cell.  ``record_timing`` opts into the wall-clock columns (off
     by default so sweep CSVs are byte-reproducible); it and ``per_trial``
     must be booleans.  ``k`` and ``trials`` are whole numbers of at least
     1 and ``master_seed`` any whole number, all stored as ints; ``eps`` is
@@ -259,7 +259,8 @@ class SweepConfig:
                 raise ValueError(f"{name} must be true or false, not {getattr(self, name)!r}")
         if "scaling" in self.experiments and len(self.n_values) < 4:
             raise ValueError("the scaling experiment needs at least 4 distinct n values")
-        self.cells()
+        for params in self.cells():
+            _require_union_size(params)
 
     def cells(self) -> list[Params]:
         """The Params of every grid cell, in sorted parameter order."""
@@ -389,37 +390,8 @@ def sweep(cfg: SweepConfig) -> SweepResult:
                 warnings.warn(f"scaling skipped at K={base.K}: needs at least two children")
                 continue
             fit = scaling_experiment(base, cfg.n_values, cfg.trials, cfg.master_seed)
-            result.scaling_rows.append(scaling_row(base, fit))
+            result.scaling_rows.append(fit)
     return result
-
-
-@dataclass
-class ScalingResult:
-    """Log-log slope fits of the unmatched-set sizes against n.
-
-    ``mean_*`` hold the per-n averages in n order.  Fits are least-squares
-    slopes over the points with positive mean (zero-mean points are dropped
-    with a warning); a fit is None when fewer than two points remain.
-    ``points_used`` counts the points of the |F_12| fit only.  Intersection
-    fields are None when K < 3.  The theory exponents are one minus a value
-    of :func:`csbm.thresholds.condition_set`, bit for bit: ``pair_match`` at
-    K for |F_12|, ``match_all`` at K = 3 for |F_12 ∩ F_13|, and
-    ``match_all`` at K for |R*|.  They are computed here because ``Params``
-    admits a = 0 or b = 0, which ``condition_set`` refuses.
-    """
-
-    n_values: tuple[int, ...]
-    trials: int
-    mean_unmatched: list[float]
-    mean_intersection: list[float] | None
-    mean_singletons: list[float]
-    fitted_unmatched: float | None
-    fitted_intersection: float | None
-    fitted_singletons: float | None
-    theory_unmatched: float
-    theory_intersection: float | None
-    theory_singletons: float
-    points_used: int
 
 
 def _fit_slope(n_values, means, label: str) -> tuple[float | None, int]:
@@ -442,13 +414,26 @@ def scaling_experiment(
     n_list,
     trials: int,
     master_seed: int = 0,
-) -> ScalingResult:
+) -> dict:
     """Average |F_12|, |F_12 ∩ F_13|, |R*| over trials at each n and fit slopes.
 
     ``base`` fixes (a, b, s, K, k); each n in the strictly ascending
-    ``n_list`` (at least four points) reuses it with n replaced.  Reported
-    theory exponents: 1 - s^2 T_c for |F_12|, 1 - s(1-(1-s)^2) T_c for the
-    pair intersection, and 1 - s(1-(1-s)^(K-1)) T_c for the singleton set.
+    ``n_list`` (at least four points) reuses it with n replaced, and every
+    n passes the union-size ceiling before the first trial runs.  Returns
+    ``base``'s SCALING_COLUMNS row followed by ``mean_F12``,
+    ``mean_F12capF13`` and ``mean_Rstar``, the per-n means in n order, each
+    the cells CSV's column for that cell.  Fits are least-squares slopes
+    over the points with positive mean (zero-mean points are dropped with a
+    warning); a fit is None when fewer than two points remain.
+    ``points_used`` counts the points of the |F_12| fit only.  The
+    intersection's means, fit and theory are None when K < 3.
+
+    The theory exponents are 1 - s^2 T_c for |F_12|, 1 - s(1-(1-s)^2) T_c
+    for the pair intersection and 1 - s(1-(1-s)^(K-1)) T_c for |R*|: one
+    minus a value of :func:`csbm.thresholds.condition_set`, bit for bit
+    (``pair_match`` at K, ``match_all`` at K = 3 and ``match_all`` at K).
+    They are computed here because ``Params`` admits a = 0 or b = 0, which
+    ``condition_set`` refuses.
     """
     n_list = [_require_integer("n_list", n) for n in n_list]
     if len(n_list) < 4:
@@ -457,53 +442,35 @@ def scaling_experiment(
         raise ValueError("n_list must be strictly ascending")
     if base.K < 2:
         raise ValueError("scaling needs at least two children")
-    track_intersection = base.K >= 3
+    points = [replace(base, n=n) for n in n_list]
+    for params in points:
+        _require_union_size(params)
     cells = [
-        _cell_rows(replace(base, n=n), trials, master_seed, ("match", "witness"), False)
-        for n in n_list
+        _cell_rows(params, trials, master_seed, ("match", "witness"), False) for params in points
     ]
-    mean_unmatched, mean_intersection, mean_singletons = (
+    mean_f, mean_i, mean_r = (
         [_mean(r[column] for r in rows) for rows in cells]
         for column in ("F12", "F12capF13", "R_star")
     )
     s, K = base.s, base.K
     tc = connectivity_param(base.a, base.b)
-    fitted_f, used_f = _fit_slope(n_list, mean_unmatched, "unmatched F_12")
-    if track_intersection:
-        fitted_i, _ = _fit_slope(n_list, mean_intersection, "intersection F_12 ∩ F_13")
-    else:
-        fitted_i = None
-    fitted_r, _ = _fit_slope(n_list, mean_singletons, "singleton R*")
-    return ScalingResult(
-        n_values=tuple(n_list),
-        trials=len(cells[0]),
-        mean_unmatched=mean_unmatched,
-        mean_intersection=mean_intersection if track_intersection else None,
-        mean_singletons=mean_singletons,
-        fitted_unmatched=fitted_f,
-        fitted_intersection=fitted_i,
-        fitted_singletons=fitted_r,
-        theory_unmatched=1.0 - s * s * tc,
-        theory_intersection=(
-            1.0 - s * (1.0 - (1.0 - s) ** 2) * tc if track_intersection else None
-        ),
-        theory_singletons=1.0 - s * (1.0 - (1.0 - s) ** (K - 1)) * tc,
-        points_used=used_f,
-    )
-
-
-def scaling_row(base: Params, fit: ScalingResult) -> dict:
-    """One SCALING_COLUMNS row for a fit made at the parameters of ``base``."""
+    intersect = K >= 3
+    fitted_f, used = _fit_slope(n_list, mean_f, "unmatched F_12")
+    fitted_i = _fit_slope(n_list, mean_i, "intersection F_12 ∩ F_13")[0] if intersect else None
+    fitted_r, _ = _fit_slope(n_list, mean_r, "singleton R*")
     return {
         **{c: getattr(base, c) for c in _BASE_COLUMNS},
-        "trials": fit.trials,
-        "points_used": fit.points_used,
-        "fitted_F12": fit.fitted_unmatched,
-        "theory_F12": fit.theory_unmatched,
-        "fitted_F12capF13": fit.fitted_intersection,
-        "theory_F12capF13": fit.theory_intersection,
-        "fitted_Rstar": fit.fitted_singletons,
-        "theory_Rstar": fit.theory_singletons,
+        "trials": len(cells[0]),
+        "points_used": used,
+        "fitted_F12": fitted_f,
+        "theory_F12": 1.0 - s * s * tc,
+        "fitted_F12capF13": fitted_i,
+        "theory_F12capF13": 1.0 - s * (1.0 - (1.0 - s) ** 2) * tc if intersect else None,
+        "fitted_Rstar": fitted_r,
+        "theory_Rstar": 1.0 - s * (1.0 - (1.0 - s) ** (K - 1)) * tc,
+        "mean_F12": mean_f,
+        "mean_F12capF13": mean_i if intersect else None,
+        "mean_Rstar": mean_r,
     }
 
 

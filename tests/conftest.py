@@ -7,7 +7,9 @@ of peeling, and ``erdos_renyi`` draws edges one coin at a time.  The
 ``power_init`` fixture runs the pipeline on the power-iteration init that
 the pins recorded before the Lanczos one still describe, and the
 ``retained_sampler`` fixture on the retention-draw sampler that the pins
-recorded before the union-first one describe.
+recorded before the union-first one describe.  The ``no_draws`` fixture
+makes every random stream of the sampler fail, so a refusal seen under it
+came before any draw or allocation.
 """
 
 from pathlib import Path
@@ -33,6 +35,16 @@ def retained_sampler(monkeypatch):
     """Swap the retention-draw sampler of ``graph_algebra`` into the pipeline and ``generate``."""
     monkeypatch.setattr(harness, "sample_instance", retention_draw_sampler)
     monkeypatch.setattr(generate, "sample_instance", retention_draw_sampler)
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail on any stream ``generate`` opens: a size check must refuse before it."""
+
+    def refuse(*args):
+        raise AssertionError("the sampler opened a random stream")
+
+    monkeypatch.setattr(generate, "stream", refuse)
 
 
 def kcore_oracle(g: Graph, k: int) -> frozenset:

@@ -382,9 +382,9 @@ def test_criterion_07_unmatched_set_scaling_exponents():
         base, (1024, 2048, 4096, 8192), trials=20, master_seed=0
     )
     assert time.perf_counter() - start < 1200.0
-    assert result.points_used == 4
-    assert result.fitted_unmatched == pytest.approx(0.51, abs=0.2)
-    assert result.fitted_intersection < result.fitted_unmatched
+    assert result["points_used"] == 4
+    assert result["fitted_F12"] == pytest.approx(0.51, abs=0.2)
+    assert result["fitted_F12capF13"] < result["fitted_F12"]
 
 
 # -- criterion 8: estimator-independent failure witness ---------------------

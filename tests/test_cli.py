@@ -11,12 +11,15 @@ from csbm import cli, harness
 from csbm.cli import build_parser, main
 from csbm.generate import Params, sample_instance
 from csbm.harness import (
+    SCALING_COLUMNS,
     TRIAL_COLUMNS,
     SweepConfig,
     cells_csv,
+    format_csv,
     region_grid_export,
     regions_csv,
     run_trial,
+    scaling_experiment,
     sweep,
     trials_csv,
 )
@@ -408,6 +411,56 @@ def test_scaling_prints_fits_and_writes_row(tmp_path, capsys):
     lines = out.read_text().strip().split("\n")
     assert lines[0].startswith("a,b,s,K,k,trials,points_used,fitted_F12")
     assert len(lines) == 2
+
+
+# The full stdout and --out file of ``csbm scaling`` at K = 3 and K = 2,
+# recorded before the fits became their CSV rows.  K = 2 has no
+# F12capF13 lines.
+SCALING_STDOUT = {
+    3: (
+        "F12 means: 200:9.00 300:27.50 400:21.50 500:25.00\n"
+        "F12capF13 means: 200:3.00 300:4.50 400:2.00 500:3.50\n"
+        "Rstar means: 200:3.00 300:4.50 400:2.00 500:3.50\n"
+        "fitted F12 exponent: 1.0153627696517404 (theory 0.51)\n"
+        "fitted F12capF13 exponent: -0.112991589836843 (theory 0.19150000000000023)\n"
+        "fitted Rstar exponent: -0.112991589836843 (theory 0.19150000000000023)\n"
+    ),
+    2: (
+        "F12 means: 200:15.50 300:16.50 400:24.00 500:25.00\n"
+        "Rstar means: 200:15.50 300:16.50 400:24.00 500:25.00\n"
+        "fitted F12 exponent: 0.5833948398007934 (theory 0.51)\n"
+        "fitted Rstar exponent: 0.5833948398007934 (theory 0.51)\n"
+    ),
+}
+SCALING_OUT = {
+    3: "6.0,2.0,0.35,3,1,2,4,1.0153627696517404,0.51,-0.112991589836843,"
+    "0.19150000000000023,-0.112991589836843,0.19150000000000023\n",
+    2: "6.0,2.0,0.35,2,1,2,4,0.5833948398007934,0.51,,,0.5833948398007934,0.51\n",
+}
+
+
+@pytest.mark.parametrize("K", [3, 2])
+def test_scaling_stdout_and_row_are_pinned(tmp_path, capsys, K):
+    argv = [
+        "scaling", "--a", 6, "--b", 2, "--s", 0.35, "--k", 1, "--K", K,
+        "--n-list", "200,300,400,500", "--trials", 2, "--seed", 0,
+    ]
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == SCALING_STDOUT[K]
+    out = tmp_path / "scaling.csv"
+    assert run_cli(*argv, "--out", out) == 0
+    assert capsys.readouterr().out == SCALING_STDOUT[K] + f"wrote scaling row to {out}\n"
+    assert out.read_text() == ",".join(SCALING_COLUMNS) + "\n" + SCALING_OUT[K]
+    base = Params(n=200, a=6.0, b=2.0, s=0.35, K=K, k=1)
+    row = scaling_experiment(base, [200, 300, 400, 500], 2, 0)
+    assert out.read_text() == format_csv(SCALING_COLUMNS, [row])
+
+
+def test_recover_refuses_a_size_over_the_union_ceiling(capsys, no_draws):
+    code = run_cli("recover", "--n", 10**8, "--a", 9, "--b", 1, "--s", 0.4, "--trials", 1)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: n=100000000 expects") and "union edges" in err
 
 
 def test_scaling_rejects_short_n_list(capsys):

@@ -73,6 +73,28 @@ def test_params_rejects_probabilities_above_one():
         Params(n=3, a=10.0, b=0.1, s=0.5)
 
 
+@pytest.mark.parametrize("n", [10**7, 10**8])
+def test_sample_instance_refuses_a_union_over_the_ceiling_before_any_draw(no_draws, n):
+    with pytest.raises(ValueError, match=r"union edges, more than the cap of 134217728"):
+        sample_instance(Params(n=n, a=9.0, b=1.0, s=0.4, K=3), 0)
+
+
+def test_union_ceiling_admits_the_desk_scale_sizes():
+    # The estimate alone is computed: nothing this size is sampled here.
+    assert generate.MAX_UNION_EDGES == 2**27
+    expected = generate._require_union_size(Params(n=3 * 10**6, a=9.0, b=1.0, s=0.4, K=3))
+    assert 8.7e7 < expected < 8.8e7
+
+
+def test_union_ceiling_estimate_is_the_mean_union_size():
+    # f (p + q) n (n - 1) / 4 is the exact mean; one draw lies within 5 sd.
+    params = Params(n=30_000, a=9.0, b=1.0, s=0.4, K=3)
+    expected = generate._require_union_size(params)
+    assert expected == pytest.approx(6.06e5, rel=1e-3)
+    drawn = sample_instance(params, 11).parent.edge_count
+    assert abs(drawn - expected) < 5 * math.sqrt(expected)
+
+
 def test_params_edge_probabilities():
     p = Params(n=100, a=4.0, b=1.0, s=0.5)
     assert p.p == pytest.approx(4.0 * math.log(100) / 100)

@@ -50,7 +50,17 @@ def test_graph_rejects_edges_not_shaped_m_by_2(edges):
 
 
 @pytest.mark.parametrize(
-    "edges", [np.array([[0.0, 1.7]]), [(0.5, 2)], np.array([[0, np.nan]]), np.array([[0, 1e30]])]
+    "edges",
+    [
+        np.array([[0.0, 1.7]]),
+        [(0.5, 2)],
+        np.array([[0, np.nan]]),
+        np.array([[0, 1e30]]),
+        # numpy would read True as vertex 1, even inside a list of ints.
+        np.array([[True, False]]),
+        [(True, 2)],
+        [(0, np.True_)],
+    ],
 )
 def test_graph_rejects_non_integer_endpoints(edges):
     with pytest.raises(ValueError, match="integers"):
@@ -298,12 +308,26 @@ def test_matching_from_permutation():
         lambda: PartialMatching.from_permutation(np.array([1.0, np.nan])),
         lambda: PartialMatching({0.7: 1}),
         lambda: PartialMatching([(0, 1.5)]),
+        lambda: PartialMatching({True: 0}),
+        lambda: PartialMatching([(0, False)]),
+        lambda: PartialMatching.from_permutation(np.array([True, False])),
+        lambda: PartialMatching.from_permutation([1, True]),
     ],
-    ids=["pi", "pi-nan", "mapping", "pairs"],
+    ids=["pi", "pi-nan", "mapping", "pairs", "bool-key", "bool-pair", "bool-pi", "bool-in-pi"],
 )
 def test_matching_rejects_non_integer_vertices(build):
     with pytest.raises(ValueError, match="integers"):
         build()
+
+
+def test_matching_lookup_by_bool_finds_nothing():
+    mu = PartialMatching.from_permutation([1, 0, 2])
+    for v in (True, False, np.True_):
+        assert mu.get(v) is None and mu.get(v, -1) == -1
+        assert v not in mu
+        with pytest.raises(KeyError):
+            mu[v]
+    assert mu.get(1) == 0 and mu.get(np.int64(0)) == 1
 
 
 def test_matching_from_permutation_rejects_nested_input():

@@ -16,6 +16,7 @@ from csbm import harness
 from csbm.generate import Params, sample_instance
 from csbm.harness import (
     AGGREGATE_COLUMNS,
+    SCALING_COLUMNS,
     TRIAL_COLUMNS,
     SweepConfig,
     cell_seeds,
@@ -468,11 +469,11 @@ def test_scaling_validates_inputs():
 def test_scaling_fits_track_theory():
     base = Params(n=500, a=6.0, b=2.0, s=0.35, K=3, k=1)
     fit = scaling_experiment(base, (500, 1000, 2000, 4000), 3, 0)
-    assert fit.points_used == 4
-    assert fit.theory_unmatched == pytest.approx(1.0 - 0.35**2 * 4.0)
-    assert abs(fit.fitted_unmatched - fit.theory_unmatched) < 0.15
-    assert abs(fit.fitted_intersection - fit.theory_intersection) < 0.15
-    assert abs(fit.fitted_singletons - fit.theory_singletons) < 0.15
+    assert fit["points_used"] == 4
+    assert fit["theory_F12"] == pytest.approx(1.0 - 0.35**2 * 4.0)
+    assert abs(fit["fitted_F12"] - fit["theory_F12"]) < 0.15
+    assert abs(fit["fitted_F12capF13"] - fit["theory_F12capF13"]) < 0.15
+    assert abs(fit["fitted_Rstar"] - fit["theory_Rstar"]) < 0.15
 
 
 @pytest.mark.filterwarnings("ignore:.*zero-mean")
@@ -482,20 +483,20 @@ def test_scaling_fits_track_theory():
 def test_scaling_theory_exponents_are_condition_values(a, b, s, K):
     fit = scaling_experiment(Params(n=60, a=a, b=b, s=s, K=K), [60, 70, 80, 90], 1)
     values = condition_set(a, b, s, K)
-    assert fit.theory_unmatched == 1.0 - values["pair_match"]
-    assert fit.theory_singletons == 1.0 - values["match_all"]
+    assert fit["theory_F12"] == 1.0 - values["pair_match"]
+    assert fit["theory_Rstar"] == 1.0 - values["match_all"]
     if K >= 3:
-        assert fit.theory_intersection == 1.0 - condition_set(a, b, s, 3)["match_all"]
+        assert fit["theory_F12capF13"] == 1.0 - condition_set(a, b, s, 3)["match_all"]
     else:
-        assert fit.theory_intersection is None
+        assert fit["theory_F12capF13"] is None
 
 
 def test_scaling_drops_zero_mean_points():
     base = Params(n=100, a=18.0, b=2.0, s=1.0, K=3, k=13)
     with pytest.warns(UserWarning):
         fit = scaling_experiment(base, (100, 150, 200, 250), 1, 0)
-    assert fit.fitted_unmatched is None
-    assert fit.points_used == 0
+    assert fit["fitted_F12"] is None
+    assert fit["points_used"] == 0
 
 
 def test_sweep_runs_scaling_rows():
@@ -516,6 +517,49 @@ def test_sweep_runs_scaling_rows():
     assert len(result.scaling_rows) == 1
     row = result.scaling_rows[0]
     assert row["theory_F12"] == pytest.approx(1.0 - 0.35**2 * 4.0)
+
+
+@pytest.mark.filterwarnings("ignore:.*zero-mean")
+@pytest.mark.parametrize("K", [2, 3])
+def test_scaling_returns_its_csv_row_then_the_means(K):
+    base = Params(n=60, a=6.0, b=2.0, s=0.35, K=K, k=1)
+    fit = scaling_experiment(base, [60, 70, 80, 90], 1)
+    assert list(fit) == [*SCALING_COLUMNS, "mean_F12", "mean_F12capF13", "mean_Rstar"]
+    assert [fit[c] for c in ("a", "b", "s", "K", "k", "trials")] == [6.0, 2.0, 0.35, K, 1, 1]
+    assert len(fit["mean_F12"]) == len(fit["mean_Rstar"]) == 4
+    assert (fit["mean_F12capF13"] is None) == (K < 3)
+
+
+def test_scaling_means_are_the_cell_means():
+    cfg = SweepConfig(
+        n_values=(200, 300, 400, 500),
+        a_values=(6.0,),
+        b_values=(2.0,),
+        s_values=(0.35,),
+        K_values=(3,),
+        k=1,
+        trials=2,
+        experiments=("match", "scaling"),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = sweep(cfg)
+    (fit,) = result.scaling_rows
+    for column in ("mean_F12", "mean_F12capF13"):
+        assert fit[column] == [row[column] for row in result.cell_rows]
+
+
+def test_config_refuses_a_cell_over_the_union_ceiling(no_draws):
+    with pytest.raises(ValueError, match="n=10000000 expects .* union edges"):
+        SweepConfig(
+            n_values=(1000, 10**7), a_values=(9.0,), b_values=(1.0,), s_values=(0.4,)
+        )
+
+
+def test_scaling_refuses_an_n_over_the_union_ceiling_before_any_trial(no_draws):
+    base = Params(n=200, a=9.0, b=1.0, s=0.4, K=3, k=1)
+    with pytest.raises(ValueError, match="n=100000000 expects .* union edges"):
+        scaling_experiment(base, (200, 300, 400, 10**8), 1)
 
 
 def test_region_grid_export_known_cells():
